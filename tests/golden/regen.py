@@ -1,0 +1,74 @@
+"""Committed golden outputs of the simulator, and the script that rewrites them.
+
+``run/<kernel>.<policy>.<arch>.json`` holds ``run(...).to_dict()`` of one
+corpus kernel at its declared launch, or ``{"error": <class name>}`` when
+the policy cannot run it.  ``sweep/<kernel>.fermi.csv`` holds ``emit_csv`` of
+the kernel's recommended grid on fermi under every policy.
+``tests/test_golden.py`` compares the files byte for byte.
+
+    PYTHONPATH=src python tests/golden/regen.py            # list differing files
+    PYTHONPATH=src python tests/golden/regen.py --update   # rewrite them
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+from pathlib import Path
+
+from smvirt import (
+    RECOMMENDED_GRIDS,
+    KernelUnrunnableError,
+    NonTerminationError,
+    Policy,
+    corpus_kernel,
+    corpus_names,
+    emit_csv,
+    run,
+    run_sweep,
+)
+
+GOLDEN_DIR = Path(__file__).resolve().parent
+ARCHS = ("fermi", "kepler", "maxwell")
+SWEEP_ARCH = "fermi"
+
+
+def golden_files(kernel_name: str) -> dict[str, str]:
+    """Relative path -> expected text of every golden file of one kernel."""
+    kernel = corpus_kernel(kernel_name)
+    files = {}
+    for policy in Policy:
+        for arch in ARCHS:
+            try:
+                doc = run(kernel, policy, arch).to_dict()
+            except (KernelUnrunnableError, NonTerminationError) as e:
+                doc = {"error": type(e).__name__}
+            files[f"run/{kernel_name}.{policy.value}.{arch}.json"] = (
+                json.dumps(doc, indent=2) + "\n"
+            )
+    sweep = run_sweep(kernel, RECOMMENDED_GRIDS[kernel_name], (SWEEP_ARCH,))
+    files[f"sweep/{kernel_name}.{SWEEP_ARCH}.csv"] = emit_csv(sweep)
+    return files
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--update", action="store_true", help="rewrite differing files")
+    args = parser.parse_args(argv)
+    differing = 0
+    for name in corpus_names():
+        for rel, text in golden_files(name).items():
+            path = GOLDEN_DIR / rel
+            if path.is_file() and path.read_bytes() == text.encode():
+                continue
+            differing += 1
+            print(f"{'wrote' if args.update else 'differs'} {rel}")
+            if args.update:
+                path.parent.mkdir(parents=True, exist_ok=True)
+                path.write_bytes(text.encode())
+    return 1 if differing and not args.update else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
