@@ -22,9 +22,9 @@ from dataclasses import replace
 from .corpus import CORPUS, RECOMMENDED_GRIDS, corpus_kernel, export_corpus
 from .engine import KernelUnrunnableError, NonTerminationError, run
 from .harness import (
-    CSV_COLUMNS,
-    _row_cells,
+    SweepResult,
     detect_cliffs,
+    emit_csv,
     parse_grid,
     performance_range,
     result_row,
@@ -95,7 +95,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     print(
         f"blocks  in flight {res.blocks_in_flight_min}..{res.blocks_in_flight_max}"
     )
-    if res.o_thresh_final is not None:
+    if res.o_thresh_final:
         print(f"thresh  final oversubscription {res.o_thresh_final}")
     if res.guard_admissions:
         print(f"guard   {res.guard_admissions} forced admissions")
@@ -104,10 +104,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             json.dump(res.to_dict(), f, indent=2)
             f.write("\n")
     if args.csv:
-        row = result_row(res)
+        single = SweepResult(res.kernel_name, (res.arch,), (res.policy,), (result_row(res),), ())
         with open(args.csv, "w", encoding="utf-8", newline="") as f:
-            f.write(",".join(CSV_COLUMNS) + "\n")
-            f.write(",".join(_row_cells(row)) + "\n")
+            f.write(emit_csv(single))
     if args.event_log:
         with open(args.event_log, "w", encoding="utf-8") as f:
             for cycle, kind, ident in res.event_log or ():

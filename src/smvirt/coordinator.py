@@ -16,6 +16,9 @@ by parking a warp that is already waiting at a barrier, which also saves its
 scheduler state to memory and releases all of its register sets.  Parked
 warps therefore re-enter the admission pipeline from the front when their
 barrier opens, paying one memory round trip to restore state.
+
+Coordinator is the zorua admission object: it implements the hooks the
+engine calls for every policy (see policies.py).
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from .kernel_model import SCRATCH_OPCODES, Opcode
 from .resource_maps import (
     ArchConfig,
     MappingTable,
@@ -60,7 +64,6 @@ class WarpRecord:
     pc: int = 0
     next_ready: int = 0
     acc_counter: int = 0
-    issued: int = 0
     cur_live_regs: int = 0
     cur_live_scratch: int = 0
 
@@ -138,6 +141,7 @@ class Coordinator:
         self.guard_admissions = 0
         # admissions whose swap overflow exceeded the threshold (must stay 0)
         self.budget_violations = 0
+        self._block_completed = True  # the last warp to finish completed its block
 
     # -- bookkeeping ----------------------------------------------------
 
@@ -291,12 +295,23 @@ class Coordinator:
 
     # -- events from the engine -------------------------------------------
 
-    def on_block_arrival(self, block: BlockRecord, reg_sets: int, scratch_sets: int):
-        self.blocks[block.bid] = block
-        for wid in block.warp_ids:
+    def can_accept_block(self, warps: int) -> bool:
+        """New blocks enter at launch and whenever a block completes, while
+        logical block and warp ids remain."""
+        return (
+            self._block_completed
+            and self.live_blocks() < self.arch.max_logical_blocks
+            and self.live_warps() + warps <= self.arch.max_logical_warps
+        )
+
+    def on_block_arrival(
+        self, bid: int, wids: tuple[int, ...], reg_sets: int, scratch_sets: int
+    ):
+        self.blocks[bid] = BlockRecord(bid=bid, warp_ids=wids)
+        for wid in wids:
             w = WarpRecord(
                 wid=wid,
-                block_id=block.bid,
+                block_id=bid,
                 reg_sets_needed=reg_sets,
                 scratch_sets_needed=scratch_sets,
             )
@@ -327,6 +342,8 @@ class Coordinator:
         sit on register sets, so scratch growth releases them all first.
         """
         w = self.warps[wid]
+        if w.state is not WarpState.SCHEDULABLE:
+            return False
         regs = self.tables[ResourceKind.REGISTER]
         scratch = self.tables[ResourceKind.SCRATCHPAD]
         w.reg_sets_needed = reg_sets
@@ -347,12 +364,17 @@ class Coordinator:
         self.retry_all_queues()
         return still
 
-    def on_barrier(self, wid: int):
+    def on_barrier(self, wid: int) -> bool:
+        """Hold the warp at its barrier; True when it was the last of its
+        block to arrive."""
         w = self.warps[wid]
         w.state = WarpState.AT_BARRIER
         w.barrier_seq = self._next_seq()
+        block = self.blocks[w.block_id]
+        block.barrier_arrivals += 1
         # a parkable warp appeared, so slot waiters may now pass
         self.retry_all_queues()
+        return block.barrier_arrivals == block.size
 
     def release_barrier(self, bid: int):
         block = self.blocks[bid]
@@ -379,6 +401,7 @@ class Coordinator:
             self.tables[ResourceKind.SCRATCHPAD].free_all(block.bid)
         else:
             self._shrink_block_scratch(block.bid)
+        self._block_completed = done
         self.retry_all_queues()
         return done
 
@@ -416,6 +439,41 @@ class Coordinator:
 
     # -- data-access path ---------------------------------------------------
 
+    def _locality(self, w: WarpRecord, n_sets: int) -> int:
+        """Skewed reuse: seven of every eight touches land in the hottest
+        quarter of the owner's sets, the rest walk the remainder."""
+        k = w.acc_counter
+        w.acc_counter += 1
+        n_hot = max(1, -(-n_sets // 4))
+        n_cold = n_sets - n_hot
+        if k % 8 < 7 or n_cold == 0:
+            return (k % 8) % n_hot
+        return n_hot + (k // 8) % n_cold
+
+    def access_cost(self, w: WarpRecord, op: Opcode) -> int:
+        """Extra cycles the mapping tables add to one issued instruction.
+
+        Every register access consults the register table and every
+        scratchpad access also the scratchpad table; each consult costs the
+        pipeline penalty, and touching a set in swap a memory round trip.
+        """
+        if op is Opcode.BARRIER or op is Opcode.PHASE_SPEC:
+            return 0
+        extra = 0
+        n = self.tables[ResourceKind.REGISTER].owned(w.wid)
+        if n:
+            extra += self.arch.mapping_table_penalty_cycles
+            if self.access_register(w.wid, self._locality(w, n)):
+                extra += self.arch.memory_latency_cycles
+        if op in SCRATCH_OPCODES:
+            m = self.tables[ResourceKind.SCRATCHPAD].owned(w.block_id)
+            if m:
+                extra += self.arch.mapping_table_penalty_cycles
+                if self.access_scratch(w.block_id, self._locality(w, m)):
+                    extra += self.arch.memory_latency_cycles
+        self.tables[ResourceKind.WARP_SLOT].note_access()
+        return extra
+
     def _resolve_swap(self, kind: ResourceKind, owner: int, logical: int):
         tbl = self.tables[kind]
         if tbl.free_physical > 0:
@@ -438,6 +496,22 @@ class Coordinator:
             self._resolve_swap(ResourceKind.SCRATCHPAD, bid, logical)
             return True
         return False
+
+    # -- engine queries and result counters -----------------------------------
+
+    def pending_work(self) -> bool:
+        return self.pending_count() > 0
+
+    @property
+    def retunes(self) -> bool:
+        """Whether the controller may loosen admission at the next epoch."""
+        return self.cfg.fixed_o_thresh_frac is None
+
+    def access_totals(self) -> dict[ResourceKind, tuple[int, int]]:
+        return {kind: (t.total_accesses, t.swap_accesses) for kind, t in self.tables.items()}
+
+    def final_thresholds(self) -> dict[str, int]:
+        return {kind.value: v for kind, v in self.o_thresh.items()}
 
     # -- deadlock guard -----------------------------------------------------
 

@@ -25,22 +25,11 @@ from __future__ import annotations
 
 import enum
 import heapq
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Optional, Union
 
-from .coordinator import (
-    BlockRecord,
-    Coordinator,
-    OversubscriptionConfig,
-    WarpRecord,
-    WarpState,
-)
-from .kernel_model import (
-    SCRATCH_OPCODES,
-    KernelSpec,
-    Opcode,
-    ResourceSpecification,
-)
+from .coordinator import BlockRecord, OversubscriptionConfig, WarpRecord, WarpState
+from .kernel_model import KernelSpec, Opcode, ResourceSpecification
 from .phase_compiler import annotate_phases
 from .resource_maps import (
     ArchConfig,
@@ -49,17 +38,13 @@ from .resource_maps import (
     reg_sets_for,
     scratch_sets_for,
 )
-from .policies import Policy, baseline_blocks_in_flight, wlm_is_runnable
+from .policies import KernelUnrunnableError, Policy, make_admission  # noqa: F401 (re-export)
 
 DEFAULT_CYCLE_CAP = 30_000_000
 
 
 class NonTerminationError(RuntimeError):
     """Simulation exceeded its cycle cap or wedged with no way forward."""
-
-
-class KernelUnrunnableError(RuntimeError):
-    """The kernel can make no progress under the chosen policy and hardware."""
 
 
 class EventKind(enum.IntEnum):
@@ -145,7 +130,6 @@ class SimResult:
     mean_schedulable_warps: float
     blocks_in_flight_min: int
     blocks_in_flight_max: int
-    blocks_in_flight_trace: tuple[tuple[int, int], ...]
     guard_admissions: int
     o_thresh_final: dict[str, int]
     epochs: tuple[EpochStats, ...]
@@ -176,20 +160,7 @@ class SimResult:
             "blocks_in_flight_max": self.blocks_in_flight_max,
             "guard_admissions": self.guard_admissions,
             "o_thresh_final": dict(self.o_thresh_final),
-            "epochs": [
-                {
-                    "index": e.index,
-                    "issued_instructions": e.issued_instructions,
-                    "issued_cycles": e.issued_cycles,
-                    "c_idle": e.c_idle,
-                    "c_mem": e.c_mem,
-                    "barrier_stall": e.barrier_stall,
-                    "reg_swap_accesses": e.reg_swap_accesses,
-                    "scratch_swap_accesses": e.scratch_swap_accesses,
-                    "slot_swap_accesses": e.slot_swap_accesses,
-                }
-                for e in self.epochs
-            ],
+            "epochs": [asdict(e) for e in self.epochs],
             "utilization": None
             if self.utilization is None
             else {
@@ -223,36 +194,20 @@ class _MemSystem:
         return done
 
 
-@dataclass
-class _SMOutcome:
-    cycles: int
-    issued_instructions: int
-    issued_cycles: int
-    c_idle: int
-    c_mem: int
-    barrier_stall: int
-    access_totals: dict[ResourceKind, tuple[int, int]]  # (total, swap)
-    mean_schedulable: float
-    bif_min: int
-    bif_max: int
-    trace: list[tuple[int, int]]
-    guard_admissions: int
-    o_thresh_final: dict[str, int]
-    epochs: list[EpochStats]
-    util: Optional[UtilizationReport]
-    event_log: Optional[list[tuple[int, str, int]]]
-
-
 class _SMRun:
-    """One SM executing n_blocks copies of the kernel's block."""
+    """One SM executing n_blocks copies of the kernel's block.
+
+    The admission object decides which warps may run (see policies.py);
+    the engine schedules and issues them and turns what happens into the
+    admission hooks.  Warps and blocks live in the admission's registry.
+    """
 
     def __init__(
         self,
         kernel: KernelSpec,
-        policy: Policy,
+        adm,
         arch: ArchConfig,
         n_blocks: int,
-        oversub: OversubscriptionConfig,
         debug: bool,
         cycle_cap: int,
         collect_util: bool,
@@ -260,31 +215,33 @@ class _SMRun:
     ):
         self.body = kernel.body
         self.spec = kernel.resource_spec
-        self.policy = policy
+        self.adm = adm
+        self.access_cost = adm.access_cost
         self.arch = arch
         self.debug = debug
         self.cycle_cap = cycle_cap
         self.collect_util = collect_util
         self.wpb = self.spec.warps_per_block
         self.remaining = n_blocks
-        self.has_barrier = kernel.has_barrier()
+        # a kernel without a leading phase specifier (uncompiled) announces
+        # no demand; only the static policies run those, and they ignore it
+        first = self.body[0].phase_payload
+        self.entry_sets = (0, 0) if first is None else self._phase_sets(first)
 
         self.now = 0
         self.last_issue = 0
-        self.warps: dict[int, WarpRecord] = {}
-        self.blocks: dict[int, BlockRecord] = {}
+        self.warps: dict[int, WarpRecord] = adm.warps
+        self.blocks: dict[int, BlockRecord] = adm.blocks
         self.sched_set: set[int] = set()
         self.part: tuple[list[int], list[int]] = tuple(
             [] for _ in range(arch.schedulers_per_sm)
         )
         self.greedy: list[Optional[int]] = [None] * arch.schedulers_per_sm
-        self.next_wid = 0
         self.next_bid = 0
         self.in_flight = 0
         self.live_warps = 0
         self.bif_min: Optional[int] = None
         self.bif_max = 0
-        self.trace: list[tuple[int, int]] = []
         self.mem = _MemSystem(arch.memory_latency_cycles, arch.max_inflight_mem_requests)
         self.events: list[tuple[int, str, int]] = [] if log_events else None
 
@@ -310,50 +267,11 @@ class _SMRun:
         self.live_scr_sum = 0
         self.block_scr_live: dict[int, int] = {}
 
-        self.coord: Optional[Coordinator] = None
-        if policy is Policy.ZORUA:
-            if not kernel.is_compiled:
-                raise ValueError("the virtualizing policy needs a compiled kernel")
-            self._check_phase_demands(kernel)
-            self.coord = Coordinator(arch, oversub)
-            first = self.body[0].phase_payload
-            self.init_reg_sets = reg_sets_for(first.live_regs, arch)
-            self.init_scr_sets = scratch_sets_for(first.scratch_bytes, arch)
-        elif policy is Policy.BASELINE:
-            self.static_blocks = baseline_blocks_in_flight(self.spec, arch)
-            if self.static_blocks == 0:
-                raise KernelUnrunnableError(
-                    "static allocation admits zero blocks on this hardware"
-                )
-        else:
-            if not wlm_is_runnable(self.spec, arch, self.has_barrier):
-                raise KernelUnrunnableError(
-                    "warp-granular admission cannot complete this kernel"
-                )
-            self.free_regs = arch.registers_per_sm
-            self.free_slots = arch.warp_slots_per_sm
-            self.free_scratch = arch.scratch_bytes_per_sm
-            self.regs_per_warp = self.spec.regs_per_thread * arch.warp_width
-            self.partial_bid: Optional[int] = None
-            self.partial_admitted = 0
-
-    def _check_phase_demands(self, kernel: KernelSpec):
-        if self.wpb > self.arch.max_logical_warps:
-            raise KernelUnrunnableError("block has more warps than logical slots")
-        for ins in kernel.body:
-            if ins.opcode is not Opcode.PHASE_SPEC:
-                continue
-            p = ins.phase_payload
-            rs = reg_sets_for(p.live_regs, self.arch)
-            if rs > self.arch.max_reg_sets_per_warp or rs > self.arch.reg_sets_physical:
-                raise KernelUnrunnableError(
-                    f"phase needs {rs} register sets per warp, beyond hardware reach"
-                )
-            ss = scratch_sets_for(p.scratch_bytes, self.arch)
-            if ss > self.arch.scratch_sets_physical:
-                raise KernelUnrunnableError(
-                    f"phase needs {ss} scratchpad sets per block, beyond hardware reach"
-                )
+    def _phase_sets(self, phase) -> tuple[int, int]:
+        return (
+            reg_sets_for(phase.live_regs, self.arch),
+            scratch_sets_for(phase.scratch_bytes, self.arch),
+        )
 
     # -- logging / accounting helpers ------------------------------------
 
@@ -362,18 +280,19 @@ class _SMRun:
             self.events.append((self.now, kind.name, ident))
 
     def _swap_snapshot(self) -> tuple[int, int, int]:
-        if self.coord is None:
-            return (0, 0, 0)
-        t = self.coord.tables
+        totals = self.adm.access_totals()
         return (
-            t[ResourceKind.REGISTER].swap_accesses,
-            t[ResourceKind.SCRATCHPAD].swap_accesses,
-            t[ResourceKind.WARP_SLOT].swap_accesses,
+            totals[ResourceKind.REGISTER][1],
+            totals[ResourceKind.SCRATCHPAD][1],
+            totals[ResourceKind.WARP_SLOT][1],
         )
 
-    def _record_trace(self):
-        if not self.trace or self.trace[-1][1] != self.in_flight:
-            self.trace.append((self.now, self.in_flight))
+    def _check_invariants(self):
+        problems = self.adm.check_invariants()
+        if problems:
+            raise RuntimeError("invariant violation: " + "; ".join(problems))
+
+    def _record_in_flight(self):
         self.bif_max = max(self.bif_max, self.in_flight)
         if self.remaining > 0:
             self.bif_min = (
@@ -417,153 +336,53 @@ class _SMRun:
     # -- block dispatch -----------------------------------------------------
 
     def _dispatch(self):
-        changed = False
-        if self.policy is Policy.BASELINE:
-            while self.remaining and self.in_flight < self.static_blocks:
-                self._start_block(admit_all=True)
-                changed = True
-        elif self.policy is Policy.WLM:
-            changed = self._dispatch_wlm()
-        else:
-            while (
-                self.remaining
-                and self.coord.live_blocks() < self.arch.max_logical_blocks
-                and self.coord.live_warps() + self.wpb <= self.arch.max_logical_warps
-            ):
-                self._start_block(admit_all=False)
-                changed = True
-        if changed:
-            self._record_trace()
+        while self.remaining and self.adm.can_accept_block(self.wpb):
+            self._start_block()
+        self._record_in_flight()
 
-    def _new_block(self) -> BlockRecord:
+    def _start_block(self):
         bid = self.next_bid
         self.next_bid += 1
-        wids = tuple(range(self.next_wid, self.next_wid + self.wpb))
-        self.next_wid += self.wpb
-        block = BlockRecord(bid=bid, warp_ids=wids)
-        self.blocks[bid] = block
+        wids = tuple(range(bid * self.wpb, (bid + 1) * self.wpb))
         self.remaining -= 1
         self.in_flight += 1
         self.live_warps += self.wpb
         self._log(EventKind.BLOCK_ARRIVAL, bid)
-        return block
-
-    def _register_warp(self, w: WarpRecord):
-        self.warps[w.wid] = w
-        self.part[w.wid % len(self.part)].append(w.wid)
-
-    def _start_block(self, admit_all: bool):
-        block = self._new_block()
-        if self.coord is not None:
-            self.coord.on_block_arrival(block, self.init_reg_sets, self.init_scr_sets)
-            for wid in block.warp_ids:
-                self._register_warp(self.coord.warps[wid])
-            self._apply_effects(self.now)
-        else:
-            for wid in block.warp_ids:
-                w = WarpRecord(wid=wid, block_id=block.bid)
-                self._register_warp(w)
-                if admit_all:
-                    w.state = WarpState.SCHEDULABLE
-                    w.next_ready = self.now
-                    self.sched_set.add(wid)
+        self.adm.on_block_arrival(bid, wids, *self.entry_sets)
+        for wid in wids:
+            self.part[wid % len(self.part)].append(wid)
+        self._apply_effects(self.now)
         if self.collect_util:
-            # a warp occupies its entry working set from admission, not
+            # a warp occupies its entry working set from arrival, not
             # from its first issue
             first = self.body[0]
-            for wid in block.warp_ids:
+            for wid in wids:
                 self._update_live(
                     self.warps[wid], first.live_regs_after, first.live_scratch_after
                 )
 
-    def _dispatch_wlm(self) -> bool:
-        changed = False
-        while True:
-            if self.partial_bid is None:
-                if not self.remaining:
-                    return changed
-                if self.free_scratch < self.spec.scratch_bytes_per_block:
-                    return changed
-                if self.free_slots < 1 or self.free_regs < self.regs_per_warp:
-                    return changed
-                block = self._new_block()
-                self.free_scratch -= self.spec.scratch_bytes_per_block
-                for wid in block.warp_ids:
-                    self._register_warp(WarpRecord(wid=wid, block_id=block.bid))
-                self.partial_bid = block.bid
-                self.partial_admitted = 0
-                changed = True
-            block = self.blocks[self.partial_bid]
-            while (
-                self.partial_admitted < block.size
-                and self.free_slots >= 1
-                and self.free_regs >= self.regs_per_warp
-            ):
-                w = self.warps[block.warp_ids[self.partial_admitted]]
-                self.free_slots -= 1
-                self.free_regs -= self.regs_per_warp
-                w.state = WarpState.SCHEDULABLE
-                w.next_ready = max(w.next_ready, self.now)
-                self.sched_set.add(w.wid)
-                self.partial_admitted += 1
-                changed = True
-            if self.partial_admitted < block.size:
-                return changed
-            self.partial_bid = None
-
-    # -- zorua effect application -------------------------------------------
-
     def _apply_effects(self, wake: int):
-        for eff in self.coord.drain_effects():
-            tag, wid = eff[0], eff[1]
+        for tag, wid in self.adm.drain_effects():
+            w = self.warps[wid]
             if tag == "schedulable":
-                w = self.warps[wid]
                 if w.pc >= len(self.body):
-                    # readmitted only to retire (its last instruction was a
-                    # barrier it parked at)
-                    self.sched_set.add(wid)
+                    # admitted only to retire: its last instruction was a
+                    # barrier
                     self._finish_warp(wid)
                     continue
                 w.next_ready = max(w.next_ready, wake)
                 self.sched_set.add(wid)
             elif tag == "slot_swapin":
-                w = self.warps[wid]
                 w.next_ready = max(w.next_ready, wake + self.arch.memory_latency_cycles)
             elif tag == "parked":
                 self.sched_set.discard(wid)
 
     # -- issue path -----------------------------------------------------------
 
-    def _locality(self, w: WarpRecord, n_sets: int) -> int:
-        """Skewed reuse: seven of every eight touches land in the hottest
-        quarter of the owner's sets, the rest walk the remainder."""
-        k = w.acc_counter
-        w.acc_counter += 1
-        n_hot = max(1, -(-n_sets // 4))
-        n_cold = n_sets - n_hot
-        if k % 8 < 7 or n_cold == 0:
-            return (k % 8) % n_hot
-        return n_hot + (k // 8) % n_cold
-
     def _issue(self, w: WarpRecord, pending: list):
         ins = self.body[w.pc]
         op = ins.opcode
-        extra = 0
-        if self.coord is not None and op not in (Opcode.BARRIER, Opcode.PHASE_SPEC):
-            regs = self.coord.tables[ResourceKind.REGISTER]
-            n = regs.owned(w.wid)
-            if n:
-                extra += self.arch.mapping_table_penalty_cycles
-                if self.coord.access_register(w.wid, self._locality(w, n)):
-                    extra += self.arch.memory_latency_cycles
-            if op in SCRATCH_OPCODES:
-                scratch = self.coord.tables[ResourceKind.SCRATCHPAD]
-                m = scratch.owned(w.block_id)
-                if m:
-                    extra += self.arch.mapping_table_penalty_cycles
-                    if self.coord.access_scratch(w.block_id, self._locality(w, m)):
-                        extra += self.arch.memory_latency_cycles
-            self.coord.tables[ResourceKind.WARP_SLOT].note_access()
+        extra = self.access_cost(w, op)
 
         if op is Opcode.LD_GLOBAL:
             w.next_ready = self.mem.request(self.now) + extra
@@ -575,7 +394,6 @@ class _SMRun:
 
         self._update_live(w, ins.live_regs_after, ins.live_scratch_after)
         w.pc += 1
-        w.issued += 1
         self.tot_issued += 1
         self.ep_issued += 1
         self.last_issue = self.now
@@ -612,78 +430,31 @@ class _SMRun:
         self.live_warps -= 1
         self._update_live(w, 0, 0)
         self._log(EventKind.WARP_FINISHED, wid)
-        if self.coord is not None:
-            done = self.coord.on_warp_finished(wid)
-            self._apply_effects(self.now + 1)
-        else:
-            w.state = WarpState.FINISHED
-            blk = self.blocks[w.block_id]
-            blk.finished_warps += 1
-            done = blk.finished_warps == blk.size
-            if self.policy is Policy.WLM:
-                self.free_slots += 1
-                self.free_regs += self.regs_per_warp
-                if done:
-                    self.free_scratch += self.spec.scratch_bytes_per_block
+        done = self.adm.on_warp_finished(wid)
+        self._apply_effects(self.now + 1)
         if done:
             self.in_flight -= 1
             self._log(EventKind.BLOCK_FINISHED, w.block_id)
-            # refill before sampling: the freed resources admit the next
-            # block in the same cycle, so the dip is never observable
-            self._dispatch()
-            self._record_trace()
-        elif self.policy is Policy.WLM:
-            self._dispatch()
-
-    def _release_barrier(self, blk: BlockRecord):
-        if self.coord is not None:
-            self.coord.release_barrier(blk.bid)
-            self._apply_effects(self.now + 1)
-        else:
-            for wid in blk.warp_ids:
-                w = self.warps[wid]
-                if w.state is WarpState.AT_BARRIER:
-                    w.state = WarpState.SCHEDULABLE
-                    w.next_ready = max(w.next_ready, self.now + 1)
-                    self.sched_set.add(wid)
-            blk.barrier_arrivals = 0
-        # a warp whose last instruction was the barrier is done now
-        for wid in blk.warp_ids:
-            w = self.warps[wid]
-            if w.state is WarpState.SCHEDULABLE and w.pc >= len(self.body):
-                self._finish_warp(wid)
+        # refill before sampling: the freed resources admit the next
+        # block in the same cycle, so the dip is never observable
+        self._dispatch()
 
     def _handle_event(self, kind: EventKind, wid: int, payload):
+        if kind is EventKind.WARP_FINISHED:
+            self._finish_warp(wid)
+            return
+        self._log(kind, wid)
         if kind is EventKind.PHASE_CHANGE:
-            self._log(kind, wid)
-            if self.coord is None:
-                return
-            w = self.warps[wid]
-            if w.state is not WarpState.SCHEDULABLE:
-                return
-            still = self.coord.on_phase_change(
-                wid,
-                reg_sets_for(payload.live_regs, self.arch),
-                scratch_sets_for(payload.scratch_bytes, self.arch),
-            )
-            if not still:
+            if not self.adm.on_phase_change(wid, *self._phase_sets(payload)):
                 self.sched_set.discard(wid)
             self._apply_effects(self.now + 1)
-        elif kind is EventKind.BARRIER_REACHED:
-            self._log(kind, wid)
-            w = self.warps[wid]
+        else:
             self.sched_set.discard(wid)
-            if self.coord is not None:
-                self.coord.on_barrier(wid)
+            complete = self.adm.on_barrier(wid)
+            self._apply_effects(self.now + 1)
+            if complete:
+                self.adm.release_barrier(self.warps[wid].block_id)
                 self._apply_effects(self.now + 1)
-            else:
-                w.state = WarpState.AT_BARRIER
-            blk = self.blocks[w.block_id]
-            blk.barrier_arrivals += 1
-            if blk.barrier_arrivals == blk.size:
-                self._release_barrier(blk)
-        elif kind is EventKind.WARP_FINISHED:
-            self._finish_warp(wid)
 
     # -- epochs ------------------------------------------------------------
 
@@ -723,17 +494,12 @@ class _SMRun:
     def _epoch_tick(self):
         stats = self._close_epoch()
         self._log(EventKind.EPOCH_TICK, stats.index)
-        if self.coord is not None:
-            self.coord.on_epoch(
-                stats.c_idle - self.prev_idle, stats.c_mem - self.prev_mem
-            )
-            self._apply_effects(self.now + 1)
-            if self.coord.deadlock_guard():
-                self._apply_effects(self.now + 1)
-            if self.debug:
-                problems = self.coord.check_invariants()
-                if problems:
-                    raise RuntimeError("invariant violation: " + "; ".join(problems))
+        self.adm.on_epoch(stats.c_idle - self.prev_idle, stats.c_mem - self.prev_mem)
+        self._apply_effects(self.now + 1)
+        self.adm.deadlock_guard()
+        self._apply_effects(self.now + 1)
+        if self.debug:
+            self._check_invariants()
         self.prev_idle = stats.c_idle
         self.prev_mem = stats.c_mem
 
@@ -748,15 +514,7 @@ class _SMRun:
             self.ep_barrier += delta
 
     def _pending_work(self) -> bool:
-        if self.remaining:
-            return True
-        if self.coord is not None:
-            return self.coord.pending_count() > 0
-        if self.policy is Policy.WLM:
-            return any(
-                w.state is WarpState.PENDING_THREAD for w in self.warps.values()
-            )
-        return False
+        return self.remaining > 0 or self.adm.pending_work()
 
     def _do_cycle(self):
         self._integrate(1)
@@ -778,7 +536,8 @@ class _SMRun:
             self._epoch_tick()
         self.now += 1
 
-    def run(self) -> _SMOutcome:
+    def run(self) -> "_SMRun":
+        """Simulate to completion; the finished run carries its figures."""
         self._dispatch()
         epoch = self.arch.epoch_cycles
         while self.live_warps or self.remaining:
@@ -800,14 +559,10 @@ class _SMRun:
                 continue
             if wake is None:
                 # nothing schedulable at all; force progress or give up
-                if self.coord is not None and self.coord.deadlock_guard():
+                if self.adm.deadlock_guard():
                     self._apply_effects(self.now)
                     continue
-                retunable = (
-                    self.coord is not None
-                    and self.coord.cfg.fixed_o_thresh_frac is None
-                )
-                if not (retunable and self._pending_work()):
+                if not (self.adm.retunes and self._pending_work()):
                     raise NonTerminationError("wedged with no runnable warps")
                 # fall through: skip to the epoch boundary and let the
                 # controller retune admission
@@ -821,48 +576,13 @@ class _SMRun:
                 self._epoch_tick()
         if self.ep_issued or self.ep_issue_cycles or self.ep_idle or self.ep_mem or self.ep_barrier:
             self._close_epoch()
-        if self.debug and self.coord is not None:
-            problems = self.coord.check_invariants()
-            if problems:
-                raise RuntimeError("invariant violation: " + "; ".join(problems))
+        if self.debug:
+            self._check_invariants()
 
-        cycles = self.last_issue + 1
-        if self.coord is not None:
-            totals = {
-                kind: (tbl.total_accesses, tbl.swap_accesses)
-                for kind, tbl in self.coord.tables.items()
-            }
-            o_final = {k.value: v for k, v in self.coord.o_thresh.items()}
-            guard = self.coord.guard_admissions
-        else:
-            totals = {kind: (0, 0) for kind in ResourceKind}
-            o_final = {}
-            guard = 0
-        return _SMOutcome(
-            cycles=cycles,
-            issued_instructions=self.tot_issued,
-            issued_cycles=sum(e.issued_cycles for e in self.epochs),
-            c_idle=sum(e.c_idle for e in self.epochs),
-            c_mem=sum(e.c_mem for e in self.epochs),
-            barrier_stall=sum(e.barrier_stall for e in self.epochs),
-            access_totals=totals,
-            mean_schedulable=self.sched_integral / cycles if cycles else 0.0,
-            bif_min=self.bif_min if self.bif_min is not None else self.bif_max,
-            bif_max=self.bif_max,
-            trace=self.trace,
-            guard_admissions=guard,
-            o_thresh_final=o_final,
-            epochs=self.epochs,
-            util=(
-                UtilizationReport(
-                    register_per_epoch=tuple(self.util_reg_frac),
-                    scratch_per_epoch=tuple(self.util_scr_frac),
-                )
-                if self.collect_util
-                else None
-            ),
-            event_log=self.events,
-        )
+        self.cycles = self.last_issue + 1
+        if self.bif_min is None:  # every block arrived at launch
+            self.bif_min = self.bif_max
+        return self
 
 
 def _per_sm_block_counts(num_blocks: int, num_sms: int) -> dict[int, int]:
@@ -903,44 +623,30 @@ def run(
         kernel = annotate_phases(kernel)
 
     counts = _per_sm_block_counts(kernel.resource_spec.num_blocks, arch.num_sms)
-    outcomes: dict[int, _SMOutcome] = {}
+    sms: dict[int, _SMRun] = {}
     for count in sorted(counts, reverse=True):
-        sm = _SMRun(
+        sms[count] = _SMRun(
             kernel,
-            policy,
+            make_admission(policy, kernel, arch, oversub),
             arch,
             count,
-            oversub,
             debug,
             cycle_cap,
             collect_util,
             log_events,
-        )
-        outcomes[count] = sm.run()
+        ).run()
+    critical = sms[max(sms, key=lambda c: (sms[c].cycles, c))]
 
-    critical_count = max(outcomes, key=lambda c: (outcomes[c].cycles, c))
-    critical = outcomes[critical_count]
-    w_issued = 0
-    w_iss_cycles = 0
-    w_idle = 0
-    w_mem = 0
-    w_barrier = 0
-    w_guard = 0
-    acc = {kind: [0, 0] for kind in ResourceKind}
-    for count, out in outcomes.items():
-        mult = counts[count]
-        w_issued += mult * out.issued_instructions
-        w_iss_cycles += mult * out.issued_cycles
-        w_idle += mult * out.c_idle
-        w_mem += mult * out.c_mem
-        w_barrier += mult * out.barrier_stall
-        w_guard += mult * out.guard_admissions
-        for kind, (tot, swap) in out.access_totals.items():
-            acc[kind][0] += mult * tot
-            acc[kind][1] += mult * swap
+    def total(figure) -> int:
+        """One per-SM figure summed over every SM of the launch."""
+        return sum(counts[c] * figure(sm) for c, sm in sms.items())
+
+    def epoch_total(name: str) -> int:
+        return total(lambda sm: sum(getattr(e, name) for e in sm.epochs))
 
     def rate(kind: ResourceKind) -> float:
-        tot, swap = acc[kind]
+        tot = total(lambda sm: sm.adm.access_totals()[kind][0])
+        swap = total(lambda sm: sm.adm.access_totals()[kind][1])
         return 1.0 if tot == 0 else 1.0 - swap / tot
 
     return SimResult(
@@ -950,23 +656,26 @@ def run(
         seed=seed,
         spec=kernel.resource_spec,
         cycles=critical.cycles,
-        issued_instructions=w_issued,
-        issued_cycles=w_iss_cycles,
-        c_idle=w_idle,
-        c_mem=w_mem,
-        barrier_stall=w_barrier,
+        issued_instructions=total(lambda sm: sm.tot_issued),
+        issued_cycles=epoch_total("issued_cycles"),
+        c_idle=epoch_total("c_idle"),
+        c_mem=epoch_total("c_mem"),
+        barrier_stall=epoch_total("barrier_stall"),
         reg_hit_rate=rate(ResourceKind.REGISTER),
         scratch_hit_rate=rate(ResourceKind.SCRATCHPAD),
         slot_hit_rate=rate(ResourceKind.WARP_SLOT),
-        mean_schedulable_warps=critical.mean_schedulable,
+        mean_schedulable_warps=critical.sched_integral / critical.cycles,
         blocks_in_flight_min=critical.bif_min,
         blocks_in_flight_max=critical.bif_max,
-        blocks_in_flight_trace=tuple(critical.trace),
-        guard_admissions=w_guard,
-        o_thresh_final=critical.o_thresh_final,
+        guard_admissions=total(lambda sm: sm.adm.guard_admissions),
+        o_thresh_final=critical.adm.final_thresholds(),
         epochs=tuple(critical.epochs),
-        utilization=critical.util,
-        event_log=None if critical.event_log is None else tuple(critical.event_log),
+        utilization=(
+            UtilizationReport(tuple(critical.util_reg_frac), tuple(critical.util_scr_frac))
+            if collect_util
+            else None
+        ),
+        event_log=None if critical.events is None else tuple(critical.events),
     )
 
 

@@ -23,7 +23,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional, Sequence, Union
 
 from .engine import DEFAULT_CYCLE_CAP, KernelUnrunnableError, SimResult, run
@@ -142,21 +142,24 @@ def grid_points(grid: GridSpec, base: ResourceSpecification) -> list[ResourceSpe
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One (arch, policy, grid point) result; the defaults describe a point
+    the policy cannot run.  Field order is the CSV column order."""
+
     arch: str
     policy: str
     threads_per_block: int
     regs_per_thread: int
     scratch_bytes_per_block: int
     num_blocks: int
-    cycles: Optional[int]  # None marks an unrunnable point (INF in CSV)
-    reg_hit_rate: float
-    scratch_hit_rate: float
-    slot_hit_rate: float
-    mean_schedulable_warps: float
-    blocks_in_flight_min: int
-    blocks_in_flight_max: int
-    guard_admissions: int
-    issued_instructions: int
+    cycles: Optional[int] = None  # None marks an unrunnable point (INF in CSV)
+    reg_hit_rate: float = 1.0
+    scratch_hit_rate: float = 1.0
+    slot_hit_rate: float = 1.0
+    mean_schedulable_warps: float = 0.0
+    blocks_in_flight_min: int = 0
+    blocks_in_flight_max: int = 0
+    guard_admissions: int = 0
+    issued_instructions: int = 0
 
     @property
     def performance(self) -> Optional[float]:
@@ -168,47 +171,20 @@ class SweepRow:
 def result_row(res: SimResult) -> SweepRow:
     """Flatten one simulation result into a sweep row.
 
+    Each field is the result's attribute of the same name, or its spec's.
     Float fields are rounded to the 6 decimals the emitters print, so a
     row survives a CSV or JSON round trip unchanged.
     """
-    p = res.spec
-    return SweepRow(
-        arch=res.arch,
-        policy=res.policy,
-        threads_per_block=p.threads_per_block,
-        regs_per_thread=p.regs_per_thread,
-        scratch_bytes_per_block=p.scratch_bytes_per_block,
-        num_blocks=p.num_blocks,
-        cycles=res.cycles,
-        reg_hit_rate=round(res.reg_hit_rate, 6),
-        scratch_hit_rate=round(res.scratch_hit_rate, 6),
-        slot_hit_rate=round(res.slot_hit_rate, 6),
-        mean_schedulable_warps=round(res.mean_schedulable_warps, 6),
-        blocks_in_flight_min=res.blocks_in_flight_min,
-        blocks_in_flight_max=res.blocks_in_flight_max,
-        guard_admissions=res.guard_admissions,
-        issued_instructions=res.issued_instructions,
-    )
+    spec = asdict(res.spec)
+    values = {}
+    for f in fields(SweepRow):
+        v = spec[f.name] if f.name in spec else getattr(res, f.name)
+        values[f.name] = round(v, 6) if isinstance(v, float) else v
+    return SweepRow(**values)
 
 
 def unrunnable_row(arch: str, policy: str, p: ResourceSpecification) -> SweepRow:
-    return SweepRow(
-        arch=arch,
-        policy=policy,
-        threads_per_block=p.threads_per_block,
-        regs_per_thread=p.regs_per_thread,
-        scratch_bytes_per_block=p.scratch_bytes_per_block,
-        num_blocks=p.num_blocks,
-        cycles=None,
-        reg_hit_rate=1.0,
-        scratch_hit_rate=1.0,
-        slot_hit_rate=1.0,
-        mean_schedulable_warps=0.0,
-        blocks_in_flight_min=0,
-        blocks_in_flight_max=0,
-        guard_admissions=0,
-        issued_instructions=0,
-    )
+    return SweepRow(arch=arch, policy=policy, **asdict(p))
 
 
 @dataclass(frozen=True)
@@ -367,49 +343,23 @@ def porting_loss(
 
 # -- emission ---------------------------------------------------------------
 
-CSV_COLUMNS = (
-    "arch",
-    "policy",
-    "threads_per_block",
-    "regs_per_thread",
-    "scratch_bytes_per_block",
-    "num_blocks",
-    "cycles",
-    "reg_hit_rate",
-    "scratch_hit_rate",
-    "slot_hit_rate",
-    "mean_schedulable_warps",
-    "blocks_in_flight_min",
-    "blocks_in_flight_max",
-    "guard_admissions",
-    "issued_instructions",
-)
+CSV_COLUMNS = tuple(f.name for f in fields(SweepRow))
 
 
-def _row_cells(row: SweepRow) -> list[str]:
-    return [
-        row.arch,
-        row.policy,
-        str(row.threads_per_block),
-        str(row.regs_per_thread),
-        str(row.scratch_bytes_per_block),
-        str(row.num_blocks),
-        "INF" if row.cycles is None else str(row.cycles),
-        f"{row.reg_hit_rate:.6f}",
-        f"{row.scratch_hit_rate:.6f}",
-        f"{row.slot_hit_rate:.6f}",
-        f"{row.mean_schedulable_warps:.6f}",
-        str(row.blocks_in_flight_min),
-        str(row.blocks_in_flight_max),
-        str(row.guard_admissions),
-        str(row.issued_instructions),
-    ]
+def format_cell(value) -> str:
+    """CSV text of one row value: floats with six decimals, None (unrunnable
+    cycles) as INF."""
+    if value is None:
+        return "INF"
+    if isinstance(value, float):
+        return f"{value:.6f}"
+    return str(value)
 
 
 def emit_csv(result: SweepResult) -> str:
     lines = [",".join(CSV_COLUMNS)]
     for row in result.rows:
-        lines.append(",".join(_row_cells(row)))
+        lines.append(",".join(format_cell(getattr(row, col)) for col in CSV_COLUMNS))
     return "\n".join(lines) + "\n"
 
 

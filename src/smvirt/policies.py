@@ -5,14 +5,37 @@ whole lifetime.  wlm keeps block-granular scratchpad but hands out registers
 and slots per warp, admitting warps of one block at a time.  zorua runs the
 full virtualization stack: phase-sized allocations through mapping tables
 with bounded swap oversubscription (see coordinator.py).
+
+Each policy is one admission object per SM, and the engine drives all three
+through the same hooks: can_accept_block and on_block_arrival,
+on_phase_change, on_barrier and release_barrier, on_warp_finished (True
+when the block completed), on_epoch, deadlock_guard, pending_work,
+access_cost (extra cycles of one issued instruction), drain_effects and
+check_invariants, plus the result counters access_totals, final_thresholds
+and guard_admissions.  The admission object owns the one warp and block
+registry, its warps and blocks dicts, and hands warps to the engine as
+("schedulable" | "parked" | "slot_swapin" | "forced", wid) effects.
+make_admission is the one place a policy picks its class.
 """
 
 from __future__ import annotations
 
 import enum
+from collections import deque
 
-from .kernel_model import ResourceSpecification
-from .resource_maps import ArchConfig
+from .coordinator import (
+    BlockRecord,
+    Coordinator,
+    OversubscriptionConfig,
+    WarpRecord,
+    WarpState,
+)
+from .kernel_model import KernelSpec, Opcode, ResourceSpecification
+from .resource_maps import ArchConfig, ResourceKind, reg_sets_for, scratch_sets_for
+
+
+class KernelUnrunnableError(RuntimeError):
+    """The kernel can make no progress under the chosen policy and hardware."""
 
 
 class Policy(enum.Enum):
@@ -60,3 +83,227 @@ def wlm_is_runnable(spec: ResourceSpecification, arch: ArchConfig, has_barrier: 
             and spec.threads_per_block * spec.regs_per_thread <= arch.registers_per_sm
         )
     return spec.regs_per_thread * arch.warp_width <= arch.registers_per_sm
+
+
+class _StaticAdmission:
+    """Admission without virtualization: an admitted warp keeps what it was
+    given until it finishes, so phases, epochs and data accesses cost and
+    change nothing."""
+
+    guard_admissions = 0
+    retunes = False  # no controller, so a wedged SM stays wedged
+
+    def __init__(self):
+        self.warps: dict[int, WarpRecord] = {}
+        self.blocks: dict[int, BlockRecord] = {}
+        self._effects: list[tuple[str, int]] = []
+
+    def _admit(self, wid: int):
+        self.warps[wid].state = WarpState.SCHEDULABLE
+        self._effects.append(("schedulable", wid))
+
+    def _live_blocks(self) -> int:
+        return sum(1 for b in self.blocks.values() if b.finished_warps < b.size)
+
+    def drain_effects(self) -> list[tuple[str, int]]:
+        out = self._effects
+        self._effects = []
+        return out
+
+    def on_block_arrival(self, bid: int, wids: tuple[int, ...], reg_sets: int, scratch_sets: int):
+        self.blocks[bid] = BlockRecord(bid=bid, warp_ids=wids)
+        for wid in wids:
+            self.warps[wid] = WarpRecord(wid=wid, block_id=bid)
+
+    def on_phase_change(self, wid: int, reg_sets: int, scratch_sets: int) -> bool:
+        return True
+
+    def on_barrier(self, wid: int) -> bool:
+        """Hold the warp at its barrier; True when it was the last of its
+        block to arrive."""
+        w = self.warps[wid]
+        w.state = WarpState.AT_BARRIER
+        block = self.blocks[w.block_id]
+        block.barrier_arrivals += 1
+        return block.barrier_arrivals == block.size
+
+    def release_barrier(self, bid: int):
+        block = self.blocks[bid]
+        for wid in block.warp_ids:
+            if self.warps[wid].state is WarpState.AT_BARRIER:
+                self._admit(wid)
+        block.barrier_arrivals = 0
+
+    def on_warp_finished(self, wid: int) -> bool:
+        w = self.warps[wid]
+        w.state = WarpState.FINISHED
+        block = self.blocks[w.block_id]
+        block.finished_warps += 1
+        return block.finished_warps == block.size
+
+    def on_epoch(self, d_idle: int, d_mem: int):
+        pass
+
+    def deadlock_guard(self) -> bool:
+        return False
+
+    def pending_work(self) -> bool:
+        return False
+
+    def access_cost(self, w: WarpRecord, op: Opcode) -> int:
+        return 0
+
+    def access_totals(self) -> dict[ResourceKind, tuple[int, int]]:
+        return {kind: (0, 0) for kind in ResourceKind}
+
+    def final_thresholds(self) -> dict[str, int]:
+        return {}
+
+
+class BaselineAdmission(_StaticAdmission):
+    """Whole blocks, each holding its declared worst case for its lifetime."""
+
+    def __init__(self, spec: ResourceSpecification, arch: ArchConfig):
+        super().__init__()
+        self.limit = baseline_blocks_in_flight(spec, arch)
+        if self.limit == 0:
+            raise KernelUnrunnableError("static allocation admits zero blocks on this hardware")
+        self.in_flight = 0
+
+    def can_accept_block(self, warps: int) -> bool:
+        return self.in_flight < self.limit
+
+    def on_block_arrival(self, bid: int, wids: tuple[int, ...], reg_sets: int, scratch_sets: int):
+        super().on_block_arrival(bid, wids, reg_sets, scratch_sets)
+        self.in_flight += 1
+        for wid in wids:
+            self._admit(wid)
+
+    def on_warp_finished(self, wid: int) -> bool:
+        done = super().on_warp_finished(wid)
+        self.in_flight -= done
+        return done
+
+    def check_invariants(self) -> list[str]:
+        live = self._live_blocks()
+        errors = []
+        if live > self.limit:
+            errors.append(f"{live} blocks in flight, static allocation admits {self.limit}")
+        if live != self.in_flight:
+            errors.append(f"in-flight counter {self.in_flight} != {live} live blocks")
+        return errors
+
+
+class WlmAdmission(_StaticAdmission):
+    """Registers and slots per warp, scratchpad per block.
+
+    A block's scratchpad is reserved when it arrives; its warps are then
+    admitted in order as slots and registers free up.  Only one block is
+    partially admitted at a time, and no new block arrives before it is
+    whole.
+    """
+
+    def __init__(self, spec: ResourceSpecification, arch: ArchConfig, has_barrier: bool):
+        super().__init__()
+        if not wlm_is_runnable(spec, arch, has_barrier):
+            raise KernelUnrunnableError("warp-granular admission cannot complete this kernel")
+        self.arch = arch
+        self.regs_per_warp = spec.regs_per_thread * arch.warp_width
+        self.scratch_per_block = spec.scratch_bytes_per_block
+        self.free_regs = arch.registers_per_sm
+        self.free_slots = arch.warp_slots_per_sm
+        self.free_scratch = arch.scratch_bytes_per_sm
+        self._waiting: deque[int] = deque()  # unadmitted warps of the partial block
+
+    def _warp_fits(self) -> bool:
+        return self.free_slots >= 1 and self.free_regs >= self.regs_per_warp
+
+    def _admit_waiting(self):
+        while self._waiting and self._warp_fits():
+            self.free_slots -= 1
+            self.free_regs -= self.regs_per_warp
+            self._admit(self._waiting.popleft())
+
+    def can_accept_block(self, warps: int) -> bool:
+        return (
+            not self._waiting
+            and self.free_scratch >= self.scratch_per_block
+            and self._warp_fits()
+        )
+
+    def on_block_arrival(self, bid: int, wids: tuple[int, ...], reg_sets: int, scratch_sets: int):
+        super().on_block_arrival(bid, wids, reg_sets, scratch_sets)
+        self.free_scratch -= self.scratch_per_block
+        self._waiting.extend(wids)
+        self._admit_waiting()
+
+    def on_warp_finished(self, wid: int) -> bool:
+        done = super().on_warp_finished(wid)
+        self.free_slots += 1
+        self.free_regs += self.regs_per_warp
+        if done:
+            self.free_scratch += self.scratch_per_block
+        self._admit_waiting()
+        return done
+
+    def pending_work(self) -> bool:
+        return bool(self._waiting)
+
+    def check_invariants(self) -> list[str]:
+        held = sum(
+            1
+            for w in self.warps.values()
+            if w.state is not WarpState.PENDING_THREAD and w.state is not WarpState.FINISHED
+        )
+        errors = []
+        for name, free, used, cap in (
+            ("registers", self.free_regs, held * self.regs_per_warp, self.arch.registers_per_sm),
+            ("slots", self.free_slots, held, self.arch.warp_slots_per_sm),
+            (
+                "scratchpad",
+                self.free_scratch,
+                self._live_blocks() * self.scratch_per_block,
+                self.arch.scratch_bytes_per_sm,
+            ),
+        ):
+            if free + used != cap:
+                errors.append(f"{name}: {free} free + {used} held != capacity {cap}")
+        return errors
+
+
+def _check_phase_demands(kernel: KernelSpec, arch: ArchConfig):
+    if not kernel.is_compiled:
+        raise ValueError("the virtualizing policy needs a compiled kernel")
+    if kernel.resource_spec.warps_per_block > arch.max_logical_warps:
+        raise KernelUnrunnableError("block has more warps than logical slots")
+    for ins in kernel.body:
+        if ins.opcode is not Opcode.PHASE_SPEC:
+            continue
+        p = ins.phase_payload
+        rs = reg_sets_for(p.live_regs, arch)
+        if rs > arch.max_reg_sets_per_warp or rs > arch.reg_sets_physical:
+            raise KernelUnrunnableError(
+                f"phase needs {rs} register sets per warp, beyond hardware reach"
+            )
+        ss = scratch_sets_for(p.scratch_bytes, arch)
+        if ss > arch.scratch_sets_physical:
+            raise KernelUnrunnableError(
+                f"phase needs {ss} scratchpad sets per block, beyond hardware reach"
+            )
+
+
+def make_admission(
+    policy: Policy, kernel: KernelSpec, arch: ArchConfig, oversub: OversubscriptionConfig
+):
+    """The admission object of one SM running kernel under policy.
+
+    Raises KernelUnrunnableError when the policy can never finish the
+    kernel on this hardware.
+    """
+    spec = kernel.resource_spec
+    if policy is Policy.BASELINE:
+        return BaselineAdmission(spec, arch)
+    if policy is Policy.WLM:
+        return WlmAdmission(spec, arch, kernel.has_barrier())
+    _check_phase_demands(kernel, arch)
+    return Coordinator(arch, oversub)

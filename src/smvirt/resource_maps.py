@@ -14,7 +14,7 @@ import enum
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
 from .kernel_model import WARP_WIDTH, ResourceSpecification
 
@@ -55,7 +55,6 @@ class ArchConfig:
     memory_latency_cycles: int = 400
     epoch_cycles: int = 2048
     max_inflight_mem_requests: int = 64
-    warp_state_bytes: int = 512  # saved scheduler state per swapped-out warp
 
     def __post_init__(self):
         if self.reg_set_size != 4 * self.warp_width:
@@ -347,24 +346,17 @@ class MappingTable:
             self.forced_swap -= 1
             e.forced = False
 
-    def spill_lfu(
-        self,
-        n_sets: int,
-        candidates: Optional[Iterable[int]] = None,
-        forced: bool = False,
-    ) -> list[tuple[int, int]]:
+    def spill_lfu(self, n_sets: int, forced: bool = False) -> list[tuple[int, int]]:
         """Move the n least-accessed physical sets to swap; return their keys.
 
-        Ties break on (owner, logical) ascending.  candidates, when given,
-        restricts victims to those owners.
+        Ties break on (owner, logical) ascending.
         """
         if n_sets == 0:
             return []
-        allowed = None if candidates is None else set(candidates)
         pool = [
             (e.accesses, key[0], key[1])
             for key, e in self._entries.items()
-            if e.physical is not None and (allowed is None or key[0] in allowed)
+            if e.physical is not None
         ]
         if len(pool) < n_sets:
             raise MappingError(

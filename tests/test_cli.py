@@ -14,6 +14,7 @@ def test_simulate_prints_summary(capsys):
     assert "kernel  uniform" in out
     assert "cycles" in out
     assert "hits" in out
+    assert "thresh" not in out  # static policies have no oversubscription thresholds
 
 
 def test_simulate_applies_spec_overrides(capsys):
@@ -37,6 +38,7 @@ def test_simulate_applies_spec_overrides(capsys):
     assert "128 thr/blk" in out
     assert "4 blocks" in out
     assert "seed 9" in out
+    assert "thresh  final oversubscription {'register': " in out
 
 
 def test_simulate_json_output(tmp_path, capsys):

@@ -1,5 +1,4 @@
 from smvirt.coordinator import (
-    BlockRecord,
     Coordinator,
     OversubscriptionConfig,
     WarpState,
@@ -68,9 +67,7 @@ def test_default_thresholds_are_tenth_of_capacity():
 
 
 def _arrive(coord, bid, wids, reg_sets, scratch_sets):
-    block = BlockRecord(bid=bid, warp_ids=tuple(wids))
-    coord.on_block_arrival(block, reg_sets, scratch_sets)
-    return block
+    coord.on_block_arrival(bid, tuple(wids), reg_sets, scratch_sets)
 
 
 def test_block_admitted_when_everything_fits():

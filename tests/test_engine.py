@@ -161,6 +161,14 @@ def test_stall_taxonomy_sums_to_total_cycles():
             assert total == res.cycles, (name, policy)
 
 
+def test_debug_invariants_hold_for_every_policy():
+    # debug mode checks the admission invariants every epoch and raises on
+    # the first violation
+    for name in corpus_names():
+        for policy in Policy:
+            run(corpus_kernel(name), policy, FERMI, debug=True)
+
+
 def test_adding_instructions_never_speeds_up_straight_line_code():
     for policy in Policy:
         prev = 0

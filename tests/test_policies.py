@@ -1,9 +1,17 @@
-"""Static admission math for the two non-virtualizing policies."""
+"""Static admission math and admission objects of the two non-virtualizing
+policies."""
 
 import pytest
 
+from smvirt.coordinator import WarpState
 from smvirt.kernel_model import ResourceSpecification
-from smvirt.policies import Policy, baseline_blocks_in_flight, wlm_is_runnable
+from smvirt.policies import (
+    BaselineAdmission,
+    Policy,
+    WlmAdmission,
+    baseline_blocks_in_flight,
+    wlm_is_runnable,
+)
 from smvirt.resource_maps import get_arch
 
 FERMI = get_arch("fermi")
@@ -88,3 +96,43 @@ def test_wlm_single_warp_floor_without_barriers():
     assert not wlm_is_runnable(
         _spec(32, 2000), FERMI, False
     )  # 2000 x 32 > 32768
+
+
+def _arrive(adm, bid, warps):
+    adm.on_block_arrival(bid, tuple(range(bid * warps, (bid + 1) * warps)), 0, 0)
+
+
+def test_wlm_admits_a_block_warp_by_warp_as_slots_free():
+    adm = WlmAdmission(_spec(1024, 8), FERMI, has_barrier=False)  # 32 warps
+    _arrive(adm, 0, 32)
+    assert adm.can_accept_block(32)
+    _arrive(adm, 1, 32)  # only 16 of the 48 slots are left
+    admitted = [wid for tag, wid in adm.drain_effects() if tag == "schedulable"]
+    assert admitted == list(range(48))
+    assert adm.pending_work()
+    assert not adm.can_accept_block(32)
+    assert adm.on_warp_finished(0) is False
+    assert adm.drain_effects() == [("schedulable", 48)]
+    assert adm.warps[48].state is WarpState.SCHEDULABLE
+    assert adm.warps[49].state is WarpState.PENDING_THREAD
+    assert adm.check_invariants() == []
+
+
+def test_wlm_invariants_report_a_corrupted_counter():
+    adm = WlmAdmission(_spec(64, 8), FERMI, has_barrier=False)
+    _arrive(adm, 0, 2)
+    assert adm.check_invariants() == []
+    adm.free_regs -= 1
+    problems = adm.check_invariants()
+    assert len(problems) == 1 and problems[0].startswith("registers")
+
+
+def test_baseline_invariants_bound_blocks_in_flight():
+    adm = BaselineAdmission(_spec(512, 4), FERMI)  # three 16-warp blocks fit
+    for bid in range(3):
+        assert adm.can_accept_block(16)
+        _arrive(adm, bid, 16)
+    assert not adm.can_accept_block(16)
+    assert adm.check_invariants() == []
+    _arrive(adm, 3, 16)  # admitted past the limit
+    assert any("4 blocks in flight" in e for e in adm.check_invariants())
