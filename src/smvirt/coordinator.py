@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .kernel_model import SCRATCH_OPCODES, Opcode
@@ -117,6 +117,21 @@ def adjust_o_thresh(
     return max(0, min(cap, current))
 
 
+def registry_errors(warps: dict[int, WarpRecord], blocks: dict[int, BlockRecord]) -> list[str]:
+    """A registry holds live blocks only, and the block of every warp."""
+    errors = [
+        f"block {b.bid} completed but is still registered"
+        for b in blocks.values()
+        if b.finished_warps >= b.size
+    ]
+    errors.extend(
+        f"warp {w.wid} belongs to unregistered block {w.block_id}"
+        for w in warps.values()
+        if w.block_id not in blocks
+    )
+    return errors
+
+
 class Coordinator:
     """Owns the mapping tables, admission queues, and oversubscription state
     of a single SM."""
@@ -125,6 +140,9 @@ class Coordinator:
         self.arch = arch
         self.cfg = cfg
         self.tables = make_tables(arch)
+        self.regs = self.tables[ResourceKind.REGISTER]
+        self.scratch = self.tables[ResourceKind.SCRATCHPAD]
+        self.slots = self.tables[ResourceKind.WARP_SLOT]
         self.o_thresh: dict[ResourceKind, int] = {}
         for kind in ResourceKind:
             cap = arch.physical_capacity(kind)
@@ -138,9 +156,17 @@ class Coordinator:
         self._scratch_q: deque[tuple[int, int]] = deque()
         self._reg_q: deque[tuple[int, int]] = deque()
         self._effects: list[tuple] = []
+        # state indices, kept by _set_state: barrier waiters in barrier_seq
+        # order, pending warps in enqueue_seq order, and two counters
+        self._at_barrier: dict[int, None] = {}
+        self._pending: dict[int, None] = {}
+        self._schedulable = 0
+        self._live = 0
         self.guard_admissions = 0
         # admissions whose swap overflow exceeded the threshold (must stay 0)
         self.budget_violations = 0
+        # warps that still owned resources when their block was dropped
+        self.retired_errors: list[str] = []
         self._block_completed = True  # the last warp to finish completed its block
 
     # -- bookkeeping ----------------------------------------------------
@@ -149,15 +175,32 @@ class Coordinator:
         self._seq += 1
         return self._seq
 
+    def _set_state(self, w: WarpRecord, state: WarpState):
+        """The one place a warp changes state; keeps the indices current."""
+        old = w.state
+        if old is WarpState.SCHEDULABLE:
+            self._schedulable -= 1
+        elif old is WarpState.AT_BARRIER:
+            del self._at_barrier[w.wid]
+        else:
+            self._pending.pop(w.wid, None)
+        if state is WarpState.SCHEDULABLE:
+            self._schedulable += 1
+        elif state is WarpState.AT_BARRIER:
+            self._at_barrier[w.wid] = None
+        elif state in _PENDING:
+            self._pending[w.wid] = None
+        elif state is WarpState.FINISHED:
+            self._live -= 1
+        w.state = state
+
     def _enqueue(self, warp: WarpRecord, state: WarpState, queue: deque):
-        warp.state = state
+        self._set_state(warp, state)
         warp.enqueue_seq = self._next_seq()
         queue.append((warp.enqueue_seq, warp.wid))
 
     def _held(self, wid: int) -> int:
-        return self.tables[ResourceKind.REGISTER].owned(wid) + self.tables[
-            ResourceKind.WARP_SLOT
-        ].owned(wid)
+        return self.regs.owned(wid) + self.slots.owned(wid)
 
     def drain_effects(self) -> list[tuple]:
         out = self._effects
@@ -165,37 +208,36 @@ class Coordinator:
         return out
 
     def schedulable_count(self) -> int:
-        return sum(1 for w in self.warps.values() if w.state is WarpState.SCHEDULABLE)
+        return self._schedulable
 
     def pending_count(self) -> int:
-        return sum(1 for w in self.warps.values() if w.state in _PENDING)
+        return len(self._pending)
 
     def live_blocks(self) -> int:
-        return sum(1 for b in self.blocks.values() if b.finished_warps < b.size)
+        return len(self.blocks)
 
     def live_warps(self) -> int:
-        return sum(1 for w in self.warps.values() if w.state is not WarpState.FINISHED)
+        return self._live
 
     # -- admission stages -------------------------------------------------
 
     def _make_slot_room(self, forced: bool) -> bool:
-        """Park one barrier-waiting warp to free a physical slot."""
-        slots = self.tables[ResourceKind.WARP_SLOT]
-        victims = [w for w in self.warps.values() if w.state is WarpState.AT_BARRIER]
-        if not victims:
+        """Park the oldest barrier-waiting warp to free a physical slot."""
+        if not self._at_barrier:
             return False
+        slots = self.slots
         if not forced and slots.budget_swap() + 1 > self.o_thresh[ResourceKind.WARP_SLOT]:
             return False
-        victim = min(victims, key=lambda w: (w.barrier_seq, w.wid))
+        victim = self.warps[next(iter(self._at_barrier))]
         slots.spill_specific(victim.wid, 0, forced=forced)
         slots.note_swap_event()  # scheduler state save
-        self.tables[ResourceKind.REGISTER].free_all(victim.wid)
-        victim.state = WarpState.PARKED
+        self.regs.free_all(victim.wid)
+        self._set_state(victim, WarpState.PARKED)
         self._effects.append(("parked", victim.wid))
         return True
 
     def _pass_thread(self, warp: WarpRecord, forced: bool) -> bool:
-        slots = self.tables[ResourceKind.WARP_SLOT]
+        slots = self.slots
         if slots.free_physical == 0 and not self._make_slot_room(forced):
             return False
         if slots.owned(warp.wid):
@@ -207,7 +249,7 @@ class Coordinator:
             slots.allocate(warp.wid, 1, Placement.PHYSICAL)
         return True
 
-    def _try_alloc(self, kind: ResourceKind, owner: int, delta: int, forced: bool) -> bool:
+    def _try_alloc(self, tbl: MappingTable, owner: int, delta: int, forced: bool) -> bool:
         """Grant delta new sets: free physical sets first, overflow to swap.
 
         The overflow must fit the resource's oversubscription budget unless
@@ -215,32 +257,31 @@ class Coordinator:
         """
         if delta <= 0:
             return True
-        tbl = self.tables[kind]
         phys = min(delta, tbl.free_physical)
         overflow = delta - phys
         if (
             overflow > 0
             and not forced
-            and tbl.budget_swap() + overflow > self.o_thresh[kind]
+            and tbl.budget_swap() + overflow > self.o_thresh[tbl.kind]
         ):
             return False
         if phys:
             tbl.allocate(owner, phys, Placement.PHYSICAL)
         if overflow:
             tbl.allocate(owner, overflow, Placement.SWAP, forced=forced)
-            if not forced and tbl.budget_swap() > self.o_thresh[kind]:
+            if not forced and tbl.budget_swap() > self.o_thresh[tbl.kind]:
                 self.budget_violations += 1
         return True
 
     def _pass_scratch(self, warp: WarpRecord, forced: bool) -> bool:
-        tbl = self.tables[ResourceKind.SCRATCHPAD]
+        tbl = self.scratch
         delta = warp.scratch_sets_needed - tbl.owned(warp.block_id)
-        return self._try_alloc(ResourceKind.SCRATCHPAD, warp.block_id, delta, forced)
+        return self._try_alloc(tbl, warp.block_id, delta, forced)
 
     def _pass_reg(self, warp: WarpRecord, forced: bool) -> bool:
-        tbl = self.tables[ResourceKind.REGISTER]
+        tbl = self.regs
         delta = warp.reg_sets_needed - tbl.owned(warp.wid)
-        return self._try_alloc(ResourceKind.REGISTER, warp.wid, delta, forced)
+        return self._try_alloc(tbl, warp.wid, delta, forced)
 
     def _advance(self, warp: WarpRecord):
         """Move a warp that just passed its current stage to the next one."""
@@ -249,7 +290,7 @@ class Coordinator:
         elif warp.state is WarpState.PENDING_SCRATCH:
             self._enqueue(warp, WarpState.PENDING_REG, self._reg_q)
         else:
-            warp.state = WarpState.SCHEDULABLE
+            self._set_state(warp, WarpState.SCHEDULABLE)
             self._effects.append(("schedulable", warp.wid))
 
     _STAGE = {
@@ -258,20 +299,37 @@ class Coordinator:
         WarpState.PENDING_REG: "_pass_reg",
     }
 
-    def _retry_queue(self, state: WarpState, queue: deque) -> bool:
-        members = [
-            self.warps[wid]
-            for seq, wid in queue
-            if self.warps[wid].state is state and self.warps[wid].enqueue_seq == seq
-        ]
+    def _retry_queue(
+        self,
+        state: WarpState,
+        queue: deque,
+        pass_stage: Callable[[WarpRecord, bool], bool],
+        stop_at_failure: bool = False,
+    ) -> bool:
+        """One pass over a stage's queue.
+
+        stop_at_failure ends the pass at the first warp that fails, which
+        is exact for a stage whose failure changes nothing and whose outcome
+        does not depend on the warp.
+        """
+        if not queue:
+            return False
+        warps = self.warps
+        members = []
+        for seq, wid in queue:
+            w = warps[wid]
+            if w.state is state and w.enqueue_seq == seq:
+                members.append(w)
         # warps holding more resources go first; FIFO among equals
-        members.sort(key=lambda w: (-self._held(w.wid), w.enqueue_seq))
-        pass_stage: Callable[[WarpRecord, bool], bool] = getattr(self, self._STAGE[state])
+        held = self._held
+        members.sort(key=lambda w: (-held(w.wid), w.enqueue_seq))
         progressed = False
         for w in members:
             if pass_stage(w, False):
                 progressed = True
                 self._advance(w)
+            elif stop_at_failure:
+                break
         queue.clear()
         queue.extend(
             sorted((w.enqueue_seq, w.wid) for w in members if w.state is state)
@@ -287,9 +345,15 @@ class Coordinator:
         """
         self._promote_swapped()
         while True:
-            progressed = self._retry_queue(WarpState.PENDING_REG, self._reg_q)
-            progressed |= self._retry_queue(WarpState.PENDING_SCRATCH, self._scratch_q)
-            progressed |= self._retry_queue(WarpState.PENDING_THREAD, self._thread_q)
+            progressed = self._retry_queue(WarpState.PENDING_REG, self._reg_q, self._pass_reg)
+            progressed |= self._retry_queue(
+                WarpState.PENDING_SCRATCH, self._scratch_q, self._pass_scratch
+            )
+            # a failed slot pass frees nothing and every warp needs the same
+            # one slot, so the first failure decides the rest of the queue
+            progressed |= self._retry_queue(
+                WarpState.PENDING_THREAD, self._thread_q, self._pass_thread, stop_at_failure=True
+            )
             if not progressed:
                 return
 
@@ -308,6 +372,7 @@ class Coordinator:
         self, bid: int, wids: tuple[int, ...], reg_sets: int, scratch_sets: int
     ):
         self.blocks[bid] = BlockRecord(bid=bid, warp_ids=wids)
+        self._live += len(wids)
         for wid in wids:
             w = WarpRecord(
                 wid=wid,
@@ -321,7 +386,7 @@ class Coordinator:
 
     def _shrink_block_scratch(self, bid: int):
         block = self.blocks[bid]
-        tbl = self.tables[ResourceKind.SCRATCHPAD]
+        tbl = self.scratch
         demand = max(
             (
                 self.warps[wid].scratch_sets_needed
@@ -344,8 +409,8 @@ class Coordinator:
         w = self.warps[wid]
         if w.state is not WarpState.SCHEDULABLE:
             return False
-        regs = self.tables[ResourceKind.REGISTER]
-        scratch = self.tables[ResourceKind.SCRATCHPAD]
+        regs = self.regs
+        scratch = self.scratch
         w.reg_sets_needed = reg_sets
         w.scratch_sets_needed = scratch_sets
         still = True
@@ -368,7 +433,7 @@ class Coordinator:
         """Hold the warp at its barrier; True when it was the last of its
         block to arrive."""
         w = self.warps[wid]
-        w.state = WarpState.AT_BARRIER
+        self._set_state(w, WarpState.AT_BARRIER)
         w.barrier_seq = self._next_seq()
         block = self.blocks[w.block_id]
         block.barrier_arrivals += 1
@@ -381,7 +446,7 @@ class Coordinator:
         for wid in block.warp_ids:
             w = self.warps[wid]
             if w.state is WarpState.AT_BARRIER:
-                w.state = WarpState.SCHEDULABLE
+                self._set_state(w, WarpState.SCHEDULABLE)
                 self._effects.append(("schedulable", wid))
             elif w.state is WarpState.PARKED:
                 self._enqueue(w, WarpState.PENDING_THREAD, self._thread_q)
@@ -389,21 +454,34 @@ class Coordinator:
         self.retry_all_queues()
 
     def on_warp_finished(self, wid: int) -> bool:
-        """Release everything the warp holds; True when its block completed."""
+        """Release everything the warp holds; True when its block completed.
+
+        A completed block leaves the registry with its warps.
+        """
         w = self.warps[wid]
-        self.tables[ResourceKind.REGISTER].free_all(wid)
-        self.tables[ResourceKind.WARP_SLOT].free_all(wid)
-        w.state = WarpState.FINISHED
+        self.regs.free_all(wid)
+        self.slots.free_all(wid)
+        self._set_state(w, WarpState.FINISHED)
         block = self.blocks[w.block_id]
         block.finished_warps += 1
         done = block.finished_warps == block.size
         if done:
-            self.tables[ResourceKind.SCRATCHPAD].free_all(block.bid)
+            self.scratch.free_all(block.bid)
+            self._drop_block(block)
         else:
             self._shrink_block_scratch(block.bid)
         self._block_completed = done
         self.retry_all_queues()
         return done
+
+    def _drop_block(self, block: BlockRecord):
+        """Take a completed block and its warps out of the registry; a warp
+        still owning sets here leaked them after it finished."""
+        del self.blocks[block.bid]
+        for wid in block.warp_ids:
+            del self.warps[wid]
+            if self.regs.owned(wid) or self.slots.owned(wid):
+                self.retired_errors.append(f"warp {wid} finished but still owns resources")
 
     def on_epoch(self, d_idle: int, d_mem: int):
         """Controller update, promotion and retries, fresh accounting window."""
@@ -430,8 +508,9 @@ class Coordinator:
         budget exemption.  This also drains any budget overshoot a
         threshold drop leaves behind.
         """
-        for kind in (ResourceKind.REGISTER, ResourceKind.SCRATCHPAD):
-            tbl = self.tables[kind]
+        for tbl in (self.regs, self.scratch):
+            if not tbl.mapped_swap or not tbl.free_physical:
+                continue
             for owner, logical in tbl.swap_keys_by_heat(include_forced=True):
                 if tbl.free_physical == 0:
                     break
@@ -460,22 +539,21 @@ class Coordinator:
         if op is Opcode.BARRIER or op is Opcode.PHASE_SPEC:
             return 0
         extra = 0
-        n = self.tables[ResourceKind.REGISTER].owned(w.wid)
+        n = self.regs.owned(w.wid)
         if n:
             extra += self.arch.mapping_table_penalty_cycles
             if self.access_register(w.wid, self._locality(w, n)):
                 extra += self.arch.memory_latency_cycles
         if op in SCRATCH_OPCODES:
-            m = self.tables[ResourceKind.SCRATCHPAD].owned(w.block_id)
+            m = self.scratch.owned(w.block_id)
             if m:
                 extra += self.arch.mapping_table_penalty_cycles
                 if self.access_scratch(w.block_id, self._locality(w, m)):
                     extra += self.arch.memory_latency_cycles
-        self.tables[ResourceKind.WARP_SLOT].note_access()
+        self.slots.note_access()
         return extra
 
-    def _resolve_swap(self, kind: ResourceKind, owner: int, logical: int):
-        tbl = self.tables[kind]
+    def _resolve_swap(self, tbl: MappingTable, owner: int, logical: int):
         if tbl.free_physical > 0:
             tbl.migrate_in(owner, logical)
         elif self.cfg.migrate_on_spilled_access:
@@ -484,23 +562,23 @@ class Coordinator:
 
     def access_register(self, wid: int, logical: int) -> bool:
         """Touch one register set; True means it was in swap (round trip)."""
-        tbl = self.tables[ResourceKind.REGISTER]
+        tbl = self.regs
         if tbl.lookup(wid, logical) is Placement.SWAP:
-            self._resolve_swap(ResourceKind.REGISTER, wid, logical)
+            self._resolve_swap(tbl, wid, logical)
             return True
         return False
 
     def access_scratch(self, bid: int, logical: int) -> bool:
-        tbl = self.tables[ResourceKind.SCRATCHPAD]
+        tbl = self.scratch
         if tbl.lookup(bid, logical) is Placement.SWAP:
-            self._resolve_swap(ResourceKind.SCRATCHPAD, bid, logical)
+            self._resolve_swap(tbl, bid, logical)
             return True
         return False
 
     # -- engine queries and result counters -----------------------------------
 
     def pending_work(self) -> bool:
-        return self.pending_count() > 0
+        return bool(self._pending)
 
     @property
     def retunes(self) -> bool:
@@ -516,9 +594,7 @@ class Coordinator:
     # -- deadlock guard -----------------------------------------------------
 
     def _slot_stage_feasible(self) -> bool:
-        if self.tables[ResourceKind.WARP_SLOT].free_physical > 0:
-            return True
-        return any(w.state is WarpState.AT_BARRIER for w in self.warps.values())
+        return self.slots.free_physical > 0 or bool(self._at_barrier)
 
     def deadlock_guard(self) -> bool:
         """Force-admit the oldest satisfiable pending warp, one per call.
@@ -530,23 +606,25 @@ class Coordinator:
         if not self.cfg.guard_enabled:
             return False
         limit = self.cfg.guard_min_schedulable_frac * self.arch.warp_slots_per_sm
-        if self.schedulable_count() >= limit:
+        if self._schedulable >= limit:
             return False
-        pending = [w for w in self.warps.values() if w.state in _PENDING]
-        pending.sort(key=lambda w: w.enqueue_seq)
-        for w in pending:
-            if w.state is WarpState.PENDING_THREAD and not self._slot_stage_feasible():
-                continue
-            while w.state is not WarpState.SCHEDULABLE:
-                pass_stage = getattr(self, self._STAGE[w.state])
-                if not pass_stage(w, True):
-                    raise RuntimeError("forced admission stage failed")
-                self._advance(w)
-            self.guard_admissions += 1
-            self._effects.append(("forced", w.wid))
-            self.retry_all_queues()
-            return True
-        return False
+        slot_feasible = self._slot_stage_feasible()
+        # _pending is in enqueue_seq order, so the first admissible is the oldest
+        for wid in self._pending:
+            w = self.warps[wid]
+            if slot_feasible or w.state is not WarpState.PENDING_THREAD:
+                break
+        else:
+            return False
+        while w.state is not WarpState.SCHEDULABLE:
+            pass_stage = getattr(self, self._STAGE[w.state])
+            if not pass_stage(w, True):
+                raise RuntimeError("forced admission stage failed")
+            self._advance(w)
+        self.guard_admissions += 1
+        self._effects.append(("forced", w.wid))
+        self.retry_all_queues()
+        return True
 
     # -- validation -----------------------------------------------------------
 
@@ -554,8 +632,8 @@ class Coordinator:
         errors = []
         for tbl in self.tables.values():
             errors.extend(tbl.check_invariants())
-        regs = self.tables[ResourceKind.REGISTER]
-        slots = self.tables[ResourceKind.WARP_SLOT]
+        regs = self.regs
+        slots = self.slots
         for w in self.warps.values():
             if w.state in (WarpState.PENDING_THREAD, WarpState.PENDING_SCRATCH):
                 if regs.owned(w.wid):
@@ -570,8 +648,9 @@ class Coordinator:
                     errors.append(f"warp {w.wid} parked but slot not in swap")
                 if regs.owned(w.wid):
                     errors.append(f"warp {w.wid} parked while holding registers")
-            if w.state is WarpState.FINISHED and (regs.owned(w.wid) or slots.owned(w.wid)):
-                errors.append(f"warp {w.wid} finished but still owns resources")
+        errors.extend(self.retired_errors)
+        errors.extend(registry_errors(self.warps, self.blocks))
+        errors.extend(self._index_errors())
         for kind in ResourceKind:
             cap = self.arch.physical_capacity(kind)
             if not 0 <= self.o_thresh[kind] <= cap:
@@ -580,4 +659,24 @@ class Coordinator:
             errors.append(
                 f"{self.budget_violations} admissions exceeded the swap budget"
             )
+        return errors
+
+    def _index_errors(self) -> list[str]:
+        """The state indices must match a scan of the registry."""
+        by_state: dict[WarpState, list[WarpRecord]] = {s: [] for s in WarpState}
+        for w in self.warps.values():
+            by_state[w.state].append(w)
+        at_barrier = sorted(by_state[WarpState.AT_BARRIER], key=lambda w: w.barrier_seq)
+        pending = sorted(
+            (w for s in _PENDING for w in by_state[s]), key=lambda w: w.enqueue_seq
+        )
+        errors = []
+        if list(self._at_barrier) != [w.wid for w in at_barrier]:
+            errors.append("barrier-waiter index is not the barrier_seq order of waiters")
+        if list(self._pending) != [w.wid for w in pending]:
+            errors.append("pending index is not the enqueue_seq order of pending warps")
+        if self._schedulable != len(by_state[WarpState.SCHEDULABLE]):
+            errors.append(f"schedulable counter {self._schedulable} drifted")
+        if self._live != len(self.warps) - len(by_state[WarpState.FINISHED]):
+            errors.append(f"live-warp counter {self._live} drifted")
         return errors

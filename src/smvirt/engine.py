@@ -23,6 +23,7 @@ and the launch finishes when the slowest replica does.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import heapq
 from dataclasses import asdict, dataclass, replace
@@ -363,8 +364,8 @@ class _SMRun:
 
     def _apply_effects(self, wake: int):
         for tag, wid in self.adm.drain_effects():
-            w = self.warps[wid]
             if tag == "schedulable":
+                w = self.warps[wid]
                 if w.pc >= len(self.body):
                     # admitted only to retire: its last instruction was a
                     # barrier
@@ -373,6 +374,7 @@ class _SMRun:
                 w.next_ready = max(w.next_ready, wake)
                 self.sched_set.add(wid)
             elif tag == "slot_swapin":
+                w = self.warps[wid]
                 w.next_ready = max(w.next_ready, wake + self.arch.memory_latency_cycles)
             elif tag == "parked":
                 self.sched_set.discard(wid)
@@ -433,11 +435,21 @@ class _SMRun:
         done = self.adm.on_warp_finished(wid)
         self._apply_effects(self.now + 1)
         if done:
+            self._drop_block(w.block_id)
             self.in_flight -= 1
             self._log(EventKind.BLOCK_FINISHED, w.block_id)
         # refill before sampling: the freed resources admit the next
         # block in the same cycle, so the dip is never observable
         self._dispatch()
+
+    def _drop_block(self, bid: int):
+        """Forget a completed block: its warps leave the partition lists,
+        as they left the admission registry."""
+        lo, hi = bid * self.wpb, (bid + 1) * self.wpb
+        for part in self.part:
+            # partition lists are in wid order, so the block is one run
+            del part[bisect.bisect_left(part, lo) : bisect.bisect_left(part, hi)]
+        self.block_scr_live.pop(bid, None)
 
     def _handle_event(self, kind: EventKind, wid: int, payload):
         if kind is EventKind.WARP_FINISHED:
@@ -449,11 +461,12 @@ class _SMRun:
                 self.sched_set.discard(wid)
             self._apply_effects(self.now + 1)
         else:
+            bid = self.warps[wid].block_id
             self.sched_set.discard(wid)
             complete = self.adm.on_barrier(wid)
             self._apply_effects(self.now + 1)
             if complete:
-                self.adm.release_barrier(self.warps[wid].block_id)
+                self.adm.release_barrier(bid)
                 self._apply_effects(self.now + 1)
 
     # -- epochs ------------------------------------------------------------

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional
 
 WARP_WIDTH = 32

@@ -13,8 +13,10 @@ when the block completed), on_epoch, deadlock_guard, pending_work,
 access_cost (extra cycles of one issued instruction), drain_effects and
 check_invariants, plus the result counters access_totals, final_thresholds
 and guard_admissions.  The admission object owns the one warp and block
-registry, its warps and blocks dicts, and hands warps to the engine as
-("schedulable" | "parked" | "slot_swapin" | "forced", wid) effects.
+registry, its warps and blocks dicts, which hold live blocks only: a block
+and its warps leave them when its last warp finishes.  It hands warps to
+the engine as ("schedulable" | "parked" | "slot_swapin" | "forced", wid)
+effects.
 make_admission is the one place a policy picks its class.
 """
 
@@ -29,6 +31,7 @@ from .coordinator import (
     OversubscriptionConfig,
     WarpRecord,
     WarpState,
+    registry_errors,
 )
 from .kernel_model import KernelSpec, Opcode, ResourceSpecification
 from .resource_maps import ArchConfig, ResourceKind, reg_sets_for, scratch_sets_for
@@ -102,9 +105,6 @@ class _StaticAdmission:
         self.warps[wid].state = WarpState.SCHEDULABLE
         self._effects.append(("schedulable", wid))
 
-    def _live_blocks(self) -> int:
-        return sum(1 for b in self.blocks.values() if b.finished_warps < b.size)
-
     def drain_effects(self) -> list[tuple[str, int]]:
         out = self._effects
         self._effects = []
@@ -135,11 +135,18 @@ class _StaticAdmission:
         block.barrier_arrivals = 0
 
     def on_warp_finished(self, wid: int) -> bool:
+        """True when the warp completed its block, which then leaves the
+        registry with its warps."""
         w = self.warps[wid]
         w.state = WarpState.FINISHED
         block = self.blocks[w.block_id]
         block.finished_warps += 1
-        return block.finished_warps == block.size
+        done = block.finished_warps == block.size
+        if done:
+            del self.blocks[block.bid]
+            for bw in block.warp_ids:
+                del self.warps[bw]
+        return done
 
     def on_epoch(self, d_idle: int, d_mem: int):
         pass
@@ -185,8 +192,8 @@ class BaselineAdmission(_StaticAdmission):
         return done
 
     def check_invariants(self) -> list[str]:
-        live = self._live_blocks()
-        errors = []
+        live = len(self.blocks)
+        errors = registry_errors(self.warps, self.blocks)
         if live > self.limit:
             errors.append(f"{live} blocks in flight, static allocation admits {self.limit}")
         if live != self.in_flight:
@@ -255,14 +262,14 @@ class WlmAdmission(_StaticAdmission):
             for w in self.warps.values()
             if w.state is not WarpState.PENDING_THREAD and w.state is not WarpState.FINISHED
         )
-        errors = []
+        errors = registry_errors(self.warps, self.blocks)
         for name, free, used, cap in (
             ("registers", self.free_regs, held * self.regs_per_warp, self.arch.registers_per_sm),
             ("slots", self.free_slots, held, self.arch.warp_slots_per_sm),
             (
                 "scratchpad",
                 self.free_scratch,
-                self._live_blocks() * self.scratch_per_block,
+                len(self.blocks) * self.scratch_per_block,
                 self.arch.scratch_bytes_per_sm,
             ),
         ):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .kernel_model import WARP_WIDTH, ResourceSpecification

@@ -27,10 +27,8 @@ Criteria covered, in order:
 """
 
 import json
-import math
 import random
 import time
-from dataclasses import replace
 from functools import lru_cache
 
 from smvirt.coordinator import OversubscriptionConfig, adjust_o_thresh

@@ -1,4 +1,5 @@
 from smvirt.coordinator import (
+    BlockRecord,
     Coordinator,
     OversubscriptionConfig,
     WarpState,
@@ -171,6 +172,52 @@ def test_barrier_parking_and_resume():
     assert ("slot_swapin", 0) in effects
     assert coord.warps[0].state is WarpState.SCHEDULABLE
     assert coord.check_invariants() == []
+
+
+def test_parked_victim_is_the_oldest_barrier_arrival_not_the_lowest_wid():
+    cfg = OversubscriptionConfig(fixed_o_thresh_frac=0.5, guard_enabled=False)
+    coord = Coordinator(TINY, cfg)
+    for bid in range(4):
+        _arrive(coord, bid, range(bid * 4, bid * 4 + 4), reg_sets=1, scratch_sets=0)
+    # block 2 reaches its barrier before block 0, each highest wid first
+    for wid in (11, 9, 10, 8, 3, 1, 2, 0):
+        coord.on_barrier(wid)
+    coord.drain_effects()
+    _arrive(coord, 9, range(16, 20), reg_sets=1, scratch_sets=0)
+    parked = [wid for tag, wid in coord.drain_effects() if tag == "parked"]
+    assert parked == [11, 9, 10, 8]
+    assert coord.check_invariants() == []
+
+
+def test_completed_block_leaves_the_registry():
+    coord = Coordinator(TINY, OversubscriptionConfig())
+    _arrive(coord, 0, range(2), reg_sets=1, scratch_sets=1)
+    _arrive(coord, 1, range(2, 4), reg_sets=1, scratch_sets=1)
+    assert coord.on_warp_finished(0) is False
+    # a finished warp of a live block stays until its block completes
+    assert sorted(coord.warps) == [0, 1, 2, 3]
+    assert coord.live_warps() == 3
+    assert coord.on_warp_finished(1) is True
+    assert sorted(coord.warps) == [2, 3]
+    assert list(coord.blocks) == [1]
+    assert coord.live_blocks() == 1 and coord.live_warps() == 2
+    assert coord.tables[ResourceKind.SCRATCHPAD].owned(0) == 0
+    assert coord.check_invariants() == []
+
+
+def test_invariants_report_leaks_and_a_stale_registry():
+    coord = Coordinator(TINY, OversubscriptionConfig())
+    _arrive(coord, 0, range(2), reg_sets=1, scratch_sets=0)
+    coord.on_warp_finished(0)
+    # a register set handed to a warp after it finished is caught when
+    # its block leaves the registry
+    coord.tables[ResourceKind.REGISTER].allocate(0, 1, Placement.PHYSICAL)
+    coord.on_warp_finished(1)
+    assert coord.check_invariants() == ["warp 0 finished but still owns resources"]
+    coord.tables[ResourceKind.REGISTER].free_all(0)
+    coord.retired_errors.clear()
+    coord.blocks[5] = BlockRecord(bid=5, warp_ids=(40,), finished_warps=1)
+    assert coord.check_invariants() == ["block 5 completed but is still registered"]
 
 
 def test_deadlock_guard_forces_one_admission_per_call():

@@ -169,6 +169,20 @@ def test_debug_invariants_hold_for_every_policy():
             run(corpus_kernel(name), policy, FERMI, debug=True)
 
 
+@pytest.mark.parametrize("name", ["reg_cliff", "mixed_phase"])
+def test_debug_invariants_hold_for_four_times_the_corpus_launch(name):
+    # blocks complete and leave the registry many times over while new
+    # ones arrive; debug mode checks the registry and indices every epoch
+    kern = corpus_kernel(name)
+    spec = kern.resource_spec
+    big = replace(kern, resource_spec=replace(spec, num_blocks=4 * spec.num_blocks))
+    compiled = annotate_phases(big)
+    res = run(compiled, Policy.ZORUA, FERMI, debug=True)
+    assert res.issued_instructions == (
+        4 * spec.num_blocks * spec.warps_per_block * len(compiled.body)
+    )
+
+
 def test_adding_instructions_never_speeds_up_straight_line_code():
     for policy in Policy:
         prev = 0

@@ -1,0 +1,57 @@
+"""Source hygiene of the package, checked with the standard library only."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "smvirt"
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports but never reads.
+
+    A name listed in the module's ``__all__`` counts as read, and an import
+    statement carrying ``# noqa: F401`` (a deliberate re-export) is exempt.
+    """
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if any("noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            imported[name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return [f"line {line}: {name}" for name, line in sorted(imported.items()) if name not in used]
+
+
+def test_checker_finds_an_unused_import_and_honours_noqa():
+    source = (
+        "import os\n"
+        "import sys\n"
+        "from json import dumps, loads  # noqa: F401\n"
+        "from math import pi as PI\n"
+        "__all__ = ['PI']\n"
+        "print(sys.argv)\n"
+    )
+    assert unused_imports(source) == ["line 1: os"]
+
+
+def test_package_has_no_unused_imports():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    found = {
+        path.name: problems
+        for path in modules
+        if (problems := unused_imports(path.read_text()))
+    }
+    assert found == {}

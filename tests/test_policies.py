@@ -3,7 +3,7 @@ policies."""
 
 import pytest
 
-from smvirt.coordinator import WarpState
+from smvirt.coordinator import WarpRecord, WarpState
 from smvirt.kernel_model import ResourceSpecification
 from smvirt.policies import (
     BaselineAdmission,
@@ -136,3 +136,25 @@ def test_baseline_invariants_bound_blocks_in_flight():
     assert adm.check_invariants() == []
     _arrive(adm, 3, 16)  # admitted past the limit
     assert any("4 blocks in flight" in e for e in adm.check_invariants())
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: BaselineAdmission(_spec(64, 8), FERMI),
+        lambda: WlmAdmission(_spec(64, 8), FERMI, has_barrier=False),
+    ],
+    ids=["baseline", "wlm"],
+)
+def test_static_admission_drops_a_completed_block(make):
+    adm = make()
+    _arrive(adm, 0, 2)
+    _arrive(adm, 1, 2)
+    assert adm.on_warp_finished(0) is False
+    assert sorted(adm.warps) == [0, 1, 2, 3]
+    assert adm.on_warp_finished(1) is True
+    assert sorted(adm.warps) == [2, 3]
+    assert list(adm.blocks) == [1]
+    assert adm.check_invariants() == []
+    adm.warps[9] = WarpRecord(wid=9, block_id=4, state=WarpState.FINISHED)
+    assert "warp 9 belongs to unregistered block 4" in adm.check_invariants()
