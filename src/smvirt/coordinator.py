@@ -11,6 +11,11 @@ feedback controller driven by the change in idle- and memory-stall
 counters, and a deadlock guard force-admits the oldest waiting warp
 (budget-exempt) when almost nothing is schedulable.
 
+A queue is retried only when it can admit someone: the register and
+scratchpad queues keep a lower bound on what their warps still need and
+are skipped while it exceeds what the table can grant, and the slot queue
+is skipped while no slot can be freed.
+
 Warp-slot oversubscription has one extra wrinkle: a slot moves to swap only
 by parking a warp that is already waiting at a barrier, which also saves its
 scheduler state to memory and releases all of its register sets.  Parked
@@ -24,11 +29,11 @@ engine calls for every policy (see policies.py).
 from __future__ import annotations
 
 import enum
-from collections import deque
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .kernel_model import SCRATCH_OPCODES, Opcode
+from .kernel_model import Opcode
 from .resource_maps import (
     ArchConfig,
     MappingTable,
@@ -49,6 +54,13 @@ class WarpState(enum.Enum):
 
 
 _PENDING = (WarpState.PENDING_THREAD, WarpState.PENDING_SCRATCH, WarpState.PENDING_REG)
+
+# module-level aliases: an Enum member lookup costs far more than a global
+# name, and access_cost runs once per issued instruction
+_BARRIER = Opcode.BARRIER
+_PHASE_SPEC = Opcode.PHASE_SPEC
+_LD_SHARED = Opcode.LD_SHARED
+_ST_SHARED = Opcode.ST_SHARED
 
 
 @dataclass
@@ -144,24 +156,29 @@ class Coordinator:
         self.scratch = self.tables[ResourceKind.SCRATCHPAD]
         self.slots = self.tables[ResourceKind.WARP_SLOT]
         self.o_thresh: dict[ResourceKind, int] = {}
+        # the same thresholds keyed by table, read on every admission attempt
+        self._limit: dict[MappingTable, int] = {}
         for kind in ResourceKind:
             cap = arch.physical_capacity(kind)
             frac = cfg.fixed_o_thresh_frac
             base = cfg.o_default_frac if frac is None else frac
-            self.o_thresh[kind] = min(int(base * cap), int(cfg.hard_cap_frac * cap))
+            self._set_thresh(kind, min(int(base * cap), int(cfg.hard_cap_frac * cap)))
         self.warps: dict[int, WarpRecord] = {}
         self.blocks: dict[int, BlockRecord] = {}
         self._seq = 0
-        self._thread_q: deque[tuple[int, int]] = deque()
-        self._scratch_q: deque[tuple[int, int]] = deque()
-        self._reg_q: deque[tuple[int, int]] = deque()
         self._effects: list[tuple] = []
-        # state indices, kept by _set_state: barrier waiters in barrier_seq
-        # order, pending warps in enqueue_seq order, and two counters
+        # state indices, kept by _set_state: the three admission queues
+        # (pending warps in enqueue_seq order), barrier waiters in
+        # barrier_seq order, and two counters
+        self._thread_q: dict[int, None] = {}
+        self._scratch_q: dict[int, None] = {}
+        self._reg_q: dict[int, None] = {}
         self._at_barrier: dict[int, None] = {}
-        self._pending: dict[int, None] = {}
         self._schedulable = 0
         self._live = 0
+        # lower bounds on the sets a queued warp still needs (inf: empty)
+        self._reg_need = math.inf
+        self._scratch_need = math.inf
         self.guard_admissions = 0
         # admissions whose swap overflow exceeded the threshold (must stay 0)
         self.budget_violations = 0
@@ -175,6 +192,19 @@ class Coordinator:
         self._seq += 1
         return self._seq
 
+    def _set_thresh(self, kind: ResourceKind, value: int):
+        self.o_thresh[kind] = value
+        self._limit[self.tables[kind]] = value
+
+    def _queue(self, state: WarpState) -> Optional[dict[int, None]]:
+        if state is WarpState.PENDING_REG:
+            return self._reg_q
+        if state is WarpState.PENDING_SCRATCH:
+            return self._scratch_q
+        if state is WarpState.PENDING_THREAD:
+            return self._thread_q
+        return None
+
     def _set_state(self, w: WarpRecord, state: WarpState):
         """The one place a warp changes state; keeps the indices current."""
         old = w.state
@@ -183,21 +213,30 @@ class Coordinator:
         elif old is WarpState.AT_BARRIER:
             del self._at_barrier[w.wid]
         else:
-            self._pending.pop(w.wid, None)
+            queue = self._queue(old)
+            if queue is not None:
+                # a new warp starts in PENDING_THREAD outside the queue
+                queue.pop(w.wid, None)
         if state is WarpState.SCHEDULABLE:
             self._schedulable += 1
         elif state is WarpState.AT_BARRIER:
             self._at_barrier[w.wid] = None
-        elif state in _PENDING:
-            self._pending[w.wid] = None
         elif state is WarpState.FINISHED:
             self._live -= 1
+        else:
+            queue = self._queue(state)
+            if queue is not None:
+                queue[w.wid] = None
         w.state = state
 
-    def _enqueue(self, warp: WarpRecord, state: WarpState, queue: deque):
+    def _enqueue(self, warp: WarpRecord, state: WarpState):
+        """Queue a warp for a stage, lowering that queue's need bound."""
         self._set_state(warp, state)
         warp.enqueue_seq = self._next_seq()
-        queue.append((warp.enqueue_seq, warp.wid))
+        if state is WarpState.PENDING_REG:
+            self._reg_need = min(self._reg_need, self._reg_delta(warp))
+        elif state is WarpState.PENDING_SCRATCH:
+            self._scratch_need = min(self._scratch_need, self._scratch_delta(warp))
 
     def _held(self, wid: int) -> int:
         return self.regs.owned(wid) + self.slots.owned(wid)
@@ -211,7 +250,7 @@ class Coordinator:
         return self._schedulable
 
     def pending_count(self) -> int:
-        return len(self._pending)
+        return len(self._thread_q) + len(self._scratch_q) + len(self._reg_q)
 
     def live_blocks(self) -> int:
         return len(self.blocks)
@@ -221,25 +260,32 @@ class Coordinator:
 
     # -- admission stages -------------------------------------------------
 
-    def _make_slot_room(self, forced: bool) -> bool:
-        """Park the oldest barrier-waiting warp to free a physical slot."""
-        if not self._at_barrier:
-            return False
+    def _slot_stage_feasible(self, forced: bool) -> bool:
+        """Whether _pass_thread can pass a warp now: a slot is free, or a
+        barrier waiter can be parked (within the slot budget unless
+        forced).  Every warp needs the same one slot, so the answer does
+        not depend on the warp."""
         slots = self.slots
-        if not forced and slots.budget_swap() + 1 > self.o_thresh[ResourceKind.WARP_SLOT]:
-            return False
+        if slots.free_physical:
+            return True
+        return bool(self._at_barrier) and (forced or slots.budget_swap() < self._limit[slots])
+
+    def _make_slot_room(self, forced: bool):
+        """Park the oldest barrier-waiting warp to free a physical slot."""
+        slots = self.slots
         victim = self.warps[next(iter(self._at_barrier))]
         slots.spill_specific(victim.wid, 0, forced=forced)
         slots.note_swap_event()  # scheduler state save
         self.regs.free_all(victim.wid)
         self._set_state(victim, WarpState.PARKED)
         self._effects.append(("parked", victim.wid))
-        return True
 
     def _pass_thread(self, warp: WarpRecord, forced: bool) -> bool:
-        slots = self.slots
-        if slots.free_physical == 0 and not self._make_slot_room(forced):
+        if not self._slot_stage_feasible(forced):
             return False
+        slots = self.slots
+        if slots.free_physical == 0:
+            self._make_slot_room(forced)
         if slots.owned(warp.wid):
             # parked warp resuming: restore its slot and pay the round trip
             slots.migrate_in(warp.wid, 0)
@@ -249,46 +295,51 @@ class Coordinator:
             slots.allocate(warp.wid, 1, Placement.PHYSICAL)
         return True
 
+    def _headroom(self, tbl: MappingTable) -> int:
+        """The largest delta a non-forced _try_alloc on tbl grants now."""
+        return tbl.free_physical + max(0, self._limit[tbl] - tbl.budget_swap())
+
     def _try_alloc(self, tbl: MappingTable, owner: int, delta: int, forced: bool) -> bool:
         """Grant delta new sets: free physical sets first, overflow to swap.
 
         The overflow must fit the resource's oversubscription budget unless
-        the admission is forced by the deadlock guard (budget-exempt).
+        the admission is forced by the deadlock guard (budget-exempt), so a
+        non-forced request passes iff delta <= _headroom(tbl).
         """
         if delta <= 0:
             return True
         phys = min(delta, tbl.free_physical)
         overflow = delta - phys
-        if (
-            overflow > 0
-            and not forced
-            and tbl.budget_swap() + overflow > self.o_thresh[tbl.kind]
-        ):
+        limit = self._limit[tbl]
+        if overflow > 0 and not forced and tbl.budget_swap() + overflow > limit:
             return False
         if phys:
             tbl.allocate(owner, phys, Placement.PHYSICAL)
         if overflow:
             tbl.allocate(owner, overflow, Placement.SWAP, forced=forced)
-            if not forced and tbl.budget_swap() > self.o_thresh[tbl.kind]:
+            if not forced and tbl.budget_swap() > limit:
                 self.budget_violations += 1
         return True
 
+    def _scratch_delta(self, warp: WarpRecord) -> int:
+        """Scratch sets the warp's block still lacks for the warp's phase."""
+        return warp.scratch_sets_needed - self.scratch.owned(warp.block_id)
+
+    def _reg_delta(self, warp: WarpRecord) -> int:
+        return warp.reg_sets_needed - self.regs.owned(warp.wid)
+
     def _pass_scratch(self, warp: WarpRecord, forced: bool) -> bool:
-        tbl = self.scratch
-        delta = warp.scratch_sets_needed - tbl.owned(warp.block_id)
-        return self._try_alloc(tbl, warp.block_id, delta, forced)
+        return self._try_alloc(self.scratch, warp.block_id, self._scratch_delta(warp), forced)
 
     def _pass_reg(self, warp: WarpRecord, forced: bool) -> bool:
-        tbl = self.regs
-        delta = warp.reg_sets_needed - tbl.owned(warp.wid)
-        return self._try_alloc(tbl, warp.wid, delta, forced)
+        return self._try_alloc(self.regs, warp.wid, self._reg_delta(warp), forced)
 
     def _advance(self, warp: WarpRecord):
         """Move a warp that just passed its current stage to the next one."""
         if warp.state is WarpState.PENDING_THREAD:
-            self._enqueue(warp, WarpState.PENDING_SCRATCH, self._scratch_q)
+            self._enqueue(warp, WarpState.PENDING_SCRATCH)
         elif warp.state is WarpState.PENDING_SCRATCH:
-            self._enqueue(warp, WarpState.PENDING_REG, self._reg_q)
+            self._enqueue(warp, WarpState.PENDING_REG)
         else:
             self._set_state(warp, WarpState.SCHEDULABLE)
             self._effects.append(("schedulable", warp.wid))
@@ -301,25 +352,18 @@ class Coordinator:
 
     def _retry_queue(
         self,
-        state: WarpState,
-        queue: deque,
+        queue: dict[int, None],
         pass_stage: Callable[[WarpRecord, bool], bool],
         stop_at_failure: bool = False,
     ) -> bool:
-        """One pass over a stage's queue.
+        """One pass over a stage's queue; a warp that passes leaves it.
 
         stop_at_failure ends the pass at the first warp that fails, which
         is exact for a stage whose failure changes nothing and whose outcome
         does not depend on the warp.
         """
-        if not queue:
-            return False
         warps = self.warps
-        members = []
-        for seq, wid in queue:
-            w = warps[wid]
-            if w.state is state and w.enqueue_seq == seq:
-                members.append(w)
+        members = [warps[wid] for wid in queue]
         # warps holding more resources go first; FIFO among equals
         held = self._held
         members.sort(key=lambda w: (-held(w.wid), w.enqueue_seq))
@@ -330,11 +374,12 @@ class Coordinator:
                 self._advance(w)
             elif stop_at_failure:
                 break
-        queue.clear()
-        queue.extend(
-            sorted((w.enqueue_seq, w.wid) for w in members if w.state is state)
-        )
         return progressed
+
+    def _least_need(self, queue: dict[int, None], delta: Callable[[WarpRecord], int]) -> float:
+        """The exact need bound of a queue: its smallest delta, inf if empty."""
+        warps = self.warps
+        return min((delta(warps[wid]) for wid in queue), default=math.inf)
 
     def retry_all_queues(self):
         """Drain the queues to a fixpoint, register stage first.
@@ -342,18 +387,29 @@ class Coordinator:
         Swap-resident sets of already-running warps are promoted back on
         chip before any new admission, so freed capacity first relieves
         warps paying round-trip latency and only then admits more work.
+
+        A pass that admits nobody changes nothing, so a stage is passed
+        over while it provably cannot admit: a register or scratchpad
+        queue while its need bound exceeds the table's headroom, the slot
+        queue while no slot can be freed.
         """
         self._promote_swapped()
+        regs, scratch = self.regs, self.scratch
         while True:
-            progressed = self._retry_queue(WarpState.PENDING_REG, self._reg_q, self._pass_reg)
-            progressed |= self._retry_queue(
-                WarpState.PENDING_SCRATCH, self._scratch_q, self._pass_scratch
-            )
+            progressed = False
+            if self._reg_need <= self._headroom(regs):
+                progressed = self._retry_queue(self._reg_q, self._pass_reg)
+                self._reg_need = self._least_need(self._reg_q, self._reg_delta)
+            if self._scratch_need <= self._headroom(scratch):
+                progressed |= self._retry_queue(self._scratch_q, self._pass_scratch)
+                # a sibling's pass may have lowered a survivor's delta
+                self._scratch_need = self._least_need(self._scratch_q, self._scratch_delta)
             # a failed slot pass frees nothing and every warp needs the same
             # one slot, so the first failure decides the rest of the queue
-            progressed |= self._retry_queue(
-                WarpState.PENDING_THREAD, self._thread_q, self._pass_thread, stop_at_failure=True
-            )
+            if self._thread_q and self._slot_stage_feasible(forced=False):
+                progressed |= self._retry_queue(
+                    self._thread_q, self._pass_thread, stop_at_failure=True
+                )
             if not progressed:
                 return
 
@@ -381,7 +437,7 @@ class Coordinator:
                 scratch_sets_needed=scratch_sets,
             )
             self.warps[wid] = w
-            self._enqueue(w, WarpState.PENDING_THREAD, self._thread_q)
+            self._enqueue(w, WarpState.PENDING_THREAD)
         self.retry_all_queues()
 
     def _shrink_block_scratch(self, bid: int):
@@ -416,10 +472,10 @@ class Coordinator:
         still = True
         if scratch_sets > scratch.owned(w.block_id):
             regs.free_all(wid)
-            self._enqueue(w, WarpState.PENDING_SCRATCH, self._scratch_q)
+            self._enqueue(w, WarpState.PENDING_SCRATCH)
             still = False
         elif reg_sets > regs.owned(wid):
-            self._enqueue(w, WarpState.PENDING_REG, self._reg_q)
+            self._enqueue(w, WarpState.PENDING_REG)
             still = False
         else:
             held = regs.owned(wid)
@@ -449,7 +505,7 @@ class Coordinator:
                 self._set_state(w, WarpState.SCHEDULABLE)
                 self._effects.append(("schedulable", wid))
             elif w.state is WarpState.PARKED:
-                self._enqueue(w, WarpState.PENDING_THREAD, self._thread_q)
+                self._enqueue(w, WarpState.PENDING_THREAD)
         block.barrier_arrivals = 0
         self.retry_all_queues()
 
@@ -488,7 +544,7 @@ class Coordinator:
         if self.cfg.fixed_o_thresh_frac is None:
             for kind in ResourceKind:
                 cap = self.arch.physical_capacity(kind)
-                self.o_thresh[kind] = adjust_o_thresh(
+                self._set_thresh(kind, adjust_o_thresh(
                     self.o_thresh[kind],
                     cap,
                     step=int(self.cfg.step_frac * cap),
@@ -496,7 +552,7 @@ class Coordinator:
                     d_mem=d_mem,
                     delta_threshold=self.cfg.stall_delta_threshold,
                     hard_cap=int(self.cfg.hard_cap_frac * cap),
-                )
+                ))
         self.retry_all_queues()
         for tbl in self.tables.values():
             tbl.reset_access_window()
@@ -536,7 +592,7 @@ class Coordinator:
         scratchpad access also the scratchpad table; each consult costs the
         pipeline penalty, and touching a set in swap a memory round trip.
         """
-        if op is Opcode.BARRIER or op is Opcode.PHASE_SPEC:
+        if op is _BARRIER or op is _PHASE_SPEC:
             return 0
         extra = 0
         n = self.regs.owned(w.wid)
@@ -544,7 +600,7 @@ class Coordinator:
             extra += self.arch.mapping_table_penalty_cycles
             if self.access_register(w.wid, self._locality(w, n)):
                 extra += self.arch.memory_latency_cycles
-        if op in SCRATCH_OPCODES:
+        if op is _LD_SHARED or op is _ST_SHARED:
             m = self.scratch.owned(w.block_id)
             if m:
                 extra += self.arch.mapping_table_penalty_cycles
@@ -578,7 +634,7 @@ class Coordinator:
     # -- engine queries and result counters -----------------------------------
 
     def pending_work(self) -> bool:
-        return bool(self._pending)
+        return bool(self._thread_q or self._scratch_q or self._reg_q)
 
     @property
     def retunes(self) -> bool:
@@ -593,9 +649,6 @@ class Coordinator:
 
     # -- deadlock guard -----------------------------------------------------
 
-    def _slot_stage_feasible(self) -> bool:
-        return self.slots.free_physical > 0 or bool(self._at_barrier)
-
     def deadlock_guard(self) -> bool:
         """Force-admit the oldest satisfiable pending warp, one per call.
 
@@ -608,14 +661,15 @@ class Coordinator:
         limit = self.cfg.guard_min_schedulable_frac * self.arch.warp_slots_per_sm
         if self._schedulable >= limit:
             return False
-        slot_feasible = self._slot_stage_feasible()
-        # _pending is in enqueue_seq order, so the first admissible is the oldest
-        for wid in self._pending:
-            w = self.warps[wid]
-            if slot_feasible or w.state is not WarpState.PENDING_THREAD:
-                break
-        else:
+        queues = [q for q in (self._reg_q, self._scratch_q) if q]
+        if self._thread_q and self._slot_stage_feasible(forced=True):
+            queues.append(self._thread_q)
+        if not queues:
             return False
+        # each queue is in enqueue_seq order, so the oldest admissible warp
+        # heads one of them
+        warps = self.warps
+        w = min((warps[next(iter(q))] for q in queues), key=lambda w: w.enqueue_seq)
         while w.state is not WarpState.SCHEDULABLE:
             pass_stage = getattr(self, self._STAGE[w.state])
             if not pass_stage(w, True):
@@ -623,6 +677,9 @@ class Coordinator:
             self._advance(w)
         self.guard_admissions += 1
         self._effects.append(("forced", w.wid))
+        # a forced scratch pass can raise a sibling's block share, which
+        # lowers that sibling's delta below its queue's bound
+        self._reg_need = self._scratch_need = -math.inf
         self.retry_all_queues()
         return True
 
@@ -651,6 +708,7 @@ class Coordinator:
         errors.extend(self.retired_errors)
         errors.extend(registry_errors(self.warps, self.blocks))
         errors.extend(self._index_errors())
+        errors.extend(self._fixpoint_errors())
         for kind in ResourceKind:
             cap = self.arch.physical_capacity(kind)
             if not 0 <= self.o_thresh[kind] <= cap:
@@ -667,16 +725,34 @@ class Coordinator:
         for w in self.warps.values():
             by_state[w.state].append(w)
         at_barrier = sorted(by_state[WarpState.AT_BARRIER], key=lambda w: w.barrier_seq)
-        pending = sorted(
-            (w for s in _PENDING for w in by_state[s]), key=lambda w: w.enqueue_seq
-        )
         errors = []
         if list(self._at_barrier) != [w.wid for w in at_barrier]:
             errors.append("barrier-waiter index is not the barrier_seq order of waiters")
-        if list(self._pending) != [w.wid for w in pending]:
-            errors.append("pending index is not the enqueue_seq order of pending warps")
+        for state in _PENDING:
+            queued = sorted(by_state[state], key=lambda w: w.enqueue_seq)
+            if list(self._queue(state)) != [w.wid for w in queued]:
+                errors.append(f"{state.value} queue is not the enqueue_seq order of its warps")
         if self._schedulable != len(by_state[WarpState.SCHEDULABLE]):
             errors.append(f"schedulable counter {self._schedulable} drifted")
         if self._live != len(self.warps) - len(by_state[WarpState.FINISHED]):
             errors.append(f"live-warp counter {self._live} drifted")
+        return errors
+
+    def _fixpoint_errors(self) -> list[str]:
+        """After a retry no queue holds a warp its stage would pass, and no
+        need bound exceeds the delta of a warp in its queue."""
+        errors = []
+        for name, queue, delta, need, tbl in (
+            ("register", self._reg_q, self._reg_delta, self._reg_need, self.regs),
+            ("scratchpad", self._scratch_q, self._scratch_delta, self._scratch_need, self.scratch),
+        ):
+            room = self._headroom(tbl)
+            for wid in queue:
+                d = delta(self.warps[wid])
+                if d <= room:
+                    errors.append(f"warp {wid} waits for {d} {name} sets with {room} grantable")
+                if need > d:
+                    errors.append(f"{name} need bound {need} exceeds warp {wid}'s delta {d}")
+        if self._thread_q and self._slot_stage_feasible(forced=False):
+            errors.append("warps wait for a slot while the slot stage can pass them")
         return errors

@@ -27,6 +27,7 @@ import bisect
 import enum
 import heapq
 from dataclasses import asdict, dataclass, replace
+from operator import itemgetter
 from typing import Optional, Union
 
 from .coordinator import BlockRecord, OversubscriptionConfig, WarpRecord, WarpState
@@ -57,6 +58,20 @@ class EventKind(enum.IntEnum):
     WARP_FINISHED = 3
     BLOCK_FINISHED = 4
     EPOCH_TICK = 5
+
+
+# module-level aliases for the per-instruction path: an Enum member lookup
+# costs far more than a global name
+_LD_GLOBAL = Opcode.LD_GLOBAL
+_ST_GLOBAL = Opcode.ST_GLOBAL
+_BARRIER = Opcode.BARRIER
+_PHASE_SPEC = Opcode.PHASE_SPEC
+_PHASE_CHANGE = EventKind.PHASE_CHANGE
+_BARRIER_REACHED = EventKind.BARRIER_REACHED
+_WARP_FINISHED = EventKind.WARP_FINISHED
+
+# end-of-cycle events run in (kind, wid) order
+_event_order = itemgetter(0, 1)
 
 
 @dataclass(frozen=True)
@@ -233,8 +248,10 @@ class _SMRun:
         self.last_issue = 0
         self.warps: dict[int, WarpRecord] = adm.warps
         self.blocks: dict[int, BlockRecord] = adm.blocks
+        # schedulable warps, and per scheduler (wid mod schedulers) the
+        # same warps in wid order; changed only by _schedule/_unschedule
         self.sched_set: set[int] = set()
-        self.part: tuple[list[int], list[int]] = tuple(
+        self.part: tuple[list[int], ...] = tuple(
             [] for _ in range(arch.schedulers_per_sm)
         )
         self.greedy: list[Optional[int]] = [None] * arch.schedulers_per_sm
@@ -290,6 +307,13 @@ class _SMRun:
 
     def _check_invariants(self):
         problems = self.adm.check_invariants()
+        schedulable = {wid for wid, w in self.warps.items() if w.state is WarpState.SCHEDULABLE}
+        if self.sched_set != schedulable:
+            problems.append("scheduler set differs from the schedulable warps")
+        n = len(self.part)
+        for sid, part in enumerate(self.part):
+            if part != sorted(wid for wid in self.sched_set if wid % n == sid):
+                problems.append(f"scheduler {sid} list is not its schedulable warps in wid order")
         if problems:
             raise RuntimeError("invariant violation: " + "; ".join(problems))
 
@@ -314,8 +338,7 @@ class _SMRun:
                 self.ep_uscr_cycles += delta
 
     def _update_live(self, w: WarpRecord, live_regs: int, live_scratch: int):
-        if not self.collect_util:
-            return
+        """Track live registers and scratch (only with collect_util)."""
         self.live_reg_sum += (live_regs - w.cur_live_regs) * self.arch.warp_width
         w.cur_live_regs = live_regs
         if live_scratch != w.cur_live_scratch:
@@ -350,8 +373,6 @@ class _SMRun:
         self.live_warps += self.wpb
         self._log(EventKind.BLOCK_ARRIVAL, bid)
         self.adm.on_block_arrival(bid, wids, *self.entry_sets)
-        for wid in wids:
-            self.part[wid % len(self.part)].append(wid)
         self._apply_effects(self.now)
         if self.collect_util:
             # a warp occupies its entry working set from arrival, not
@@ -372,12 +393,23 @@ class _SMRun:
                     self._finish_warp(wid)
                     continue
                 w.next_ready = max(w.next_ready, wake)
-                self.sched_set.add(wid)
+                self._schedule(wid)
             elif tag == "slot_swapin":
                 w = self.warps[wid]
                 w.next_ready = max(w.next_ready, wake + self.arch.memory_latency_cycles)
             elif tag == "parked":
-                self.sched_set.discard(wid)
+                self._unschedule(wid)
+
+    def _schedule(self, wid: int):
+        if wid not in self.sched_set:
+            self.sched_set.add(wid)
+            bisect.insort(self.part[wid % len(self.part)], wid)
+
+    def _unschedule(self, wid: int):
+        if wid in self.sched_set:
+            self.sched_set.remove(wid)
+            part = self.part[wid % len(self.part)]
+            del part[bisect.bisect_left(part, wid)]
 
     # -- issue path -----------------------------------------------------------
 
@@ -385,84 +417,78 @@ class _SMRun:
         ins = self.body[w.pc]
         op = ins.opcode
         extra = self.access_cost(w, op)
+        now = self.now
 
-        if op is Opcode.LD_GLOBAL:
-            w.next_ready = self.mem.request(self.now) + extra
-        elif op is Opcode.ST_GLOBAL:
-            self.mem.request(self.now)  # fire and forget, holds a slot only
-            w.next_ready = self.now + 1 + extra
+        if op is _LD_GLOBAL:
+            w.next_ready = self.mem.request(now) + extra
+        elif op is _ST_GLOBAL:
+            self.mem.request(now)  # fire and forget, holds a slot only
+            w.next_ready = now + 1 + extra
         else:
-            w.next_ready = self.now + 1 + extra
+            w.next_ready = now + 1 + extra
 
-        self._update_live(w, ins.live_regs_after, ins.live_scratch_after)
+        if self.collect_util:
+            self._update_live(w, ins.live_regs_after, ins.live_scratch_after)
         w.pc += 1
         self.tot_issued += 1
         self.ep_issued += 1
-        self.last_issue = self.now
+        self.last_issue = now
 
-        if op is Opcode.BARRIER:
-            pending.append((EventKind.BARRIER_REACHED, w.wid, None))
-        elif op is Opcode.PHASE_SPEC:
-            pending.append((EventKind.PHASE_CHANGE, w.wid, ins.phase_payload))
-        if w.pc == len(self.body) and op is not Opcode.BARRIER:
-            pending.append((EventKind.WARP_FINISHED, w.wid, None))
+        if op is _BARRIER:
+            pending.append((_BARRIER_REACHED, w.wid, None))
+        elif op is _PHASE_SPEC:
+            pending.append((_PHASE_CHANGE, w.wid, ins.phase_payload))
+        if w.pc == len(self.body) and op is not _BARRIER:
+            pending.append((_WARP_FINISHED, w.wid, None))
 
     def _pick(self, sid: int) -> Optional[WarpRecord]:
+        now = self.now
+        warps = self.warps
         cur = self.greedy[sid]
         if cur is not None and cur in self.sched_set:
-            w = self.warps[cur]
-            if w.next_ready <= self.now:
+            w = warps[cur]
+            if w.next_ready <= now:
                 return w
-        best = None
+        # the list holds schedulable warps in wid order; first ready is oldest
         for wid in self.part[sid]:
-            if wid in self.sched_set and self.warps[wid].next_ready <= self.now:
-                best = wid  # partition lists are in wid order; first hit is oldest
-                break
-        if best is None:
-            self.greedy[sid] = None
-            return None
-        self.greedy[sid] = best
-        return self.warps[best]
+            w = warps[wid]
+            if w.next_ready <= now:
+                self.greedy[sid] = wid
+                return w
+        self.greedy[sid] = None
+        return None
 
     # -- end-of-cycle events ----------------------------------------------
 
     def _finish_warp(self, wid: int):
         w = self.warps[wid]
-        self.sched_set.discard(wid)
+        self._unschedule(wid)
         self.live_warps -= 1
-        self._update_live(w, 0, 0)
-        self._log(EventKind.WARP_FINISHED, wid)
+        if self.collect_util:
+            self._update_live(w, 0, 0)
+        self._log(_WARP_FINISHED, wid)
         done = self.adm.on_warp_finished(wid)
         self._apply_effects(self.now + 1)
         if done:
-            self._drop_block(w.block_id)
+            self.block_scr_live.pop(w.block_id, None)
             self.in_flight -= 1
             self._log(EventKind.BLOCK_FINISHED, w.block_id)
         # refill before sampling: the freed resources admit the next
         # block in the same cycle, so the dip is never observable
         self._dispatch()
 
-    def _drop_block(self, bid: int):
-        """Forget a completed block: its warps leave the partition lists,
-        as they left the admission registry."""
-        lo, hi = bid * self.wpb, (bid + 1) * self.wpb
-        for part in self.part:
-            # partition lists are in wid order, so the block is one run
-            del part[bisect.bisect_left(part, lo) : bisect.bisect_left(part, hi)]
-        self.block_scr_live.pop(bid, None)
-
     def _handle_event(self, kind: EventKind, wid: int, payload):
-        if kind is EventKind.WARP_FINISHED:
+        if kind is _WARP_FINISHED:
             self._finish_warp(wid)
             return
         self._log(kind, wid)
-        if kind is EventKind.PHASE_CHANGE:
+        if kind is _PHASE_CHANGE:
             if not self.adm.on_phase_change(wid, *self._phase_sets(payload)):
-                self.sched_set.discard(wid)
+                self._unschedule(wid)
             self._apply_effects(self.now + 1)
         else:
             bid = self.warps[wid].block_id
-            self.sched_set.discard(wid)
+            self._unschedule(wid)
             complete = self.adm.on_barrier(wid)
             self._apply_effects(self.now + 1)
             if complete:
@@ -542,7 +568,8 @@ class _SMRun:
             self.ep_issue_cycles += 1
         else:
             self._classify_stall(1)
-        pending.sort(key=lambda e: (e[0], e[1]))
+        if len(pending) > 1:
+            pending.sort(key=_event_order)
         for kind, wid, payload in pending:
             self._handle_event(kind, wid, payload)
         if (self.now + 1) % self.arch.epoch_cycles == 0:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 from smvirt.coordinator import (
     BlockRecord,
     Coordinator,
@@ -5,6 +7,8 @@ from smvirt.coordinator import (
     WarpState,
     adjust_o_thresh,
 )
+from smvirt.corpus import corpus_kernel
+from smvirt.engine import run
 from smvirt.resource_maps import ArchConfig, Placement, ResourceKind, get_arch
 
 FERMI = get_arch("fermi")
@@ -252,3 +256,120 @@ def test_effects_drain_once():
     effects = coord.drain_effects()
     assert ("schedulable", 0) in effects
     assert coord.drain_effects() == []
+
+
+def _record_passes(coord):
+    """Record the stage of every queue pass the coordinator makes."""
+    stages = []
+    retry_queue = coord._retry_queue
+
+    def recorded(queue, pass_stage, stop_at_failure=False):
+        stages.append(pass_stage.__name__)
+        return retry_queue(queue, pass_stage, stop_at_failure)
+
+    coord._retry_queue = recorded
+    return stages
+
+
+def test_register_waiter_is_retried_only_when_registers_free():
+    cfg = OversubscriptionConfig(fixed_o_thresh_frac=0.0, guard_enabled=False)
+    coord = Coordinator(TINY, cfg)
+    _arrive(coord, 0, range(4), reg_sets=8, scratch_sets=0)  # all 32 register sets
+    _arrive(coord, 1, range(4, 8), reg_sets=8, scratch_sets=0)
+    assert all(coord.warps[w].state is WarpState.PENDING_REG for w in range(4, 8))
+    passes = _record_passes(coord)
+    # events that free no register set do not re-pass the register queue
+    coord.on_barrier(0)
+    coord.on_phase_change(1, reg_sets=8, scratch_sets=0)
+    coord.on_epoch(d_idle=0, d_mem=0)
+    assert passes == []
+    assert coord.check_invariants() == []
+    # the retry that frees a warp's eight sets admits the oldest waiter
+    coord.on_warp_finished(2)
+    assert passes == ["_pass_reg"]
+    assert coord.warps[4].state is WarpState.SCHEDULABLE
+    assert all(coord.warps[w].state is WarpState.PENDING_REG for w in range(5, 8))
+    assert coord.check_invariants() == []
+
+
+def test_threshold_rise_at_epoch_admits_a_waiting_warp():
+    coord = Coordinator(FERMI, OversubscriptionConfig())
+    regs = coord.tables[ResourceKind.REGISTER]
+    _arrive(coord, 0, range(16), reg_sets=16, scratch_sets=0)  # all 256 physical sets
+    # the first 16-set warp fits the register budget of 25 in swap, the
+    # second would need 32
+    _arrive(coord, 1, (16, 17), reg_sets=16, scratch_sets=0)
+    assert coord.warps[16].state is WarpState.SCHEDULABLE
+    assert coord.warps[17].state is WarpState.PENDING_REG
+    assert regs.budget_swap() == 16
+    # idle stalls outgrow memory stalls: the threshold rises by 10 to 35
+    coord.on_epoch(d_idle=100, d_mem=0)
+    assert coord.o_thresh[ResourceKind.REGISTER] == 35
+    assert coord.warps[17].state is WarpState.SCHEDULABLE
+    assert regs.budget_swap() == 32
+    assert coord.check_invariants() == []
+
+
+def test_scratch_waiter_passes_on_its_siblings_share_with_no_headroom():
+    cfg = OversubscriptionConfig(fixed_o_thresh_frac=0.0, guard_enabled=False)
+    coord = Coordinator(TINY, cfg)
+    scratch = coord.tables[ResourceKind.SCRATCHPAD]
+    _arrive(coord, 0, range(15), reg_sets=1, scratch_sets=4)
+    # warp 15 takes the last slot and the last four scratch sets for
+    # block 1; its sibling 16 waits for a slot
+    _arrive(coord, 1, (15, 16), reg_sets=1, scratch_sets=4)
+    assert coord.warps[15].state is WarpState.SCHEDULABLE
+    assert coord.warps[16].state is WarpState.PENDING_THREAD
+    assert scratch.free_physical == 0
+    # a freed slot lets warp 16 on; its block already holds its share, so
+    # it passes scratch with delta 0 although the table can grant nothing
+    coord.on_warp_finished(0)
+    assert coord.warps[16].state is WarpState.SCHEDULABLE
+    assert scratch.free_physical == 0 and scratch.owned(1) == 4
+    assert coord.check_invariants() == []
+
+
+def test_retry_after_a_forced_admission_runs_every_stage():
+    cfg = OversubscriptionConfig(fixed_o_thresh_frac=0.0)
+    coord = Coordinator(TINY, cfg)
+    _arrive(coord, 0, (0,), reg_sets=1, scratch_sets=6)
+    # block 1 needs four scratch sets and two are free: both warps wait
+    _arrive(coord, 1, (1, 2), reg_sets=1, scratch_sets=4)
+    assert coord.warps[1].state is WarpState.PENDING_SCRATCH
+    assert coord.warps[2].state is WarpState.PENDING_SCRATCH
+    stages = _record_passes(coord)
+    coord.retry_all_queues()
+    assert stages == []  # nothing can pass
+    # one warp schedulable is below the guard's 20% of 16 slots; the guard
+    # forces warp 1, whose block then holds four sets, two of them in swap
+    assert coord.deadlock_guard() is True
+    assert coord.guard_admissions == 1
+    assert {"_pass_reg", "_pass_scratch"} <= set(stages)
+    # so its sibling passes in the same retry with nothing left to grant
+    assert coord.warps[2].state is WarpState.SCHEDULABLE
+    assert coord.check_invariants() == []
+
+
+def test_queue_passes_stay_few_on_a_large_launch(monkeypatch):
+    # a work count, not a time: a retry passes over a queue only when the
+    # queue can admit someone, so most events pass over none of them
+    counts = {"retries": 0, "passes": 0}
+    retry_all_queues = Coordinator.retry_all_queues
+    retry_queue = Coordinator._retry_queue
+
+    def counted_retry(self):
+        counts["retries"] += 1
+        return retry_all_queues(self)
+
+    def counted_pass(self, *args, **kwargs):
+        counts["passes"] += 1
+        return retry_queue(self, *args, **kwargs)
+
+    monkeypatch.setattr(Coordinator, "retry_all_queues", counted_retry)
+    monkeypatch.setattr(Coordinator, "_retry_queue", counted_pass)
+    kernel = corpus_kernel("reg_cliff")
+    kernel = replace(kernel, resource_spec=replace(kernel.resource_spec, num_blocks=225))
+    run(kernel, "zorua", "fermi")
+    # retrying all three queues after every event made 3372 passes
+    assert counts["passes"] <= 1000, counts
+    assert counts["passes"] < counts["retries"], counts
