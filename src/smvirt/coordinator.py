@@ -23,17 +23,17 @@ warps therefore re-enter the admission pipeline from the front when their
 barrier opens, paying one memory round trip to restore state.
 
 Coordinator is the zorua admission object: it implements the hooks the
-engine calls for every policy (see policies.py).
+engine calls for every policy (see policies.py) on the shared Registry.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .kernel_model import Opcode
+from .registry import BlockRecord, Registry, WarpRecord, WarpState  # noqa: F401 (re-export)
 from .resource_maps import (
     ArchConfig,
     MappingTable,
@@ -41,17 +41,6 @@ from .resource_maps import (
     ResourceKind,
     make_tables,
 )
-
-
-class WarpState(enum.Enum):
-    PENDING_THREAD = "pending_thread"
-    PENDING_SCRATCH = "pending_scratch"
-    PENDING_REG = "pending_reg"
-    SCHEDULABLE = "schedulable"
-    AT_BARRIER = "at_barrier"
-    PARKED = "parked"  # at barrier with slot and scheduler state swapped out
-    FINISHED = "finished"
-
 
 _PENDING = (WarpState.PENDING_THREAD, WarpState.PENDING_SCRATCH, WarpState.PENDING_REG)
 
@@ -63,47 +52,19 @@ _LD_SHARED = Opcode.LD_SHARED
 _ST_SHARED = Opcode.ST_SHARED
 
 
-@dataclass
-class WarpRecord:
-    wid: int
-    block_id: int
-    state: WarpState = WarpState.PENDING_THREAD
-    reg_sets_needed: int = 0
-    scratch_sets_needed: int = 0
-    enqueue_seq: int = -1
-    barrier_seq: int = -1
-    # engine-side scheduling fields
-    pc: int = 0
-    next_ready: int = 0
-    acc_counter: int = 0
-    cur_live_regs: int = 0
-    cur_live_scratch: int = 0
-
-
-@dataclass
-class BlockRecord:
-    bid: int
-    warp_ids: tuple[int, ...]
-    barrier_arrivals: int = 0
-    finished_warps: int = 0
-
-    @property
-    def size(self) -> int:
-        return len(self.warp_ids)
+# controller and guard constants; fractions are of physical capacity
+O_DEFAULT_FRAC = 0.10  # starting threshold
+STEP_FRAC = 0.04  # threshold change per retune
+STALL_DELTA_THRESHOLD = 16  # stall-delta gap a retune needs
+GUARD_MIN_SCHEDULABLE_FRAC = 0.20  # of warp slots; below it the guard fires
 
 
 @dataclass(frozen=True)
 class OversubscriptionConfig:
-    """Controller and guard knobs; fractions are of physical capacity."""
+    """Run-time overrides of the controller and the deadlock guard."""
 
-    o_default_frac: float = 0.10
-    step_frac: float = 0.04
-    stall_delta_threshold: int = 16
-    hard_cap_frac: float = 1.0
     fixed_o_thresh_frac: Optional[float] = None  # pins thresholds, disables controller
     guard_enabled: bool = True
-    guard_min_schedulable_frac: float = 0.20
-    migrate_on_spilled_access: bool = False
 
 
 def adjust_o_thresh(
@@ -112,7 +73,7 @@ def adjust_o_thresh(
     step: int,
     d_idle: int,
     d_mem: int,
-    delta_threshold: int = 16,
+    delta_threshold: int = STALL_DELTA_THRESHOLD,
     hard_cap: Optional[int] = None,
 ) -> int:
     """One controller update from epoch-over-epoch stall-count deltas.
@@ -129,26 +90,12 @@ def adjust_o_thresh(
     return max(0, min(cap, current))
 
 
-def registry_errors(warps: dict[int, WarpRecord], blocks: dict[int, BlockRecord]) -> list[str]:
-    """A registry holds live blocks only, and the block of every warp."""
-    errors = [
-        f"block {b.bid} completed but is still registered"
-        for b in blocks.values()
-        if b.finished_warps >= b.size
-    ]
-    errors.extend(
-        f"warp {w.wid} belongs to unregistered block {w.block_id}"
-        for w in warps.values()
-        if w.block_id not in blocks
-    )
-    return errors
-
-
-class Coordinator:
+class Coordinator(Registry):
     """Owns the mapping tables, admission queues, and oversubscription state
     of a single SM."""
 
     def __init__(self, arch: ArchConfig, cfg: OversubscriptionConfig):
+        super().__init__()
         self.arch = arch
         self.cfg = cfg
         self.tables = make_tables(arch)
@@ -161,21 +108,17 @@ class Coordinator:
         for kind in ResourceKind:
             cap = arch.physical_capacity(kind)
             frac = cfg.fixed_o_thresh_frac
-            base = cfg.o_default_frac if frac is None else frac
-            self._set_thresh(kind, min(int(base * cap), int(cfg.hard_cap_frac * cap)))
-        self.warps: dict[int, WarpRecord] = {}
-        self.blocks: dict[int, BlockRecord] = {}
+            base = O_DEFAULT_FRAC if frac is None else frac
+            self._set_thresh(kind, min(int(base * cap), cap))
         self._seq = 0
-        self._effects: list[tuple] = []
         # state indices, kept by _set_state: the three admission queues
         # (pending warps in enqueue_seq order), barrier waiters in
-        # barrier_seq order, and two counters
+        # barrier_seq order, and the schedulable count
         self._thread_q: dict[int, None] = {}
         self._scratch_q: dict[int, None] = {}
         self._reg_q: dict[int, None] = {}
         self._at_barrier: dict[int, None] = {}
         self._schedulable = 0
-        self._live = 0
         # lower bounds on the sets a queued warp still needs (inf: empty)
         self._reg_need = math.inf
         self._scratch_need = math.inf
@@ -221,8 +164,6 @@ class Coordinator:
             self._schedulable += 1
         elif state is WarpState.AT_BARRIER:
             self._at_barrier[w.wid] = None
-        elif state is WarpState.FINISHED:
-            self._live -= 1
         else:
             queue = self._queue(state)
             if queue is not None:
@@ -241,22 +182,8 @@ class Coordinator:
     def _held(self, wid: int) -> int:
         return self.regs.owned(wid) + self.slots.owned(wid)
 
-    def drain_effects(self) -> list[tuple]:
-        out = self._effects
-        self._effects = []
-        return out
-
     def schedulable_count(self) -> int:
         return self._schedulable
-
-    def pending_count(self) -> int:
-        return len(self._thread_q) + len(self._scratch_q) + len(self._reg_q)
-
-    def live_blocks(self) -> int:
-        return len(self.blocks)
-
-    def live_warps(self) -> int:
-        return self._live
 
     # -- admission stages -------------------------------------------------
 
@@ -341,8 +268,7 @@ class Coordinator:
         elif warp.state is WarpState.PENDING_SCRATCH:
             self._enqueue(warp, WarpState.PENDING_REG)
         else:
-            self._set_state(warp, WarpState.SCHEDULABLE)
-            self._effects.append(("schedulable", warp.wid))
+            self._admit(warp)
 
     _STAGE = {
         WarpState.PENDING_THREAD: "_pass_thread",
@@ -417,27 +343,18 @@ class Coordinator:
 
     def can_accept_block(self, warps: int) -> bool:
         """New blocks enter at launch and whenever a block completes, while
-        logical block and warp ids remain."""
-        return (
-            self._block_completed
-            and self.live_blocks() < self.arch.max_logical_blocks
-            and self.live_warps() + warps <= self.arch.max_logical_warps
-        )
+        logical block and warp ids remain; a finished warp frees its id."""
+        if not self._block_completed or len(self.blocks) >= self.arch.max_logical_blocks:
+            return False
+        live = len(self.warps) - sum(b.finished_warps for b in self.blocks.values())
+        return live + warps <= self.arch.max_logical_warps
 
     def on_block_arrival(
         self, bid: int, wids: tuple[int, ...], reg_sets: int, scratch_sets: int
     ):
-        self.blocks[bid] = BlockRecord(bid=bid, warp_ids=wids)
-        self._live += len(wids)
+        super().on_block_arrival(bid, wids, reg_sets, scratch_sets)
         for wid in wids:
-            w = WarpRecord(
-                wid=wid,
-                block_id=bid,
-                reg_sets_needed=reg_sets,
-                scratch_sets_needed=scratch_sets,
-            )
-            self.warps[wid] = w
-            self._enqueue(w, WarpState.PENDING_THREAD)
+            self._enqueue(self.warps[wid], WarpState.PENDING_THREAD)
         self.retry_all_queues()
 
     def _shrink_block_scratch(self, bid: int):
@@ -488,56 +405,43 @@ class Coordinator:
     def on_barrier(self, wid: int) -> bool:
         """Hold the warp at its barrier; True when it was the last of its
         block to arrive."""
-        w = self.warps[wid]
-        self._set_state(w, WarpState.AT_BARRIER)
-        w.barrier_seq = self._next_seq()
-        block = self.blocks[w.block_id]
-        block.barrier_arrivals += 1
+        complete = super().on_barrier(wid)
+        self.warps[wid].barrier_seq = self._next_seq()
         # a parkable warp appeared, so slot waiters may now pass
         self.retry_all_queues()
-        return block.barrier_arrivals == block.size
+        return complete
 
     def release_barrier(self, bid: int):
-        block = self.blocks[bid]
-        for wid in block.warp_ids:
+        """Admit the block's barrier waiters; its parked warps queue again."""
+        super().release_barrier(bid)
+        for wid in self.blocks[bid].warp_ids:
             w = self.warps[wid]
-            if w.state is WarpState.AT_BARRIER:
-                self._set_state(w, WarpState.SCHEDULABLE)
-                self._effects.append(("schedulable", wid))
-            elif w.state is WarpState.PARKED:
+            if w.state is WarpState.PARKED:
                 self._enqueue(w, WarpState.PENDING_THREAD)
-        block.barrier_arrivals = 0
         self.retry_all_queues()
 
     def on_warp_finished(self, wid: int) -> bool:
         """Release everything the warp holds; True when its block completed.
 
-        A completed block leaves the registry with its warps.
+        A completed block leaves the registry with its warps; a warp still
+        owning sets then leaked them after it finished.
         """
-        w = self.warps[wid]
+        bid = self.warps[wid].block_id
         self.regs.free_all(wid)
         self.slots.free_all(wid)
-        self._set_state(w, WarpState.FINISHED)
-        block = self.blocks[w.block_id]
-        block.finished_warps += 1
-        done = block.finished_warps == block.size
-        if done:
-            self.scratch.free_all(block.bid)
-            self._drop_block(block)
+        block = self._retire(wid)
+        if block is None:
+            self._shrink_block_scratch(bid)
         else:
-            self._shrink_block_scratch(block.bid)
-        self._block_completed = done
+            self.scratch.free_all(bid)
+            self.retired_errors.extend(
+                f"warp {bw} finished but still owns resources"
+                for bw in block.warp_ids
+                if self.regs.owned(bw) or self.slots.owned(bw)
+            )
+        self._block_completed = block is not None
         self.retry_all_queues()
-        return done
-
-    def _drop_block(self, block: BlockRecord):
-        """Take a completed block and its warps out of the registry; a warp
-        still owning sets here leaked them after it finished."""
-        del self.blocks[block.bid]
-        for wid in block.warp_ids:
-            del self.warps[wid]
-            if self.regs.owned(wid) or self.slots.owned(wid):
-                self.retired_errors.append(f"warp {wid} finished but still owns resources")
+        return self._block_completed
 
     def on_epoch(self, d_idle: int, d_mem: int):
         """Controller update, promotion and retries, fresh accounting window."""
@@ -547,11 +451,9 @@ class Coordinator:
                 self._set_thresh(kind, adjust_o_thresh(
                     self.o_thresh[kind],
                     cap,
-                    step=int(self.cfg.step_frac * cap),
+                    step=int(STEP_FRAC * cap),
                     d_idle=d_idle,
                     d_mem=d_mem,
-                    delta_threshold=self.cfg.stall_delta_threshold,
-                    hard_cap=int(self.cfg.hard_cap_frac * cap),
                 ))
         self.retry_all_queues()
         for tbl in self.tables.values():
@@ -609,25 +511,21 @@ class Coordinator:
         self.slots.note_access()
         return extra
 
-    def _resolve_swap(self, tbl: MappingTable, owner: int, logical: int):
-        if tbl.free_physical > 0:
-            tbl.migrate_in(owner, logical)
-        elif self.cfg.migrate_on_spilled_access:
-            tbl.spill_lfu(1)
-            tbl.migrate_in(owner, logical)
-
     def access_register(self, wid: int, logical: int) -> bool:
-        """Touch one register set; True means it was in swap (round trip)."""
+        """Touch one register set; True means it was in swap (round trip).
+        A set found in swap moves on chip if a physical set is free."""
         tbl = self.regs
         if tbl.lookup(wid, logical) is Placement.SWAP:
-            self._resolve_swap(tbl, wid, logical)
+            if tbl.free_physical:
+                tbl.migrate_in(wid, logical)
             return True
         return False
 
     def access_scratch(self, bid: int, logical: int) -> bool:
         tbl = self.scratch
         if tbl.lookup(bid, logical) is Placement.SWAP:
-            self._resolve_swap(tbl, bid, logical)
+            if tbl.free_physical:
+                tbl.migrate_in(bid, logical)
             return True
         return False
 
@@ -658,7 +556,7 @@ class Coordinator:
         """
         if not self.cfg.guard_enabled:
             return False
-        limit = self.cfg.guard_min_schedulable_frac * self.arch.warp_slots_per_sm
+        limit = GUARD_MIN_SCHEDULABLE_FRAC * self.arch.warp_slots_per_sm
         if self._schedulable >= limit:
             return False
         queues = [q for q in (self._reg_q, self._scratch_q) if q]
@@ -676,7 +574,6 @@ class Coordinator:
                 raise RuntimeError("forced admission stage failed")
             self._advance(w)
         self.guard_admissions += 1
-        self._effects.append(("forced", w.wid))
         # a forced scratch pass can raise a sibling's block share, which
         # lowers that sibling's delta below its queue's bound
         self._reg_need = self._scratch_need = -math.inf
@@ -706,7 +603,7 @@ class Coordinator:
                 if regs.owned(w.wid):
                     errors.append(f"warp {w.wid} parked while holding registers")
         errors.extend(self.retired_errors)
-        errors.extend(registry_errors(self.warps, self.blocks))
+        errors.extend(self.registry_errors())
         errors.extend(self._index_errors())
         errors.extend(self._fixpoint_errors())
         for kind in ResourceKind:
@@ -734,8 +631,6 @@ class Coordinator:
                 errors.append(f"{state.value} queue is not the enqueue_seq order of its warps")
         if self._schedulable != len(by_state[WarpState.SCHEDULABLE]):
             errors.append(f"schedulable counter {self._schedulable} drifted")
-        if self._live != len(self.warps) - len(by_state[WarpState.FINISHED]):
-            errors.append(f"live-warp counter {self._live} drifted")
         return errors
 
     def _fixpoint_errors(self) -> list[str]:

@@ -26,13 +26,14 @@ from __future__ import annotations
 import bisect
 import enum
 import heapq
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, fields, replace
 from operator import itemgetter
 from typing import Optional, Union
 
-from .coordinator import BlockRecord, OversubscriptionConfig, WarpRecord, WarpState
+from .coordinator import OversubscriptionConfig
 from .kernel_model import KernelSpec, Opcode, ResourceSpecification
 from .phase_compiler import annotate_phases
+from .registry import BlockRecord, WarpRecord, WarpState
 from .resource_maps import (
     ArchConfig,
     ResourceKind,
@@ -153,39 +154,29 @@ class SimResult:
     event_log: Optional[tuple[tuple[int, str, int], ...]] = None
 
     def to_dict(self) -> dict:
-        return {
-            "kernel": self.kernel_name,
-            "policy": self.policy,
-            "arch": self.arch,
-            "seed": self.seed,
-            "threads_per_block": self.spec.threads_per_block,
-            "regs_per_thread": self.spec.regs_per_thread,
-            "scratch_bytes_per_block": self.spec.scratch_bytes_per_block,
-            "num_blocks": self.spec.num_blocks,
-            "cycles": self.cycles,
-            "issued_instructions": self.issued_instructions,
-            "issued_cycles": self.issued_cycles,
-            "c_idle": self.c_idle,
-            "c_mem": self.c_mem,
-            "barrier_stall": self.barrier_stall,
-            "reg_hit_rate": self.reg_hit_rate,
-            "scratch_hit_rate": self.scratch_hit_rate,
-            "slot_hit_rate": self.slot_hit_rate,
-            "mean_schedulable_warps": self.mean_schedulable_warps,
-            "blocks_in_flight_min": self.blocks_in_flight_min,
-            "blocks_in_flight_max": self.blocks_in_flight_max,
-            "guard_admissions": self.guard_admissions,
-            "o_thresh_final": dict(self.o_thresh_final),
-            "epochs": [asdict(e) for e in self.epochs],
-            "utilization": None
-            if self.utilization is None
-            else {
-                "register_per_epoch": list(self.utilization.register_per_epoch),
-                "scratch_per_epoch": list(self.utilization.scratch_per_epoch),
-                "register_utilization": self.utilization.register_utilization,
-                "scratch_utilization": self.utilization.scratch_utilization,
-            },
-        }
+        """Every field but the event log, in field order: kernel_name as
+        "kernel", the spec's fields inline, and the utilization with its
+        means.  Goldens and reference digests hash the JSON of this dict.
+
+        vars() of the nested dataclasses is their fields in order, and far
+        cheaper than asdict, which deep-copies every value.
+        """
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "spec":
+                out.update(vars(value))
+            elif f.name == "epochs":
+                out[f.name] = [dict(vars(e)) for e in value]
+            elif f.name == "utilization" and value is not None:
+                out[f.name] = {
+                    **vars(value),
+                    "register_utilization": value.register_utilization,
+                    "scratch_utilization": value.scratch_utilization,
+                }
+            elif f.name != "event_log":
+                out["kernel" if f.name == "kernel_name" else f.name] = value
+        return out
 
 
 class _MemSystem:
@@ -256,8 +247,7 @@ class _SMRun:
         )
         self.greedy: list[Optional[int]] = [None] * arch.schedulers_per_sm
         self.next_bid = 0
-        self.in_flight = 0
-        self.live_warps = 0
+        self.completing = 0  # blocks whose completion effects are being applied
         self.bif_min: Optional[int] = None
         self.bif_max = 0
         self.mem = _MemSystem(arch.memory_latency_cycles, arch.max_inflight_mem_requests)
@@ -318,23 +308,25 @@ class _SMRun:
             raise RuntimeError("invariant violation: " + "; ".join(problems))
 
     def _record_in_flight(self):
-        self.bif_max = max(self.bif_max, self.in_flight)
+        in_flight = len(self.blocks) + self.completing
+        self.bif_max = max(self.bif_max, in_flight)
         if self.remaining > 0:
             self.bif_min = (
-                self.in_flight
+                in_flight
                 if self.bif_min is None
-                else min(self.bif_min, self.in_flight)
+                else min(self.bif_min, in_flight)
             )
 
     def _integrate(self, delta: int):
         self.sched_integral += len(self.sched_set) * delta
-        if self.collect_util and self.in_flight:
+        if self.collect_util and self.blocks:
+            in_flight = len(self.blocks)
             blk_regs = self.spec.threads_per_block * self.spec.regs_per_thread
-            self.ep_ureg_sum += delta * self.live_reg_sum / (self.in_flight * blk_regs)
+            self.ep_ureg_sum += delta * self.live_reg_sum / (in_flight * blk_regs)
             self.ep_ureg_cycles += delta
             blk_scr = self.spec.scratch_bytes_per_block
             if blk_scr:
-                self.ep_uscr_sum += delta * self.live_scr_sum / (self.in_flight * blk_scr)
+                self.ep_uscr_sum += delta * self.live_scr_sum / (in_flight * blk_scr)
                 self.ep_uscr_cycles += delta
 
     def _update_live(self, w: WarpRecord, live_regs: int, live_scratch: int):
@@ -369,8 +361,6 @@ class _SMRun:
         self.next_bid += 1
         wids = tuple(range(bid * self.wpb, (bid + 1) * self.wpb))
         self.remaining -= 1
-        self.in_flight += 1
-        self.live_warps += self.wpb
         self._log(EventKind.BLOCK_ARRIVAL, bid)
         self.adm.on_block_arrival(bid, wids, *self.entry_sets)
         self._apply_effects(self.now)
@@ -463,15 +453,17 @@ class _SMRun:
     def _finish_warp(self, wid: int):
         w = self.warps[wid]
         self._unschedule(wid)
-        self.live_warps -= 1
         if self.collect_util:
             self._update_live(w, 0, 0)
         self._log(_WARP_FINISHED, wid)
         done = self.adm.on_warp_finished(wid)
+        # a completed block counts as in flight until the effects of its
+        # completion, which may retire warps of other blocks, are applied
+        self.completing += done
         self._apply_effects(self.now + 1)
+        self.completing -= done
         if done:
             self.block_scr_live.pop(w.block_id, None)
-            self.in_flight -= 1
             self._log(EventKind.BLOCK_FINISHED, w.block_id)
         # refill before sampling: the freed resources admit the next
         # block in the same cycle, so the dip is never observable
@@ -558,16 +550,13 @@ class _SMRun:
     def _do_cycle(self):
         self._integrate(1)
         pending: list = []
-        issued = 0
         for sid in range(len(self.part)):
             w = self._pick(sid)
             if w is not None:
                 self._issue(w, pending)
-                issued += 1
-        if issued:
-            self.ep_issue_cycles += 1
-        else:
-            self._classify_stall(1)
+        # run() enters a cycle only with a ready schedulable warp, so its
+        # scheduler issues
+        self.ep_issue_cycles += 1
         if len(pending) > 1:
             pending.sort(key=_event_order)
         for kind, wid, payload in pending:
@@ -580,7 +569,7 @@ class _SMRun:
         """Simulate to completion; the finished run carries its figures."""
         self._dispatch()
         epoch = self.arch.epoch_cycles
-        while self.live_warps or self.remaining:
+        while self.blocks or self.remaining:
             if self.now >= self.cycle_cap:
                 raise NonTerminationError(
                     f"no completion within {self.cycle_cap} cycles"

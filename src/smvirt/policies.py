@@ -12,10 +12,9 @@ on_phase_change, on_barrier and release_barrier, on_warp_finished (True
 when the block completed), on_epoch, deadlock_guard, pending_work,
 access_cost (extra cycles of one issued instruction), drain_effects and
 check_invariants, plus the result counters access_totals, final_thresholds
-and guard_admissions.  The admission object owns the one warp and block
-registry, its warps and blocks dicts, which hold live blocks only: a block
-and its warps leave them when its last warp finishes.  It hands warps to
-the engine as ("schedulable" | "parked" | "slot_swapin" | "forced", wid)
+and guard_admissions.  Every admission class is a Registry (registry.py),
+which owns the one warp and block registry, holding live blocks only, and
+hands warps to the engine as ("schedulable" | "parked" | "slot_swapin", wid)
 effects.
 make_admission is the one place a policy picks its class.
 """
@@ -25,15 +24,9 @@ from __future__ import annotations
 import enum
 from collections import deque
 
-from .coordinator import (
-    BlockRecord,
-    Coordinator,
-    OversubscriptionConfig,
-    WarpRecord,
-    WarpState,
-    registry_errors,
-)
+from .coordinator import Coordinator, OversubscriptionConfig
 from .kernel_model import KernelSpec, Opcode, ResourceSpecification
+from .registry import Registry, WarpRecord, WarpState
 from .resource_maps import ArchConfig, ResourceKind, reg_sets_for, scratch_sets_for
 
 
@@ -88,7 +81,7 @@ def wlm_is_runnable(spec: ResourceSpecification, arch: ArchConfig, has_barrier: 
     return spec.regs_per_thread * arch.warp_width <= arch.registers_per_sm
 
 
-class _StaticAdmission:
+class _StaticAdmission(Registry):
     """Admission without virtualization: an admitted warp keeps what it was
     given until it finishes, so phases, epochs and data accesses cost and
     change nothing."""
@@ -96,57 +89,13 @@ class _StaticAdmission:
     guard_admissions = 0
     retunes = False  # no controller, so a wedged SM stays wedged
 
-    def __init__(self):
-        self.warps: dict[int, WarpRecord] = {}
-        self.blocks: dict[int, BlockRecord] = {}
-        self._effects: list[tuple[str, int]] = []
-
-    def _admit(self, wid: int):
-        self.warps[wid].state = WarpState.SCHEDULABLE
-        self._effects.append(("schedulable", wid))
-
-    def drain_effects(self) -> list[tuple[str, int]]:
-        out = self._effects
-        self._effects = []
-        return out
-
-    def on_block_arrival(self, bid: int, wids: tuple[int, ...], reg_sets: int, scratch_sets: int):
-        self.blocks[bid] = BlockRecord(bid=bid, warp_ids=wids)
-        for wid in wids:
-            self.warps[wid] = WarpRecord(wid=wid, block_id=bid)
-
     def on_phase_change(self, wid: int, reg_sets: int, scratch_sets: int) -> bool:
         return True
-
-    def on_barrier(self, wid: int) -> bool:
-        """Hold the warp at its barrier; True when it was the last of its
-        block to arrive."""
-        w = self.warps[wid]
-        w.state = WarpState.AT_BARRIER
-        block = self.blocks[w.block_id]
-        block.barrier_arrivals += 1
-        return block.barrier_arrivals == block.size
-
-    def release_barrier(self, bid: int):
-        block = self.blocks[bid]
-        for wid in block.warp_ids:
-            if self.warps[wid].state is WarpState.AT_BARRIER:
-                self._admit(wid)
-        block.barrier_arrivals = 0
 
     def on_warp_finished(self, wid: int) -> bool:
         """True when the warp completed its block, which then leaves the
         registry with its warps."""
-        w = self.warps[wid]
-        w.state = WarpState.FINISHED
-        block = self.blocks[w.block_id]
-        block.finished_warps += 1
-        done = block.finished_warps == block.size
-        if done:
-            del self.blocks[block.bid]
-            for bw in block.warp_ids:
-                del self.warps[bw]
-        return done
+        return self._retire(wid) is not None
 
     def on_epoch(self, d_idle: int, d_mem: int):
         pass
@@ -175,29 +124,20 @@ class BaselineAdmission(_StaticAdmission):
         self.limit = baseline_blocks_in_flight(spec, arch)
         if self.limit == 0:
             raise KernelUnrunnableError("static allocation admits zero blocks on this hardware")
-        self.in_flight = 0
 
     def can_accept_block(self, warps: int) -> bool:
-        return self.in_flight < self.limit
+        return len(self.blocks) < self.limit
 
     def on_block_arrival(self, bid: int, wids: tuple[int, ...], reg_sets: int, scratch_sets: int):
         super().on_block_arrival(bid, wids, reg_sets, scratch_sets)
-        self.in_flight += 1
         for wid in wids:
-            self._admit(wid)
-
-    def on_warp_finished(self, wid: int) -> bool:
-        done = super().on_warp_finished(wid)
-        self.in_flight -= done
-        return done
+            self._admit(self.warps[wid])
 
     def check_invariants(self) -> list[str]:
         live = len(self.blocks)
-        errors = registry_errors(self.warps, self.blocks)
+        errors = self.registry_errors()
         if live > self.limit:
             errors.append(f"{live} blocks in flight, static allocation admits {self.limit}")
-        if live != self.in_flight:
-            errors.append(f"in-flight counter {self.in_flight} != {live} live blocks")
         return errors
 
 
@@ -229,7 +169,7 @@ class WlmAdmission(_StaticAdmission):
         while self._waiting and self._warp_fits():
             self.free_slots -= 1
             self.free_regs -= self.regs_per_warp
-            self._admit(self._waiting.popleft())
+            self._admit(self.warps[self._waiting.popleft()])
 
     def can_accept_block(self, warps: int) -> bool:
         return (
@@ -262,7 +202,7 @@ class WlmAdmission(_StaticAdmission):
             for w in self.warps.values()
             if w.state is not WarpState.PENDING_THREAD and w.state is not WarpState.FINISHED
         )
-        errors = registry_errors(self.warps, self.blocks)
+        errors = self.registry_errors()
         for name, free, used, cap in (
             ("registers", self.free_regs, held * self.regs_per_warp, self.arch.registers_per_sm),
             ("slots", self.free_slots, held, self.arch.warp_slots_per_sm),

@@ -1,0 +1,128 @@
+"""The warp and block registry every admission policy builds on.
+
+One SM's live blocks and their warps, keyed by id.  Registry is the only
+code that creates their records or drops them: a block and its warps
+leave when its last warp finishes, so the registry holds live blocks
+only.  Warps reach the engine as drained (tag, wid) effects.
+"""
+
+from __future__ import annotations
+
+import enum
+from dataclasses import dataclass
+from typing import Optional
+
+
+class WarpState(enum.Enum):
+    PENDING_THREAD = "pending_thread"
+    PENDING_SCRATCH = "pending_scratch"
+    PENDING_REG = "pending_reg"
+    SCHEDULABLE = "schedulable"
+    AT_BARRIER = "at_barrier"
+    PARKED = "parked"  # at barrier with slot and scheduler state swapped out
+    FINISHED = "finished"
+
+
+@dataclass
+class WarpRecord:
+    wid: int
+    block_id: int
+    state: WarpState = WarpState.PENDING_THREAD
+    reg_sets_needed: int = 0
+    scratch_sets_needed: int = 0
+    enqueue_seq: int = -1
+    barrier_seq: int = -1
+    # engine-side scheduling fields
+    pc: int = 0
+    next_ready: int = 0
+    acc_counter: int = 0
+    cur_live_regs: int = 0
+    cur_live_scratch: int = 0
+
+
+@dataclass
+class BlockRecord:
+    bid: int
+    warp_ids: tuple[int, ...]
+    barrier_arrivals: int = 0
+    finished_warps: int = 0
+
+    @property
+    def size(self) -> int:
+        return len(self.warp_ids)
+
+
+class Registry:
+    """Live warps and blocks of one SM, and the effects not yet drained."""
+
+    def __init__(self):
+        self.warps: dict[int, WarpRecord] = {}
+        self.blocks: dict[int, BlockRecord] = {}
+        self._effects: list[tuple[str, int]] = []
+
+    def drain_effects(self) -> list[tuple[str, int]]:
+        out = self._effects
+        self._effects = []
+        return out
+
+    def _set_state(self, w: WarpRecord, state: WarpState):
+        w.state = state
+
+    def _admit(self, w: WarpRecord):
+        """Make a warp schedulable and tell the engine."""
+        self._set_state(w, WarpState.SCHEDULABLE)
+        self._effects.append(("schedulable", w.wid))
+
+    def on_block_arrival(self, bid: int, wids: tuple[int, ...], reg_sets: int, scratch_sets: int):
+        """Register a block and its warps, each needing the entry phase's sets."""
+        self.blocks[bid] = BlockRecord(bid=bid, warp_ids=wids)
+        for wid in wids:
+            self.warps[wid] = WarpRecord(
+                wid=wid, block_id=bid, reg_sets_needed=reg_sets, scratch_sets_needed=scratch_sets
+            )
+
+    def on_barrier(self, wid: int) -> bool:
+        """Hold the warp at its barrier; True when it was the last of its
+        block to arrive."""
+        w = self.warps[wid]
+        self._set_state(w, WarpState.AT_BARRIER)
+        block = self.blocks[w.block_id]
+        block.barrier_arrivals += 1
+        return block.barrier_arrivals == block.size
+
+    def release_barrier(self, bid: int):
+        """Admit every warp of the block still waiting at its barrier."""
+        block = self.blocks[bid]
+        for wid in block.warp_ids:
+            w = self.warps[wid]
+            if w.state is WarpState.AT_BARRIER:
+                self._admit(w)
+        block.barrier_arrivals = 0
+
+    def _retire(self, wid: int) -> Optional[BlockRecord]:
+        """Count the warp finished; when that completes its block, drop the
+        block and its warps and return the block."""
+        w = self.warps[wid]
+        self._set_state(w, WarpState.FINISHED)
+        block = self.blocks[w.block_id]
+        block.finished_warps += 1
+        if block.finished_warps < block.size:
+            return None
+        del self.blocks[block.bid]
+        for bw in block.warp_ids:
+            del self.warps[bw]
+        return block
+
+    def registry_errors(self) -> list[str]:
+        """A registry holds live blocks only, and the block of every warp."""
+        errors = [
+            f"block {b.bid} completed but is still registered"
+            for b in self.blocks.values()
+            if b.finished_warps >= b.size
+        ]
+        errors.extend(
+            f"warp {w.wid} belongs to unregistered block {w.block_id}"
+            for w in self.warps.values()
+            if w.block_id not in self.blocks
+        )
+        return errors

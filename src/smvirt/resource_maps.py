@@ -178,35 +178,12 @@ def sets_required(kind: ResourceKind, spec: ResourceSpecification, arch: ArchCon
     return 1
 
 
-@dataclass(frozen=True)
-class ResourceCounters:
-    capacity: int
-    free_physical: int
-    mapped_physical: int
-    mapped_swap: int
-    forced_swap: int
-
-
-@dataclass(frozen=True)
-class AccessStats:
-    total_accesses: int
-    swap_accesses: int
-    spills: int
-
-    @property
-    def hit_rate(self) -> float:
-        if self.total_accesses == 0:
-            return 1.0
-        return 1.0 - self.swap_accesses / self.total_accesses
-
-
 class _Entry:
     __slots__ = ("physical", "accesses", "forced")
 
     def __init__(self, physical: Optional[int], forced: bool):
         self.physical = physical
-        # Treat the allocation itself as one touch so brand-new sets are not
-        # the first spill victims of the epoch.
+        # the allocation itself counts as one touch of the set's heat
         self.accesses = 1
         self.forced = forced
 
@@ -227,7 +204,6 @@ class MappingTable:
         self.forced_swap = 0
         self.total_accesses = 0
         self.swap_accesses = 0
-        self.spills = 0
 
     # -- queries ------------------------------------------------------------
 
@@ -247,19 +223,6 @@ class MappingTable:
         if e is None:
             return None
         return Placement.PHYSICAL if e.physical is not None else Placement.SWAP
-
-    def counters(self) -> ResourceCounters:
-        mapped_phys = self.capacity - len(self._free)
-        return ResourceCounters(
-            capacity=self.capacity,
-            free_physical=len(self._free),
-            mapped_physical=mapped_phys,
-            mapped_swap=self.mapped_swap,
-            forced_swap=self.forced_swap,
-        )
-
-    def access_stats(self) -> AccessStats:
-        return AccessStats(self.total_accesses, self.swap_accesses, self.spills)
 
     # -- mutation -----------------------------------------------------------
 
@@ -346,36 +309,6 @@ class MappingTable:
             self.forced_swap -= 1
             e.forced = False
 
-    def spill_lfu(self, n_sets: int, forced: bool = False) -> list[tuple[int, int]]:
-        """Move the n least-accessed physical sets to swap; return their keys.
-
-        Ties break on (owner, logical) ascending.
-        """
-        if n_sets == 0:
-            return []
-        pool = [
-            (e.accesses, key[0], key[1])
-            for key, e in self._entries.items()
-            if e.physical is not None
-        ]
-        if len(pool) < n_sets:
-            raise MappingError(
-                f"{self.kind.value}: cannot spill {n_sets} sets, only {len(pool)} resident"
-            )
-        pool.sort()
-        victims = []
-        for _, owner, logical in pool[:n_sets]:
-            e = self._entries[(owner, logical)]
-            heapq.heappush(self._free, e.physical)
-            e.physical = None
-            e.forced = forced
-            self.mapped_swap += 1
-            if forced:
-                self.forced_swap += 1
-            self.spills += 1
-            victims.append((owner, logical))
-        return victims
-
     def spill_specific(self, owner: int, logical: int, forced: bool = False):
         e = self._entries.get((owner, logical))
         if e is None or e.physical is None:
@@ -386,7 +319,6 @@ class MappingTable:
         self.mapped_swap += 1
         if forced:
             self.forced_swap += 1
-        self.spills += 1
 
     def swap_keys_by_heat(self, include_forced: bool = False) -> list[tuple[int, int]]:
         """Swap-resident keys, most accessed first (promotion order)."""
@@ -399,7 +331,7 @@ class MappingTable:
         return [(owner, logical) for _, owner, logical in pool]
 
     def reset_access_window(self):
-        """Start a new LFU accounting window (called once per epoch)."""
+        """Start a new access-heat window (called once per epoch)."""
         for e in self._entries.values():
             e.accesses = 0
 

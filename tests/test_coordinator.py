@@ -200,11 +200,12 @@ def test_completed_block_leaves_the_registry():
     assert coord.on_warp_finished(0) is False
     # a finished warp of a live block stays until its block completes
     assert sorted(coord.warps) == [0, 1, 2, 3]
-    assert coord.live_warps() == 3
+    assert coord.warps[0].state is WarpState.FINISHED
+    assert coord.blocks[0].finished_warps == 1
     assert coord.on_warp_finished(1) is True
     assert sorted(coord.warps) == [2, 3]
-    assert list(coord.blocks) == [1]
-    assert coord.live_blocks() == 1 and coord.live_warps() == 2
+    assert len(coord.blocks) == 1 and list(coord.blocks) == [1]
+    assert all(coord.warps[w].state is not WarpState.FINISHED for w in (2, 3))
     assert coord.tables[ResourceKind.SCRATCHPAD].owned(0) == 0
     assert coord.check_invariants() == []
 

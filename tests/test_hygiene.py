@@ -1,9 +1,13 @@
 """Source hygiene of the package, checked with the standard library only."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "smvirt"
+from smvirt.coordinator import Coordinator
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "smvirt"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -55,3 +59,21 @@ def test_package_has_no_unused_imports():
         if (problems := unused_imports(path.read_text()))
     }
     assert found == {}
+
+
+def test_coordinator_defines_every_method_the_benchmark_counts():
+    """The benchmark tracer wraps the methods a class defines itself, so a
+    counted Coordinator method that is only inherited drops out of its
+    figures."""
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    prefix = "coordinator.Coordinator."
+    counted = set()
+    for value in vars(spans).values():
+        names = value if isinstance(value, frozenset) else (value,)
+        counted.update(
+            n[len(prefix):] for n in names if isinstance(n, str) and n.startswith(prefix)
+        )
+    assert len(counted) == 10  # six events, the retry, the guard, two accesses
+    assert sorted(counted - set(vars(Coordinator))) == []

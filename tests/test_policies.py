@@ -1,9 +1,9 @@
-"""Static admission math and admission objects of the two non-virtualizing
-policies."""
+"""Static admission math, admission objects of the two non-virtualizing
+policies, and the registry all three policies share."""
 
 import pytest
 
-from smvirt.coordinator import WarpRecord, WarpState
+from smvirt.coordinator import Coordinator, OversubscriptionConfig, WarpRecord, WarpState
 from smvirt.kernel_model import ResourceSpecification
 from smvirt.policies import (
     BaselineAdmission,
@@ -143,10 +143,11 @@ def test_baseline_invariants_bound_blocks_in_flight():
     [
         lambda: BaselineAdmission(_spec(64, 8), FERMI),
         lambda: WlmAdmission(_spec(64, 8), FERMI, has_barrier=False),
+        lambda: Coordinator(FERMI, OversubscriptionConfig()),
     ],
-    ids=["baseline", "wlm"],
+    ids=["baseline", "wlm", "zorua"],
 )
-def test_static_admission_drops_a_completed_block(make):
+def test_admission_drops_a_completed_block(make):
     adm = make()
     _arrive(adm, 0, 2)
     _arrive(adm, 1, 2)

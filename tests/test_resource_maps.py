@@ -94,11 +94,11 @@ def test_lookup_counts_accesses_but_peek_does_not():
     t.allocate(1, 2, Placement.PHYSICAL)
     assert t.peek(1, 0) is Placement.PHYSICAL
     assert t.peek(1, 5) is None
-    before = t.access_stats().total_accesses
+    before = t.total_accesses
     t.peek(1, 0)
-    assert t.access_stats().total_accesses == before
+    assert t.total_accesses == before
     t.lookup(1, 0)
-    assert t.access_stats().total_accesses == before + 1
+    assert t.total_accesses == before + 1
 
 
 def test_migrate_in_moves_swap_set_on_chip():
@@ -126,17 +126,6 @@ def test_swap_keys_by_heat_orders_by_access_count():
     assert (3, 0) in t.swap_keys_by_heat(include_forced=True)
 
 
-def test_spill_lfu_picks_coldest():
-    t = MappingTable(ResourceKind.REGISTER, capacity=3)
-    t.allocate(1, 3, Placement.PHYSICAL)
-    t.lookup(1, 0)
-    t.lookup(1, 0)
-    t.lookup(1, 2)
-    victims = t.spill_lfu(1)
-    assert victims == [(1, 1)]  # untouched set goes first
-    assert t.lookup(1, 1) is Placement.SWAP
-
-
 def test_access_stats_track_swap_fraction():
     t = MappingTable(ResourceKind.REGISTER, capacity=1)
     t.allocate(1, 1, Placement.PHYSICAL)
@@ -144,10 +133,8 @@ def test_access_stats_track_swap_fraction():
     t.lookup(1, 0)
     t.lookup(1, 0)
     t.lookup(2, 0)
-    stats = t.access_stats()
-    assert stats.total_accesses >= 3
-    assert stats.swap_accesses == 1
-    assert 0.0 < stats.hit_rate < 1.0
+    assert t.total_accesses >= 3
+    assert t.swap_accesses == 1
 
 
 def test_random_workload_keeps_invariants():
