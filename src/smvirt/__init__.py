@@ -10,11 +10,10 @@ harness measures performance cliffs and cross-hardware porting loss.
 """
 
 from .corpus import CORPUS, RECOMMENDED_GRIDS, corpus_kernel, corpus_names, export_corpus
-from .coordinator import Coordinator, OversubscriptionConfig, WarpState, adjust_o_thresh
+from .coordinator import Coordinator, OversubscriptionConfig, adjust_o_thresh
 from .engine import (
     DEFAULT_CYCLE_CAP,
     EpochStats,
-    KernelUnrunnableError,
     NonTerminationError,
     SimResult,
     UtilizationReport,
@@ -61,7 +60,8 @@ from .phase_compiler import (
     phase_demand_table,
     validate_compiled,
 )
-from .policies import Policy, baseline_blocks_in_flight, wlm_is_runnable
+from .policies import KernelUnrunnableError, Policy, baseline_blocks_in_flight, wlm_is_runnable
+from .registry import WarpState
 from .resource_maps import (
     ARCHITECTURES,
     ArchConfig,

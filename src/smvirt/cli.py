@@ -20,7 +20,7 @@ import sys
 from dataclasses import replace
 
 from .corpus import CORPUS, RECOMMENDED_GRIDS, corpus_kernel, export_corpus
-from .engine import KernelUnrunnableError, NonTerminationError, run
+from .engine import NonTerminationError, run
 from .harness import (
     SweepResult,
     detect_cliffs,
@@ -38,7 +38,7 @@ from .phase_compiler import (
     DEFAULT_MIN_SPAN,
     detect_phase_boundaries,
 )
-from .policies import Policy
+from .policies import KernelUnrunnableError, Policy
 from .resource_maps import ARCHITECTURES, ResourceKind, get_arch, table_size_bits
 
 _CORPUS_PREFIX = "corpus:"

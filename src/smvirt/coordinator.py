@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .kernel_model import Opcode
-from .registry import BlockRecord, Registry, WarpRecord, WarpState  # noqa: F401 (re-export)
+from .registry import Registry, WarpRecord, WarpState
 from .resource_maps import (
     ArchConfig,
     MappingTable,
@@ -493,22 +493,36 @@ class Coordinator(Registry):
         Every register access consults the register table and every
         scratchpad access also the scratchpad table; each consult costs the
         pipeline penalty, and touching a set in swap a memory round trip.
+        An owner with no set in swap touches an on-chip set whichever one
+        its locality walk picks, so its consult only advances the walk and
+        counts the access.
         """
         if op is _BARRIER or op is _PHASE_SPEC:
             return 0
         extra = 0
-        n = self.regs.owned(w.wid)
+        regs = self.regs
+        wid = w.wid
+        n = regs.owned(wid)
         if n:
             extra += self.arch.mapping_table_penalty_cycles
-            if self.access_register(w.wid, self._locality(w, n)):
+            if wid not in regs.swap_owned:
+                w.acc_counter += 1
+                regs.total_accesses += 1
+            elif self.access_register(wid, self._locality(w, n)):
                 extra += self.arch.memory_latency_cycles
         if op is _LD_SHARED or op is _ST_SHARED:
-            m = self.scratch.owned(w.block_id)
+            scratch = self.scratch
+            bid = w.block_id
+            m = scratch.owned(bid)
             if m:
                 extra += self.arch.mapping_table_penalty_cycles
-                if self.access_scratch(w.block_id, self._locality(w, m)):
+                if bid not in scratch.swap_owned:
+                    w.acc_counter += 1
+                    scratch.total_accesses += 1
+                elif self.access_scratch(bid, self._locality(w, m)):
                     extra += self.arch.memory_latency_cycles
-        self.slots.note_access()
+        # every issued instruction uses its warp's slot
+        self.slots.total_accesses += 1
         return extra
 
     def access_register(self, wid: int, logical: int) -> bool:

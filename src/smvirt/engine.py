@@ -1,13 +1,18 @@
 """Cycle-approximate engine for one kernel launch across the SMs of a GPU.
 
 Each SM runs two instruction schedulers that issue greedily from their
-current warp and fall back to the oldest ready one.  Global memory round
-trips share a fixed number of in-flight request slots; arithmetic and
-scratchpad accesses complete in one cycle.  Under the virtualizing policy
-every register access consults the register mapping table and every
-scratchpad access additionally consults the scratchpad table, each consult
-adding a fixed pipeline penalty to that warp, and touching a set that lives
-in swap costs a full memory round trip.
+current warp and fall back to the oldest ready one.  Each simulated cycle
+makes one pass over the schedulers' warp lists.  It yields every
+scheduler's pick or, when no warp at all is ready, the earliest cycle at
+which one will be; the clock then skips to that cycle or to the epoch
+boundary, whichever comes first.  A scheduler's greedy warp changes only
+in a cycle that issues.  Global memory round trips share a fixed number
+of in-flight request slots; arithmetic and scratchpad accesses complete
+in one cycle.  Under the virtualizing policy every register access
+consults the register mapping table and every scratchpad access
+additionally consults the scratchpad table, each consult adding a fixed
+pipeline penalty to that warp, and touching a set that lives in swap
+costs a full memory round trip.
 
 Every simulated cycle lands in exactly one accounting bucket, checked in
 this order: at least one instruction issued; memory stall (schedulable
@@ -27,7 +32,7 @@ import bisect
 import enum
 import heapq
 from dataclasses import dataclass, fields, replace
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Optional, Union
 
 from .coordinator import OversubscriptionConfig
@@ -41,7 +46,7 @@ from .resource_maps import (
     reg_sets_for,
     scratch_sets_for,
 )
-from .policies import KernelUnrunnableError, Policy, make_admission  # noqa: F401 (re-export)
+from .policies import Policy, make_admission
 
 DEFAULT_CYCLE_CAP = 30_000_000
 
@@ -73,6 +78,8 @@ _WARP_FINISHED = EventKind.WARP_FINISHED
 
 # end-of-cycle events run in (kind, wid) order
 _event_order = itemgetter(0, 1)
+# scheduler lists are ordered by warp id
+_wid = attrgetter("wid")
 
 
 @dataclass(frozen=True)
@@ -239,13 +246,14 @@ class _SMRun:
         self.last_issue = 0
         self.warps: dict[int, WarpRecord] = adm.warps
         self.blocks: dict[int, BlockRecord] = adm.blocks
-        # schedulable warps, and per scheduler (wid mod schedulers) the
-        # same warps in wid order; changed only by _schedule/_unschedule
+        # ids of the schedulable warps, and per scheduler (wid mod
+        # schedulers) their records in wid order; changed only by
+        # _schedule/_unschedule
         self.sched_set: set[int] = set()
-        self.part: tuple[list[int], ...] = tuple(
+        self.part: tuple[list[WarpRecord], ...] = tuple(
             [] for _ in range(arch.schedulers_per_sm)
         )
-        self.greedy: list[Optional[int]] = [None] * arch.schedulers_per_sm
+        self.greedy: list[Optional[WarpRecord]] = [None] * arch.schedulers_per_sm
         self.next_bid = 0
         self.completing = 0  # blocks whose completion effects are being applied
         self.bif_min: Optional[int] = None
@@ -302,8 +310,11 @@ class _SMRun:
             problems.append("scheduler set differs from the schedulable warps")
         n = len(self.part)
         for sid, part in enumerate(self.part):
-            if part != sorted(wid for wid in self.sched_set if wid % n == sid):
+            wids = [w.wid for w in part]
+            if wids != sorted(wid for wid in self.sched_set if wid % n == sid):
                 problems.append(f"scheduler {sid} list is not its schedulable warps in wid order")
+            if any(w is not self.warps.get(w.wid) for w in part):
+                problems.append(f"scheduler {sid} list holds a record the registry does not")
         if problems:
             raise RuntimeError("invariant violation: " + "; ".join(problems))
 
@@ -383,23 +394,23 @@ class _SMRun:
                     self._finish_warp(wid)
                     continue
                 w.next_ready = max(w.next_ready, wake)
-                self._schedule(wid)
+                self._schedule(w)
             elif tag == "slot_swapin":
                 w = self.warps[wid]
                 w.next_ready = max(w.next_ready, wake + self.arch.memory_latency_cycles)
             elif tag == "parked":
                 self._unschedule(wid)
 
-    def _schedule(self, wid: int):
-        if wid not in self.sched_set:
-            self.sched_set.add(wid)
-            bisect.insort(self.part[wid % len(self.part)], wid)
+    def _schedule(self, w: WarpRecord):
+        if w.wid not in self.sched_set:
+            self.sched_set.add(w.wid)
+            bisect.insort(self.part[w.wid % len(self.part)], w, key=_wid)
 
     def _unschedule(self, wid: int):
         if wid in self.sched_set:
             self.sched_set.remove(wid)
             part = self.part[wid % len(self.part)]
-            del part[bisect.bisect_left(part, wid)]
+            del part[bisect.bisect_left(part, wid, key=_wid)]
 
     # -- issue path -----------------------------------------------------------
 
@@ -430,23 +441,6 @@ class _SMRun:
             pending.append((_PHASE_CHANGE, w.wid, ins.phase_payload))
         if w.pc == len(self.body) and op is not _BARRIER:
             pending.append((_WARP_FINISHED, w.wid, None))
-
-    def _pick(self, sid: int) -> Optional[WarpRecord]:
-        now = self.now
-        warps = self.warps
-        cur = self.greedy[sid]
-        if cur is not None and cur in self.sched_set:
-            w = warps[cur]
-            if w.next_ready <= now:
-                return w
-        # the list holds schedulable warps in wid order; first ready is oldest
-        for wid in self.part[sid]:
-            w = warps[wid]
-            if w.next_ready <= now:
-                self.greedy[sid] = wid
-                return w
-        self.greedy[sid] = None
-        return None
 
     # -- end-of-cycle events ----------------------------------------------
 
@@ -547,15 +541,41 @@ class _SMRun:
     def _pending_work(self) -> bool:
         return self.remaining > 0 or self.adm.pending_work()
 
-    def _do_cycle(self):
+    def _search(self) -> tuple[Optional[list], Optional[int]]:
+        """The cycle's one pass over the scheduler lists.
+
+        Returns each scheduler's pick (its greedy warp if that is ready,
+        else its oldest ready warp, else None) and None; or, when no warp
+        at all is ready, None and the earliest next_ready (None when
+        nothing is schedulable).
+        """
+        now = self.now
+        sched = self.sched_set
+        picks = []
+        wake = None
+        for cur, part in zip(self.greedy, self.part):
+            if cur is None or cur.next_ready > now or cur.wid not in sched:
+                # the list is in wid order, so the first ready warp is the oldest
+                cur = None
+                for w in part:
+                    nr = w.next_ready
+                    if nr <= now:
+                        cur = w
+                        break
+                    if wake is None or nr < wake:
+                        wake = nr
+            picks.append(cur)
+        return (picks, None) if any(picks) else (None, wake)
+
+    def _do_cycle(self, picks: list):
+        """Issue the picks of a cycle in which at least one warp is ready;
+        each scheduler's pick becomes its greedy warp."""
         self._integrate(1)
         pending: list = []
-        for sid in range(len(self.part)):
-            w = self._pick(sid)
+        self.greedy = picks
+        for w in picks:
             if w is not None:
                 self._issue(w, pending)
-        # run() enters a cycle only with a ready schedulable warp, so its
-        # scheduler issues
         self.ep_issue_cycles += 1
         if len(pending) > 1:
             pending.sort(key=_event_order)
@@ -574,17 +594,9 @@ class _SMRun:
                 raise NonTerminationError(
                     f"no completion within {self.cycle_cap} cycles"
                 )
-            wake = None
-            ready = False
-            for wid in self.sched_set:
-                nr = self.warps[wid].next_ready
-                if nr <= self.now:
-                    ready = True
-                    break
-                if wake is None or nr < wake:
-                    wake = nr
-            if ready:
-                self._do_cycle()
+            picks, wake = self._search()
+            if picks is not None:
+                self._do_cycle(picks)
                 continue
             if wake is None:
                 # nothing schedulable at all; force progress or give up

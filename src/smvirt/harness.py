@@ -26,10 +26,10 @@ import sys
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional, Sequence, Union
 
-from .engine import DEFAULT_CYCLE_CAP, KernelUnrunnableError, SimResult, run
+from .engine import DEFAULT_CYCLE_CAP, SimResult, run
 from .kernel_model import KernelInvariantError, KernelSpec, ResourceSpecification
 from .phase_compiler import annotate_phases
-from .policies import Policy
+from .policies import KernelUnrunnableError, Policy
 from .resource_maps import ArchConfig, get_arch
 
 _AXIS_KEYS = ("threads_per_block", "regs_per_thread", "scratch")

@@ -200,6 +200,8 @@ class MappingTable:
         heapq.heapify(self._free)
         self._entries: dict[tuple[int, int], _Entry] = {}
         self._owned: dict[int, int] = {}  # owner -> number of logical sets
+        # owner -> number of its sets in swap, for owners with at least one
+        self.swap_owned: dict[int, int] = {}
         self.mapped_swap = 0
         self.forced_swap = 0
         self.total_accesses = 0
@@ -250,6 +252,8 @@ class MappingTable:
                 self.mapped_swap += 1
                 if forced:
                     self.forced_swap += 1
+        if placement is Placement.SWAP and n_sets:
+            self._count_swap(owner, n_sets)
         self._owned[owner] = base + n_sets
 
     def free(self, owner: int, n_sets: int):
@@ -259,14 +263,18 @@ class MappingTable:
             raise MappingError(
                 f"{self.kind.value}: owner {owner} holds {have} sets, cannot free {n_sets}"
             )
+        swapped = 0
         for k in range(have - 1, have - 1 - n_sets, -1):
             e = self._entries.pop((owner, k))
             if e.physical is not None:
                 heapq.heappush(self._free, e.physical)
             else:
-                self.mapped_swap -= 1
+                swapped += 1
                 if e.forced:
                     self.forced_swap -= 1
+        if swapped:
+            self.mapped_swap -= swapped
+            self._count_swap(owner, -swapped)
         if have == n_sets:
             self._owned.pop(owner, None)
         else:
@@ -276,13 +284,14 @@ class MappingTable:
         self.free(owner, self._owned.get(owner, 0))
 
     def lookup(self, owner: int, logical: int) -> Placement:
-        """Resolve one logical set, recording the access."""
+        """Resolve one logical set, recording the access (and, for a set in
+        swap, its heat)."""
         e = self._entries.get((owner, logical))
         if e is None:
             raise MappingError(f"{self.kind.value}: lookup of unmapped set ({owner}, {logical})")
-        e.accesses += 1
         self.total_accesses += 1
         if e.physical is None:
+            e.accesses += 1
             self.swap_accesses += 1
             return Placement.SWAP
         return Placement.PHYSICAL
@@ -292,9 +301,13 @@ class MappingTable:
         self.total_accesses += n
         self.swap_accesses += n
 
-    def note_access(self, n: int = 1):
-        """Count on-chip traffic that bypasses lookup (slot use at issue)."""
-        self.total_accesses += n
+    def _count_swap(self, owner: int, delta: int):
+        """Keep swap_owned current: owner's swap sets changed by delta."""
+        left = self.swap_owned.get(owner, 0) + delta
+        if left:
+            self.swap_owned[owner] = left
+        else:
+            del self.swap_owned[owner]
 
     def migrate_in(self, owner: int, logical: int):
         """Bring a swap-resident set back on chip (lowest free index)."""
@@ -308,6 +321,7 @@ class MappingTable:
         if e.forced:
             self.forced_swap -= 1
             e.forced = False
+        self._count_swap(owner, -1)
 
     def spill_specific(self, owner: int, logical: int, forced: bool = False):
         e = self._entries.get((owner, logical))
@@ -319,6 +333,7 @@ class MappingTable:
         self.mapped_swap += 1
         if forced:
             self.forced_swap += 1
+        self._count_swap(owner, 1)
 
     def swap_keys_by_heat(self, include_forced: bool = False) -> list[tuple[int, int]]:
         """Swap-resident keys, most accessed first (promotion order)."""
@@ -358,11 +373,20 @@ class MappingTable:
         if forced_count != self.forced_swap:
             errors.append(f"{self.kind.value}: forced_swap counter drifted")
         per_owner: dict[int, int] = {}
-        for owner, logical in self._entries:
+        swapped: dict[int, int] = {}
+        for (owner, logical), e in self._entries.items():
             per_owner[owner] = max(per_owner.get(owner, -1), logical)
+            if e.physical is None:
+                swapped[owner] = swapped.get(owner, 0) + 1
         for owner, top in per_owner.items():
             if self._owned.get(owner, 0) != top + 1:
                 errors.append(f"{self.kind.value}: owner {owner} has a logical-index gap")
+        for owner in sorted(swapped.keys() | self.swap_owned.keys()):
+            if self.swap_owned.get(owner) != swapped.get(owner):
+                errors.append(
+                    f"{self.kind.value}: owner {owner} swap count kept as "
+                    f"{self.swap_owned.get(owner, 0)}, mapped {swapped.get(owner, 0)}"
+                )
         return errors
 
 

@@ -1,14 +1,9 @@
 from dataclasses import replace
 
-from smvirt.coordinator import (
-    BlockRecord,
-    Coordinator,
-    OversubscriptionConfig,
-    WarpState,
-    adjust_o_thresh,
-)
+from smvirt.coordinator import Coordinator, OversubscriptionConfig, adjust_o_thresh
 from smvirt.corpus import corpus_kernel
 from smvirt.engine import run
+from smvirt.registry import BlockRecord, WarpState
 from smvirt.resource_maps import ArchConfig, Placement, ResourceKind, get_arch
 
 FERMI = get_arch("fermi")

@@ -12,15 +12,10 @@ import pytest
 
 from smvirt.corpus import corpus_kernel, corpus_names
 from smvirt.coordinator import OversubscriptionConfig
-from smvirt.engine import (
-    KernelUnrunnableError,
-    NonTerminationError,
-    measure_underutilization,
-    run,
-)
+from smvirt.engine import NonTerminationError, measure_underutilization, run
 from smvirt.kernel_model import Instruction, KernelSpec, Opcode, ResourceSpecification
 from smvirt.phase_compiler import annotate_phases
-from smvirt.policies import Policy
+from smvirt.policies import KernelUnrunnableError, Policy
 from smvirt.resource_maps import get_arch
 
 FERMI = get_arch("fermi")
@@ -124,6 +119,29 @@ def test_barrier_release_timing_three_warps():
     assert res.issued_cycles == 8
     assert res.issued_instructions == 12
     assert res.barrier_stall == 0
+
+
+def test_greedy_warp_outlasts_cycles_in_which_no_warp_is_ready():
+    # Warps 0 and 2 share scheduler 0; two memory request slots.  Warp 2
+    # reaches the barrier last (cycle 1), so it leads scheduler 0 when the
+    # barrier opens: ALU@2, LD@3 -> 403 (warp 1 the same on scheduler 1).
+    # Warp 0: ALU@4, LD@5 waits for a slot -> 803.  At 403 warp 2, the
+    # only ready warp of scheduler 0, issues its second LD -> 803 and
+    # becomes the greedy warp; no warp is ready from 404 to 802.  At 803
+    # warps 0 and 2 are both ready: greedy warp 2 issues its last ALU and
+    # finishes, and the older warp 0 issues its second LD a cycle later
+    # -> 1204.
+    arch = replace(ONE_SM, max_inflight_mem_requests=2)
+    body = (
+        [Instruction(Opcode.BARRIER, live_regs_after=8)]
+        + _alu(1)
+        + [Instruction(Opcode.LD_GLOBAL, live_regs_after=8)] * 2
+        + _alu(1)
+    )
+    res = run(_kernel(body, threads=96), Policy.BASELINE, arch, log_events=True)
+    finished = [(t, wid) for t, kind, wid in res.event_log if kind == "WARP_FINISHED"]
+    assert finished == [(803, 2), (1203, 1), (1204, 0)]
+    assert res.cycles == 1205
 
 
 def test_saturated_epochs_have_no_stall_cycles():

@@ -61,6 +61,18 @@ def test_package_has_no_unused_imports():
     assert found == {}
 
 
+def test_package_has_no_re_exports():
+    """Every module imports a name from the module that defines it, so no
+    import in the package is kept only for others to import from."""
+    found = [
+        f"{path.name}:{n}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if "noqa: F401" in line
+    ]
+    assert found == []
+
+
 def test_coordinator_defines_every_method_the_benchmark_counts():
     """The benchmark tracer wraps the methods a class defines itself, so a
     counted Coordinator method that is only inherited drops out of its

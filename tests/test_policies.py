@@ -3,7 +3,7 @@ policies, and the registry all three policies share."""
 
 import pytest
 
-from smvirt.coordinator import Coordinator, OversubscriptionConfig, WarpRecord, WarpState
+from smvirt.coordinator import Coordinator, OversubscriptionConfig
 from smvirt.kernel_model import ResourceSpecification
 from smvirt.policies import (
     BaselineAdmission,
@@ -12,6 +12,7 @@ from smvirt.policies import (
     baseline_blocks_in_flight,
     wlm_is_runnable,
 )
+from smvirt.registry import WarpRecord, WarpState
 from smvirt.resource_maps import get_arch
 
 FERMI = get_arch("fermi")

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smvirt.kernel_model import ResourceSpecification
 from smvirt.resource_maps import (
@@ -161,6 +163,62 @@ def test_random_workload_keeps_invariants():
                     break
                 t.migrate_in(*key)
         assert t.check_invariants() == [], step
+
+
+_TABLE_OPS = ("allocate_physical", "allocate_swap", "free", "free_all", "migrate_in", "spill")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(_TABLE_OPS),
+            st.integers(min_value=0, max_value=3),  # owner
+            st.integers(min_value=0, max_value=3),  # sets
+            st.booleans(),  # forced
+            st.integers(min_value=0, max_value=63),  # which set to move
+        ),
+        max_size=40,
+    )
+)
+def test_swap_owner_counts_match_the_entries_after_every_step(steps):
+    t = MappingTable(ResourceKind.REGISTER, capacity=6)
+    for op, owner, n, forced, pick in steps:
+        if op == "allocate_physical":
+            t.allocate(owner, min(n, t.free_physical), Placement.PHYSICAL, forced)
+        elif op == "allocate_swap":
+            t.allocate(owner, n, Placement.SWAP, forced)
+        elif op == "free":
+            t.free(owner, min(n, t.owned(owner)))
+        elif op == "free_all":
+            t.free_all(owner)
+        else:
+            source = Placement.SWAP if op == "migrate_in" else Placement.PHYSICAL
+            keys = [
+                (o, logical)
+                for o in range(4)
+                for logical in range(t.owned(o))
+                if t.peek(o, logical) is source
+            ]
+            if not keys or (op == "migrate_in" and not t.free_physical):
+                continue
+            key = keys[pick % len(keys)]
+            if op == "migrate_in":
+                t.migrate_in(*key)
+            else:
+                t.spill_specific(*key, forced=forced)
+        assert t.check_invariants() == [], (op, owner, n, forced)
+
+
+def test_invariants_report_a_drifted_or_zero_swap_owner_count():
+    t = MappingTable(ResourceKind.REGISTER, capacity=2)
+    t.allocate(1, 2, Placement.SWAP)
+    assert t.swap_owned == {1: 2}
+    t.swap_owned[1] = 1
+    assert t.check_invariants() == ["register: owner 1 swap count kept as 1, mapped 2"]
+    t.swap_owned[1] = 2
+    t.swap_owned[5] = 0
+    assert t.check_invariants() == ["register: owner 5 swap count kept as 0, mapped 0"]
 
 
 def test_make_tables_covers_all_kinds():
