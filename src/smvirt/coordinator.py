@@ -67,27 +67,18 @@ class OversubscriptionConfig:
     guard_enabled: bool = True
 
 
-def adjust_o_thresh(
-    current: int,
-    capacity: int,
-    step: int,
-    d_idle: int,
-    d_mem: int,
-    delta_threshold: int = STALL_DELTA_THRESHOLD,
-    hard_cap: Optional[int] = None,
-) -> int:
+def adjust_o_thresh(current: int, capacity: int, step: int, d_idle: int, d_mem: int) -> int:
     """One controller update from epoch-over-epoch stall-count deltas.
 
     Idle stalls rising faster than memory stalls means admission is too
     strict, so the threshold grows; the reverse shrinks it.  Both
-    comparisons are strict, and the result clamps to [0, hard_cap].
+    comparisons are strict, and the result clamps to [0, capacity].
     """
-    cap = capacity if hard_cap is None else hard_cap
-    if d_idle - d_mem > delta_threshold:
+    if d_idle - d_mem > STALL_DELTA_THRESHOLD:
         current += step
-    elif d_mem - d_idle > delta_threshold:
+    elif d_mem - d_idle > STALL_DELTA_THRESHOLD:
         current -= step
-    return max(0, min(cap, current))
+    return max(0, min(capacity, current))
 
 
 class Coordinator(Registry):
@@ -102,14 +93,12 @@ class Coordinator(Registry):
         self.regs = self.tables[ResourceKind.REGISTER]
         self.scratch = self.tables[ResourceKind.SCRATCHPAD]
         self.slots = self.tables[ResourceKind.WARP_SLOT]
-        self.o_thresh: dict[ResourceKind, int] = {}
-        # the same thresholds keyed by table, read on every admission attempt
-        self._limit: dict[MappingTable, int] = {}
-        for kind in ResourceKind:
-            cap = arch.physical_capacity(kind)
-            frac = cfg.fixed_o_thresh_frac
-            base = O_DEFAULT_FRAC if frac is None else frac
-            self._set_thresh(kind, min(int(base * cap), cap))
+        # the oversubscription thresholds, keyed by table in ResourceKind
+        # order; read on every admission attempt
+        frac = O_DEFAULT_FRAC if cfg.fixed_o_thresh_frac is None else cfg.fixed_o_thresh_frac
+        self._limit: dict[MappingTable, int] = {
+            tbl: min(int(frac * tbl.capacity), tbl.capacity) for tbl in self.tables.values()
+        }
         self._seq = 0
         # state indices, kept by _set_state: the three admission queues
         # (pending warps in enqueue_seq order), barrier waiters in
@@ -134,10 +123,6 @@ class Coordinator(Registry):
     def _next_seq(self) -> int:
         self._seq += 1
         return self._seq
-
-    def _set_thresh(self, kind: ResourceKind, value: int):
-        self.o_thresh[kind] = value
-        self._limit[self.tables[kind]] = value
 
     def _queue(self, state: WarpState) -> Optional[dict[int, None]]:
         if state is WarpState.PENDING_REG:
@@ -205,7 +190,6 @@ class Coordinator(Registry):
         slots.note_swap_event()  # scheduler state save
         self.regs.free_all(victim.wid)
         self._set_state(victim, WarpState.PARKED)
-        self._effects.append(("parked", victim.wid))
 
     def _pass_thread(self, warp: WarpRecord, forced: bool) -> bool:
         if not self._slot_stage_feasible(forced):
@@ -446,15 +430,11 @@ class Coordinator(Registry):
     def on_epoch(self, d_idle: int, d_mem: int):
         """Controller update, promotion and retries, fresh accounting window."""
         if self.cfg.fixed_o_thresh_frac is None:
-            for kind in ResourceKind:
-                cap = self.arch.physical_capacity(kind)
-                self._set_thresh(kind, adjust_o_thresh(
-                    self.o_thresh[kind],
-                    cap,
-                    step=int(STEP_FRAC * cap),
-                    d_idle=d_idle,
-                    d_mem=d_mem,
-                ))
+            for tbl, value in self._limit.items():
+                cap = tbl.capacity
+                self._limit[tbl] = adjust_o_thresh(
+                    value, cap, step=int(STEP_FRAC * cap), d_idle=d_idle, d_mem=d_mem
+                )
         self.retry_all_queues()
         for tbl in self.tables.values():
             tbl.reset_access_window()
@@ -469,7 +449,7 @@ class Coordinator(Registry):
         for tbl in (self.regs, self.scratch):
             if not tbl.mapped_swap or not tbl.free_physical:
                 continue
-            for owner, logical in tbl.swap_keys_by_heat(include_forced=True):
+            for owner, logical in tbl.swap_keys_by_heat():
                 if tbl.free_physical == 0:
                     break
                 tbl.migrate_in(owner, logical)
@@ -557,7 +537,7 @@ class Coordinator(Registry):
         return {kind: (t.total_accesses, t.swap_accesses) for kind, t in self.tables.items()}
 
     def final_thresholds(self) -> dict[str, int]:
-        return {kind.value: v for kind, v in self.o_thresh.items()}
+        return {tbl.kind.value: v for tbl, v in self._limit.items()}
 
     # -- deadlock guard -----------------------------------------------------
 
@@ -620,10 +600,9 @@ class Coordinator(Registry):
         errors.extend(self.registry_errors())
         errors.extend(self._index_errors())
         errors.extend(self._fixpoint_errors())
-        for kind in ResourceKind:
-            cap = self.arch.physical_capacity(kind)
-            if not 0 <= self.o_thresh[kind] <= cap:
-                errors.append(f"{kind.value} threshold out of range")
+        for tbl, value in self._limit.items():
+            if not 0 <= value <= tbl.capacity:
+                errors.append(f"{tbl.kind.value} threshold out of range")
         if self.budget_violations:
             errors.append(
                 f"{self.budget_violations} admissions exceeded the swap budget"

@@ -31,6 +31,7 @@ from __future__ import annotations
 import bisect
 import enum
 import heapq
+from collections import deque
 from dataclasses import dataclass, fields, replace
 from operator import attrgetter, itemgetter
 from typing import Optional, Union
@@ -214,6 +215,15 @@ class _SMRun:
     The admission object decides which warps may run (see policies.py);
     the engine schedules and issues them and turns what happens into the
     admission hooks.  Warps and blocks live in the admission's registry.
+
+    After the hooks of one occasion, _take_effects appends the effects
+    they produced to one FIFO work list as a batch with its wake: now for
+    a block arrival and the run loop's deadlock guard, now + 1 for the
+    end-of-cycle and epoch hooks.  _apply_effects is the one loop that
+    empties the list.  A warp admitted past its last instruction (its
+    kernel ends in a barrier) is finished by that loop; the finish and the
+    block dispatch it triggers only call hooks and append their batches,
+    so the loop is never entered while it runs.
     """
 
     def __init__(
@@ -255,7 +265,8 @@ class _SMRun:
         )
         self.greedy: list[Optional[WarpRecord]] = [None] * arch.schedulers_per_sm
         self.next_bid = 0
-        self.completing = 0  # blocks whose completion effects are being applied
+        # drained effect batches not yet applied, each with its wake
+        self.work: deque[tuple[int, list[tuple[str, int]]]] = deque()
         self.bif_min: Optional[int] = None
         self.bif_max = 0
         self.mem = _MemSystem(arch.memory_latency_cycles, arch.max_inflight_mem_requests)
@@ -319,7 +330,7 @@ class _SMRun:
             raise RuntimeError("invariant violation: " + "; ".join(problems))
 
     def _record_in_flight(self):
-        in_flight = len(self.blocks) + self.completing
+        in_flight = len(self.blocks)
         self.bif_max = max(self.bif_max, in_flight)
         if self.remaining > 0:
             self.bif_min = (
@@ -374,7 +385,7 @@ class _SMRun:
         self.remaining -= 1
         self._log(EventKind.BLOCK_ARRIVAL, bid)
         self.adm.on_block_arrival(bid, wids, *self.entry_sets)
-        self._apply_effects(self.now)
+        self._take_effects(self.now)
         if self.collect_util:
             # a warp occupies its entry working set from arrival, not
             # from its first issue
@@ -384,22 +395,28 @@ class _SMRun:
                     self.warps[wid], first.live_regs_after, first.live_scratch_after
                 )
 
-    def _apply_effects(self, wake: int):
-        for tag, wid in self.adm.drain_effects():
-            if tag == "schedulable":
+    def _take_effects(self, wake: int):
+        """Queue the effects the last hook calls produced, to apply at wake."""
+        effects = self.adm.drain_effects()
+        if effects:
+            self.work.append((wake, effects))
+
+    def _apply_effects(self):
+        """The effect loop: apply queued batches in order until none is left."""
+        work = self.work
+        while work:
+            wake, effects = work.popleft()
+            for tag, wid in effects:
                 w = self.warps[wid]
-                if w.pc >= len(self.body):
+                if tag == "slot_swapin":
+                    w.next_ready = max(w.next_ready, wake + self.arch.memory_latency_cycles)
+                elif w.pc < len(self.body):
+                    w.next_ready = max(w.next_ready, wake)
+                    self._schedule(w)
+                else:
                     # admitted only to retire: its last instruction was a
                     # barrier
-                    self._finish_warp(wid)
-                    continue
-                w.next_ready = max(w.next_ready, wake)
-                self._schedule(w)
-            elif tag == "slot_swapin":
-                w = self.warps[wid]
-                w.next_ready = max(w.next_ready, wake + self.arch.memory_latency_cycles)
-            elif tag == "parked":
-                self._unschedule(wid)
+                    self._finish_warp(w)
 
     def _schedule(self, w: WarpRecord):
         if w.wid not in self.sched_set:
@@ -444,18 +461,14 @@ class _SMRun:
 
     # -- end-of-cycle events ----------------------------------------------
 
-    def _finish_warp(self, wid: int):
-        w = self.warps[wid]
+    def _finish_warp(self, w: WarpRecord):
+        wid = w.wid
         self._unschedule(wid)
         if self.collect_util:
             self._update_live(w, 0, 0)
         self._log(_WARP_FINISHED, wid)
         done = self.adm.on_warp_finished(wid)
-        # a completed block counts as in flight until the effects of its
-        # completion, which may retire warps of other blocks, are applied
-        self.completing += done
-        self._apply_effects(self.now + 1)
-        self.completing -= done
+        self._take_effects(self.now + 1)
         if done:
             self.block_scr_live.pop(w.block_id, None)
             self._log(EventKind.BLOCK_FINISHED, w.block_id)
@@ -465,21 +478,19 @@ class _SMRun:
 
     def _handle_event(self, kind: EventKind, wid: int, payload):
         if kind is _WARP_FINISHED:
-            self._finish_warp(wid)
-            return
-        self._log(kind, wid)
-        if kind is _PHASE_CHANGE:
-            if not self.adm.on_phase_change(wid, *self._phase_sets(payload)):
-                self._unschedule(wid)
-            self._apply_effects(self.now + 1)
+            self._finish_warp(self.warps[wid])
         else:
-            bid = self.warps[wid].block_id
-            self._unschedule(wid)
-            complete = self.adm.on_barrier(wid)
-            self._apply_effects(self.now + 1)
-            if complete:
-                self.adm.release_barrier(bid)
-                self._apply_effects(self.now + 1)
+            self._log(kind, wid)
+            if kind is _PHASE_CHANGE:
+                if not self.adm.on_phase_change(wid, *self._phase_sets(payload)):
+                    self._unschedule(wid)
+            else:
+                bid = self.warps[wid].block_id
+                self._unschedule(wid)
+                if self.adm.on_barrier(wid):
+                    self.adm.release_barrier(bid)
+            self._take_effects(self.now + 1)
+        self._apply_effects()
 
     # -- epochs ------------------------------------------------------------
 
@@ -520,9 +531,9 @@ class _SMRun:
         stats = self._close_epoch()
         self._log(EventKind.EPOCH_TICK, stats.index)
         self.adm.on_epoch(stats.c_idle - self.prev_idle, stats.c_mem - self.prev_mem)
-        self._apply_effects(self.now + 1)
         self.adm.deadlock_guard()
-        self._apply_effects(self.now + 1)
+        self._take_effects(self.now + 1)
+        self._apply_effects()
         if self.debug:
             self._check_invariants()
         self.prev_idle = stats.c_idle
@@ -588,6 +599,7 @@ class _SMRun:
     def run(self) -> "_SMRun":
         """Simulate to completion; the finished run carries its figures."""
         self._dispatch()
+        self._apply_effects()
         epoch = self.arch.epoch_cycles
         while self.blocks or self.remaining:
             if self.now >= self.cycle_cap:
@@ -601,7 +613,8 @@ class _SMRun:
             if wake is None:
                 # nothing schedulable at all; force progress or give up
                 if self.adm.deadlock_guard():
-                    self._apply_effects(self.now)
+                    self._take_effects(self.now)
+                    self._apply_effects()
                     continue
                 if not (self.adm.retunes and self._pending_work()):
                     raise NonTerminationError("wedged with no runnable warps")

@@ -14,8 +14,7 @@ access_cost (extra cycles of one issued instruction), drain_effects and
 check_invariants, plus the result counters access_totals, final_thresholds
 and guard_admissions.  Every admission class is a Registry (registry.py),
 which owns the one warp and block registry, holding live blocks only, and
-hands warps to the engine as ("schedulable" | "parked" | "slot_swapin", wid)
-effects.
+hands warps to the engine as ("schedulable" | "slot_swapin", wid) effects.
 make_admission is the one place a policy picks its class.
 """
 

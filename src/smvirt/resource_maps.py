@@ -335,13 +335,16 @@ class MappingTable:
             self.forced_swap += 1
         self._count_swap(owner, 1)
 
-    def swap_keys_by_heat(self, include_forced: bool = False) -> list[tuple[int, int]]:
-        """Swap-resident keys, most accessed first (promotion order)."""
-        pool = [
-            (-e.accesses, key[0], key[1])
-            for key, e in self._entries.items()
-            if e.physical is None and (include_forced or not e.forced)
-        ]
+    def swap_keys_by_heat(self) -> list[tuple[int, int]]:
+        """Swap-resident keys, guard-forced ones too, most accessed first
+        (promotion order).  Only owners in swap_owned hold such keys."""
+        entries = self._entries
+        pool = []
+        for owner in self.swap_owned:
+            for logical in range(self._owned[owner]):
+                e = entries[owner, logical]
+                if e.physical is None:
+                    pool.append((-e.accesses, owner, logical))
         pool.sort()
         return [(owner, logical) for _, owner, logical in pool]
 

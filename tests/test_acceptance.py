@@ -87,47 +87,45 @@ def test_01_mapping_table_sizing():
 
 
 # ---------------------------------------------------------------------------
-# criterion 2: threshold-controller oracle, 25 hand-traced cases
+# criterion 2: threshold-controller oracle, 23 hand-traced cases
 
 
 def test_02_controller_hand_traced_cases():
-    # (current, capacity, step, d_idle, d_mem, delta_threshold, hard_cap,
-    #  expected).  Deltas compare strictly against the threshold; the
-    #  result clamps to [0, hard_cap or capacity].
+    # (current, capacity, step, d_idle, d_mem, expected).  Deltas compare
+    #  strictly against STALL_DELTA_THRESHOLD (16); the result clamps to
+    #  [0, capacity].
     cases = [
         # raise branch: idle stalls growing faster than memory stalls
-        (25, 256, 10, 100, 0, 16, None, 35),
-        (25, 256, 10, 17, 0, 16, None, 35),   # minimal winning delta
-        (0, 256, 10, 50, 20, 16, None, 10),
-        (100, 256, 10, 118, 101, 16, None, 110),
-        (250, 256, 10, 400, 0, 16, None, 256),  # clamp at capacity
-        (256, 256, 10, 999, 0, 16, None, 256),  # saturated high
-        (120, 256, 10, 100, 0, 16, 128, 128),   # clamp at hard cap
-        (118, 256, 10, 100, 0, 16, 128, 128),   # lands exactly on cap
-        (4, 48, 1, 40, 2, 16, None, 5),         # unit step resource
+        (25, 256, 10, 100, 0, 35),
+        (25, 256, 10, 17, 0, 35),     # minimal winning delta
+        (0, 256, 10, 50, 20, 10),
+        (100, 256, 10, 118, 101, 110),
+        (250, 256, 10, 400, 0, 256),  # clamp at capacity
+        (256, 256, 10, 999, 0, 256),  # saturated high
+        (120, 128, 10, 100, 0, 128),  # clamp at a smaller capacity
+        (118, 128, 10, 100, 0, 128),  # lands exactly on cap
+        (4, 48, 1, 40, 2, 5),         # unit step resource
         # dead zone: |delta| at or below the threshold changes nothing
-        (25, 256, 10, 0, 0, 16, None, 25),
-        (25, 256, 10, 16, 0, 16, None, 25),    # +16 is not > 16
-        (25, 256, 10, 0, 16, 16, None, 25),    # -16 is not > 16
-        (25, 256, 10, 116, 100, 16, None, 25),
-        (0, 256, 10, 10, 5, 16, None, 0),
-        (256, 256, 10, 8, 8, 16, None, 256),
-        (25, 256, 10, 20, 0, 20, None, 25),    # custom threshold holds
-        (25, 256, 10, 21, 0, 20, None, 35),    # and breaks one past it
-        (300, 256, 10, 0, 0, 16, None, 256),   # clamp applies in dead zone
+        (25, 256, 10, 0, 0, 25),
+        (25, 256, 10, 16, 0, 25),     # +16 is not > 16
+        (25, 256, 10, 0, 16, 25),     # -16 is not > 16
+        (25, 256, 10, 116, 100, 25),
+        (0, 256, 10, 10, 5, 0),
+        (256, 256, 10, 8, 8, 256),
+        (300, 256, 10, 0, 0, 256),    # clamp applies in dead zone
         # lower branch: memory stalls growing faster than idle stalls
-        (25, 256, 10, 0, 100, 16, None, 15),
-        (25, 256, 10, 0, 17, 16, None, 15),    # minimal losing delta
-        (10, 256, 10, 0, 100, 16, None, 0),    # lands exactly on zero
-        (5, 256, 10, 0, 100, 16, None, 0),     # clamp at zero
-        (0, 256, 10, 0, 999, 16, None, 0),     # saturated low
-        (35, 256, 10, 83, 100, 16, None, 25),
-        (4, 48, 1, 1, 40, 16, None, 3),        # unit step resource
+        (25, 256, 10, 0, 100, 15),
+        (25, 256, 10, 0, 17, 15),     # minimal losing delta
+        (10, 256, 10, 0, 100, 0),     # lands exactly on zero
+        (5, 256, 10, 0, 100, 0),      # clamp at zero
+        (0, 256, 10, 0, 999, 0),      # saturated low
+        (35, 256, 10, 83, 100, 25),
+        (4, 48, 1, 1, 40, 3),         # unit step resource
     ]
     assert len(cases) >= 20
-    for cur, cap, step, d_idle, d_mem, thresh, hard, want in cases:
-        got = adjust_o_thresh(cur, cap, step, d_idle, d_mem, thresh, hard)
-        assert got == want, (cur, cap, step, d_idle, d_mem, thresh, hard, got)
+    for cur, cap, step, d_idle, d_mem, want in cases:
+        got = adjust_o_thresh(cur, cap, step, d_idle, d_mem)
+        assert got == want, (cur, cap, step, d_idle, d_mem, got)
     _pass(2, f"{len(cases)} hand-traced controller cases reproduced exactly")
 
 

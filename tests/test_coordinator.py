@@ -49,21 +49,19 @@ def test_adjust_o_thresh_oracle_table():
         # different step sizes
         (25, 1, 60, 10, 26),
         (25, 25, 10, 60, 0),
-        # explicit hard cap below capacity
+        # a capacity below 256 clamps lower
         (25, 10, 60, 10, 30),
     ]
     for current, step, d_idle, d_mem, want in cases[:-1]:
         got = adjust_o_thresh(current, 256, step, d_idle, d_mem)
         assert got == want, (current, step, d_idle, d_mem, got, want)
-    got = adjust_o_thresh(25, 256, 10, 60, 10, hard_cap=30)
+    got = adjust_o_thresh(25, 30, 10, 60, 10)
     assert got == 30
 
 
 def test_default_thresholds_are_tenth_of_capacity():
     coord = Coordinator(FERMI, OversubscriptionConfig())
-    assert coord.o_thresh[ResourceKind.REGISTER] == 25
-    assert coord.o_thresh[ResourceKind.SCRATCHPAD] == 4
-    assert coord.o_thresh[ResourceKind.WARP_SLOT] == 4
+    assert coord.final_thresholds() == {"register": 25, "scratchpad": 4, "warp_slot": 4}
 
 
 def _arrive(coord, bid, wids, reg_sets, scratch_sets):
@@ -181,10 +179,9 @@ def test_parked_victim_is_the_oldest_barrier_arrival_not_the_lowest_wid():
     # block 2 reaches its barrier before block 0, each highest wid first
     for wid in (11, 9, 10, 8, 3, 1, 2, 0):
         coord.on_barrier(wid)
-    coord.drain_effects()
     _arrive(coord, 9, range(16, 20), reg_sets=1, scratch_sets=0)
-    parked = [wid for tag, wid in coord.drain_effects() if tag == "parked"]
-    assert parked == [11, 9, 10, 8]
+    parked = {wid for wid, w in coord.warps.items() if w.state is WarpState.PARKED}
+    assert parked == {8, 9, 10, 11}
     assert coord.check_invariants() == []
 
 
@@ -300,7 +297,7 @@ def test_threshold_rise_at_epoch_admits_a_waiting_warp():
     assert regs.budget_swap() == 16
     # idle stalls outgrow memory stalls: the threshold rises by 10 to 35
     coord.on_epoch(d_idle=100, d_mem=0)
-    assert coord.o_thresh[ResourceKind.REGISTER] == 35
+    assert coord.final_thresholds()["register"] == 35
     assert coord.warps[17].state is WarpState.SCHEDULABLE
     assert regs.budget_swap() == 32
     assert coord.check_invariants() == []

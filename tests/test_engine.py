@@ -11,8 +11,8 @@ from dataclasses import replace
 import pytest
 
 from smvirt.corpus import corpus_kernel, corpus_names
-from smvirt.coordinator import OversubscriptionConfig
-from smvirt.engine import NonTerminationError, measure_underutilization, run
+from smvirt.coordinator import Coordinator, OversubscriptionConfig
+from smvirt.engine import NonTerminationError, _SMRun, measure_underutilization, run
 from smvirt.kernel_model import Instruction, KernelSpec, Opcode, ResourceSpecification
 from smvirt.phase_compiler import annotate_phases
 from smvirt.policies import KernelUnrunnableError, Policy
@@ -199,6 +199,73 @@ def test_debug_invariants_hold_for_four_times_the_corpus_launch(name):
     assert res.issued_instructions == (
         4 * spec.num_blocks * spec.warps_per_block * len(compiled.body)
     )
+
+
+def _ending_in_barrier(name, **spec):
+    """A corpus kernel, compiled, with a barrier after its last instruction
+    and its launch changed by spec."""
+    kern = corpus_kernel(name)
+    last = kern.body[-1]
+    barrier = Instruction(Opcode.BARRIER, last.live_regs_after, last.live_scratch_after)
+    return annotate_phases(
+        replace(
+            kern,
+            body=kern.body + (barrier,),
+            resource_spec=replace(kern.resource_spec, **spec),
+        )
+    )
+
+
+def test_warps_admitted_past_a_trailing_barrier_retire_without_reentering_the_effect_loop(
+    monkeypatch,
+):
+    # parked warps at the final barrier are admitted again only to retire;
+    # their retirement frees resources that admit and retire more of them
+    # while effects of the same batch are still queued
+    depth = max_depth = 0
+    apply_effects = _SMRun._apply_effects
+
+    def counted(self, *args):
+        nonlocal depth, max_depth
+        depth += 1
+        max_depth = max(max_depth, depth)
+        try:
+            return apply_effects(self, *args)
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr(_SMRun, "_apply_effects", counted)
+    arch = replace(
+        FERMI, num_sms=2, warp_slots_per_sm=16, max_logical_warps=40, registers_per_sm=8192
+    )
+    kern = _ending_in_barrier("uniform", num_blocks=87)
+    res = run(kern, Policy.ZORUA, arch, debug=True)
+    assert res.issued_instructions == 87 * kern.resource_spec.warps_per_block * len(kern.body)
+    assert max_depth == 1
+
+
+def test_blocks_in_flight_max_is_the_most_blocks_the_registry_held(monkeypatch):
+    held = 0
+    arrive = Coordinator.on_block_arrival
+
+    def counted(self, *args):
+        nonlocal held
+        arrive(self, *args)
+        held = max(held, len(self.blocks))
+
+    monkeypatch.setattr(Coordinator, "on_block_arrival", counted)
+    arch = replace(
+        FERMI, num_sms=1, warp_slots_per_sm=48, max_logical_warps=64, registers_per_sm=8192
+    )
+    kern = _ending_in_barrier("reg_cliff", threads_per_block=192, num_blocks=18)
+    res = run(
+        kern,
+        Policy.ZORUA,
+        arch,
+        oversub=OversubscriptionConfig(fixed_o_thresh_frac=1.0),
+        debug=True,
+    )
+    assert res.blocks_in_flight_max == held
 
 
 def test_adding_instructions_never_speeds_up_straight_line_code():

@@ -1,9 +1,11 @@
-"""Property tests: random generated kernels under every policy and arch.
+"""Property tests: random kernels under every policy and arch.
 
-Each example compiles one `generate_synthetic_kernel` output and runs it
-in debug mode, so every epoch also re-checks the admission invariants.
-The runs use a one-SM copy of each architecture: the launch is then one
-SM replica, and the result's cycle totals are the sums over its epochs.
+Each example compiles a generated kernel and runs it in debug mode, so
+every epoch also re-checks the admission invariants.  The runs use
+one-SM copies of the architectures: the launch is then one SM replica,
+and the result's cycle totals are the sums over its epochs.  A kernel
+may end in a barrier, so that warps parked there are admitted again only
+to retire.
 """
 
 from dataclasses import replace
@@ -11,14 +13,31 @@ from dataclasses import replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smvirt.corpus import corpus_kernel, corpus_names
 from smvirt.engine import run
-from smvirt.kernel_model import Profile, generate_synthetic_kernel
+from smvirt.kernel_model import Instruction, KernelSpec, Opcode, Profile, generate_synthetic_kernel
 from smvirt.phase_compiler import annotate_phases
+from smvirt.policies import KernelUnrunnableError, Policy
 from smvirt.resource_maps import get_arch
 
 ONE_SM_ARCHS = {
     name: replace(get_arch(name), num_sms=1) for name in ("fermi", "kepler", "maxwell")
 }
+
+
+def _ending_in_barrier(kernel: KernelSpec) -> KernelSpec:
+    last = kernel.body[-1]
+    barrier = Instruction(Opcode.BARRIER, last.live_regs_after, last.live_scratch_after)
+    return replace(kernel, body=kernel.body + (barrier,))
+
+
+def _check_accounting(kernel: KernelSpec, res):
+    spec = kernel.resource_spec
+    assert res.issued_instructions == spec.num_blocks * spec.warps_per_block * len(kernel.body)
+    assert res.issued_instructions == sum(e.issued_instructions for e in res.epochs)
+    assert res.issued_cycles + res.c_mem + res.c_idle + res.barrier_stall == sum(
+        e.span for e in res.epochs
+    )
 
 
 @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
@@ -28,17 +47,47 @@ ONE_SM_ARCHS = {
     seed=st.integers(min_value=0, max_value=2**16),
     policy=st.sampled_from(["baseline", "wlm", "zorua"]),
     arch=st.sampled_from(sorted(ONE_SM_ARCHS)),
+    trailing_barrier=st.booleans(),
 )
 def test_random_kernel_runs_to_completion_with_exact_accounting(
-    profile, length, seed, policy, arch
+    profile, length, seed, policy, arch, trailing_barrier
 ):
-    kernel = annotate_phases(generate_synthetic_kernel(profile, length, seed))
+    kernel = generate_synthetic_kernel(profile, length, seed)
+    if trailing_barrier:
+        kernel = _ending_in_barrier(kernel)
+    kernel = annotate_phases(kernel)
     # terminating at all is the first property: a wedge or a cycle-cap
     # overrun raises, and so does a broken invariant in debug mode
     res = run(kernel, policy, ONE_SM_ARCHS[arch], debug=True)
-    spec = kernel.resource_spec
-    assert res.issued_instructions == spec.num_blocks * spec.warps_per_block * len(kernel.body)
-    assert res.issued_instructions == sum(e.issued_instructions for e in res.epochs)
-    assert res.issued_cycles + res.c_mem + res.c_idle + res.barrier_stall == sum(
-        e.span for e in res.epochs
+    _check_accounting(kernel, res)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(
+    name=st.sampled_from(corpus_names()),
+    num_blocks=st.integers(min_value=4, max_value=60),
+    slots=st.sampled_from([16, 24, 32]),
+    logical=st.sampled_from(["slots+8", 40, 64]),
+    registers=st.sampled_from([8192, 16384]),
+)
+def test_corpus_kernel_ending_in_a_barrier_runs_on_few_slots_under_every_policy(
+    name, num_blocks, slots, logical, registers
+):
+    kernel = corpus_kernel(name)
+    kernel = annotate_phases(
+        _ending_in_barrier(
+            replace(kernel, resource_spec=replace(kernel.resource_spec, num_blocks=num_blocks))
+        )
     )
+    arch = replace(
+        ONE_SM_ARCHS["fermi"],
+        warp_slots_per_sm=slots,
+        max_logical_warps=slots + 8 if logical == "slots+8" else logical,
+        registers_per_sm=registers,
+    )
+    for policy in Policy:
+        try:
+            res = run(kernel, policy, arch, debug=True)
+        except KernelUnrunnableError:
+            continue
+        _check_accounting(kernel, res)

@@ -123,9 +123,8 @@ def test_swap_keys_by_heat_orders_by_access_count():
     t.lookup(2, 1)
     t.lookup(2, 1)
     t.lookup(2, 0)
-    assert t.swap_keys_by_heat() == [(2, 1), (2, 0)]
-    assert t.swap_keys_by_heat(include_forced=True)[0] == (2, 1)
-    assert (3, 0) in t.swap_keys_by_heat(include_forced=True)
+    # guard-forced sets are promotion candidates too
+    assert t.swap_keys_by_heat() == [(2, 1), (2, 0), (3, 0)]
 
 
 def test_access_stats_track_swap_fraction():
@@ -158,7 +157,7 @@ def test_random_workload_keeps_invariants():
         elif action < 0.9 and live.get(owner):
             t.lookup(owner, rng.randrange(live[owner]))
         else:
-            for key in t.swap_keys_by_heat(include_forced=True):
+            for key in t.swap_keys_by_heat():
                 if t.free_physical == 0:
                     break
                 t.migrate_in(*key)
