@@ -1,5 +1,8 @@
 """Simulated outputs must match the committed goldens byte for byte.
 
+The goldens cover ``to_dict()`` of every corpus kernel, policy and arch, the
+fermi sweep CSVs, and digests of the event log and utilization recorders.
+
 Rewrite the goldens with ``python tests/golden/regen.py --update`` only when
 a change to the simulated behaviour is intended.
 """
