@@ -342,8 +342,11 @@ class Coordinator(Registry):
         self.retry_all_queues()
 
     def _shrink_block_scratch(self, bid: int):
-        block = self.blocks[bid]
         tbl = self.scratch
+        held = tbl.owned(bid)
+        if not held:
+            return
+        block = self.blocks[bid]
         demand = max(
             (
                 self.warps[wid].scratch_sets_needed
@@ -352,7 +355,6 @@ class Coordinator(Registry):
             ),
             default=0,
         )
-        held = tbl.owned(bid)
         if held > demand:
             tbl.free(bid, held - demand)
 
