@@ -1,18 +1,20 @@
 """Cycle-approximate engine for one kernel launch across the SMs of a GPU.
 
 Each SM runs two instruction schedulers that issue greedily from their
-current warp and fall back to the oldest ready one.  Each simulated cycle
-makes one pass over the schedulers' warp lists.  It yields every
-scheduler's pick or, when no warp at all is ready, the earliest cycle at
-which one will be; the clock then skips to that cycle or to the epoch
-boundary, whichever comes first.  A scheduler's greedy warp changes only
-in a cycle that issues.  Global memory round trips share a fixed number
-of in-flight request slots; arithmetic and scratchpad accesses complete
-in one cycle.  Under the virtualizing policy every register access
-consults the register mapping table and every scratchpad access
-additionally consults the scratchpad table, each consult adding a fixed
-pipeline penalty to that warp, and touching a set that lives in swap
-costs a full memory round trip.
+current warp and fall back to the oldest ready one.  One loop,
+_SMRun.run, simulates the cycles.  Each cycle makes one pass over the
+schedulers' warp lists.  If a warp is ready, every scheduler's pick
+issues, the events the issues raised run in (kind, wid) order, then the
+epoch tick if the next cycle starts an epoch, and the clock advances by
+one.  If no warp at all is ready, the clock skips to the earliest cycle
+at which one will be or to the epoch boundary, whichever comes first.  A
+scheduler's greedy warp changes only in a cycle that issues.  Global
+memory round trips share a fixed number of in-flight request slots;
+arithmetic and scratchpad accesses complete in one cycle.  Under the
+virtualizing policy every register access consults the register mapping
+table and every scratchpad access additionally consults the scratchpad
+table, each consult adding a fixed pipeline penalty to that warp, and
+touching a set that lives in swap costs a full memory round trip.
 
 Every simulated cycle lands in exactly one accounting bucket, checked in
 this order: at least one instruction issued; memory stall (schedulable
@@ -216,6 +218,18 @@ class _SMRun:
     the engine schedules and issues them and turns what happens into the
     admission hooks.  Warps and blocks live in the admission's registry.
 
+    run is the one cycle loop.  Each cycle makes one pass over the
+    scheduler lists: a scheduler picks its greedy warp if that is ready
+    and still schedulable, else the first ready warp of its list, which is
+    the oldest.  If any scheduler picks, every pick issues and becomes its
+    scheduler's greedy warp; the events the issues raised then run in
+    (kind, wid) order while now is still the issue cycle, then the epoch
+    tick if the next cycle starts an epoch, and now advances by one.  If
+    none picks, the clock skips to the earliest next_ready seen or to the
+    epoch boundary.  The pass, the issue and the per-cycle counters are
+    inline in run over names bound before the loop; the events and the
+    epoch tick go through the methods below.
+
     After the hooks of one occasion, _take_effects appends the effects
     they produced to one FIFO work list as a batch with its wake: now for
     a block arrival and the run loop's deadlock guard, now + 1 for the
@@ -240,7 +254,6 @@ class _SMRun:
         self.body = kernel.body
         self.spec = kernel.resource_spec
         self.adm = adm
-        self.access_cost = adm.access_cost
         self.arch = arch
         self.debug = debug
         self.cycle_cap = cycle_cap
@@ -263,7 +276,6 @@ class _SMRun:
         self.part: tuple[list[WarpRecord], ...] = tuple(
             [] for _ in range(arch.schedulers_per_sm)
         )
-        self.greedy: list[Optional[WarpRecord]] = [None] * arch.schedulers_per_sm
         self.next_bid = 0
         # drained effect batches not yet applied, each with its wake
         self.work: deque[tuple[int, list[tuple[str, int]]]] = deque()
@@ -281,7 +293,6 @@ class _SMRun:
         self.ep_swap_snap = (0, 0, 0)
         self.prev_idle = 0
         self.prev_mem = 0
-        self.tot_issued = 0
         self.sched_integral = 0
 
         self.ep_ureg_sum = 0.0
@@ -429,36 +440,6 @@ class _SMRun:
             part = self.part[wid % len(self.part)]
             del part[bisect.bisect_left(part, wid, key=_wid)]
 
-    # -- issue path -----------------------------------------------------------
-
-    def _issue(self, w: WarpRecord, pending: list):
-        ins = self.body[w.pc]
-        op = ins.opcode
-        extra = self.access_cost(w, op)
-        now = self.now
-
-        if op is _LD_GLOBAL:
-            w.next_ready = self.mem.request(now) + extra
-        elif op is _ST_GLOBAL:
-            self.mem.request(now)  # fire and forget, holds a slot only
-            w.next_ready = now + 1 + extra
-        else:
-            w.next_ready = now + 1 + extra
-
-        if self.collect_util:
-            self._update_live(w, ins.live_regs_after, ins.live_scratch_after)
-        w.pc += 1
-        self.tot_issued += 1
-        self.ep_issued += 1
-        self.last_issue = now
-
-        if op is _BARRIER:
-            pending.append((_BARRIER_REACHED, w.wid, None))
-        elif op is _PHASE_SPEC:
-            pending.append((_PHASE_CHANGE, w.wid, ins.phase_payload))
-        if w.pc == len(self.body) and op is not _BARRIER:
-            pending.append((_WARP_FINISHED, w.wid, None))
-
     # -- end-of-cycle events ----------------------------------------------
 
     def _finish_warp(self, w: WarpRecord):
@@ -552,80 +533,96 @@ class _SMRun:
     def _pending_work(self) -> bool:
         return self.remaining > 0 or self.adm.pending_work()
 
-    def _search(self) -> tuple[Optional[list], Optional[int]]:
-        """The cycle's one pass over the scheduler lists.
-
-        Returns each scheduler's pick (its greedy warp if that is ready,
-        else its oldest ready warp, else None) and None; or, when no warp
-        at all is ready, None and the earliest next_ready (None when
-        nothing is schedulable).
-        """
-        now = self.now
-        sched = self.sched_set
-        picks = []
-        wake = None
-        for cur, part in zip(self.greedy, self.part):
-            if cur is None or cur.next_ready > now or cur.wid not in sched:
-                # the list is in wid order, so the first ready warp is the oldest
-                cur = None
-                for w in part:
-                    nr = w.next_ready
-                    if nr <= now:
-                        cur = w
-                        break
-                    if wake is None or nr < wake:
-                        wake = nr
-            picks.append(cur)
-        return (picks, None) if any(picks) else (None, wake)
-
-    def _do_cycle(self, picks: list):
-        """Issue the picks of a cycle in which at least one warp is ready;
-        each scheduler's pick becomes its greedy warp."""
-        self._integrate(1)
-        pending: list = []
-        self.greedy = picks
-        for w in picks:
-            if w is not None:
-                self._issue(w, pending)
-        self.ep_issue_cycles += 1
-        if len(pending) > 1:
-            pending.sort(key=_event_order)
-        for kind, wid, payload in pending:
-            self._handle_event(kind, wid, payload)
-        if (self.now + 1) % self.arch.epoch_cycles == 0:
-            self._epoch_tick()
-        self.now += 1
-
     def run(self) -> "_SMRun":
         """Simulate to completion; the finished run carries its figures."""
         self._dispatch()
         self._apply_effects()
-        epoch = self.arch.epoch_cycles
+        sched_set = self.sched_set
+        part = self.part
+        body = self.body
+        n_body = len(body)
+        access_cost = self.adm.access_cost
+        request = self.mem.request
+        epoch_cycles = self.arch.epoch_cycles
+        cycle_cap = self.cycle_cap
+        collect_util = self.collect_util
+        greedy = [None] * len(part)
+        now = self.now
         while self.blocks or self.remaining:
-            if self.now >= self.cycle_cap:
-                raise NonTerminationError(
-                    f"no completion within {self.cycle_cap} cycles"
-                )
-            picks, wake = self._search()
-            if picks is not None:
-                self._do_cycle(picks)
+            if now >= cycle_cap:
+                raise NonTerminationError(f"no completion within {cycle_cap} cycles")
+            picks = []
+            wake = None
+            for cur, warps in zip(greedy, part):
+                if cur is None or cur.next_ready > now or cur.wid not in sched_set:
+                    # the list is in wid order, so the first ready warp is the oldest
+                    cur = None
+                    for w in warps:
+                        nr = w.next_ready
+                        if nr <= now:
+                            cur = w
+                            break
+                        if wake is None or nr < wake:
+                            wake = nr
+                picks.append(cur)
+            if any(picks):
+                if collect_util:
+                    self._integrate(1)
+                else:
+                    self.sched_integral += len(sched_set)
+                greedy = picks
+                pending = []
+                issued = 0
+                for w in picks:
+                    if w is None:
+                        continue
+                    ins = body[w.pc]
+                    op = ins.opcode
+                    extra = access_cost(w, op)
+                    if op is _LD_GLOBAL:
+                        w.next_ready = request(now) + extra
+                    else:
+                        if op is _ST_GLOBAL:
+                            request(now)  # fire and forget, holds a slot only
+                        w.next_ready = now + 1 + extra
+                    if collect_util:
+                        self._update_live(w, ins.live_regs_after, ins.live_scratch_after)
+                    w.pc += 1
+                    issued += 1
+                    if op is _BARRIER:
+                        pending.append((_BARRIER_REACHED, w.wid, None))
+                    else:
+                        if op is _PHASE_SPEC:
+                            pending.append((_PHASE_CHANGE, w.wid, ins.phase_payload))
+                        if w.pc == n_body:
+                            pending.append((_WARP_FINISHED, w.wid, None))
+                self.ep_issued += issued
+                self.ep_issue_cycles += 1
+                self.last_issue = now
+                if len(pending) > 1:
+                    pending.sort(key=_event_order)
+                for kind, wid, payload in pending:
+                    self._handle_event(kind, wid, payload)
+                if (now + 1) % epoch_cycles == 0:
+                    self._epoch_tick()
+                now = self.now = now + 1
                 continue
             if wake is None:
                 # nothing schedulable at all; force progress or give up
                 if self.adm.deadlock_guard():
-                    self._take_effects(self.now)
+                    self._take_effects(now)
                     self._apply_effects()
                     continue
                 if not (self.adm.retunes and self._pending_work()):
                     raise NonTerminationError("wedged with no runnable warps")
                 # fall through: skip to the epoch boundary and let the
                 # controller retune admission
-            boundary = (self.now // epoch + 1) * epoch
+            boundary = (now // epoch_cycles + 1) * epoch_cycles
             target = boundary if wake is None else min(wake, boundary)
-            delta = target - self.now
+            delta = target - now
             self._integrate(delta)
             self._classify_stall(delta)
-            self.now = target
+            now = self.now = target
             if target == boundary:
                 self._epoch_tick()
         if self.ep_issued or self.ep_issue_cycles or self.ep_idle or self.ep_mem or self.ep_barrier:
@@ -710,7 +707,7 @@ def run(
         seed=seed,
         spec=kernel.resource_spec,
         cycles=critical.cycles,
-        issued_instructions=total(lambda sm: sm.tot_issued),
+        issued_instructions=epoch_total("issued_instructions"),
         issued_cycles=epoch_total("issued_cycles"),
         c_idle=epoch_total("c_idle"),
         c_mem=epoch_total("c_mem"),
