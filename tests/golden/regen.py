@@ -4,9 +4,9 @@
 corpus kernel at its declared launch, or ``{"error": <class name>}`` when
 the policy cannot run it.  ``sweep/<kernel>.fermi.csv`` holds ``emit_csv`` of
 the kernel's recommended grid on fermi under every policy.
-``recorders/<kernel>.fermi.json`` holds, per policy, the sha256 of the
+``recorders/<kernel>.<arch>.json`` holds, per policy, the sha256 of the
 opt-in recorders of ``run(..., collect_util=True, log_events=True)`` on
-fermi: the event log and the per-epoch utilization tuples, which
+that arch: the event log and the per-epoch utilization tuples, which
 ``to_dict`` leaves out or does not produce.
 ``tests/test_golden.py`` compares the files byte for byte.
 
@@ -39,10 +39,10 @@ ARCHS = ("fermi", "kepler", "maxwell")
 SWEEP_ARCH = "fermi"
 
 
-def recorder_digest(kernel, policy: Policy) -> str:
-    """sha256 of the event log and utilization tuples of one fermi launch."""
+def recorder_digest(kernel, policy: Policy, arch: str) -> str:
+    """sha256 of the event log and utilization tuples of one launch."""
     try:
-        res = run(kernel, policy, SWEEP_ARCH, collect_util=True, log_events=True)
+        res = run(kernel, policy, arch, collect_util=True, log_events=True)
     except (KernelUnrunnableError, NonTerminationError) as e:
         return f"error: {type(e).__name__}"
     doc = {
@@ -66,8 +66,9 @@ def golden_files(kernel_name: str) -> dict[str, str]:
             files[f"run/{kernel_name}.{policy.value}.{arch}.json"] = (
                 json.dumps(doc, indent=2) + "\n"
             )
-    recorders = {policy.value: recorder_digest(kernel, policy) for policy in Policy}
-    files[f"recorders/{kernel_name}.{SWEEP_ARCH}.json"] = json.dumps(recorders, indent=2) + "\n"
+    for arch in ARCHS:
+        recorders = {policy.value: recorder_digest(kernel, policy, arch) for policy in Policy}
+        files[f"recorders/{kernel_name}.{arch}.json"] = json.dumps(recorders, indent=2) + "\n"
     sweep = run_sweep(kernel, RECOMMENDED_GRIDS[kernel_name], (SWEEP_ARCH,))
     files[f"sweep/{kernel_name}.{SWEEP_ARCH}.csv"] = emit_csv(sweep)
     return files
