@@ -211,6 +211,71 @@ class _MemSystem:
         return done
 
 
+class _UtilSampler:
+    """Per-epoch mean of live/allocated registers and scratchpad on one SM.
+
+    A sample reads each warp's live set off its pc: the entry set before
+    its first issue, then the set after the instruction it last issued.
+    Finished warps sit past the end, and so do warps at a trailing
+    barrier, which all arrive before any finishes; past any other last
+    instruction a warp has finished by the next sample.  A block's live
+    scratchpad is the most any of its warps holds.
+    """
+
+    def __init__(self, kernel: KernelSpec, arch: ArchConfig, registry):
+        body = kernel.body
+        spec = kernel.resource_spec
+        self.blocks: dict[int, BlockRecord] = registry.blocks
+        self.warps: dict[int, WarpRecord] = registry.warps
+        self.wpb = spec.warps_per_block
+        # a warp's live registers and scratchpad, indexed by its pc
+        self.regs_at = [i.live_regs_after * arch.warp_width for i in (body[0],) + body]
+        self.scratch_at = [i.live_scratch_after for i in (body[0],) + body]
+        if body[-1].opcode is not _BARRIER:
+            self.regs_at[-1] = self.scratch_at[-1] = 0
+        self.blk_regs = spec.threads_per_block * spec.regs_per_thread
+        self.blk_scr = spec.scratch_bytes_per_block
+        self.reg_sum = 0.0
+        self.reg_cycles = 0
+        self.scr_sum = 0.0
+        self.scr_cycles = 0
+        self.reg_frac: list[Optional[float]] = []
+        self.scr_frac: list[Optional[float]] = []
+
+    def sample(self, delta: int):
+        """Integrate live/allocated over the next delta cycles."""
+        blocks = self.blocks
+        if not blocks:
+            return
+        in_flight = len(blocks)
+        warps = self.warps.values()
+        regs_at = self.regs_at
+        live_regs = sum([regs_at[w.pc] for w in warps])
+        if regs_at[-1]:
+            # the finished warps past the end hold no registers
+            live_regs -= regs_at[-1] * sum([b.finished_warps for b in blocks.values()])
+        self.reg_sum += delta * live_regs / (in_flight * self.blk_regs)
+        self.reg_cycles += delta
+        if self.blk_scr:
+            # the registry lists each block's warps together, wpb of them
+            scratch_at = self.scratch_at
+            live = iter([scratch_at[w.pc] for w in warps])
+            live_scr = sum(map(max, zip(*[live] * self.wpb)))
+            self.scr_sum += delta * live_scr / (in_flight * self.blk_scr)
+            self.scr_cycles += delta
+
+    def close_epoch(self):
+        self.reg_frac.append(self.reg_sum / self.reg_cycles if self.reg_cycles else None)
+        self.scr_frac.append(self.scr_sum / self.scr_cycles if self.scr_cycles else None)
+        self.reg_sum = 0.0
+        self.reg_cycles = 0
+        self.scr_sum = 0.0
+        self.scr_cycles = 0
+
+    def report(self) -> UtilizationReport:
+        return UtilizationReport(tuple(self.reg_frac), tuple(self.scr_frac))
+
+
 class _SMRun:
     """One SM executing n_blocks copies of the kernel's block.
 
@@ -248,17 +313,16 @@ class _SMRun:
         n_blocks: int,
         debug: bool,
         cycle_cap: int,
-        collect_util: bool,
+        util: Optional[_UtilSampler],
         log_events: bool,
     ):
         self.body = kernel.body
-        self.spec = kernel.resource_spec
         self.adm = adm
         self.arch = arch
         self.debug = debug
         self.cycle_cap = cycle_cap
-        self.collect_util = collect_util
-        self.wpb = self.spec.warps_per_block
+        self.util = util
+        self.wpb = kernel.resource_spec.warps_per_block
         self.remaining = n_blocks
         # a kernel without a leading phase specifier (uncompiled) announces
         # no demand; only the static policies run those, and they ignore it
@@ -294,16 +358,6 @@ class _SMRun:
         self.prev_idle = 0
         self.prev_mem = 0
         self.sched_integral = 0
-
-        self.ep_ureg_sum = 0.0
-        self.ep_ureg_cycles = 0
-        self.ep_uscr_sum = 0.0
-        self.ep_uscr_cycles = 0
-        self.util_reg_frac: list[Optional[float]] = []
-        self.util_scr_frac: list[Optional[float]] = []
-        self.live_reg_sum = 0  # per-thread live regs x warp width, summed
-        self.live_scr_sum = 0
-        self.block_scr_live: dict[int, int] = {}
 
     def _phase_sets(self, phase) -> tuple[int, int]:
         return (
@@ -350,38 +404,6 @@ class _SMRun:
                 else min(self.bif_min, in_flight)
             )
 
-    def _integrate(self, delta: int):
-        self.sched_integral += len(self.sched_set) * delta
-        if self.collect_util and self.blocks:
-            in_flight = len(self.blocks)
-            blk_regs = self.spec.threads_per_block * self.spec.regs_per_thread
-            self.ep_ureg_sum += delta * self.live_reg_sum / (in_flight * blk_regs)
-            self.ep_ureg_cycles += delta
-            blk_scr = self.spec.scratch_bytes_per_block
-            if blk_scr:
-                self.ep_uscr_sum += delta * self.live_scr_sum / (in_flight * blk_scr)
-                self.ep_uscr_cycles += delta
-
-    def _update_live(self, w: WarpRecord, live_regs: int, live_scratch: int):
-        """Track live registers and scratch (only with collect_util)."""
-        self.live_reg_sum += (live_regs - w.cur_live_regs) * self.arch.warp_width
-        w.cur_live_regs = live_regs
-        if live_scratch != w.cur_live_scratch:
-            w.cur_live_scratch = live_scratch
-            blk = self.blocks[w.block_id]
-            new_max = max(
-                (
-                    self.warps[wid].cur_live_scratch
-                    for wid in blk.warp_ids
-                    if self.warps[wid].state is not WarpState.FINISHED
-                ),
-                default=0,
-            )
-            old = self.block_scr_live.get(blk.bid, 0)
-            if new_max != old:
-                self.live_scr_sum += new_max - old
-                self.block_scr_live[blk.bid] = new_max
-
     # -- block dispatch -----------------------------------------------------
 
     def _dispatch(self):
@@ -397,14 +419,6 @@ class _SMRun:
         self._log(EventKind.BLOCK_ARRIVAL, bid)
         self.adm.on_block_arrival(bid, wids, *self.entry_sets)
         self._take_effects(self.now)
-        if self.collect_util:
-            # a warp occupies its entry working set from arrival, not
-            # from its first issue
-            first = self.body[0]
-            for wid in wids:
-                self._update_live(
-                    self.warps[wid], first.live_regs_after, first.live_scratch_after
-                )
 
     def _take_effects(self, wake: int):
         """Queue the effects the last hook calls produced, to apply at wake."""
@@ -445,13 +459,10 @@ class _SMRun:
     def _finish_warp(self, w: WarpRecord):
         wid = w.wid
         self._unschedule(wid)
-        if self.collect_util:
-            self._update_live(w, 0, 0)
         self._log(_WARP_FINISHED, wid)
         done = self.adm.on_warp_finished(wid)
         self._take_effects(self.now + 1)
         if done:
-            self.block_scr_live.pop(w.block_id, None)
             self._log(EventKind.BLOCK_FINISHED, w.block_id)
         # refill before sampling: the freed resources admit the next
         # block in the same cycle, so the dip is never observable
@@ -495,17 +506,8 @@ class _SMRun:
         self.ep_mem = 0
         self.ep_barrier = 0
         self.ep_swap_snap = swap_now
-        if self.collect_util:
-            self.util_reg_frac.append(
-                self.ep_ureg_sum / self.ep_ureg_cycles if self.ep_ureg_cycles else None
-            )
-            self.util_scr_frac.append(
-                self.ep_uscr_sum / self.ep_uscr_cycles if self.ep_uscr_cycles else None
-            )
-            self.ep_ureg_sum = 0.0
-            self.ep_ureg_cycles = 0
-            self.ep_uscr_sum = 0.0
-            self.ep_uscr_cycles = 0
+        if self.util is not None:
+            self.util.close_epoch()
         return stats
 
     def _epoch_tick(self):
@@ -545,7 +547,7 @@ class _SMRun:
         request = self.mem.request
         epoch_cycles = self.arch.epoch_cycles
         cycle_cap = self.cycle_cap
-        collect_util = self.collect_util
+        util = self.util
         greedy = [None] * len(part)
         now = self.now
         while self.blocks or self.remaining:
@@ -566,10 +568,9 @@ class _SMRun:
                             wake = nr
                 picks.append(cur)
             if any(picks):
-                if collect_util:
-                    self._integrate(1)
-                else:
-                    self.sched_integral += len(sched_set)
+                if util is not None:
+                    util.sample(1)
+                self.sched_integral += len(sched_set)
                 greedy = picks
                 pending = []
                 issued = 0
@@ -585,8 +586,6 @@ class _SMRun:
                         if op is _ST_GLOBAL:
                             request(now)  # fire and forget, holds a slot only
                         w.next_ready = now + 1 + extra
-                    if collect_util:
-                        self._update_live(w, ins.live_regs_after, ins.live_scratch_after)
                     w.pc += 1
                     issued += 1
                     if op is _BARRIER:
@@ -620,7 +619,9 @@ class _SMRun:
             boundary = (now // epoch_cycles + 1) * epoch_cycles
             target = boundary if wake is None else min(wake, boundary)
             delta = target - now
-            self._integrate(delta)
+            self.sched_integral += len(sched_set) * delta
+            if util is not None:
+                util.sample(delta)
             self._classify_stall(delta)
             now = self.now = target
             if target == boundary:
@@ -676,16 +677,9 @@ def run(
     counts = _per_sm_block_counts(kernel.resource_spec.num_blocks, arch.num_sms)
     sms: dict[int, _SMRun] = {}
     for count in sorted(counts, reverse=True):
-        sms[count] = _SMRun(
-            kernel,
-            make_admission(policy, kernel, arch, oversub),
-            arch,
-            count,
-            debug,
-            cycle_cap,
-            collect_util,
-            log_events,
-        ).run()
+        adm = make_admission(policy, kernel, arch, oversub)
+        util = _UtilSampler(kernel, arch, adm) if collect_util else None
+        sms[count] = _SMRun(kernel, adm, arch, count, debug, cycle_cap, util, log_events).run()
     critical = sms[max(sms, key=lambda c: (sms[c].cycles, c))]
 
     def total(figure) -> int:
@@ -721,11 +715,7 @@ def run(
         guard_admissions=total(lambda sm: sm.adm.guard_admissions),
         o_thresh_final=critical.adm.final_thresholds(),
         epochs=tuple(critical.epochs),
-        utilization=(
-            UtilizationReport(tuple(critical.util_reg_frac), tuple(critical.util_scr_frac))
-            if collect_util
-            else None
-        ),
+        utilization=None if critical.util is None else critical.util.report(),
         event_log=None if critical.events is None else tuple(critical.events),
     )
 

@@ -3,7 +3,9 @@
 One SM's live blocks and their warps, keyed by id.  Registry is the only
 code that creates their records or drops them: a block and its warps
 leave when its last warp finishes, so the registry holds live blocks
-only.  Warps reach the engine as drained (tag, wid) effects.
+only.  Warps come and go a block at a time, so ``warps`` lists each
+block's warps together, in block order.  Warps reach the engine as
+drained (tag, wid) effects.
 """
 
 from __future__ import annotations
@@ -36,8 +38,6 @@ class WarpRecord:
     pc: int = 0
     next_ready: int = 0
     acc_counter: int = 0
-    cur_live_regs: int = 0
-    cur_live_scratch: int = 0
 
 
 @dataclass
@@ -114,7 +114,8 @@ class Registry:
         return block
 
     def registry_errors(self) -> list[str]:
-        """A registry holds live blocks only, and the block of every warp."""
+        """A registry holds live blocks only, the block of every warp, and
+        the warps a block at a time."""
         errors = [
             f"block {b.bid} completed but is still registered"
             for b in self.blocks.values()
@@ -125,4 +126,7 @@ class Registry:
             for w in self.warps.values()
             if w.block_id not in self.blocks
         )
+        listed = [wid for b in self.blocks.values() for wid in b.warp_ids if wid in self.warps]
+        if list(self.warps) != listed:
+            errors.append("warps are not listed a block at a time, in block order")
         return errors
