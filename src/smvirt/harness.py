@@ -100,6 +100,8 @@ def parse_grid(text: str) -> GridSpec:
                 fixed[key] = int(value)
             except ValueError:
                 raise GridSyntaxError(line_no, f"value of {key!r} must be an integer") from None
+            if key != "seed" and fixed[key] < 1:
+                raise GridSyntaxError(line_no, f"value of {key!r} must be >= 1")
         else:
             raise GridSyntaxError(line_no, f"unknown directive {directive!r}")
     if "blocks" in fixed and "total_threads" in fixed:
@@ -132,7 +134,7 @@ def grid_points(grid: GridSpec, base: ResourceSpecification) -> list[ResourceSpe
                 threads_per_block=threads,
                 regs_per_thread=regs,
                 scratch_bytes_per_block=scratch,
-                num_blocks=max(blocks, 0),
+                num_blocks=blocks,
             )
             if blocks > 0
             else None
@@ -230,17 +232,18 @@ def run_sweep(
     skipped: list[str] = []
     for point in grid_points(grid, kernel.resource_spec):
         if point is None:
-            skipped.append("a grid point yields zero blocks")
-            continue
-        try:
-            valid.append(replace(compiled, resource_spec=point))
-        except KernelInvariantError as e:
-            msg = (
-                f"skipping point threads={point.threads_per_block} "
-                f"regs={point.regs_per_thread} scratch={point.scratch_bytes_per_block}: {e}"
-            )
-            skipped.append(msg)
-            print(f"warning: {msg}", file=sys.stderr)
+            msg = "a grid point yields zero blocks"
+        else:
+            try:
+                valid.append(replace(compiled, resource_spec=point))
+                continue
+            except KernelInvariantError as e:
+                msg = (
+                    f"skipping point threads={point.threads_per_block} "
+                    f"regs={point.regs_per_thread} scratch={point.scratch_bytes_per_block}: {e}"
+                )
+        skipped.append(msg)
+        print(f"warning: {msg}", file=sys.stderr)
 
     rows: list[SweepRow] = []
     for arch in arch_list:

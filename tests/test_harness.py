@@ -102,6 +102,8 @@ def test_parse_list_set_and_comments():
         ("set warps=3", 1),
         ("set blocks=two", 1),
         ("set blocks=1\nset blocks=2", 2),
+        ("set blocks=0", 1),
+        ("list scratch=0\nset total_threads=-64", 2),
         ("set blocks=1\nset total_threads=64", 0),
     ],
 )
@@ -267,11 +269,12 @@ def test_points_below_body_liveness_are_skipped_with_warning(capsys):
     assert "skipping point" in capsys.readouterr().err
 
 
-def test_zero_block_points_are_skipped():
+def test_zero_block_points_are_skipped(capsys):
     grid = GridSpec(threads_per_block=(64, 512), total_threads=256)
     result = run_sweep(_kernel(), grid, policies=("baseline",))
     assert len(result.rows) == 1
     assert result.skipped == ("a grid point yields zero blocks",)
+    assert capsys.readouterr().err == "warning: a grid point yields zero blocks\n"
 
 
 def test_sweep_is_reproducible_byte_for_byte():
