@@ -396,6 +396,23 @@ def test_utilization_exposes_scratch_phase_gap():
     assert rep.scratch_utilization < 1.0
 
 
+@pytest.mark.parametrize("trailing_barrier", [False, True])
+@pytest.mark.parametrize("name", corpus_names())
+def test_recorders_only_observe(name, trailing_barrier):
+    # utilization and the event log read the run; they must not steer it
+    kern = _ending_in_barrier(name) if trailing_barrier else corpus_kernel(name)
+    for policy in Policy:
+        try:
+            plain = run(kern, policy).to_dict()
+        except KernelUnrunnableError:
+            with pytest.raises(KernelUnrunnableError):
+                run(kern, policy, collect_util=True, log_events=True)
+            continue
+        res = run(kern, policy, collect_util=True, log_events=True)
+        assert res.utilization is not None and res.event_log
+        assert res.to_dict() == {**plain, "utilization": res.to_dict()["utilization"]}
+
+
 def test_deadlock_guard_resolves_barrier_wait_on_held_registers():
     # both warps need all 8 physical sets; the first parks at the
     # barrier still holding them, so the second can only arrive if the

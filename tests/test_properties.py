@@ -27,7 +27,7 @@ from smvirt.kernel_model import (
     generate_synthetic_kernel,
 )
 from smvirt.phase_compiler import annotate_phases
-from smvirt.policies import KernelUnrunnableError, Policy
+from smvirt.policies import KernelUnrunnableError, Policy, baseline_blocks_in_flight
 from smvirt.resource_maps import get_arch
 
 ONE_SM_ARCHS = {
@@ -68,8 +68,13 @@ def test_random_kernel_runs_to_completion_with_exact_accounting(
     kernel = annotate_phases(kernel)
     # terminating at all is the first property: a wedge or a cycle-cap
     # overrun raises, and so does a broken invariant in debug mode
-    res = run(kernel, policy, ONE_SM_ARCHS[arch], debug=True)
+    res = run(kernel, policy, ONE_SM_ARCHS[arch], debug=True, collect_util=True)
     _check_accounting(kernel, res)
+    # liveness is capped by the declaration, so no policy reads above 1
+    util = res.utilization
+    for per_epoch in (util.register_per_epoch, util.scratch_per_epoch):
+        assert len(per_epoch) == len(res.epochs)
+        assert all(v is None or 0.0 <= v <= 1.0 for v in per_epoch)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
@@ -103,15 +108,21 @@ def test_corpus_kernel_ending_in_a_barrier_runs_on_few_slots_under_every_policy(
         _check_accounting(kernel, res)
 
 
-def _alu_kernel(length: int, threads_per_block: int, num_blocks: int, live_regs: int) -> KernelSpec:
+def _straight_line_kernel(
+    ops: tuple[Opcode, ...], threads_per_block: int, num_blocks: int, live_regs: int
+) -> KernelSpec:
     spec = ResourceSpecification(
         threads_per_block=threads_per_block,
         regs_per_thread=live_regs,
         scratch_bytes_per_block=0,
         num_blocks=num_blocks,
     )
-    body = tuple(Instruction(Opcode.ALU, live_regs_after=live_regs) for _ in range(length))
-    return KernelSpec("alu_only", spec, body)
+    body = tuple(Instruction(op, live_regs_after=live_regs) for op in ops)
+    return KernelSpec("straight_line", spec, body)
+
+
+def _alu_kernel(length: int, threads_per_block: int, num_blocks: int, live_regs: int) -> KernelSpec:
+    return _straight_line_kernel((Opcode.ALU,) * length, threads_per_block, num_blocks, live_regs)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -155,3 +166,80 @@ def test_one_zorua_warp_of_alu_takes_its_closed_form_cycles(length, live_regs, p
     assert res.cycles == 1 + (1 + penalty) * length - penalty
     assert res.reg_hit_rate == 1.0
     _check_accounting(annotate_phases(kernel), res)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    loads=st.integers(min_value=1, max_value=30),
+    latency=st.integers(min_value=1, max_value=500),
+    max_inflight=st.integers(min_value=1, max_value=8),
+    policy=st.sampled_from(["baseline", "wlm"]),
+    arch=st.sampled_from(sorted(ONE_SM_ARCHS)),
+)
+def test_one_warp_of_global_loads_is_latency_bound(loads, latency, max_inflight, policy, arch):
+    # each load issues the cycle the previous one returns, and the warp
+    # finishes as it issues its last load, without waiting for it
+    kernel = _straight_line_kernel((Opcode.LD_GLOBAL,) * loads, 32, 1, 8)
+    hw = replace(
+        ONE_SM_ARCHS[arch],
+        memory_latency_cycles=latency,
+        max_inflight_mem_requests=max_inflight,
+    )
+    res = run(kernel, policy, hw, debug=True)
+    assert res.cycles == (loads - 1) * latency + 1
+    assert res.issued_cycles == loads
+    assert res.c_mem == (loads - 1) * (latency - 1)
+    assert res.c_idle == res.barrier_stall == 0
+    _check_accounting(kernel, res)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    warps=st.integers(min_value=1, max_value=32),
+    schedulers=st.integers(min_value=1, max_value=4),
+    max_inflight=st.integers(min_value=1, max_value=16),
+    latency=st.integers(min_value=32, max_value=500),
+    policy=st.sampled_from(["baseline", "wlm"]),
+    arch=st.sampled_from(sorted(ONE_SM_ARCHS)),
+)
+def test_loads_past_the_request_slots_are_bandwidth_bound(
+    warps, schedulers, max_inflight, latency, policy, arch
+):
+    # every warp loads, then uses the value.  Warp j issues its load at
+    # cycle j // s, and with ceil(W/s) <= latency all W loads issue before
+    # the first returns.  Load j past the M slots waits for load j - M to
+    # return, so it returns at (j mod M) // s + (j // M + 1) * latency;
+    # with M <= latency a scheduler sees one load return per cycle at most,
+    # and the ALU after it issues that cycle.  The last load returns last.
+    kernel = _straight_line_kernel((Opcode.LD_GLOBAL, Opcode.ALU), 32 * warps, 1, 8)
+    hw = replace(
+        ONE_SM_ARCHS[arch],
+        schedulers_per_sm=schedulers,
+        memory_latency_cycles=latency,
+        max_inflight_mem_requests=max_inflight,
+    )
+    res = run(kernel, policy, hw, debug=True)
+    last = warps - 1
+    returns = (last % max_inflight) // schedulers + (last // max_inflight + 1) * latency
+    assert res.cycles == returns + 1
+    assert res.c_idle == res.barrier_stall == 0
+    _check_accounting(kernel, res)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    name=st.sampled_from(corpus_names()),
+    launches=st.integers(min_value=1, max_value=3),
+    extra=st.integers(min_value=0, max_value=7),
+    arch=st.sampled_from(sorted(ONE_SM_ARCHS)),
+)
+def test_long_baseline_launch_holds_its_static_blocks_in_flight(name, launches, extra, arch):
+    # a finished block's resources admit the next block in the same cycle,
+    # so while blocks remain to dispatch the SM holds exactly as many as
+    # whole-block allocation fits
+    kernel = corpus_kernel(name)
+    hw = ONE_SM_ARCHS[arch]
+    fits = baseline_blocks_in_flight(kernel.resource_spec, hw)
+    spec = replace(kernel.resource_spec, num_blocks=fits * launches + extra)
+    res = run(replace(kernel, resource_spec=spec), "baseline", hw, debug=True)
+    assert res.blocks_in_flight_min == res.blocks_in_flight_max == fits
