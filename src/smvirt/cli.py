@@ -210,7 +210,9 @@ def build_parser() -> argparse.ArgumentParser:
     out = sim.add_mutually_exclusive_group()
     out.add_argument("--json", metavar="PATH", help="write the full result as JSON")
     out.add_argument("--csv", metavar="PATH", help="write a one-row CSV")
-    sim.add_argument("--event-log", metavar="PATH", help="write JSON-lines event trace")
+    sim.add_argument(
+        "--event-log", metavar="PATH", help="write the critical SM replica's event trace as JSON lines"
+    )
     sim.set_defaults(func=_cmd_simulate)
 
     sw = sub.add_parser("sweep", help="run a parameter grid")
