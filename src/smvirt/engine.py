@@ -244,16 +244,15 @@ class _UtilSampler:
 
     def sample(self, delta: int):
         """Integrate live/allocated over the next delta cycles."""
-        blocks = self.blocks
-        if not blocks:
+        in_flight = len(self.blocks)
+        if not in_flight:
             return
-        in_flight = len(blocks)
         warps = self.warps.values()
         regs_at = self.regs_at
         live_regs = sum([regs_at[w.pc] for w in warps])
         if regs_at[-1]:
             # the finished warps past the end hold no registers
-            live_regs -= regs_at[-1] * sum([b.finished_warps for b in blocks.values()])
+            live_regs -= regs_at[-1] * sum([b.finished_warps for b in self.blocks.values()])
         self.reg_sum += delta * live_regs / (in_flight * self.blk_regs)
         self.reg_cycles += delta
         if self.blk_scr:

@@ -87,8 +87,9 @@ def parse_grid(text: str) -> GridSpec:
                     axes[key] = tuple(int(v) for v in value.split(","))
                 except ValueError:
                     raise GridSyntaxError(line_no, "list values must be integers") from None
-                if not axes[key]:
-                    raise GridSyntaxError(line_no, "empty list")
+            least = 0 if key == "scratch" else 1
+            if min(axes[key]) < least:
+                raise GridSyntaxError(line_no, f"values of {key!r} must be >= {least}")
         elif directive == "set":
             if key not in _SET_KEYS:
                 raise GridSyntaxError(

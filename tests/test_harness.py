@@ -103,6 +103,8 @@ def test_parse_list_set_and_comments():
         ("set blocks=two", 1),
         ("set blocks=1\nset blocks=2", 2),
         ("set blocks=0", 1),
+        ("set total_threads=512\nlist threads_per_block=0,64", 2),
+        ("range scratch=-1024:0:1024", 1),
         ("list scratch=0\nset total_threads=-64", 2),
         ("set blocks=1\nset total_threads=64", 0),
     ],
