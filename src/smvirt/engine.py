@@ -217,9 +217,9 @@ class _UtilSampler:
     A sample reads each warp's live set off its pc: the entry set before
     its first issue, then the set after the instruction it last issued.
     Finished warps sit past the end, and so do warps at a trailing
-    barrier, which all arrive before any finishes; past any other last
-    instruction a warp has finished by the next sample.  A block's live
-    scratchpad is the most any of its warps holds.
+    barrier, which every warp of a block reaches before any finishes;
+    past any other last instruction a warp has finished by the next
+    sample.  A block's live scratchpad is the most any warp holds.
     """
 
     def __init__(self, kernel: KernelSpec, arch: ArchConfig, registry):

@@ -7,8 +7,9 @@ and the result's cycle totals are the sums over its epochs.  A kernel
 may end in a barrier, so that warps parked there are admitted again only
 to retire.
 
-ALU-only kernels have closed-form cycle counts under every policy, so
-those properties check the cycle loop's answers, not only that it ends.
+ALU-only kernels, global loads bound by latency or by the request
+slots, and long baseline launches have closed-form answers, so those
+properties check the cycle loop's answers, not only that it ends.
 """
 
 from dataclasses import replace
