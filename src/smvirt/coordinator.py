@@ -16,6 +16,14 @@ scratchpad queues keep a lower bound on what their warps still need and
 are skipped while it exceeds what the table can grant, and the slot queue
 is skipped while no slot can be freed.
 
+Each queue keeps its warps in enqueue_seq order, and a pass visits them
+with the warps holding the most sets first, oldest first among equals.
+Only the register pass sorts: a register waiter holds one slot and may
+keep the register sets of its last phase.  A scratchpad waiter holds one
+slot and no register sets, so its queue is already the order.  A slot
+waiter holds no register sets and a slot only if it was parked, so its
+order is the parked waiters, then the new ones, each in queue order.
+
 Warp-slot oversubscription has one extra wrinkle: a slot moves to swap only
 by parking a warp that is already waiting at a barrier, which also saves its
 scheduler state to memory and releases all of its register sets.  Parked
@@ -30,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from .kernel_model import Opcode
 from .registry import Registry, WarpRecord, WarpState
@@ -93,6 +101,9 @@ class Coordinator(Registry):
         self.regs = self.tables[ResourceKind.REGISTER]
         self.scratch = self.tables[ResourceKind.SCRATCHPAD]
         self.slots = self.tables[ResourceKind.WARP_SLOT]
+        # what access_cost reads once per issued instruction
+        self._penalty = arch.mapping_table_penalty_cycles
+        self._latency = arch.memory_latency_cycles
         # the oversubscription thresholds, keyed by table in ResourceKind
         # order; read on every admission attempt
         frac = O_DEFAULT_FRAC if cfg.fixed_o_thresh_frac is None else cfg.fixed_o_thresh_frac
@@ -103,10 +114,10 @@ class Coordinator(Registry):
         # state indices, kept by _set_state: the three admission queues
         # (pending warps in enqueue_seq order), barrier waiters in
         # barrier_seq order, and the schedulable count
-        self._thread_q: dict[int, None] = {}
-        self._scratch_q: dict[int, None] = {}
-        self._reg_q: dict[int, None] = {}
-        self._at_barrier: dict[int, None] = {}
+        self._by_state: dict[WarpState, dict[int, None]] = {
+            state: {} for state in (*_PENDING, WarpState.AT_BARRIER)
+        }
+        self._thread_q, self._scratch_q, self._reg_q, self._at_barrier = self._by_state.values()
         self._schedulable = 0
         # lower bounds on the sets a queued warp still needs (inf: empty)
         self._reg_need = math.inf
@@ -120,52 +131,33 @@ class Coordinator(Registry):
 
     # -- bookkeeping ----------------------------------------------------
 
-    def _next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
-
-    def _queue(self, state: WarpState) -> Optional[dict[int, None]]:
-        if state is WarpState.PENDING_REG:
-            return self._reg_q
-        if state is WarpState.PENDING_SCRATCH:
-            return self._scratch_q
-        if state is WarpState.PENDING_THREAD:
-            return self._thread_q
-        return None
-
     def _set_state(self, w: WarpRecord, state: WarpState):
         """The one place a warp changes state; keeps the indices current."""
         old = w.state
         if old is WarpState.SCHEDULABLE:
             self._schedulable -= 1
-        elif old is WarpState.AT_BARRIER:
-            del self._at_barrier[w.wid]
         else:
-            queue = self._queue(old)
-            if queue is not None:
+            index = self._by_state.get(old)
+            if index is not None:
                 # a new warp starts in PENDING_THREAD outside the queue
-                queue.pop(w.wid, None)
+                index.pop(w.wid, None)
         if state is WarpState.SCHEDULABLE:
             self._schedulable += 1
-        elif state is WarpState.AT_BARRIER:
-            self._at_barrier[w.wid] = None
         else:
-            queue = self._queue(state)
-            if queue is not None:
-                queue[w.wid] = None
+            index = self._by_state.get(state)
+            if index is not None:
+                index[w.wid] = None
         w.state = state
 
     def _enqueue(self, warp: WarpRecord, state: WarpState):
         """Queue a warp for a stage, lowering that queue's need bound."""
         self._set_state(warp, state)
-        warp.enqueue_seq = self._next_seq()
+        self._seq += 1
+        warp.enqueue_seq = self._seq
         if state is WarpState.PENDING_REG:
             self._reg_need = min(self._reg_need, self._reg_delta(warp))
         elif state is WarpState.PENDING_SCRATCH:
             self._scratch_need = min(self._scratch_need, self._scratch_delta(warp))
-
-    def _held(self, wid: int) -> int:
-        return self.regs.owned(wid) + self.slots.owned(wid)
 
     def schedulable_count(self) -> int:
         return self._schedulable
@@ -178,26 +170,22 @@ class Coordinator(Registry):
         forced).  Every warp needs the same one slot, so the answer does
         not depend on the warp."""
         slots = self.slots
-        if slots.free_physical:
-            return True
-        return bool(self._at_barrier) and (forced or slots.budget_swap() < self._limit[slots])
-
-    def _make_slot_room(self, forced: bool):
-        """Park the oldest barrier-waiting warp to free a physical slot."""
-        slots = self.slots
-        victim = self.warps[next(iter(self._at_barrier))]
-        slots.spill_specific(victim.wid, 0, forced=forced)
-        slots.note_swap_event()  # scheduler state save
-        self.regs.free_all(victim.wid)
-        self._set_state(victim, WarpState.PARKED)
+        if not self._at_barrier:
+            return slots.free_physical > 0
+        return forced or slots.headroom(self._limit[slots]) > 0
 
     def _pass_thread(self, warp: WarpRecord, forced: bool) -> bool:
         if not self._slot_stage_feasible(forced):
             return False
         slots = self.slots
         if slots.free_physical == 0:
-            self._make_slot_room(forced)
-        if slots.owned(warp.wid):
+            # park the oldest barrier waiter, saving its scheduler state
+            victim = self.warps[next(iter(self._at_barrier))]
+            slots.spill_specific(victim.wid, 0, forced=forced)
+            slots.note_swap_event()
+            self.regs.free_all(victim.wid)
+            self._set_state(victim, WarpState.PARKED)
+        if warp.wid in slots.owned_sets:
             # parked warp resuming: restore its slot and pay the round trip
             slots.migrate_in(warp.wid, 0)
             slots.note_swap_event()
@@ -206,31 +194,22 @@ class Coordinator(Registry):
             slots.allocate(warp.wid, 1, Placement.PHYSICAL)
         return True
 
-    def _headroom(self, tbl: MappingTable) -> int:
-        """The largest delta a non-forced _try_alloc on tbl grants now."""
-        return tbl.free_physical + max(0, self._limit[tbl] - tbl.budget_swap())
+    def _grant(self, tbl: MappingTable, owner: int, delta: int, forced: bool):
+        """Grant delta new sets (none if delta <= 0): free physical sets
+        first, overflow to swap.
 
-    def _try_alloc(self, tbl: MappingTable, owner: int, delta: int, forced: bool) -> bool:
-        """Grant delta new sets: free physical sets first, overflow to swap.
-
-        The overflow must fit the resource's oversubscription budget unless
-        the admission is forced by the deadlock guard (budget-exempt), so a
-        non-forced request passes iff delta <= _headroom(tbl).
+        A non-forced grant must fit tbl.headroom(limit), which the queue
+        passes check first, and lowers it by exactly delta.  A grant forced
+        by the deadlock guard is exempt from the budget.
         """
-        if delta <= 0:
-            return True
         phys = min(delta, tbl.free_physical)
         overflow = delta - phys
-        limit = self._limit[tbl]
-        if overflow > 0 and not forced and tbl.budget_swap() + overflow > limit:
-            return False
-        if phys:
+        if phys > 0:
             tbl.allocate(owner, phys, Placement.PHYSICAL)
         if overflow:
             tbl.allocate(owner, overflow, Placement.SWAP, forced=forced)
-            if not forced and tbl.budget_swap() > limit:
+            if not forced and tbl.budget_swap() > self._limit[tbl]:
                 self.budget_violations += 1
-        return True
 
     def _scratch_delta(self, warp: WarpRecord) -> int:
         """Scratch sets the warp's block still lacks for the warp's phase."""
@@ -239,87 +218,103 @@ class Coordinator(Registry):
     def _reg_delta(self, warp: WarpRecord) -> int:
         return warp.reg_sets_needed - self.regs.owned(warp.wid)
 
-    def _pass_scratch(self, warp: WarpRecord, forced: bool) -> bool:
-        return self._try_alloc(self.scratch, warp.block_id, self._scratch_delta(warp), forced)
+    def _retry_reg(self, room: int) -> bool:
+        """One pass over the register queue with room sets grantable.
 
-    def _pass_reg(self, warp: WarpRecord, forced: bool) -> bool:
-        return self._try_alloc(self.regs, warp.wid, self._reg_delta(warp), forced)
-
-    def _advance(self, warp: WarpRecord):
-        """Move a warp that just passed its current stage to the next one."""
-        if warp.state is WarpState.PENDING_THREAD:
-            self._enqueue(warp, WarpState.PENDING_SCRATCH)
-        elif warp.state is WarpState.PENDING_SCRATCH:
-            self._enqueue(warp, WarpState.PENDING_REG)
-        else:
-            self._admit(warp)
-
-    _STAGE = {
-        WarpState.PENDING_THREAD: "_pass_thread",
-        WarpState.PENDING_SCRATCH: "_pass_scratch",
-        WarpState.PENDING_REG: "_pass_reg",
-    }
-
-    def _retry_queue(
-        self,
-        queue: dict[int, None],
-        pass_stage: Callable[[WarpRecord, bool], bool],
-        stop_at_failure: bool = False,
-    ) -> bool:
-        """One pass over a stage's queue; a warp that passes leaves it.
-
-        stop_at_failure ends the pass at the first warp that fails, which
-        is exact for a stage whose failure changes nothing and whose outcome
-        does not depend on the warp.
+        Warps holding more register sets go first, FIFO among equals: the
+        queue is in enqueue_seq order and a reversed sort is stable.  A
+        warp's delta changes only with its own grant, so the survivors'
+        smallest delta is the queue's new need bound.
         """
         warps = self.warps
-        members = [warps[wid] for wid in queue]
-        # warps holding more resources go first; FIFO among equals
-        held = self._held
-        members.sort(key=lambda w: (-held(w.wid), w.enqueue_seq))
+        regs = self.regs
+        held = regs.owned_sets.get
+        need = math.inf
         progressed = False
-        for w in members:
-            if pass_stage(w, False):
-                progressed = True
-                self._advance(w)
-            elif stop_at_failure:
-                break
+        for wid in sorted(self._reg_q, key=lambda wid: held(wid, 0), reverse=True):
+            w = warps[wid]
+            delta = w.reg_sets_needed - held(wid, 0)
+            if delta > room:
+                need = min(need, delta)
+                continue
+            if delta > 0:
+                self._grant(regs, wid, delta, False)
+                room -= delta
+            self._admit(w)
+            progressed = True
+        self._reg_need = need
         return progressed
 
-    def _least_need(self, queue: dict[int, None], delta: Callable[[WarpRecord], int]) -> float:
-        """The exact need bound of a queue: its smallest delta, inf if empty."""
+    def _retry_scratch(self, room: int) -> bool:
+        """One pass over the scratchpad queue, in its own order, with room
+        sets grantable.  A sibling's grant lowers a survivor's delta, so
+        the need bound is taken after the pass."""
         warps = self.warps
-        return min((delta(warps[wid]) for wid in queue), default=math.inf)
+        scratch = self.scratch
+        held = scratch.owned_sets.get
+        progressed = False
+        for w in [warps[wid] for wid in self._scratch_q]:
+            delta = w.scratch_sets_needed - held(w.block_id, 0)
+            if delta > room:
+                continue
+            if delta > 0:
+                self._grant(scratch, w.block_id, delta, False)
+                room -= delta
+            self._enqueue(w, WarpState.PENDING_REG)
+            progressed = True
+        survivors = map(warps.__getitem__, self._scratch_q)
+        self._scratch_need = min(map(self._scratch_delta, survivors), default=math.inf)
+        return progressed
+
+    def _retry_slots(self) -> bool:
+        """One pass over the slot queue: parked warps, then new ones.
+
+        A failed slot pass frees nothing and every warp needs the same one
+        slot, so the first failure decides the rest of the queue.
+        """
+        parked = self.slots.owned_sets
+        queue = self._thread_q
+        order = [wid for wid in queue if wid in parked]
+        order += [wid for wid in queue if wid not in parked]
+        progressed = False
+        for w in map(self.warps.__getitem__, order):
+            if not self._pass_thread(w, False):
+                break
+            self._enqueue(w, WarpState.PENDING_SCRATCH)
+            progressed = True
+        return progressed
 
     def retry_all_queues(self):
         """Drain the queues to a fixpoint, register stage first.
 
         Swap-resident sets of already-running warps are promoted back on
-        chip before any new admission, so freed capacity first relieves
-        warps paying round-trip latency and only then admits more work.
+        chip before any new admission, hottest first, so freed capacity
+        first relieves warps paying round-trip latency and only then admits
+        more work.  Guard-forced sets promote too, clearing their budget
+        exemption, and so does any budget overshoot a threshold drop leaves.
 
         A pass that admits nobody changes nothing, so a stage is passed
         over while it provably cannot admit: a register or scratchpad
         queue while its need bound exceeds the table's headroom, the slot
         queue while no slot can be freed.
         """
-        self._promote_swapped()
-        regs, scratch = self.regs, self.scratch
+        regs, scratch, limit = self.regs, self.scratch, self._limit
+        for tbl in (regs, scratch):
+            if tbl.mapped_swap and tbl.free_physical:
+                for owner, logical in tbl.swap_keys_by_heat():
+                    if tbl.free_physical == 0:
+                        break
+                    tbl.migrate_in(owner, logical)
         while True:
             progressed = False
-            if self._reg_need <= self._headroom(regs):
-                progressed = self._retry_queue(self._reg_q, self._pass_reg)
-                self._reg_need = self._least_need(self._reg_q, self._reg_delta)
-            if self._scratch_need <= self._headroom(scratch):
-                progressed |= self._retry_queue(self._scratch_q, self._pass_scratch)
-                # a sibling's pass may have lowered a survivor's delta
-                self._scratch_need = self._least_need(self._scratch_q, self._scratch_delta)
-            # a failed slot pass frees nothing and every warp needs the same
-            # one slot, so the first failure decides the rest of the queue
+            room = regs.headroom(limit[regs])
+            if self._reg_need <= room:
+                progressed = self._retry_reg(room)
+            room = scratch.headroom(limit[scratch])
+            if self._scratch_need <= room:
+                progressed |= self._retry_scratch(room)
             if self._thread_q and self._slot_stage_feasible(forced=False):
-                progressed |= self._retry_queue(
-                    self._thread_q, self._pass_thread, stop_at_failure=True
-                )
+                progressed |= self._retry_slots()
             if not progressed:
                 return
 
@@ -392,7 +387,8 @@ class Coordinator(Registry):
         """Hold the warp at its barrier; True when it was the last of its
         block to arrive."""
         complete = super().on_barrier(wid)
-        self.warps[wid].barrier_seq = self._next_seq()
+        self._seq += 1
+        self.warps[wid].barrier_seq = self._seq
         # a parkable warp appeared, so slot waiters may now pass
         self.retry_all_queues()
         return complete
@@ -441,21 +437,6 @@ class Coordinator(Registry):
         for tbl in self.tables.values():
             tbl.reset_access_window()
 
-    def _promote_swapped(self):
-        """Migrate swap sets back on chip while physical space is free.
-
-        Hottest first; guard-forced sets promote too, clearing their
-        budget exemption.  This also drains any budget overshoot a
-        threshold drop leaves behind.
-        """
-        for tbl in (self.regs, self.scratch):
-            if not tbl.mapped_swap or not tbl.free_physical:
-                continue
-            for owner, logical in tbl.swap_keys_by_heat():
-                if tbl.free_physical == 0:
-                    break
-                tbl.migrate_in(owner, logical)
-
     # -- data-access path ---------------------------------------------------
 
     def _locality(self, w: WarpRecord, n_sets: int) -> int:
@@ -484,25 +465,25 @@ class Coordinator(Registry):
         extra = 0
         regs = self.regs
         wid = w.wid
-        n = regs.owned(wid)
+        n = regs.owned_sets.get(wid)
         if n:
-            extra += self.arch.mapping_table_penalty_cycles
+            extra = self._penalty
             if wid not in regs.swap_owned:
                 w.acc_counter += 1
                 regs.total_accesses += 1
             elif self.access_register(wid, self._locality(w, n)):
-                extra += self.arch.memory_latency_cycles
+                extra += self._latency
         if op is _LD_SHARED or op is _ST_SHARED:
             scratch = self.scratch
             bid = w.block_id
-            m = scratch.owned(bid)
+            m = scratch.owned_sets.get(bid)
             if m:
-                extra += self.arch.mapping_table_penalty_cycles
+                extra += self._penalty
                 if bid not in scratch.swap_owned:
                     w.acc_counter += 1
                     scratch.total_accesses += 1
                 elif self.access_scratch(bid, self._locality(w, m)):
-                    extra += self.arch.memory_latency_cycles
+                    extra += self._latency
         # every issued instruction uses its warp's slot
         self.slots.total_accesses += 1
         return extra
@@ -565,10 +546,16 @@ class Coordinator(Registry):
         warps = self.warps
         w = min((warps[next(iter(q))] for q in queues), key=lambda w: w.enqueue_seq)
         while w.state is not WarpState.SCHEDULABLE:
-            pass_stage = getattr(self, self._STAGE[w.state])
-            if not pass_stage(w, True):
-                raise RuntimeError("forced admission stage failed")
-            self._advance(w)
+            if w.state is WarpState.PENDING_THREAD:
+                if not self._pass_thread(w, True):
+                    raise RuntimeError("forced admission stage failed")
+                self._enqueue(w, WarpState.PENDING_SCRATCH)
+            elif w.state is WarpState.PENDING_SCRATCH:
+                self._grant(self.scratch, w.block_id, self._scratch_delta(w), True)
+                self._enqueue(w, WarpState.PENDING_REG)
+            else:
+                self._grant(self.regs, w.wid, self._reg_delta(w), True)
+                self._admit(w)
         self.guard_admissions += 1
         # a forced scratch pass can raise a sibling's block share, which
         # lowers that sibling's delta below its queue's bound
@@ -588,6 +575,13 @@ class Coordinator(Registry):
             if w.state in (WarpState.PENDING_THREAD, WarpState.PENDING_SCRATCH):
                 if regs.owned(w.wid):
                     errors.append(f"warp {w.wid} holds registers while in {w.state.value}")
+            # the queue passes visit scratchpad and slot waiters in queue
+            # order because of these two
+            if w.state in (WarpState.PENDING_SCRATCH, WarpState.PENDING_REG):
+                if slots.owned(w.wid) != 1 or slots.peek(w.wid, 0) is not Placement.PHYSICAL:
+                    errors.append(f"warp {w.wid} is {w.state.value} without one physical slot")
+            if w.state is WarpState.PENDING_THREAD and slots.peek(w.wid, 0) is Placement.PHYSICAL:
+                errors.append(f"warp {w.wid} waits for a slot it holds on chip")
             if w.state in (WarpState.SCHEDULABLE, WarpState.AT_BARRIER):
                 if slots.peek(w.wid, 0) is not Placement.PHYSICAL:
                     errors.append(f"warp {w.wid} is {w.state.value} without a physical slot")
@@ -622,7 +616,7 @@ class Coordinator(Registry):
             errors.append("barrier-waiter index is not the barrier_seq order of waiters")
         for state in _PENDING:
             queued = sorted(by_state[state], key=lambda w: w.enqueue_seq)
-            if list(self._queue(state)) != [w.wid for w in queued]:
+            if list(self._by_state[state]) != [w.wid for w in queued]:
                 errors.append(f"{state.value} queue is not the enqueue_seq order of its warps")
         if self._schedulable != len(by_state[WarpState.SCHEDULABLE]):
             errors.append(f"schedulable counter {self._schedulable} drifted")
@@ -636,7 +630,7 @@ class Coordinator(Registry):
             ("register", self._reg_q, self._reg_delta, self._reg_need, self.regs),
             ("scratchpad", self._scratch_q, self._scratch_delta, self._scratch_need, self.scratch),
         ):
-            room = self._headroom(tbl)
+            room = tbl.headroom(self._limit[tbl])
             for wid in queue:
                 d = delta(self.warps[wid])
                 if d <= room:

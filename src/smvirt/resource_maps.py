@@ -199,7 +199,7 @@ class MappingTable:
         self._free: list[int] = list(range(capacity))
         heapq.heapify(self._free)
         self._entries: dict[tuple[int, int], _Entry] = {}
-        self._owned: dict[int, int] = {}  # owner -> number of logical sets
+        self.owned_sets: dict[int, int] = {}  # owner -> number of logical sets
         # owner -> number of its sets in swap, for owners with at least one
         self.swap_owned: dict[int, int] = {}
         self.mapped_swap = 0
@@ -214,11 +214,16 @@ class MappingTable:
         return len(self._free)
 
     def owned(self, owner: int) -> int:
-        return self._owned.get(owner, 0)
+        return self.owned_sets.get(owner, 0)
 
     def budget_swap(self) -> int:
         """Swap-resident sets that count against the oversubscription budget."""
         return self.mapped_swap - self.forced_swap
+
+    def headroom(self, limit: int) -> int:
+        """The most sets one request may get with the budget-counted swap
+        held to limit: the free physical sets plus the budget left."""
+        return len(self._free) + max(0, limit - self.mapped_swap + self.forced_swap)
 
     def peek(self, owner: int, logical: int) -> Optional[Placement]:
         e = self._entries.get((owner, logical))
@@ -240,7 +245,7 @@ class MappingTable:
                 f"{self.kind.value}: {n_sets} physical sets requested, "
                 f"{len(self._free)} free"
             )
-        base = self._owned.get(owner, 0)
+        base = self.owned_sets.get(owner, 0)
         for k in range(n_sets):
             key = (owner, base + k)
             if key in self._entries:
@@ -254,11 +259,11 @@ class MappingTable:
                     self.forced_swap += 1
         if placement is Placement.SWAP and n_sets:
             self._count_swap(owner, n_sets)
-        self._owned[owner] = base + n_sets
+        self.owned_sets[owner] = base + n_sets
 
     def free(self, owner: int, n_sets: int):
         """Release the highest-indexed n_sets logical sets of owner."""
-        have = self._owned.get(owner, 0)
+        have = self.owned_sets.get(owner, 0)
         if n_sets > have:
             raise MappingError(
                 f"{self.kind.value}: owner {owner} holds {have} sets, cannot free {n_sets}"
@@ -276,12 +281,12 @@ class MappingTable:
             self.mapped_swap -= swapped
             self._count_swap(owner, -swapped)
         if have == n_sets:
-            self._owned.pop(owner, None)
+            self.owned_sets.pop(owner, None)
         else:
-            self._owned[owner] = have - n_sets
+            self.owned_sets[owner] = have - n_sets
 
     def free_all(self, owner: int):
-        self.free(owner, self._owned.get(owner, 0))
+        self.free(owner, self.owned_sets.get(owner, 0))
 
     def lookup(self, owner: int, logical: int) -> Placement:
         """Resolve one logical set, recording the access (and, for a set in
@@ -341,7 +346,7 @@ class MappingTable:
         entries = self._entries
         pool = []
         for owner in self.swap_owned:
-            for logical in range(self._owned[owner]):
+            for logical in range(self.owned_sets[owner]):
                 e = entries[owner, logical]
                 if e.physical is None:
                     pool.append((-e.accesses, owner, logical))
@@ -382,7 +387,7 @@ class MappingTable:
             if e.physical is None:
                 swapped[owner] = swapped.get(owner, 0) + 1
         for owner, top in per_owner.items():
-            if self._owned.get(owner, 0) != top + 1:
+            if self.owned_sets.get(owner, 0) != top + 1:
                 errors.append(f"{self.kind.value}: owner {owner} has a logical-index gap")
         for owner in sorted(swapped.keys() | self.swap_owned.keys()):
             if self.swap_owned.get(owner) != swapped.get(owner):

@@ -251,16 +251,24 @@ def test_effects_drain_once():
     assert coord.drain_effects() == []
 
 
+_QUEUE_PASSES = ("_retry_reg", "_retry_scratch", "_retry_slots")
+
+
 def _record_passes(coord):
-    """Record the stage of every queue pass the coordinator makes."""
+    """Record the name of every queue pass the coordinator makes."""
     stages = []
-    retry_queue = coord._retry_queue
 
-    def recorded(queue, pass_stage, stop_at_failure=False):
-        stages.append(pass_stage.__name__)
-        return retry_queue(queue, pass_stage, stop_at_failure)
+    def recorder(name):
+        queue_pass = getattr(coord, name)
 
-    coord._retry_queue = recorded
+        def recorded(*args):
+            stages.append(name)
+            return queue_pass(*args)
+
+        return recorded
+
+    for name in _QUEUE_PASSES:
+        setattr(coord, name, recorder(name))
     return stages
 
 
@@ -279,7 +287,7 @@ def test_register_waiter_is_retried_only_when_registers_free():
     assert coord.check_invariants() == []
     # the retry that frees a warp's eight sets admits the oldest waiter
     coord.on_warp_finished(2)
-    assert passes == ["_pass_reg"]
+    assert passes == ["_retry_reg"]
     assert coord.warps[4].state is WarpState.SCHEDULABLE
     assert all(coord.warps[w].state is WarpState.PENDING_REG for w in range(5, 8))
     assert coord.check_invariants() == []
@@ -337,7 +345,7 @@ def test_retry_after_a_forced_admission_runs_every_stage():
     # forces warp 1, whose block then holds four sets, two of them in swap
     assert coord.deadlock_guard() is True
     assert coord.guard_admissions == 1
-    assert {"_pass_reg", "_pass_scratch"} <= set(stages)
+    assert {"_retry_reg", "_retry_scratch"} <= set(stages)
     # so its sibling passes in the same retry with nothing left to grant
     assert coord.warps[2].state is WarpState.SCHEDULABLE
     assert coord.check_invariants() == []
@@ -348,21 +356,102 @@ def test_queue_passes_stay_few_on_a_large_launch(monkeypatch):
     # queue can admit someone, so most events pass over none of them
     counts = {"retries": 0, "passes": 0}
     retry_all_queues = Coordinator.retry_all_queues
-    retry_queue = Coordinator._retry_queue
 
     def counted_retry(self):
         counts["retries"] += 1
         return retry_all_queues(self)
 
-    def counted_pass(self, *args, **kwargs):
-        counts["passes"] += 1
-        return retry_queue(self, *args, **kwargs)
+    def counter(queue_pass):
+        def counted_pass(self, *args):
+            counts["passes"] += 1
+            return queue_pass(self, *args)
+
+        return counted_pass
 
     monkeypatch.setattr(Coordinator, "retry_all_queues", counted_retry)
-    monkeypatch.setattr(Coordinator, "_retry_queue", counted_pass)
+    for name in _QUEUE_PASSES:
+        monkeypatch.setattr(Coordinator, name, counter(getattr(Coordinator, name)))
     kernel = corpus_kernel("reg_cliff")
     kernel = replace(kernel, resource_spec=replace(kernel.resource_spec, num_blocks=225))
     run(kernel, "zorua", "fermi")
     # retrying all three queues after every event made 3372 passes
     assert counts["passes"] <= 1000, counts
     assert counts["passes"] < counts["retries"], counts
+
+
+def test_a_requeued_parked_warp_passes_the_slot_stage_before_an_older_new_warp():
+    # a slot budget of one parked warp
+    cfg = OversubscriptionConfig(fixed_o_thresh_frac=1 / 16, guard_enabled=False)
+    coord = Coordinator(TINY, cfg)
+    for bid in range(4):
+        _arrive(coord, bid, range(bid * 4, bid * 4 + 4), reg_sets=1, scratch_sets=0)
+    coord.on_barrier(0)
+    # warp 16 takes warp 0's slot by parking it; warp 17 finds none
+    _arrive(coord, 4, (16, 17), reg_sets=1, scratch_sets=0)
+    assert coord.warps[0].state is WarpState.PARKED
+    assert coord.warps[17].state is WarpState.PENDING_THREAD
+    for wid in (1, 2, 3):
+        coord.on_barrier(wid)
+    coord.release_barrier(0)
+    # warp 0 queues for a slot after warp 17 did
+    assert list(coord.warps[w].state for w in (0, 17)) == [WarpState.PENDING_THREAD] * 2
+    assert coord.warps[0].enqueue_seq > coord.warps[17].enqueue_seq
+    # one slot frees: the parked warp, holding its slot in swap, goes first
+    coord.on_warp_finished(4)
+    assert coord.warps[0].state is WarpState.SCHEDULABLE
+    assert coord.warps[17].state is WarpState.PENDING_THREAD
+    assert ("slot_swapin", 0) in coord.drain_effects()
+    assert coord.check_invariants() == []
+
+
+def test_the_register_waiter_holding_more_sets_is_granted_first():
+    cfg = OversubscriptionConfig(fixed_o_thresh_frac=0.0, guard_enabled=False)
+    coord = Coordinator(TINY, cfg)
+    regs = coord.tables[ResourceKind.REGISTER]
+    _arrive(coord, 0, range(4), reg_sets=4, scratch_sets=0)
+    _arrive(coord, 1, (4, 5), reg_sets=8, scratch_sets=0)  # all 32 sets taken
+    _arrive(coord, 2, (6,), reg_sets=2, scratch_sets=0)
+    # warp 0 grows from four sets to six and queues behind warp 6
+    assert coord.on_phase_change(0, reg_sets=6, scratch_sets=0) is False
+    assert coord.warps[6].enqueue_seq < coord.warps[0].enqueue_seq
+    assert regs.owned(0) == 4 and regs.owned(6) == 0
+    # two sets free: both waiters lack two, and the one holding four wins
+    assert coord.on_phase_change(1, reg_sets=2, scratch_sets=0) is True
+    assert coord.warps[0].state is WarpState.SCHEDULABLE
+    assert coord.warps[6].state is WarpState.PENDING_REG
+    assert regs.owned(0) == 6
+    assert coord.check_invariants() == []
+
+
+def test_scratch_waiters_pass_in_enqueue_order():
+    cfg = OversubscriptionConfig(fixed_o_thresh_frac=0.0, guard_enabled=False)
+    coord = Coordinator(TINY, cfg)
+    _arrive(coord, 0, (0, 1), reg_sets=1, scratch_sets=3)
+    _arrive(coord, 1, (2, 3), reg_sets=1, scratch_sets=3)  # 6 of 8 sets taken
+    _arrive(coord, 2, (4,), reg_sets=1, scratch_sets=4)
+    # warp 0, of an older block and a lower id, queues for scratch later
+    assert coord.on_phase_change(0, reg_sets=1, scratch_sets=6) is False
+    assert [coord.warps[w].state for w in (4, 0)] == [WarpState.PENDING_SCRATCH] * 2
+    assert coord.warps[4].enqueue_seq < coord.warps[0].enqueue_seq
+    # block 1 shrinks to one set: four are free, enough for either waiter
+    # (warp 4 lacks four, warp 0 three) but not both; the older passes
+    coord.on_phase_change(2, reg_sets=1, scratch_sets=1)
+    coord.on_phase_change(3, reg_sets=1, scratch_sets=1)
+    assert coord.warps[4].state is WarpState.SCHEDULABLE
+    assert coord.warps[0].state is WarpState.PENDING_SCRATCH
+    assert coord.check_invariants() == []
+
+
+def test_invariants_report_a_waiter_with_the_wrong_slot():
+    cfg = OversubscriptionConfig(fixed_o_thresh_frac=0.0, guard_enabled=False)
+    coord = Coordinator(TINY, cfg)
+    slots = coord.tables[ResourceKind.WARP_SLOT]
+    _arrive(coord, 0, range(4), reg_sets=8, scratch_sets=0)
+    _arrive(coord, 1, (4,), reg_sets=8, scratch_sets=0)
+    assert coord.warps[4].state is WarpState.PENDING_REG
+    slots.spill_specific(4, 0, forced=True)
+    assert coord.check_invariants() == ["warp 4 is pending_reg without one physical slot"]
+    slots.migrate_in(4, 0)
+    # a new warp waiting for a slot must not hold one on chip
+    coord._set_state(coord.warps[4], WarpState.PENDING_THREAD)
+    assert "warp 4 waits for a slot it holds on chip" in coord.check_invariants()

@@ -8,8 +8,9 @@ may end in a barrier, so that warps parked there are admitted again only
 to retire.
 
 ALU-only kernels, global loads bound by latency or by the request
-slots, and long baseline launches have closed-form answers, so those
-properties check the cycle loop's answers, not only that it ends.
+slots, and long and short baseline launches have closed-form answers, so
+those properties check the cycle loop's answers, not only that it ends.
+So does zorua with no swap budget: it never touches a set in swap.
 """
 
 from dataclasses import replace
@@ -17,6 +18,7 @@ from dataclasses import replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smvirt.coordinator import OversubscriptionConfig
 from smvirt.corpus import corpus_kernel, corpus_names
 from smvirt.engine import run
 from smvirt.kernel_model import (
@@ -244,3 +246,50 @@ def test_long_baseline_launch_holds_its_static_blocks_in_flight(name, launches, 
     spec = replace(kernel.resource_spec, num_blocks=fits * launches + extra)
     res = run(replace(kernel, resource_spec=spec), "baseline", hw, debug=True)
     assert res.blocks_in_flight_min == res.blocks_in_flight_max == fits
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    name=st.sampled_from(corpus_names()),
+    arch=st.sampled_from(sorted(ONE_SM_ARCHS)),
+    data=st.data(),
+)
+def test_short_baseline_launch_has_all_its_blocks_in_flight_and_no_more(name, arch, data):
+    # a launch no longer than what whole-block allocation fits dispatches
+    # every block at once
+    kernel = corpus_kernel(name)
+    hw = ONE_SM_ARCHS[arch]
+    fits = baseline_blocks_in_flight(kernel.resource_spec, hw)
+    blocks = data.draw(st.integers(min_value=1, max_value=fits))
+    spec = replace(kernel.resource_spec, num_blocks=blocks)
+    res = run(replace(kernel, resource_spec=spec), "baseline", hw, debug=True)
+    assert res.blocks_in_flight_min == res.blocks_in_flight_max == blocks
+
+
+@st.composite
+def _small_kernels(draw) -> KernelSpec:
+    """A corpus kernel cut to at most 24 blocks, or a generated kernel."""
+    if draw(st.booleans()):
+        kernel = corpus_kernel(draw(st.sampled_from(corpus_names())))
+        blocks = draw(st.integers(min_value=1, max_value=24))
+        return replace(kernel, resource_spec=replace(kernel.resource_spec, num_blocks=blocks))
+    return generate_synthetic_kernel(
+        draw(st.sampled_from(list(Profile))),
+        draw(st.integers(min_value=1, max_value=64)),
+        draw(st.integers(min_value=0, max_value=2**16)),
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    kernel=_small_kernels(),
+    arch=st.sampled_from(sorted(ONE_SM_ARCHS)),
+    guard=st.booleans(),
+)
+def test_zorua_without_a_swap_budget_hits_on_chip_every_time(kernel, arch, guard):
+    # with every threshold pinned at zero only a guard admission may place
+    # a set in swap, or park a warp
+    cfg = OversubscriptionConfig(fixed_o_thresh_frac=0.0, guard_enabled=guard)
+    res = run(annotate_phases(kernel), "zorua", ONE_SM_ARCHS[arch], oversub=cfg, debug=True)
+    if res.guard_admissions == 0:
+        assert res.reg_hit_rate == res.scratch_hit_rate == res.slot_hit_rate == 1.0
