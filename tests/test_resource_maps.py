@@ -80,6 +80,17 @@ def test_allocate_overflow_to_swap_and_budget():
     assert t.mapped_swap == 5
 
 
+def test_headroom_is_the_free_sets_plus_the_budget_left():
+    t = MappingTable(ResourceKind.REGISTER, capacity=4)
+    assert t.headroom(2) == 6
+    t.allocate(1, 3, Placement.PHYSICAL)
+    t.allocate(2, 1, Placement.SWAP)
+    t.allocate(3, 5, Placement.SWAP, forced=True)  # exempt from the budget
+    assert t.headroom(2) == 1 + 1
+    # swap past the limit, as a threshold drop leaves it, grants no budget
+    assert t.headroom(0) == 1
+
+
 def test_free_releases_tail_first():
     t = MappingTable(ResourceKind.REGISTER, capacity=4)
     t.allocate(1, 4, Placement.PHYSICAL)
