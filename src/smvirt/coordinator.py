@@ -246,9 +246,9 @@ class Coordinator(Registry):
         return progressed
 
     def _retry_scratch(self, room: int) -> bool:
-        """One pass over the scratchpad queue, in its own order, with room
-        sets grantable.  A sibling's grant lowers a survivor's delta, so
-        the need bound is taken after the pass."""
+        """One pass over the scratchpad queue, in its own order.  A later
+        sibling's grant lowers a skipped warp's delta as much as room, so
+        it still cannot pass, but the need bound moves: it is taken after."""
         warps = self.warps
         scratch = self.scratch
         held = scratch.owned_sets.get
