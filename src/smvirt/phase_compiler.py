@@ -74,7 +74,7 @@ def detect_phase_boundaries(
     of ``min_span``; liveness-driven boundaries additionally require the
     previous phase to span at least ``min_span`` instructions.
     """
-    if change_threshold <= 0.0:
+    if not change_threshold > 0.0:  # NaN fails this test too
         raise ValueError("change_threshold must be positive")
     if min_span < 1:
         raise ValueError("min_span must be at least 1")

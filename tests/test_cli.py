@@ -259,6 +259,12 @@ def test_phases_prints_the_decomposition(capsys):
     assert "384" in out
 
 
+def test_phases_rejects_a_nan_threshold(capsys):
+    rc = main(["phases", "--kernel", "corpus:reg_cliff", "--threshold", "nan"])
+    assert rc == 2
+    assert "change_threshold must be positive" in capsys.readouterr().err
+
+
 def test_tables_prints_fermi_golden_sizes(capsys):
     rc = main(["tables", "--arch", "fermi"])
     out = capsys.readouterr().out

@@ -187,6 +187,12 @@ def test_validate_rejects_liveness_above_announcement():
         validate_compiled(k)
 
 
+@pytest.mark.parametrize("threshold", [0.0, -0.25, float("nan")])
+def test_detect_rejects_a_threshold_that_is_not_positive(threshold):
+    with pytest.raises(ValueError, match="change_threshold must be positive"):
+        detect_phase_boundaries(_kernel([8] * 12), change_threshold=threshold)
+
+
 def test_annotate_rejects_already_compiled():
     k = annotate_phases(_kernel([8] * 12))
     with pytest.raises(ValueError):
