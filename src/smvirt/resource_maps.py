@@ -1,17 +1,18 @@
-"""Architecture description, virtual-to-physical mapping tables, set math.
+"""Architecture description, mapping tables, set math.
 
 On-chip resources are managed in fixed-size sets: registers in sets of
 4 x warp width (128 registers), scratchpad in 1 KiB sets, warp slots
-individually.  Each resource has a mapping table from (owner, logical set)
-to either a physical set index or swap (backing memory).  Table sizing
-follows the hardware layout: one entry per addressable logical set, each
-entry wide enough for a physical index plus a valid bit.
+individually.  Each resource has a mapping table that tells, per (owner,
+logical set), whether the set is on chip or in swap (backing memory), and
+how often a swapped set was touched in the current epoch, its heat.  The
+simulator needs nothing more, so it keeps no physical index.
+table_size_bits sizes the hardware table: one entry per addressable
+logical set, each wide enough for a physical index plus a valid bit.
 """
 
 from __future__ import annotations
 
 import enum
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -178,27 +179,31 @@ def sets_required(kind: ResourceKind, spec: ResourceSpecification, arch: ArchCon
     return 1
 
 
-class _Entry:
-    __slots__ = ("physical", "accesses", "forced")
+class _SwapSet:
+    __slots__ = ("accesses", "forced")
 
-    def __init__(self, physical: Optional[int], forced: bool):
-        self.physical = physical
-        # the allocation itself counts as one touch of the set's heat
+    def __init__(self, forced: bool):
+        # entering swap counts as one touch of the set's heat
         self.accesses = 1
         self.forced = forced
 
 
 class MappingTable:
-    """Virtual-to-physical map for one resource of one SM."""
+    """Mapping table for one resource of one SM.
+
+    An owner's logical sets are 0 .. owned_sets[owner] - 1.  Each is on
+    chip unless _swapped holds it, so the on-chip sets are a count and
+    only swap-resident sets carry state: their heat and whether the
+    deadlock guard forced them there.
+    """
 
     def __init__(self, kind: ResourceKind, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.kind = kind
         self.capacity = capacity
-        self._free: list[int] = list(range(capacity))
-        heapq.heapify(self._free)
-        self._entries: dict[tuple[int, int], _Entry] = {}
+        self.free_physical = capacity
+        self._swapped: dict[tuple[int, int], _SwapSet] = {}
         self.owned_sets: dict[int, int] = {}  # owner -> number of logical sets
         # owner -> number of its sets in swap, for owners with at least one
         self.swap_owned: dict[int, int] = {}
@@ -208,10 +213,6 @@ class MappingTable:
         self.swap_accesses = 0
 
     # -- queries ------------------------------------------------------------
-
-    @property
-    def free_physical(self) -> int:
-        return len(self._free)
 
     def owned(self, owner: int) -> int:
         return self.owned_sets.get(owner, 0)
@@ -223,41 +224,34 @@ class MappingTable:
     def headroom(self, limit: int) -> int:
         """The most sets one request may get with the budget-counted swap
         held to limit: the free physical sets plus the budget left."""
-        return len(self._free) + max(0, limit - self.mapped_swap + self.forced_swap)
+        return self.free_physical + max(0, limit - self.mapped_swap + self.forced_swap)
 
     def peek(self, owner: int, logical: int) -> Optional[Placement]:
-        e = self._entries.get((owner, logical))
-        if e is None:
+        if not 0 <= logical < self.owned_sets.get(owner, 0):
             return None
-        return Placement.PHYSICAL if e.physical is not None else Placement.SWAP
+        return Placement.SWAP if (owner, logical) in self._swapped else Placement.PHYSICAL
 
     # -- mutation -----------------------------------------------------------
 
     def allocate(self, owner: int, n_sets: int, placement: Placement, forced: bool = False):
-        """Append n_sets logical sets for owner, placed physically or in swap.
-
-        Physical placement takes the lowest free indices.
-        """
+        """Append n_sets logical sets for owner, placed physically or in swap."""
         if n_sets < 0:
             raise MappingError("n_sets must be >= 0")
-        if placement is Placement.PHYSICAL and n_sets > len(self._free):
-            raise MappingError(
-                f"{self.kind.value}: {n_sets} physical sets requested, "
-                f"{len(self._free)} free"
-            )
         base = self.owned_sets.get(owner, 0)
-        for k in range(n_sets):
-            key = (owner, base + k)
-            if key in self._entries:
-                raise MappingError(f"{self.kind.value}: duplicate logical set {key}")
-            if placement is Placement.PHYSICAL:
-                self._entries[key] = _Entry(heapq.heappop(self._free), forced)
-            else:
-                self._entries[key] = _Entry(None, forced)
-                self.mapped_swap += 1
-                if forced:
-                    self.forced_swap += 1
-        if placement is Placement.SWAP and n_sets:
+        if placement is Placement.PHYSICAL:
+            if n_sets > self.free_physical:
+                raise MappingError(
+                    f"{self.kind.value}: {n_sets} physical sets requested, "
+                    f"{self.free_physical} free"
+                )
+            self.free_physical -= n_sets
+        elif n_sets:
+            swapped = self._swapped
+            for logical in range(base, base + n_sets):
+                swapped[owner, logical] = _SwapSet(forced)
+            self.mapped_swap += n_sets
+            if forced:
+                self.forced_swap += n_sets
             self._count_swap(owner, n_sets)
         self.owned_sets[owner] = base + n_sets
 
@@ -269,17 +263,18 @@ class MappingTable:
                 f"{self.kind.value}: owner {owner} holds {have} sets, cannot free {n_sets}"
             )
         swapped = 0
-        for k in range(have - 1, have - 1 - n_sets, -1):
-            e = self._entries.pop((owner, k))
-            if e.physical is not None:
-                heapq.heappush(self._free, e.physical)
-            else:
-                swapped += 1
-                if e.forced:
-                    self.forced_swap -= 1
-        if swapped:
-            self.mapped_swap -= swapped
-            self._count_swap(owner, -swapped)
+        if owner in self.swap_owned:
+            pop = self._swapped.pop
+            for logical in range(have - n_sets, have):
+                s = pop((owner, logical), None)
+                if s is not None:
+                    swapped += 1
+                    if s.forced:
+                        self.forced_swap -= 1
+            if swapped:
+                self.mapped_swap -= swapped
+                self._count_swap(owner, -swapped)
+        self.free_physical += n_sets - swapped
         if have == n_sets:
             self.owned_sets.pop(owner, None)
         else:
@@ -291,15 +286,15 @@ class MappingTable:
     def lookup(self, owner: int, logical: int) -> Placement:
         """Resolve one logical set, recording the access (and, for a set in
         swap, its heat)."""
-        e = self._entries.get((owner, logical))
-        if e is None:
+        if not 0 <= logical < self.owned_sets.get(owner, 0):
             raise MappingError(f"{self.kind.value}: lookup of unmapped set ({owner}, {logical})")
         self.total_accesses += 1
-        if e.physical is None:
-            e.accesses += 1
-            self.swap_accesses += 1
-            return Placement.SWAP
-        return Placement.PHYSICAL
+        s = self._swapped.get((owner, logical))
+        if s is None:
+            return Placement.PHYSICAL
+        s.accesses += 1
+        self.swap_accesses += 1
+        return Placement.SWAP
 
     def note_swap_event(self, n: int = 1):
         """Count swap traffic that is not a lookup (state save/restore)."""
@@ -315,26 +310,26 @@ class MappingTable:
             del self.swap_owned[owner]
 
     def migrate_in(self, owner: int, logical: int):
-        """Bring a swap-resident set back on chip (lowest free index)."""
-        e = self._entries.get((owner, logical))
-        if e is None or e.physical is not None:
+        """Bring a swap-resident set back on chip."""
+        s = self._swapped.get((owner, logical))
+        if s is None:
             raise MappingError(f"{self.kind.value}: ({owner}, {logical}) is not in swap")
-        if not self._free:
+        if not self.free_physical:
             raise MappingError(f"{self.kind.value}: no free physical set to migrate into")
-        e.physical = heapq.heappop(self._free)
+        del self._swapped[owner, logical]
+        self.free_physical -= 1
         self.mapped_swap -= 1
-        if e.forced:
+        if s.forced:
             self.forced_swap -= 1
-            e.forced = False
         self._count_swap(owner, -1)
 
     def spill_specific(self, owner: int, logical: int, forced: bool = False):
-        e = self._entries.get((owner, logical))
-        if e is None or e.physical is None:
+        """Move an on-chip set to swap.  Like a set allocated in swap, it
+        starts at heat 1: an on-chip set keeps no heat."""
+        if self.peek(owner, logical) is not Placement.PHYSICAL:
             raise MappingError(f"{self.kind.value}: ({owner}, {logical}) is not physical")
-        heapq.heappush(self._free, e.physical)
-        e.physical = None
-        e.forced = forced
+        self._swapped[owner, logical] = _SwapSet(forced)
+        self.free_physical += 1
         self.mapped_swap += 1
         if forced:
             self.forced_swap += 1
@@ -342,53 +337,37 @@ class MappingTable:
 
     def swap_keys_by_heat(self) -> list[tuple[int, int]]:
         """Swap-resident keys, guard-forced ones too, most accessed first
-        (promotion order).  Only owners in swap_owned hold such keys."""
-        entries = self._entries
-        pool = []
-        for owner in self.swap_owned:
-            for logical in range(self.owned_sets[owner]):
-                e = entries[owner, logical]
-                if e.physical is None:
-                    pool.append((-e.accesses, owner, logical))
-        pool.sort()
+        (promotion order)."""
+        pool = sorted((-s.accesses, o, logical) for (o, logical), s in self._swapped.items())
         return [(owner, logical) for _, owner, logical in pool]
 
     def reset_access_window(self):
         """Start a new access-heat window (called once per epoch)."""
-        for e in self._entries.values():
-            e.accesses = 0
+        for s in self._swapped.values():
+            s.accesses = 0
 
     # -- validation ---------------------------------------------------------
 
     def check_invariants(self) -> list[str]:
         errors = []
-        phys = [e.physical for e in self._entries.values() if e.physical is not None]
-        if len(phys) != len(set(phys)):
-            errors.append(f"{self.kind.value}: physical mapping is not injective")
-        if any(p < 0 or p >= self.capacity for p in phys):
-            errors.append(f"{self.kind.value}: physical index out of range")
-        if len(phys) + len(self._free) != self.capacity:
+        on_chip = sum(self.owned_sets.values()) - len(self._swapped)
+        if on_chip + self.free_physical != self.capacity:
             errors.append(
                 f"{self.kind.value}: conservation broken "
-                f"({len(phys)} mapped + {len(self._free)} free != {self.capacity})"
+                f"({on_chip} mapped + {self.free_physical} free != {self.capacity})"
             )
-        swap_count = sum(1 for e in self._entries.values() if e.physical is None)
-        if swap_count != self.mapped_swap:
+        if len(self._swapped) != self.mapped_swap:
             errors.append(f"{self.kind.value}: mapped_swap counter drifted")
-        forced_count = sum(
-            1 for e in self._entries.values() if e.physical is None and e.forced
-        )
-        if forced_count != self.forced_swap:
+        if sum(s.forced for s in self._swapped.values()) != self.forced_swap:
             errors.append(f"{self.kind.value}: forced_swap counter drifted")
-        per_owner: dict[int, int] = {}
         swapped: dict[int, int] = {}
-        for (owner, logical), e in self._entries.items():
-            per_owner[owner] = max(per_owner.get(owner, -1), logical)
-            if e.physical is None:
-                swapped[owner] = swapped.get(owner, 0) + 1
-        for owner, top in per_owner.items():
-            if self.owned_sets.get(owner, 0) != top + 1:
-                errors.append(f"{self.kind.value}: owner {owner} has a logical-index gap")
+        for owner, logical in self._swapped:
+            swapped[owner] = swapped.get(owner, 0) + 1
+            if not 0 <= logical < self.owned_sets.get(owner, 0):
+                errors.append(
+                    f"{self.kind.value}: swap set ({owner}, {logical}) lies beyond "
+                    f"the owner's {self.owned_sets.get(owner, 0)} sets"
+                )
         for owner in sorted(swapped.keys() | self.swap_owned.keys()):
             if self.swap_owned.get(owner) != swapped.get(owner):
                 errors.append(

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -229,6 +230,186 @@ def test_invariants_report_a_drifted_or_zero_swap_owner_count():
     t.swap_owned[1] = 2
     t.swap_owned[5] = 0
     assert t.check_invariants() == ["register: owner 5 swap count kept as 0, mapped 0"]
+
+
+def test_invariants_report_a_drifted_free_count():
+    t = MappingTable(ResourceKind.REGISTER, capacity=4)
+    t.allocate(1, 3, Placement.PHYSICAL)
+    t.allocate(1, 2, Placement.SWAP)
+    assert t.check_invariants() == []
+    t.free_physical += 1
+    assert t.check_invariants() == ["register: conservation broken (3 mapped + 2 free != 4)"]
+
+
+def test_invariants_report_a_swap_set_beyond_its_owners_sets():
+    t = MappingTable(ResourceKind.REGISTER, capacity=4)
+    t.allocate(1, 2, Placement.SWAP)
+    t.owned_sets[1] = 1
+    assert "register: swap set (1, 1) lies beyond the owner's 1 sets" in t.check_invariants()
+
+
+def test_a_spilled_set_starts_at_heat_one_like_a_set_allocated_in_swap():
+    t = MappingTable(ResourceKind.WARP_SLOT, capacity=2)
+    t.allocate(1, 1, Placement.PHYSICAL)
+    t.reset_access_window()
+    t.allocate(2, 1, Placement.SWAP)
+    t.allocate(3, 1, Placement.SWAP)
+    t.lookup(3, 0)
+    t.spill_specific(1, 0)
+    # heat 2, then the two sets at heat 1 in owner order
+    assert t.swap_keys_by_heat() == [(3, 0), (1, 0), (2, 0)]
+
+
+class _PerSetTable:
+    """The mapping table kept as one record per set, [placement, heat,
+    forced], on chip or in swap: the model the count-based table must
+    match call for call."""
+
+    def __init__(self, capacity):
+        self.free_physical = capacity
+        self.sets = {}
+        self.owned_sets = {}
+        self.total_accesses = self.swap_accesses = 0
+
+    def allocate(self, owner, n_sets, placement, forced=False):
+        if n_sets < 0 or (placement is Placement.PHYSICAL and n_sets > self.free_physical):
+            raise MappingError
+        base = self.owned_sets.get(owner, 0)
+        for logical in range(base, base + n_sets):
+            self.sets[owner, logical] = [placement, 1, forced]
+        if placement is Placement.PHYSICAL:
+            self.free_physical -= n_sets
+        self.owned_sets[owner] = base + n_sets
+
+    def free(self, owner, n_sets):
+        have = self.owned_sets.get(owner, 0)
+        if n_sets > have:
+            raise MappingError
+        for logical in range(have - n_sets, have):
+            if self.sets.pop((owner, logical))[0] is Placement.PHYSICAL:
+                self.free_physical += 1
+        if have == n_sets:
+            self.owned_sets.pop(owner, None)
+        else:
+            self.owned_sets[owner] = have - n_sets
+
+    def free_all(self, owner):
+        self.free(owner, self.owned_sets.get(owner, 0))
+
+    def peek(self, owner, logical):
+        record = self.sets.get((owner, logical))
+        return None if record is None else record[0]
+
+    def lookup(self, owner, logical):
+        record = self.sets.get((owner, logical))
+        if record is None:
+            raise MappingError
+        self.total_accesses += 1
+        if record[0] is Placement.SWAP:
+            record[1] += 1
+            self.swap_accesses += 1
+        return record[0]
+
+    def migrate_in(self, owner, logical):
+        if self.peek(owner, logical) is not Placement.SWAP or not self.free_physical:
+            raise MappingError
+        self.sets[owner, logical][0] = Placement.PHYSICAL
+        self.free_physical -= 1
+
+    def spill_specific(self, owner, logical, forced=False):
+        if self.peek(owner, logical) is not Placement.PHYSICAL:
+            raise MappingError
+        self.sets[owner, logical] = [Placement.SWAP, 1, forced]
+        self.free_physical += 1
+
+    def reset_access_window(self):
+        for record in self.sets.values():
+            record[1] = 0
+
+    def _swapped(self):
+        return [(key, r) for key, r in self.sets.items() if r[0] is Placement.SWAP]
+
+    @property
+    def mapped_swap(self):
+        return len(self._swapped())
+
+    @property
+    def forced_swap(self):
+        return sum(r[2] for _, r in self._swapped())
+
+    @property
+    def swap_owned(self):
+        return dict(Counter(owner for (owner, _), _ in self._swapped()))
+
+    def swap_keys_by_heat(self):
+        return [key for _, key in sorted(((-r[1], key) for key, r in self._swapped()))]
+
+
+_COUNTERS = (
+    "free_physical",
+    "owned_sets",
+    "swap_owned",
+    "mapped_swap",
+    "forced_swap",
+    "total_accesses",
+    "swap_accesses",
+)
+
+
+def _call(table, op, owner, n, placement, forced):
+    """Apply one step; the result, or MappingError if the call raised it."""
+    try:
+        if op == "allocate":
+            return table.allocate(owner, n, placement, forced)
+        if op == "free":
+            return table.free(owner, max(n, 0))  # a negative count is no request
+        if op == "free_all":
+            return table.free_all(owner)
+        if op == "spill_specific":
+            return table.spill_specific(owner, n, forced)
+        if op == "reset_access_window":
+            return table.reset_access_window()
+        return getattr(table, op)(owner, n)  # lookup, migrate_in: n is the logical set
+    except MappingError:
+        return MappingError
+
+
+_DIFF_OPS = (
+    "allocate",
+    "free",
+    "free_all",
+    "lookup",
+    "migrate_in",
+    "spill_specific",
+    "reset_access_window",
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(_DIFF_OPS),
+            st.integers(min_value=0, max_value=3),  # owner
+            st.integers(min_value=-1, max_value=4),  # sets, or the logical set
+            st.sampled_from(list(Placement)),
+            st.booleans(),  # forced
+        ),
+        max_size=60,
+    )
+)
+def test_count_based_table_matches_a_per_set_model(steps):
+    table = MappingTable(ResourceKind.REGISTER, capacity=4)
+    model = _PerSetTable(capacity=4)
+    for step in steps:
+        assert _call(table, *step) == _call(model, *step), step
+        for name in _COUNTERS:
+            assert getattr(table, name) == getattr(model, name), (step, name)
+        for owner in range(4):
+            for logical in range(-1, model.owned_sets.get(owner, 0) + 1):
+                assert table.peek(owner, logical) is model.peek(owner, logical), step
+        assert table.swap_keys_by_heat() == model.swap_keys_by_heat(), step
+        assert table.check_invariants() == [], step
 
 
 def test_make_tables_covers_all_kinds():
