@@ -32,7 +32,7 @@ class Placement(enum.Enum):
 
 
 class MappingError(RuntimeError):
-    """Raised on table misuse: double allocation, lookup of an unmapped set, ..."""
+    """Raised on table misuse: over-allocation, lookup of an unmapped set, ..."""
 
 
 @dataclass(frozen=True)
