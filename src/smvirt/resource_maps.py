@@ -363,10 +363,11 @@ class MappingTable:
         swapped: dict[int, int] = {}
         for owner, logical in self._swapped:
             swapped[owner] = swapped.get(owner, 0) + 1
-            if not 0 <= logical < self.owned_sets.get(owner, 0):
+            owned = self.owned_sets.get(owner, 0)
+            if not 0 <= logical < owned:
                 errors.append(
                     f"{self.kind.value}: swap set ({owner}, {logical}) lies beyond "
-                    f"the owner's {self.owned_sets.get(owner, 0)} sets"
+                    f"the owner's {owned} sets"
                 )
         for owner in sorted(swapped.keys() | self.swap_owned.keys()):
             if self.swap_owned.get(owner) != swapped.get(owner):

@@ -342,7 +342,7 @@ class _PerSetTable:
         return dict(Counter(owner for (owner, _), _ in self._swapped()))
 
     def swap_keys_by_heat(self):
-        return [key for _, key in sorted(((-r[1], key) for key, r in self._swapped()))]
+        return [key for _, key in sorted((-r[1], key) for key, r in self._swapped())]
 
 
 _COUNTERS = (
