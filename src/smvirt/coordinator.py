@@ -93,6 +93,8 @@ class Coordinator(Registry):
     """Owns the mapping tables, admission queues, and oversubscription state
     of a single SM."""
 
+    charges_access = True  # every access consults the mapping tables
+
     def __init__(self, arch: ArchConfig, cfg: OversubscriptionConfig):
         super().__init__()
         self.arch = arch

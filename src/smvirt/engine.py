@@ -6,9 +6,17 @@ _SMRun.run, simulates the cycles.  Each cycle makes one pass over the
 schedulers' warp lists.  If a warp is ready, every scheduler's pick
 issues, the events the issues raised run in (kind, wid) order, then the
 epoch tick if the next cycle starts an epoch, and the clock advances by
-one.  If no warp at all is ready, the clock skips to the earliest cycle
-at which one will be or to the epoch boundary, whichever comes first.  A
-scheduler's greedy warp changes only in a cycle that issues.  Global
+one.  Two skips leave out cycles whose outcome is known.  The stall
+skip: if no warp at all is ready, the clock skips to the earliest cycle
+at which one will be or to the epoch boundary, whichever comes first.
+The issue skip: under admission that charges nothing per access, after
+an issue cycle that raised no event and left every pick ready in the
+next cycle, the same picks issue again each cycle while their next
+instructions are plain (no global memory, barrier, phase specifier or
+last instruction), so the loop advances them several cycles at once;
+it stops before the first non-plain instruction, before an idle
+scheduler's warp wakes and at the epoch's last cycle.  A scheduler's
+greedy warp changes only in a cycle that issues.  Global
 memory round trips share a fixed number of in-flight request slots;
 arithmetic and scratchpad accesses complete in one cycle.  Under the
 virtualizing policy every register access consults the register mapping
@@ -289,10 +297,21 @@ class _SMRun:
     scheduler's greedy warp; the events the issues raised then run in
     (kind, wid) order while now is still the issue cycle, then the epoch
     tick if the next cycle starts an epoch, and now advances by one.  If
-    none picks, the clock skips to the earliest next_ready seen or to the
-    epoch boundary.  The pass, the issue and the per-cycle counters are
-    inline in run over names bound before the loop; the events and the
-    epoch tick go through the methods below.
+    none picks, the stall skip moves the clock to the earliest next_ready
+    seen or to the epoch boundary.  The issue skip runs after an issue
+    cycle that raised no event, when the admission does not charge
+    accesses (charges_access is False), no utilization sampler runs and
+    every pick is ready in the next cycle.  It advances k cycles at once,
+    each pick's pc and next_ready by k, where k is the smallest of three
+    bounds: the picks' plain[pc], so no pick reaches an instruction that
+    raises an event or makes a memory request; wake - 1 - now, so no idle
+    scheduler's warp wakes inside the skip; and boundary - 1 - now, so
+    the skip ends no later than the epoch's last cycle, whose normal tick
+    check then runs.  A cycle_cap inside the skip raises at the top of the
+    next pass, as it would have in the cycles skipped.  The pass, the
+    issue and the per-cycle counters are inline in run over names bound
+    before the loop; the events and the epoch tick go through the methods
+    below, and _finish derives the figures.
 
     After the hooks of one occasion, _take_effects appends the effects
     they produced to one FIFO work list as a batch with its wake: now for
@@ -547,6 +566,15 @@ class _SMRun:
         epoch_cycles = self.arch.epoch_cycles
         cycle_cap = self.cycle_cap
         util = self.util
+        plain = None
+        if not (self.adm.charges_access or util is not None):
+            # plain[pc]: how many instructions from pc on raise no event
+            # and make no memory request; a warp's last instruction raises
+            # its finish, and admission that charges nothing costs none
+            plain = [0] * (n_body + 1)
+            for i in range(n_body - 2, -1, -1):
+                if body[i].opcode not in (_LD_GLOBAL, _ST_GLOBAL, _BARRIER, _PHASE_SPEC):
+                    plain[i] = plain[i + 1] + 1
         greedy = [None] * len(part)
         now = self.now
         while self.blocks or self.remaining:
@@ -601,6 +629,29 @@ class _SMRun:
                     pending.sort(key=_event_order)
                 for kind, wid, payload in pending:
                     self._handle_event(kind, wid, payload)
+                if plain is not None and not pending:
+                    # the issue skip, to the first of its three bounds; a
+                    # cycle_cap inside it raises at the top of the loop
+                    k = epoch_cycles - 1 - now % epoch_cycles
+                    if wake is not None and wake - 1 - now < k:
+                        k = wake - 1 - now
+                    for w in picks:
+                        if w is not None:
+                            if w.next_ready != now + 1:
+                                k = 0
+                                break
+                            if plain[w.pc] < k:
+                                k = plain[w.pc]
+                    if k > 0:
+                        for w in picks:
+                            if w is not None:
+                                w.pc += k
+                                w.next_ready += k
+                        self.ep_issued += issued * k
+                        self.ep_issue_cycles += k
+                        self.sched_integral += len(sched_set) * k
+                        now = self.now = now + k
+                        self.last_issue = now
                 if (now + 1) % epoch_cycles == 0:
                     self._epoch_tick()
                 now = self.now = now + 1
@@ -625,6 +676,10 @@ class _SMRun:
             now = self.now = target
             if target == boundary:
                 self._epoch_tick()
+        return self._finish()
+
+    def _finish(self) -> "_SMRun":
+        """Close the last epoch and derive the run's figures."""
         if self.ep_issued or self.ep_issue_cycles or self.ep_idle or self.ep_mem or self.ep_barrier:
             self._close_epoch()
         if self.debug:

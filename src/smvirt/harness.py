@@ -26,7 +26,7 @@ import sys
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional, Sequence, Union
 
-from .engine import DEFAULT_CYCLE_CAP, SimResult, run
+from .engine import DEFAULT_CYCLE_CAP, NonTerminationError, SimResult, run
 from .kernel_model import KernelInvariantError, KernelSpec, ResourceSpecification
 from .phase_compiler import annotate_phases
 from .policies import KernelUnrunnableError, Policy
@@ -222,6 +222,8 @@ def run_sweep(
 
     The kernel is phase-annotated once up front and the same compiled body
     runs under every policy, so specifier issue overhead is paid equally.
+    A point that does not terminate raises NonTerminationError naming its
+    arch, policy and resource point.
     """
     if isinstance(grid, str):
         grid = parse_grid(grid)
@@ -256,6 +258,12 @@ def run_sweep(
                     rows.append(result_row(res))
                 except KernelUnrunnableError:
                     rows.append(unrunnable_row(arch.name, policy.value, p))
+                except NonTerminationError as e:
+                    raise NonTerminationError(
+                        f"{arch.name} {policy.value} threads={p.threads_per_block} "
+                        f"regs={p.regs_per_thread} scratch={p.scratch_bytes_per_block} "
+                        f"blocks={p.num_blocks}: {e}"
+                    ) from e
     return SweepResult(
         kernel=kernel.name,
         archs=tuple(a.name for a in arch_list),

@@ -12,9 +12,12 @@ on_phase_change, on_barrier and release_barrier, on_warp_finished (True
 when the block completed), on_epoch, deadlock_guard, pending_work,
 access_cost (extra cycles of one issued instruction), drain_effects and
 check_invariants, plus the result counters access_totals, final_thresholds
-and guard_admissions.  Every admission class is a Registry (registry.py),
-which owns the one warp and block registry, holding live blocks only, and
-hands warps to the engine as ("schedulable" | "slot_swapin", wid) effects.
+and guard_admissions, and two capabilities: retunes (the controller may
+loosen admission at the next epoch) and charges_access (access_cost
+counts or charges something, so the engine may not skip issue cycles).
+Every admission class is a Registry (registry.py), which owns the one
+warp and block registry, holding live blocks only, and hands warps to
+the engine as ("schedulable" | "slot_swapin", wid) effects.
 make_admission is the one place a policy picks its class.
 """
 
@@ -87,6 +90,7 @@ class _StaticAdmission(Registry):
 
     guard_admissions = 0
     retunes = False  # no controller, so a wedged SM stays wedged
+    charges_access = False  # access_cost is 0 and touches nothing
 
     def on_phase_change(self, wid: int, reg_sets: int, scratch_sets: int) -> bool:
         return True

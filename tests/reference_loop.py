@@ -1,0 +1,100 @@
+"""A naive cycle loop: the differential oracle of engine._SMRun.run.
+
+ReferenceSMRun advances the clock one cycle at a time.  Each cycle it
+rebuilds every scheduler's candidates from sched_set in wid order and
+picks its greedy warp if that is ready and still schedulable, else the
+first ready candidate.  It has no stall skip, no issue skip and no cached
+scheduler lists, and it drives the same admission hooks and event
+handlers as the fast loop.  An epoch tick after an issue cycle runs in
+that cycle; one after a stall cycle runs at the boundary, as the fast
+loop's stall skip does.
+
+reference_run is engine.run with this loop in place of the fast one.
+"""
+
+from unittest import mock
+
+from smvirt import engine
+from smvirt.engine import EventKind, NonTerminationError, _SMRun
+from smvirt.kernel_model import Opcode
+
+
+class ReferenceSMRun(_SMRun):
+    def run(self) -> "ReferenceSMRun":
+        self._dispatch()
+        self._apply_effects()
+        n_sched = len(self.part)
+        epoch_cycles = self.arch.epoch_cycles
+        greedy = [None] * n_sched
+        while self.blocks or self.remaining:
+            now = self.now
+            if now >= self.cycle_cap:
+                raise NonTerminationError(f"no completion within {self.cycle_cap} cycles")
+            candidates = None
+            picks = []
+            for sid in range(n_sched):
+                cur = greedy[sid]
+                if cur is None or cur.wid not in self.sched_set or cur.next_ready > now:
+                    if candidates is None:
+                        candidates = [[] for _ in range(n_sched)]
+                        for wid in sorted(self.sched_set):
+                            candidates[wid % n_sched].append(self.warps[wid])
+                    cur = next((w for w in candidates[sid] if w.next_ready <= now), None)
+                picks.append(cur)
+            if not any(picks) and not self.sched_set:
+                if self.adm.deadlock_guard():
+                    self._take_effects(now)
+                    self._apply_effects()
+                    continue
+                if not (self.adm.retunes and self._pending_work()):
+                    raise NonTerminationError("wedged with no runnable warps")
+            if self.util is not None:
+                self.util.sample(1)
+            self.sched_integral += len(self.sched_set)
+            if any(picks):
+                greedy = picks
+                self._issue(picks)
+                if (now + 1) % epoch_cycles == 0:
+                    self._epoch_tick()
+                self.now = now + 1
+            else:
+                self._classify_stall(1)
+                self.now = now + 1
+                if self.now % epoch_cycles == 0:
+                    self._epoch_tick()
+        return self._finish()
+
+    def _issue(self, picks):
+        now = self.now
+        pending = []
+        for w in picks:
+            if w is None:
+                continue
+            ins = self.body[w.pc]
+            op = ins.opcode
+            extra = self.adm.access_cost(w, op)
+            if op is Opcode.LD_GLOBAL:
+                w.next_ready = self.mem.request(now) + extra
+            else:
+                if op is Opcode.ST_GLOBAL:
+                    self.mem.request(now)
+                w.next_ready = now + 1 + extra
+            w.pc += 1
+            self.ep_issued += 1
+            if op is Opcode.BARRIER:
+                pending.append((EventKind.BARRIER_REACHED, w.wid, None))
+            else:
+                if op is Opcode.PHASE_SPEC:
+                    pending.append((EventKind.PHASE_CHANGE, w.wid, ins.phase_payload))
+                if w.pc == len(self.body):
+                    pending.append((EventKind.WARP_FINISHED, w.wid, None))
+        self.ep_issue_cycles += 1
+        self.last_issue = now
+        for kind, wid, payload in sorted(pending, key=lambda e: (e[0], e[1])):
+            self._handle_event(kind, wid, payload)
+
+
+def reference_run(*args, **kwargs):
+    """engine.run, simulated by the naive loop."""
+    with mock.patch.object(engine, "_SMRun", ReferenceSMRun):
+        return engine.run(*args, **kwargs)

@@ -1,9 +1,12 @@
 """Exit codes and output files of every subcommand, driven through main()."""
 
 import json
+from functools import partial
 
+from smvirt import cli
 from smvirt.cli import main
-from smvirt.harness import parse_json
+from smvirt.corpus import RECOMMENDED_GRIDS
+from smvirt.harness import parse_json, run_sweep
 from smvirt.kernel_model import load_kernel
 
 
@@ -248,6 +251,34 @@ def test_sweep_bad_grid_is_a_validation_error(tmp_path, capsys):
     )
     assert rc == 2
     capsys.readouterr()
+
+
+def test_sweep_that_does_not_terminate_names_its_point_and_exits_3(tmp_path, capsys, monkeypatch):
+    # smvirt sweep has no cycle-cap flag, so lower the cap under it
+    monkeypatch.setattr(cli, "run_sweep", partial(run_sweep, cycle_cap=500))
+    grid = tmp_path / "g.grid"
+    grid.write_text(RECOMMENDED_GRIDS["reg_cliff"], encoding="utf-8")
+    out = tmp_path / "o.csv"
+    rc = main(
+        [
+            "sweep",
+            "--kernel",
+            "corpus:reg_cliff",
+            "--grid",
+            str(grid),
+            "--policies",
+            "baseline",
+            "--out",
+            str(out),
+        ]
+    )
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err == (
+        "error: fermi baseline threads=256 regs=32 scratch=0 blocks=450: "
+        "no completion within 500 cycles\n"
+    )
+    assert not out.exists()
 
 
 def test_phases_prints_the_decomposition(capsys):

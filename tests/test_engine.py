@@ -18,6 +18,8 @@ from smvirt.phase_compiler import annotate_phases
 from smvirt.policies import KernelUnrunnableError, Policy
 from smvirt.resource_maps import get_arch
 
+from reference_loop import reference_run
+
 FERMI = get_arch("fermi")
 ONE_SM = replace(FERMI, num_sms=1)
 
@@ -317,6 +319,60 @@ def test_cycle_cap_raises_non_termination():
     body = _alu(1) + [Instruction(Opcode.LD_GLOBAL, live_regs_after=8)] + _alu(1)
     with pytest.raises(NonTerminationError):
         run(_kernel(body), Policy.BASELINE, cycle_cap=50)
+
+
+def _same_as_reference(kernel, policy, arch, **kwargs):
+    fast = run(kernel, policy, arch, log_events=True, **kwargs)
+    naive = reference_run(kernel, policy, arch, log_events=True, **kwargs)
+    assert fast.to_dict() == naive.to_dict()
+    assert fast.event_log == naive.event_log
+    return fast
+
+
+def test_idle_schedulers_warp_issues_on_its_wake_cycle_inside_a_plain_run():
+    # One warp per scheduler and one memory request slot.  Both load at
+    # cycle 0: warp 0's data returns at 400, warp 1's waits for the slot
+    # and returns at 800.  Warp 0 issues its 600 ALUs from 400 to 999 while
+    # scheduler 1 idles; the issue skip must end at 799 so that warp 1
+    # issues on its wake cycle, 800, and finishes at 1399.
+    arch = replace(ONE_SM, max_inflight_mem_requests=1)
+    body = [Instruction(Opcode.LD_GLOBAL, live_regs_after=8)] + _alu(600)
+    for policy in (Policy.BASELINE, Policy.WLM):
+        res = _same_as_reference(_kernel(body, threads=64), policy, arch)
+        finished = [(t, wid) for t, kind, wid in res.event_log if kind == "WARP_FINISHED"]
+        assert finished == [(999, 0), (1399, 1)]
+        assert res.cycles == 1400
+        assert (res.issued_cycles, res.c_mem) == (1001, 399)
+
+
+def test_a_plain_run_through_epoch_boundaries_ticks_with_the_same_epoch_stats():
+    # one warp per scheduler, 40 ALUs each, 16-cycle epochs: both issue in
+    # every cycle, so each epoch's last cycle (15, 31) ticks and the
+    # epochs hold 16, 16 and 8 issue cycles
+    arch = replace(ONE_SM, epoch_cycles=16)
+    res = _same_as_reference(_kernel(_alu(40), threads=64), Policy.BASELINE, arch, debug=True)
+    ticks = [t for t, kind, _ in res.event_log if kind == "EPOCH_TICK"]
+    assert ticks == [15, 31]
+    assert [(e.issued_instructions, e.issued_cycles, e.span) for e in res.epochs] == [
+        (32, 16, 16),
+        (32, 16, 16),
+        (16, 8, 8),
+    ]
+
+
+@pytest.mark.parametrize("cap", [0, 1, 50, 98, 99, 100])
+def test_a_cycle_cap_inside_a_plain_run_still_raises(cap):
+    # one warp of 100 ALUs issues in cycles 0 to 99.  After cycle 0 the
+    # issue skip leaps to cycle 98, past any cap in between; the check at
+    # the top of the next pass raises, as in the cycles skipped
+    kern = _kernel(_alu(100))
+    if cap < 100:
+        with pytest.raises(NonTerminationError, match=f"no completion within {cap} cycles"):
+            run(kern, Policy.BASELINE, cycle_cap=cap)
+        with pytest.raises(NonTerminationError, match=f"no completion within {cap} cycles"):
+            reference_run(kern, Policy.BASELINE, cycle_cap=cap)
+    else:
+        assert run(kern, Policy.BASELINE, cycle_cap=cap).cycles == 100
 
 
 def test_virtualization_runs_blocks_static_policies_cannot():

@@ -24,7 +24,8 @@ from smvirt.harness import (
     write_csv,
     write_json,
 )
-from smvirt.engine import run
+from smvirt.corpus import RECOMMENDED_GRIDS, corpus_kernel
+from smvirt.engine import NonTerminationError, run
 from smvirt.kernel_model import Instruction, KernelSpec, Opcode, ResourceSpecification
 from smvirt.policies import Policy
 
@@ -259,6 +260,18 @@ def test_unrunnable_points_stay_in_the_grid_as_inf():
     assert bad.performance is None
     csv_text = emit_csv(result)
     assert "INF" in csv_text.splitlines()[2]
+
+
+def test_a_point_that_does_not_terminate_is_named_in_the_error():
+    # the first point of the grid, 256 threads, needs more than 500 cycles
+    grid = RECOMMENDED_GRIDS["reg_cliff"]
+    with pytest.raises(NonTerminationError) as info:
+        run_sweep(corpus_kernel("reg_cliff"), grid, ("fermi",), ("baseline",), cycle_cap=500)
+    assert str(info.value) == (
+        "fermi baseline threads=256 regs=32 scratch=0 blocks=450: "
+        "no completion within 500 cycles"
+    )
+    assert isinstance(info.value.__cause__, NonTerminationError)
 
 
 def test_points_below_body_liveness_are_skipped_with_warning(capsys):

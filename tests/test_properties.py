@@ -11,27 +11,37 @@ ALU-only kernels, global loads bound by latency or by the request
 slots, and long and short baseline launches have closed-form answers, so
 those properties check the cycle loop's answers, not only that it ends.
 So does zorua with no swap budget: it never touches a set in swap.
+On arbitrary launches the fast cycle loop must match the naive one of
+reference_loop.py exactly.  The kernel and grid parsers, fed generated
+and edited text, raise only their own errors.
 """
 
+import re
 from dataclasses import replace
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from smvirt.coordinator import OversubscriptionConfig
-from smvirt.corpus import corpus_kernel, corpus_names
+from smvirt.corpus import RECOMMENDED_GRIDS, corpus_kernel, corpus_names
 from smvirt.engine import run
+from smvirt.harness import GridSyntaxError, parse_grid
 from smvirt.kernel_model import (
     Instruction,
+    KernelError,
     KernelSpec,
     Opcode,
     Profile,
     ResourceSpecification,
     generate_synthetic_kernel,
+    parse_kernel,
+    serialize_kernel,
 )
 from smvirt.phase_compiler import annotate_phases
 from smvirt.policies import KernelUnrunnableError, Policy, baseline_blocks_in_flight
 from smvirt.resource_maps import get_arch
+
+from reference_loop import reference_run
 
 ONE_SM_ARCHS = {
     name: replace(get_arch(name), num_sms=1) for name in ("fermi", "kepler", "maxwell")
@@ -293,3 +303,81 @@ def test_zorua_without_a_swap_budget_hits_on_chip_every_time(kernel, arch, guard
     res = run(annotate_phases(kernel), "zorua", ONE_SM_ARCHS[arch], oversub=cfg, debug=True)
     if res.guard_admissions == 0:
         assert res.reg_hit_rate == res.scratch_hit_rate == res.slot_hit_rate == 1.0
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    kernel=_small_kernels(),
+    trailing_barrier=st.booleans(),
+    compiled=st.booleans(),
+    arch=st.sampled_from(sorted(ONE_SM_ARCHS)),
+    schedulers=st.integers(min_value=1, max_value=4),
+    epoch_cycles=st.sampled_from([16, 64, 256, 2048]),
+    latency=st.sampled_from([8, 50, 400]),
+    max_inflight=st.sampled_from([2, 64]),
+)
+def test_fast_loop_matches_the_naive_reference_loop(
+    kernel, trailing_barrier, compiled, arch, schedulers, epoch_cycles, latency, max_inflight
+):
+    # the stall skip, the issue skip, the cached greedy picks and the
+    # sorted scheduler lists must change nothing a cycle-by-cycle loop
+    # would see; short epochs and latencies put boundaries and wakes
+    # inside the skipped stretches
+    if trailing_barrier:
+        kernel = _ending_in_barrier(kernel)
+    if compiled:
+        kernel = annotate_phases(kernel)
+    hw = replace(
+        ONE_SM_ARCHS[arch],
+        schedulers_per_sm=schedulers,
+        epoch_cycles=epoch_cycles,
+        memory_latency_cycles=latency,
+        max_inflight_mem_requests=max_inflight,
+    )
+    for policy in Policy:
+        try:
+            fast = run(kernel, policy, hw, log_events=True)
+        except KernelUnrunnableError:
+            continue
+        naive = reference_run(kernel, policy, hw, log_events=True)
+        assert fast.to_dict() == naive.to_dict(), policy
+        assert fast.event_log == naive.event_log, policy
+
+
+_KERNEL_TEXTS = [
+    serialize_kernel(k)
+    for name in corpus_names()
+    for k in (corpus_kernel(name), annotate_phases(corpus_kernel(name)))
+]
+_GRID_TEXTS = [*RECOMMENDED_GRIDS.values(), "set blocks=4\nset seed=-7\nlist scratch=0,512\n"]
+# what an edit may put in place of the characters it cuts
+_PIECES = (
+    "", "=", ":", ",", "#", " ", "\n", "-", "+", "_", "0", "1", "9", "x", "\u00e9", "\u0663",
+    "kernel ", "config ", "instr ", "phase ", "PHASE_SPEC ", "BARRIER ", "LD_GLOBAL ",
+    "range ", "list ", "set ", "blocks=", "scratch=", "live_regs=", "total_threads=",
+)
+
+
+@st.composite
+def _edited(draw, texts) -> str:
+    """A corpus kernel or grid text with one to four cuts of up to twelve
+    characters, each replaced by a piece."""
+    text = draw(st.sampled_from(texts))
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        i = draw(st.integers(min_value=0, max_value=len(text)))
+        j = draw(st.integers(min_value=i, max_value=min(len(text), i + 12)))
+        text = text[:i] + draw(st.sampled_from(_PIECES)) + text[j:]
+    return text
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(text=st.one_of(st.text(), _edited(_KERNEL_TEXTS), _edited(_GRID_TEXTS)))
+def test_parsers_raise_only_their_own_errors(text):
+    # parse_grid builds every axis in memory, so numbers stay below
+    # 100,000: a range then has fewer than 100,000 points
+    assume(not re.search(r"\d{6}", text.replace("_", "")))
+    for parse, error in ((parse_kernel, KernelError), (parse_grid, GridSyntaxError)):
+        try:
+            parse(text)
+        except error:
+            pass
