@@ -32,6 +32,8 @@ barrier opens, paying one memory round trip to restore state.
 
 Coordinator is the zorua admission object: it implements the hooks the
 engine calls for every policy (see policies.py) on the shared Registry.
+It is the one place a phase specifier becomes register and scratchpad
+sets: on a block's arrival for the entry phase, and on each phase change.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .kernel_model import Opcode
+from .kernel_model import Opcode, PhaseSpecifier
 from .registry import Registry, WarpRecord, WarpState
 from .resource_maps import (
     ArchConfig,
@@ -48,6 +50,8 @@ from .resource_maps import (
     Placement,
     ResourceKind,
     make_tables,
+    reg_sets_for,
+    scratch_sets_for,
 )
 
 _PENDING = (WarpState.PENDING_THREAD, WarpState.PENDING_SCRATCH, WarpState.PENDING_REG)
@@ -330,12 +334,17 @@ class Coordinator(Registry):
         live = len(self.warps) - sum(b.finished_warps for b in self.blocks.values())
         return live + warps <= self.arch.max_logical_warps
 
-    def on_block_arrival(
-        self, bid: int, wids: tuple[int, ...], reg_sets: int, scratch_sets: int
-    ):
-        super().on_block_arrival(bid, wids, reg_sets, scratch_sets)
+    def on_block_arrival(self, bid: int, wids: tuple[int, ...], phase: Optional[PhaseSpecifier]):
+        super().on_block_arrival(bid, wids)
+        reg_sets = scratch_sets = 0
+        if phase is not None:
+            reg_sets = reg_sets_for(phase.live_regs)
+            scratch_sets = scratch_sets_for(phase.scratch_bytes)
         for wid in wids:
-            self._enqueue(self.warps[wid], WarpState.PENDING_THREAD)
+            w = self.warps[wid]
+            w.reg_sets_needed = reg_sets
+            w.scratch_sets_needed = scratch_sets
+            self._enqueue(w, WarpState.PENDING_THREAD)
         self.retry_all_queues()
 
     def _shrink_block_scratch(self, bid: int):
@@ -355,8 +364,8 @@ class Coordinator(Registry):
         if held > demand:
             tbl.free(bid, held - demand)
 
-    def on_phase_change(self, wid: int, reg_sets: int, scratch_sets: int) -> bool:
-        """Apply a schedulable warp's new phase demands.
+    def on_phase_change(self, wid: int, phase: PhaseSpecifier) -> bool:
+        """Apply the sets a schedulable warp's new phase needs.
 
         Returns True if the warp stays schedulable, False if it had to
         re-enter an admission queue.  A warp waiting for scratchpad may not
@@ -367,8 +376,8 @@ class Coordinator(Registry):
             return False
         regs = self.regs
         scratch = self.scratch
-        w.reg_sets_needed = reg_sets
-        w.scratch_sets_needed = scratch_sets
+        w.reg_sets_needed = reg_sets = reg_sets_for(phase.live_regs)
+        w.scratch_sets_needed = scratch_sets = scratch_sets_for(phase.scratch_bytes)
         still = True
         if scratch_sets > scratch.owned(w.block_id):
             regs.free_all(wid)

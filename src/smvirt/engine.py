@@ -47,16 +47,10 @@ from operator import attrgetter, itemgetter
 from typing import Optional, Union
 
 from .coordinator import OversubscriptionConfig
-from .kernel_model import KernelSpec, Opcode, ResourceSpecification
+from .kernel_model import WARP_WIDTH, KernelSpec, Opcode, ResourceSpecification
 from .phase_compiler import annotate_phases
 from .registry import BlockRecord, WarpRecord, WarpState
-from .resource_maps import (
-    ArchConfig,
-    ResourceKind,
-    get_arch,
-    reg_sets_for,
-    scratch_sets_for,
-)
+from .resource_maps import ArchConfig, ResourceKind, get_arch
 from .policies import Policy, make_admission
 
 DEFAULT_CYCLE_CAP = 30_000_000
@@ -230,14 +224,14 @@ class _UtilSampler:
     sample.  A block's live scratchpad is the most any warp holds.
     """
 
-    def __init__(self, kernel: KernelSpec, arch: ArchConfig, registry):
+    def __init__(self, kernel: KernelSpec, registry):
         body = kernel.body
         spec = kernel.resource_spec
         self.blocks: dict[int, BlockRecord] = registry.blocks
         self.warps: dict[int, WarpRecord] = registry.warps
         self.wpb = spec.warps_per_block
         # a warp's live registers and scratchpad, indexed by its pc
-        self.regs_at = [i.live_regs_after * arch.warp_width for i in (body[0],) + body]
+        self.regs_at = [i.live_regs_after * WARP_WIDTH for i in (body[0],) + body]
         self.scratch_at = [i.live_scratch_after for i in (body[0],) + body]
         if body[-1].opcode is not _BARRIER:
             self.regs_at[-1] = self.scratch_at[-1] = 0
@@ -288,7 +282,8 @@ class _SMRun:
 
     The admission object decides which warps may run (see policies.py);
     the engine schedules and issues them and turns what happens into the
-    admission hooks.  Warps and blocks live in the admission's registry.
+    admission hooks, passing phase specifiers on as they are: it never
+    counts sets.  Warps and blocks live in the admission's registry.
 
     run is the one cycle loop.  Each cycle makes one pass over the
     scheduler lists: a scheduler picks its greedy warp if that is ready
@@ -342,10 +337,6 @@ class _SMRun:
         self.util = util
         self.wpb = kernel.resource_spec.warps_per_block
         self.remaining = n_blocks
-        # a kernel without a leading phase specifier (uncompiled) announces
-        # no demand; only the static policies run those, and they ignore it
-        first = self.body[0].phase_payload
-        self.entry_sets = (0, 0) if first is None else self._phase_sets(first)
 
         self.now = 0
         self.last_issue = 0
@@ -376,12 +367,6 @@ class _SMRun:
         self.prev_idle = 0
         self.prev_mem = 0
         self.sched_integral = 0
-
-    def _phase_sets(self, phase) -> tuple[int, int]:
-        return (
-            reg_sets_for(phase.live_regs, self.arch),
-            scratch_sets_for(phase.scratch_bytes, self.arch),
-        )
 
     # -- logging / accounting helpers ------------------------------------
 
@@ -435,7 +420,8 @@ class _SMRun:
         wids = tuple(range(bid * self.wpb, (bid + 1) * self.wpb))
         self.remaining -= 1
         self._log(EventKind.BLOCK_ARRIVAL, bid)
-        self.adm.on_block_arrival(bid, wids, *self.entry_sets)
+        # the kernel's entry phase specifier, None if it is uncompiled
+        self.adm.on_block_arrival(bid, wids, self.body[0].phase_payload)
         self._take_effects(self.now)
 
     def _take_effects(self, wake: int):
@@ -492,7 +478,7 @@ class _SMRun:
         else:
             self._log(kind, wid)
             if kind is _PHASE_CHANGE:
-                if not self.adm.on_phase_change(wid, *self._phase_sets(payload)):
+                if not self.adm.on_phase_change(wid, payload):
                     self._unschedule(wid)
             else:
                 bid = self.warps[wid].block_id
@@ -732,7 +718,7 @@ def run(
     sms: dict[int, _SMRun] = {}
     for count in sorted(counts, reverse=True):
         adm = make_admission(policy, kernel, arch, oversub)
-        util = _UtilSampler(kernel, arch, adm) if collect_util else None
+        util = _UtilSampler(kernel, adm) if collect_util else None
         sms[count] = _SMRun(kernel, adm, arch, count, debug, cycle_cap, util, log_events).run()
     critical = sms[max(sms, key=lambda c: (sms[c].cycles, c))]
 

@@ -7,7 +7,6 @@ kernel files:
     list <param>=<v1>,<v2>,...       sweep explicit values
     set blocks=<n>                   fix the launch size
     set total_threads=<n>            derive blocks as total/threads per point
-    set seed=<n>                     recorded in results
 
 Sweepable params: threads_per_block, regs_per_thread, scratch.  Points
 whose resource declaration cannot carry the kernel body (liveness above a
@@ -33,7 +32,7 @@ from .policies import KernelUnrunnableError, Policy
 from .resource_maps import ArchConfig, get_arch
 
 _AXIS_KEYS = ("threads_per_block", "regs_per_thread", "scratch")
-_SET_KEYS = ("blocks", "total_threads", "seed")
+_SET_KEYS = ("blocks", "total_threads")
 
 
 class GridSyntaxError(ValueError):
@@ -49,7 +48,6 @@ class GridSpec:
     scratch: Optional[tuple[int, ...]] = None
     blocks: Optional[int] = None
     total_threads: Optional[int] = None
-    seed: int = 0
 
 
 def parse_grid(text: str) -> GridSpec:
@@ -101,7 +99,7 @@ def parse_grid(text: str) -> GridSpec:
                 fixed[key] = int(value)
             except ValueError:
                 raise GridSyntaxError(line_no, f"value of {key!r} must be an integer") from None
-            if key != "seed" and fixed[key] < 1:
+            if fixed[key] < 1:
                 raise GridSyntaxError(line_no, f"value of {key!r} must be >= 1")
         else:
             raise GridSyntaxError(line_no, f"unknown directive {directive!r}")
@@ -113,7 +111,6 @@ def parse_grid(text: str) -> GridSpec:
         scratch=axes.get("scratch"),
         blocks=fixed.get("blocks"),
         total_threads=fixed.get("total_threads"),
-        seed=fixed.get("seed", 0),
     )
 
 
@@ -254,7 +251,7 @@ def run_sweep(
             for k in valid:
                 p = k.resource_spec
                 try:
-                    res = run(k, policy, arch, seed=grid.seed, cycle_cap=cycle_cap)
+                    res = run(k, policy, arch, cycle_cap=cycle_cap)
                     rows.append(result_row(res))
                 except KernelUnrunnableError:
                     rows.append(unrunnable_row(arch.name, policy.value, p))

@@ -31,10 +31,6 @@ class Opcode(enum.Enum):
     PHASE_SPEC = "PHASE_SPEC"
 
 
-GLOBAL_MEM_OPCODES = frozenset((Opcode.LD_GLOBAL, Opcode.ST_GLOBAL))
-SCRATCH_OPCODES = frozenset((Opcode.LD_SHARED, Opcode.ST_SHARED))
-
-
 class KernelError(ValueError):
     """Base class for kernel construction and parsing failures."""
 

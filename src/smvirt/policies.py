@@ -7,17 +7,20 @@ full virtualization stack: phase-sized allocations through mapping tables
 with bounded swap oversubscription (see coordinator.py).
 
 Each policy is one admission object per SM, and the engine drives all three
-through the same hooks: can_accept_block and on_block_arrival,
-on_phase_change, on_barrier and release_barrier, on_warp_finished (True
-when the block completed), on_epoch, deadlock_guard, pending_work,
-access_cost (extra cycles of one issued instruction), drain_effects and
-check_invariants, plus the result counters access_totals, final_thresholds
-and guard_admissions, and two capabilities: retunes (the controller may
-loosen admission at the next epoch) and charges_access (access_cost
-counts or charges something, so the engine may not skip issue cycles).
-Every admission class is a Registry (registry.py), which owns the one
-warp and block registry, holding live blocks only, and hands warps to
-the engine as ("schedulable" | "slot_swapin", wid) effects.
+through the same hooks: can_accept_block and on_block_arrival (given the
+kernel's entry phase specifier, None for an uncompiled kernel),
+on_phase_change (given the issued specifier), on_barrier and
+release_barrier, on_warp_finished (True when the block completed),
+on_epoch, deadlock_guard, pending_work, access_cost (extra cycles of one
+issued instruction), drain_effects and check_invariants, plus the result
+counters access_totals, final_thresholds and guard_admissions, and two
+capabilities: retunes (the controller may loosen admission at the next
+epoch) and charges_access (access_cost counts or charges something, so
+the engine may not skip issue cycles).  Every admission class is a
+Registry (registry.py), which owns the one warp and block registry,
+holding live blocks only, and hands warps to the engine as
+("schedulable" | "slot_swapin", wid) effects.  The static policies
+ignore the phase specifiers; only zorua turns them into sets.
 make_admission is the one place a policy picks its class.
 """
 
@@ -25,11 +28,13 @@ from __future__ import annotations
 
 import enum
 from collections import deque
+from typing import Optional
 
 from .coordinator import Coordinator, OversubscriptionConfig
-from .kernel_model import KernelSpec, Opcode, ResourceSpecification
+from .kernel_model import WARP_WIDTH, KernelSpec, Opcode, PhaseSpecifier, ResourceSpecification
 from .registry import Registry, WarpRecord, WarpState
-from .resource_maps import ArchConfig, ResourceKind, reg_sets_for, scratch_sets_for
+from .resource_maps import MAX_REG_SETS_PER_WARP, ArchConfig, ResourceKind
+from .resource_maps import reg_sets_for, scratch_sets_for
 
 
 class KernelUnrunnableError(RuntimeError):
@@ -80,7 +85,7 @@ def wlm_is_runnable(spec: ResourceSpecification, arch: ArchConfig, has_barrier: 
             spec.warps_per_block <= arch.warp_slots_per_sm
             and spec.threads_per_block * spec.regs_per_thread <= arch.registers_per_sm
         )
-    return spec.regs_per_thread * arch.warp_width <= arch.registers_per_sm
+    return spec.regs_per_thread * WARP_WIDTH <= arch.registers_per_sm
 
 
 class _StaticAdmission(Registry):
@@ -92,7 +97,7 @@ class _StaticAdmission(Registry):
     retunes = False  # no controller, so a wedged SM stays wedged
     charges_access = False  # access_cost is 0 and touches nothing
 
-    def on_phase_change(self, wid: int, reg_sets: int, scratch_sets: int) -> bool:
+    def on_phase_change(self, wid: int, phase: PhaseSpecifier) -> bool:
         return True
 
     def on_warp_finished(self, wid: int) -> bool:
@@ -131,8 +136,8 @@ class BaselineAdmission(_StaticAdmission):
     def can_accept_block(self, warps: int) -> bool:
         return len(self.blocks) < self.limit
 
-    def on_block_arrival(self, bid: int, wids: tuple[int, ...], reg_sets: int, scratch_sets: int):
-        super().on_block_arrival(bid, wids, reg_sets, scratch_sets)
+    def on_block_arrival(self, bid: int, wids: tuple[int, ...], phase: Optional[PhaseSpecifier]):
+        super().on_block_arrival(bid, wids)
         for wid in wids:
             self._admit(self.warps[wid])
 
@@ -158,7 +163,7 @@ class WlmAdmission(_StaticAdmission):
         if not wlm_is_runnable(spec, arch, has_barrier):
             raise KernelUnrunnableError("warp-granular admission cannot complete this kernel")
         self.arch = arch
-        self.regs_per_warp = spec.regs_per_thread * arch.warp_width
+        self.regs_per_warp = spec.regs_per_thread * WARP_WIDTH
         self.scratch_per_block = spec.scratch_bytes_per_block
         self.free_regs = arch.registers_per_sm
         self.free_slots = arch.warp_slots_per_sm
@@ -181,8 +186,8 @@ class WlmAdmission(_StaticAdmission):
             and self._warp_fits()
         )
 
-    def on_block_arrival(self, bid: int, wids: tuple[int, ...], reg_sets: int, scratch_sets: int):
-        super().on_block_arrival(bid, wids, reg_sets, scratch_sets)
+    def on_block_arrival(self, bid: int, wids: tuple[int, ...], phase: Optional[PhaseSpecifier]):
+        super().on_block_arrival(bid, wids)
         self.free_scratch -= self.scratch_per_block
         self._waiting.extend(wids)
         self._admit_waiting()
@@ -230,12 +235,12 @@ def _check_phase_demands(kernel: KernelSpec, arch: ArchConfig):
         if ins.opcode is not Opcode.PHASE_SPEC:
             continue
         p = ins.phase_payload
-        rs = reg_sets_for(p.live_regs, arch)
-        if rs > arch.max_reg_sets_per_warp or rs > arch.reg_sets_physical:
+        rs = reg_sets_for(p.live_regs)
+        if rs > MAX_REG_SETS_PER_WARP or rs > arch.reg_sets_physical:
             raise KernelUnrunnableError(
                 f"phase needs {rs} register sets per warp, beyond hardware reach"
             )
-        ss = scratch_sets_for(p.scratch_bytes, arch)
+        ss = scratch_sets_for(p.scratch_bytes)
         if ss > arch.scratch_sets_physical:
             raise KernelUnrunnableError(
                 f"phase needs {ss} scratchpad sets per block, beyond hardware reach"

@@ -4,8 +4,10 @@ One SM's live blocks and their warps, keyed by id.  Registry is the only
 code that creates their records or drops them: a block and its warps
 leave when its last warp finishes, so the registry holds live blocks
 only.  Warps come and go a block at a time, so ``warps`` lists each
-block's warps together, in block order.  Warps reach the engine as
-drained (tag, wid) effects.
+block's warps together, in block order.  A record starts with no set
+demand: only zorua admission (coordinator.py) turns a phase specifier
+into the sets a warp needs.  Warps reach the engine as drained
+(tag, wid) effects.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ class WarpRecord:
     wid: int
     block_id: int
     state: WarpState = WarpState.PENDING_THREAD
+    # the current phase's demand, kept by Coordinator only
     reg_sets_needed: int = 0
     scratch_sets_needed: int = 0
     enqueue_seq: int = -1
@@ -73,13 +76,11 @@ class Registry:
         self._set_state(w, WarpState.SCHEDULABLE)
         self._effects.append(("schedulable", w.wid))
 
-    def on_block_arrival(self, bid: int, wids: tuple[int, ...], reg_sets: int, scratch_sets: int):
-        """Register a block and its warps, each needing the entry phase's sets."""
+    def on_block_arrival(self, bid: int, wids: tuple[int, ...]):
+        """Register a block and its warps, none of them needing any sets yet."""
         self.blocks[bid] = BlockRecord(bid=bid, warp_ids=wids)
         for wid in wids:
-            self.warps[wid] = WarpRecord(
-                wid=wid, block_id=bid, reg_sets_needed=reg_sets, scratch_sets_needed=scratch_sets
-            )
+            self.warps[wid] = WarpRecord(wid=wid, block_id=bid)
 
     def on_barrier(self, wid: int) -> bool:
         """Hold the warp at its barrier; True when it was the last of its

@@ -1,11 +1,14 @@
 """Architecture description, mapping tables, set math.
 
-On-chip resources are managed in fixed-size sets: registers in sets of
-4 x warp width (128 registers), scratchpad in 1 KiB sets, warp slots
-individually.  Each resource has a mapping table that tells, per (owner,
-logical set), whether the set is on chip or in swap (backing memory), and
-how often a swapped set was touched in the current epoch, its heat.  The
-simulator needs nothing more, so it keeps no physical index.
+On-chip resources are managed in fixed-size sets, the same on every
+architecture: registers in sets of 4 x warp width (128 registers),
+scratchpad in 1 KiB sets, warp slots individually; a warp addresses at
+most 16 register sets.  Only zorua admission (coordinator.py) turns a
+phase's demand into sets.  Each resource has a mapping table that tells,
+per (owner, logical set), whether the set is on chip or in swap (backing
+memory), and how often a swapped set was touched in the current epoch,
+its heat.  The simulator needs nothing more, so it keeps no physical
+index.
 table_size_bits sizes the hardware table: one entry per addressable
 logical set, each wide enough for a physical index plus a valid bit.
 """
@@ -18,6 +21,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .kernel_model import WARP_WIDTH, ResourceSpecification
+
+REG_SET_SIZE = 4 * WARP_WIDTH  # registers per register set
+SCRATCH_SET_SIZE = 1024  # bytes per scratchpad set
+MAX_REG_SETS_PER_WARP = 16  # logical register sets one warp can address
 
 
 class ResourceKind(enum.Enum):
@@ -47,25 +54,17 @@ class ArchConfig:
     registers_per_sm: int
     scratch_bytes_per_sm: int
     max_blocks_per_sm_baseline: int
-    warp_width: int = WARP_WIDTH
     schedulers_per_sm: int = 2
-    reg_set_size: int = 4 * WARP_WIDTH
-    scratch_set_size: int = 1024
-    max_reg_sets_per_warp: int = 16
     mapping_table_penalty_cycles: int = 2
     memory_latency_cycles: int = 400
     epoch_cycles: int = 2048
     max_inflight_mem_requests: int = 64
 
     def __post_init__(self):
-        if self.reg_set_size != 4 * self.warp_width:
-            raise ValueError("reg_set_size must equal 4 x warp_width")
-        if self.scratch_set_size != 1024:
-            raise ValueError("scratch_set_size must be 1024 bytes")
-        if self.registers_per_sm % self.reg_set_size:
-            raise ValueError("registers_per_sm must be a multiple of reg_set_size")
-        if self.scratch_bytes_per_sm % self.scratch_set_size:
-            raise ValueError("scratch_bytes_per_sm must be a multiple of scratch_set_size")
+        if self.registers_per_sm % REG_SET_SIZE:
+            raise ValueError(f"registers_per_sm must be a multiple of {REG_SET_SIZE}")
+        if self.scratch_bytes_per_sm % SCRATCH_SET_SIZE:
+            raise ValueError(f"scratch_bytes_per_sm must be a multiple of {SCRATCH_SET_SIZE}")
         for f in (
             "num_sms",
             "warp_slots_per_sm",
@@ -73,23 +72,24 @@ class ArchConfig:
             "max_logical_blocks",
             "max_blocks_per_sm_baseline",
             "schedulers_per_sm",
-            "mapping_table_penalty_cycles",
             "memory_latency_cycles",
             "epoch_cycles",
             "max_inflight_mem_requests",
         ):
-            if getattr(self, f) < 1 and f != "mapping_table_penalty_cycles":
+            if getattr(self, f) < 1:
                 raise ValueError(f"{f} must be >= 1")
+        if self.mapping_table_penalty_cycles < 0:
+            raise ValueError("mapping_table_penalty_cycles must be >= 0")
         if self.max_logical_warps < self.warp_slots_per_sm:
             raise ValueError("max_logical_warps must cover the physical warp slots")
 
     @property
     def reg_sets_physical(self) -> int:
-        return self.registers_per_sm // self.reg_set_size
+        return self.registers_per_sm // REG_SET_SIZE
 
     @property
     def scratch_sets_physical(self) -> int:
-        return self.scratch_bytes_per_sm // self.scratch_set_size
+        return self.scratch_bytes_per_sm // SCRATCH_SET_SIZE
 
     def physical_capacity(self, kind: ResourceKind) -> int:
         if kind is ResourceKind.REGISTER:
@@ -150,7 +150,7 @@ def _entry_bits(physical_count: int) -> int:
 def table_size_bits(arch: ArchConfig, kind: ResourceKind) -> int:
     """Storage cost of one SM's mapping table for the given resource."""
     if kind is ResourceKind.REGISTER:
-        rows = arch.max_logical_warps * arch.max_reg_sets_per_warp
+        rows = arch.max_logical_warps * MAX_REG_SETS_PER_WARP
         return rows * _entry_bits(arch.reg_sets_physical)
     if kind is ResourceKind.SCRATCHPAD:
         rows = arch.max_logical_blocks * arch.scratch_sets_physical
@@ -158,24 +158,24 @@ def table_size_bits(arch: ArchConfig, kind: ResourceKind) -> int:
     return arch.max_logical_warps * _entry_bits(arch.warp_slots_per_sm)
 
 
-def reg_sets_for(live_regs: int, arch: ArchConfig) -> int:
+def reg_sets_for(live_regs: int) -> int:
     """Register sets one warp needs to hold live_regs registers per thread."""
-    return math.ceil(live_regs * arch.warp_width / arch.reg_set_size)
+    return math.ceil(live_regs * WARP_WIDTH / REG_SET_SIZE)
 
 
-def scratch_sets_for(scratch_bytes: int, arch: ArchConfig) -> int:
-    return math.ceil(scratch_bytes / arch.scratch_set_size)
+def scratch_sets_for(scratch_bytes: int) -> int:
+    return math.ceil(scratch_bytes / SCRATCH_SET_SIZE)
 
 
-def sets_required(kind: ResourceKind, spec: ResourceSpecification, arch: ArchConfig) -> int:
+def sets_required(kind: ResourceKind, spec: ResourceSpecification) -> int:
     """Sets implied by a static resource specification.
 
     REGISTER is per warp, SCRATCHPAD per block, WARP_SLOT per warp.
     """
     if kind is ResourceKind.REGISTER:
-        return reg_sets_for(spec.regs_per_thread, arch)
+        return reg_sets_for(spec.regs_per_thread)
     if kind is ResourceKind.SCRATCHPAD:
-        return scratch_sets_for(spec.scratch_bytes_per_block, arch)
+        return scratch_sets_for(spec.scratch_bytes_per_block)
     return 1
 
 
@@ -296,10 +296,10 @@ class MappingTable:
         self.swap_accesses += 1
         return Placement.SWAP
 
-    def note_swap_event(self, n: int = 1):
-        """Count swap traffic that is not a lookup (state save/restore)."""
-        self.total_accesses += n
-        self.swap_accesses += n
+    def note_swap_event(self):
+        """Count one swap transfer that is not a lookup (state save/restore)."""
+        self.total_accesses += 1
+        self.swap_accesses += 1
 
     def _count_swap(self, owner: int, delta: int):
         """Keep swap_owned current: owner's swap sets changed by delta."""

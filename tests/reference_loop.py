@@ -1,4 +1,4 @@
-"""A naive cycle loop: the differential oracle of engine._SMRun.run.
+"""Naive references: differential oracles of the cycle loop and admission.
 
 ReferenceSMRun advances the clock one cycle at a time.  Each cycle it
 rebuilds every scheduler's candidates from sched_set in wid order and
@@ -10,11 +10,19 @@ that cycle; one after a stall cycle runs at the boundary, as the fast
 loop's stall skip does.
 
 reference_run is engine.run with this loop in place of the fast one.
+
+ReferenceCoordinator is zorua admission with a naive retry: after the
+same promotion it runs all three stage passes every round until none
+progresses.  It ignores the need bounds of the register and scratchpad
+queues and the slot-feasibility gate, which the fast retry uses to pass
+over a stage that cannot admit anyone.  reference_admission_run is
+engine.run with it in place of Coordinator.
 """
 
 from unittest import mock
 
-from smvirt import engine
+from smvirt import engine, policies
+from smvirt.coordinator import Coordinator
 from smvirt.engine import EventKind, NonTerminationError, _SMRun
 from smvirt.kernel_model import Opcode
 
@@ -97,4 +105,25 @@ class ReferenceSMRun(_SMRun):
 def reference_run(*args, **kwargs):
     """engine.run, simulated by the naive loop."""
     with mock.patch.object(engine, "_SMRun", ReferenceSMRun):
+        return engine.run(*args, **kwargs)
+
+
+class ReferenceCoordinator(Coordinator):
+    def retry_all_queues(self):
+        for tbl in (self.regs, self.scratch):
+            for owner, logical in tbl.swap_keys_by_heat():
+                if not tbl.free_physical:
+                    break
+                tbl.migrate_in(owner, logical)
+        while True:
+            progressed = self._retry_reg(self.regs.headroom(self._limit[self.regs]))
+            progressed |= self._retry_scratch(self.scratch.headroom(self._limit[self.scratch]))
+            progressed |= self._retry_slots()
+            if not progressed:
+                return
+
+
+def reference_admission_run(*args, **kwargs):
+    """engine.run, with zorua admission retrying every stage every round."""
+    with mock.patch.object(policies, "Coordinator", ReferenceCoordinator):
         return engine.run(*args, **kwargs)

@@ -487,3 +487,30 @@ def test_deadlock_guard_resolves_barrier_wait_on_held_registers():
     assert res.guard_admissions >= 1
     assert res.issued_instructions == 2 * (len(body) + 1)
     assert res.reg_hit_rate < 1.0
+
+
+def _cut(name, blocks):
+    kern = corpus_kernel(name)
+    return replace(kern, resource_spec=replace(kern.resource_spec, num_blocks=blocks))
+
+
+def test_zorua_with_pinned_thresholds_and_no_guard_raises_when_wedged():
+    # barrier waiters hold every register set their siblings queue for;
+    # with no swap budget, no guard and no controller nothing frees them
+    arch = replace(ONE_SM, registers_per_sm=8192)
+    cfg = OversubscriptionConfig(fixed_o_thresh_frac=0.0, guard_enabled=False)
+    with pytest.raises(NonTerminationError, match="wedged with no runnable warps"):
+        run(_cut("scratch_cliff", 24), Policy.ZORUA, arch, oversub=cfg)
+
+
+@pytest.mark.parametrize("blocks", [8, 24])
+def test_zorua_without_the_guard_books_idle_cycles(blocks):
+    # with the guard off an SM with queued warps and nothing schedulable
+    # waits for the controller, and those cycles are idle; at 8 blocks
+    # every block arrives at launch, so only the coordinator's queues say
+    # that work is pending
+    arch = replace(ONE_SM, registers_per_sm=4096)
+    cfg = OversubscriptionConfig(guard_enabled=False)
+    res = run(_cut("mixed_phase", blocks), Policy.ZORUA, arch, oversub=cfg, debug=True)
+    assert res.c_idle == 3872 > 0
+    assert sum(e.c_idle for e in res.epochs) == res.c_idle

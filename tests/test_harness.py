@@ -82,12 +82,10 @@ def test_parse_list_set_and_comments():
         "list threads_per_block=128,256,512   # axis\n"
         "\n"
         "set blocks=9\n"
-        "set seed=5\n"
     )
     grid = parse_grid(text)
     assert grid.threads_per_block == (128, 256, 512)
     assert grid.blocks == 9
-    assert grid.seed == 5
     assert grid.regs_per_thread is None and grid.scratch is None
 
 
@@ -101,6 +99,7 @@ def test_parse_list_set_and_comments():
         ("list threads_per_block=", 1),
         ("list threads_per_block=1\nlist threads_per_block=2", 2),
         ("set warps=3", 1),
+        ("set seed=5", 1),
         ("set blocks=two", 1),
         ("set blocks=1\nset blocks=2", 2),
         ("set blocks=0", 1),

@@ -73,6 +73,65 @@ def test_package_has_no_re_exports():
     assert found == []
 
 
+def defined_names(source: str) -> dict[str, int]:
+    """The names a module defines at its top level, with their lines:
+    functions, classes and assigned names.  Dunder names are exempt, and
+    imports are left to unused_imports."""
+    names: dict[str, int] = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for n in ast.walk(target):
+                    if isinstance(n, ast.Name):
+                        names[n.id] = node.lineno
+    return {n: line for n, line in names.items() if not (n.startswith("__") and n.endswith("__"))}
+
+
+def read_names(source: str) -> set[str]:
+    """Every name a module reads, bare or as an attribute."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+    return read
+
+
+def test_name_checker_finds_a_module_level_name_nothing_reads():
+    source = (
+        "import os\n"
+        "__version__ = '1'\n"
+        "LIMIT = 3\n"
+        "UNREAD, PAIR = 1, 2\n"
+        "TABLE: dict = {}\n"
+        "def helper():\n"
+        "    return LIMIT\n"
+        "class Thing:\n"
+        "    pass\n"
+    )
+    reader = "import m\nfrom m import helper\nhelper(m.Thing, m.PAIR)\nm.TABLE = {}\n"
+    read = read_names(source) | read_names(reader)
+    assert sorted(set(defined_names(source)) - read) == ["TABLE", "UNREAD"]
+
+
+def test_every_module_level_name_is_read_somewhere():
+    read = set()
+    for tree in ("src", "tests", "perfbench"):
+        for path in (ROOT / tree).rglob("*.py"):
+            read |= read_names(path.read_text())
+    found = [
+        f"{path.name}:{line}: {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name, line in defined_names(path.read_text()).items()
+        if name not in read
+    ]
+    assert found == []
+
+
 def test_coordinator_defines_every_method_the_benchmark_counts():
     """The benchmark tracer wraps the methods a class defines itself, so a
     counted Coordinator method that is only inherited drops out of its

@@ -100,7 +100,7 @@ def test_wlm_single_warp_floor_without_barriers():
 
 
 def _arrive(adm, bid, warps):
-    adm.on_block_arrival(bid, tuple(range(bid * warps, (bid + 1) * warps)), 0, 0)
+    adm.on_block_arrival(bid, tuple(range(bid * warps, (bid + 1) * warps)), None)
 
 
 def test_wlm_admits_a_block_warp_by_warp_as_slots_free():

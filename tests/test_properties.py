@@ -12,8 +12,9 @@ slots, and long and short baseline launches have closed-form answers, so
 those properties check the cycle loop's answers, not only that it ends.
 So does zorua with no swap budget: it never touches a set in swap.
 On arbitrary launches the fast cycle loop must match the naive one of
-reference_loop.py exactly.  The kernel and grid parsers, fed generated
-and edited text, raise only their own errors.
+reference_loop.py exactly, and zorua admission must match a retry that
+runs every stage every round.  The kernel and grid parsers, fed
+generated and edited text, raise only their own errors.
 """
 
 import re
@@ -41,7 +42,7 @@ from smvirt.phase_compiler import annotate_phases
 from smvirt.policies import KernelUnrunnableError, Policy, baseline_blocks_in_flight
 from smvirt.resource_maps import get_arch
 
-from reference_loop import reference_run
+from reference_loop import reference_admission_run, reference_run
 
 ONE_SM_ARCHS = {
     name: replace(get_arch(name), num_sms=1) for name in ("fermi", "kepler", "maxwell")
@@ -342,6 +343,42 @@ def test_fast_loop_matches_the_naive_reference_loop(
         naive = reference_run(kernel, policy, hw, log_events=True)
         assert fast.to_dict() == naive.to_dict(), policy
         assert fast.event_log == naive.event_log, policy
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    kernel=_small_kernels(),
+    trailing_barrier=st.booleans(),
+    arch=st.sampled_from(sorted(ONE_SM_ARCHS)),
+    schedulers=st.integers(min_value=1, max_value=4),
+    epoch_cycles=st.sampled_from([16, 64, 256, 2048]),
+    latency=st.sampled_from([8, 50, 400]),
+    max_inflight=st.sampled_from([2, 64]),
+    o_thresh=st.sampled_from([None, 0.0, 0.05, 0.25]),
+)
+def test_zorua_admission_matches_a_retry_of_every_stage(
+    kernel, trailing_barrier, arch, schedulers, epoch_cycles, latency, max_inflight, o_thresh
+):
+    # the need bounds and the slot gate only pass over stages that cannot
+    # admit anyone, so they change nothing a retry of every stage would do;
+    # o_thresh None leaves the controller on, a number pins the thresholds
+    if trailing_barrier:
+        kernel = _ending_in_barrier(kernel)
+    hw = replace(
+        ONE_SM_ARCHS[arch],
+        schedulers_per_sm=schedulers,
+        epoch_cycles=epoch_cycles,
+        memory_latency_cycles=latency,
+        max_inflight_mem_requests=max_inflight,
+    )
+    cfg = OversubscriptionConfig(fixed_o_thresh_frac=o_thresh)
+    try:
+        fast = run(kernel, "zorua", hw, oversub=cfg, log_events=True)
+    except KernelUnrunnableError:
+        return
+    naive = reference_admission_run(kernel, "zorua", hw, oversub=cfg, log_events=True)
+    assert fast.to_dict() == naive.to_dict()
+    assert fast.event_log == naive.event_log
 
 
 _KERNEL_TEXTS = [

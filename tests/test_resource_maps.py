@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -32,26 +33,42 @@ def test_arch_presets_exist():
         get_arch("volta")
 
 
+@pytest.mark.parametrize(
+    "change,message",
+    [
+        ({"registers_per_sm": 32768 + 64}, "registers_per_sm must be a multiple of 128"),
+        ({"scratch_bytes_per_sm": 48 * 1024 + 512}, "scratch_bytes_per_sm must be a multiple"),
+        ({"schedulers_per_sm": 0}, "schedulers_per_sm must be >= 1"),
+        ({"max_logical_warps": 47}, "max_logical_warps must cover the physical warp slots"),
+        ({"mapping_table_penalty_cycles": -5}, "mapping_table_penalty_cycles must be >= 0"),
+    ],
+    ids=["registers", "scratchpad", "below-one", "logical-warps", "negative-penalty"],
+)
+def test_arch_config_rejects_each_invalid_field(change, message):
+    with pytest.raises(ValueError, match=message):
+        replace(FERMI, **change)
+
+
 def test_set_rounding():
-    assert reg_sets_for(0, FERMI) == 0
-    assert reg_sets_for(1, FERMI) == 1  # 32 regs -> one 128-reg set
-    assert reg_sets_for(4, FERMI) == 1
-    assert reg_sets_for(5, FERMI) == 2
-    assert reg_sets_for(32, FERMI) == 8
-    assert scratch_sets_for(0, FERMI) == 0
-    assert scratch_sets_for(1, FERMI) == 1
-    assert scratch_sets_for(1024, FERMI) == 1
-    assert scratch_sets_for(1025, FERMI) == 2
-    assert scratch_sets_for(4224, FERMI) == 5
+    assert reg_sets_for(0) == 0
+    assert reg_sets_for(1) == 1  # 32 regs -> one 128-reg set
+    assert reg_sets_for(4) == 1
+    assert reg_sets_for(5) == 2
+    assert reg_sets_for(32) == 8
+    assert scratch_sets_for(0) == 0
+    assert scratch_sets_for(1) == 1
+    assert scratch_sets_for(1024) == 1
+    assert scratch_sets_for(1025) == 2
+    assert scratch_sets_for(4224) == 5
 
 
 def test_sets_required_per_kind():
     spec = ResourceSpecification(
         threads_per_block=256, regs_per_thread=32, scratch_bytes_per_block=4224, num_blocks=1
     )
-    assert sets_required(ResourceKind.REGISTER, spec, FERMI) == 8  # per warp
-    assert sets_required(ResourceKind.SCRATCHPAD, spec, FERMI) == 5  # per block
-    assert sets_required(ResourceKind.WARP_SLOT, spec, FERMI) == 1
+    assert sets_required(ResourceKind.REGISTER, spec) == 8  # per warp
+    assert sets_required(ResourceKind.SCRATCHPAD, spec) == 5  # per block
+    assert sets_required(ResourceKind.WARP_SLOT, spec) == 1
 
 
 def test_table_sizes_fermi():
