@@ -8,7 +8,9 @@ kernel files:
     set blocks=<n>                   fix the launch size
     set total_threads=<n>            derive blocks as total/threads per point
 
-Sweepable params: threads_per_block, regs_per_thread, scratch.  Points
+Sweepable params: threads_per_block, regs_per_thread, scratch.  A grid
+may hold at most MAX_GRID_POINTS points, counted before any axis is
+built, so a short line cannot ask for unbounded memory.  Points
 whose resource declaration cannot carry the kernel body (liveness above a
 cap) are skipped with a warning on stderr; points a policy cannot run at
 all are kept as rows with infinite cycles ("INF" in CSV) so grids stay
@@ -33,6 +35,9 @@ from .resource_maps import ArchConfig, get_arch
 
 _AXIS_KEYS = ("threads_per_block", "regs_per_thread", "scratch")
 _SET_KEYS = ("blocks", "total_threads")
+# most points an axis, or the product of all axes, may hold; the largest
+# recommended grid has 11
+MAX_GRID_POINTS = 100_000
 
 
 class GridSyntaxError(ValueError):
@@ -53,6 +58,7 @@ class GridSpec:
 def parse_grid(text: str) -> GridSpec:
     axes: dict[str, tuple[int, ...]] = {}
     fixed: dict[str, int] = {}
+    points = 1
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -79,12 +85,20 @@ def parse_grid(text: str) -> GridSpec:
                     raise GridSyntaxError(line_no, "range bounds must be integers") from None
                 if step < 1 or hi < lo:
                     raise GridSyntaxError(line_no, "need step >= 1 and hi >= lo")
-                axes[key] = tuple(range(lo, hi + 1, step))
+                values = range(lo, hi + 1, step)
+                size = (hi - lo) // step + 1  # len(values) overflows past sys.maxsize
             else:
                 try:
-                    axes[key] = tuple(int(v) for v in value.split(","))
+                    values = tuple(int(v) for v in value.split(","))
                 except ValueError:
                     raise GridSyntaxError(line_no, "list values must be integers") from None
+                size = len(values)
+            points *= size
+            if points > MAX_GRID_POINTS:
+                raise GridSyntaxError(
+                    line_no, f"grid would have more than {MAX_GRID_POINTS} points"
+                )
+            axes[key] = tuple(values)
             least = 0 if key == "scratch" else 1
             if min(axes[key]) < least:
                 raise GridSyntaxError(line_no, f"values of {key!r} must be >= {least}")

@@ -183,9 +183,16 @@ def parse_kernel(text: str) -> KernelSpec:
     name: Optional[str] = None
     spec: Optional[ResourceSpecification] = None
     body: list[Instruction] = []
+    # instr/phase line -> the Instruction it parsed to; a kernel repeats
+    # few distinct lines many times, and instructions are immutable
+    seen: dict[str, Instruction] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
+            continue
+        ins = seen.get(line)
+        if ins is not None:
+            body.append(ins)
             continue
         tokens = line.split()
         directive = tokens[0]
@@ -223,20 +230,22 @@ def parse_kernel(text: str) -> KernelSpec:
                 raise KernelSyntaxError(line_no, "use a 'phase' line for phase specifiers")
             kv = _parse_kv(tokens[2:], ("live_regs", "scratch"), line_no)
             try:
-                body.append(Instruction(op, kv["live_regs"], kv["scratch"]))
+                ins = Instruction(op, kv["live_regs"], kv["scratch"])
             except KernelInvariantError as e:
                 raise KernelSyntaxError(line_no, str(e)) from None
+            seen[line] = ins
+            body.append(ins)
         elif directive == "phase":
             if spec is None:
                 raise KernelSyntaxError(line_no, "phase before config line")
             kv = _parse_kv(tokens[1:], ("live_regs", "scratch"), line_no)
             try:
                 payload = PhaseSpecifier(kv["live_regs"], kv["scratch"])
-                body.append(
-                    Instruction(Opcode.PHASE_SPEC, kv["live_regs"], kv["scratch"], payload)
-                )
+                ins = Instruction(Opcode.PHASE_SPEC, kv["live_regs"], kv["scratch"], payload)
             except KernelInvariantError as e:
                 raise KernelSyntaxError(line_no, str(e)) from None
+            seen[line] = ins
+            body.append(ins)
         else:
             raise KernelSyntaxError(line_no, f"unknown directive {directive!r}")
     if name is None:

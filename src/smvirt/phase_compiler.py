@@ -85,41 +85,37 @@ def detect_phase_boundaries(
 
     body = kernel.body
     boundaries: list[int] = []
-    last_boundary = 0
-    ref_regs = body[0].live_regs_after
-    ref_scratch = body[0].live_scratch_after
+    phases: list[Phase] = []
+    first = body[0]
+    start = 0
+    opened_by_barrier = first.opcode is Opcode.BARRIER
+    ref_regs = max_regs = first.live_regs_after
+    ref_scratch = max_scratch = first.live_scratch_after
 
     for i in range(1, len(body)):
         instr = body[i]
-        if instr.opcode is Opcode.BARRIER:
-            is_boundary = True
-        else:
-            long_enough = (i - last_boundary) >= min_span
-            moved = _changed(
-                ref_regs, instr.live_regs_after, change_threshold
-            ) or _changed(ref_scratch, instr.live_scratch_after, change_threshold)
-            is_boundary = long_enough and moved
-        if is_boundary:
-            boundaries.append(i)
-            last_boundary = i
-            ref_regs = instr.live_regs_after
-            ref_scratch = instr.live_scratch_after
-
-    phases: list[Phase] = []
-    starts = [0] + boundaries
-    for n, start in enumerate(starts):
-        end = starts[n + 1] if n + 1 < len(starts) else len(body)
-        max_regs = max(body[j].live_regs_after for j in range(start, end))
-        max_scratch = max(body[j].live_scratch_after for j in range(start, end))
-        phases.append(
-            Phase(
-                start=start,
-                end=end,
-                max_live_regs=max_regs,
-                max_live_scratch=max_scratch,
-                opened_by_barrier=(body[start].opcode is Opcode.BARRIER),
+        regs = instr.live_regs_after
+        scratch = instr.live_scratch_after
+        barrier = instr.opcode is Opcode.BARRIER
+        if barrier or (
+            i - start >= min_span
+            and (
+                _changed(ref_regs, regs, change_threshold)
+                or _changed(ref_scratch, scratch, change_threshold)
             )
-        )
+        ):
+            phases.append(Phase(start, i, max_regs, max_scratch, opened_by_barrier))
+            boundaries.append(i)
+            start = i
+            opened_by_barrier = barrier
+            ref_regs = max_regs = regs
+            ref_scratch = max_scratch = scratch
+        else:
+            if regs > max_regs:
+                max_regs = regs
+            if scratch > max_scratch:
+                max_scratch = scratch
+    phases.append(Phase(start, len(body), max_regs, max_scratch, opened_by_barrier))
 
     return PhaseReport(
         body_len=len(body),

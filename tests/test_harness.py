@@ -1,11 +1,14 @@
 """Grid parsing, sweep mechanics, metrics, and emission stability."""
 
 import math
+import time
+import tracemalloc
 
 import pytest
 
 from smvirt.harness import (
     CSV_COLUMNS,
+    MAX_GRID_POINTS,
     GridSpec,
     GridSyntaxError,
     SweepResult,
@@ -107,12 +110,34 @@ def test_parse_list_set_and_comments():
         ("range scratch=-1024:0:1024", 1),
         ("list scratch=0\nset total_threads=-64", 2),
         ("set blocks=1\nset total_threads=64", 0),
+        ("range threads_per_block=1:100001:1", 1),
+        ("list threads_per_block=32,64\nrange scratch=0:50000:1", 2),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line_no):
     with pytest.raises(GridSyntaxError) as exc:
         parse_grid(text)
     assert exc.value.line_no == line_no
+
+
+def test_a_grid_of_exactly_the_point_limit_parses():
+    grid = parse_grid(f"list threads_per_block=32,64\nrange scratch=1:{MAX_GRID_POINTS // 2}:1\n")
+    assert len(grid.threads_per_block) * len(grid.scratch) == MAX_GRID_POINTS
+
+
+@pytest.mark.parametrize("hi", ["1000000000", "1" + "0" * 40])
+def test_a_huge_range_is_refused_before_it_is_built(hi):
+    tracemalloc.start()
+    try:
+        started = time.perf_counter()
+        with pytest.raises(GridSyntaxError, match=f"more than {MAX_GRID_POINTS} points"):
+            parse_grid(f"range threads_per_block=1:{hi}:1\n")
+        elapsed = time.perf_counter() - started
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert elapsed < 1.0
 
 
 def test_grid_points_axis_major_order():

@@ -11,6 +11,7 @@ from smvirt.kernel_model import (
     generate_synthetic_kernel,
 )
 from smvirt.phase_compiler import (
+    Phase,
     annotate_phases,
     detect_phase_boundaries,
     phase_demand_table,
@@ -63,6 +64,22 @@ def _oracle_boundaries(body, threshold, min_span):
     return bounds
 
 
+def _oracle_phases(body, boundaries):
+    """Each phase's span and maxima, recomputed from scratch per phase."""
+    starts = [0] + list(boundaries)
+    ends = list(boundaries) + [len(body)]
+    return tuple(
+        Phase(
+            start=start,
+            end=end,
+            max_live_regs=max(ins.live_regs_after for ins in body[start:end]),
+            max_live_scratch=max(ins.live_scratch_after for ins in body[start:end]),
+            opened_by_barrier=body[start].opcode is Opcode.BARRIER,
+        )
+        for start, end in zip(starts, ends)
+    )
+
+
 def test_flat_kernel_is_one_phase():
     k = _kernel([8] * 30)
     report = detect_phase_boundaries(k)
@@ -110,6 +127,7 @@ def test_boundaries_match_oracle_on_random_kernels():
         report = detect_phase_boundaries(k, change_threshold=threshold, min_span=min_span)
         oracle = _oracle_boundaries(k.body, threshold, min_span)
         assert list(report.boundaries) == oracle, (k.name, threshold, min_span)
+        assert report.phases == _oracle_phases(k.body, oracle), (k.name, threshold, min_span)
 
 
 def test_raising_threshold_never_adds_boundaries():
