@@ -100,7 +100,7 @@ class Coordinator(Registry):
     charges_access = True  # every access consults the mapping tables
 
     def __init__(self, arch: ArchConfig, cfg: OversubscriptionConfig):
-        super().__init__()
+        super().__init__(arch.schedulers_per_sm)
         self.arch = arch
         self.cfg = cfg
         self.tables = make_tables(arch)
@@ -118,13 +118,12 @@ class Coordinator(Registry):
         }
         self._seq = 0
         # state indices, kept by _set_state: the three admission queues
-        # (pending warps in enqueue_seq order), barrier waiters in
-        # barrier_seq order, and the schedulable count
+        # (pending warps in enqueue_seq order) and barrier waiters in
+        # barrier_seq order
         self._by_state: dict[WarpState, dict[int, None]] = {
             state: {} for state in (*_PENDING, WarpState.AT_BARRIER)
         }
         self._thread_q, self._scratch_q, self._reg_q, self._at_barrier = self._by_state.values()
-        self._schedulable = 0
         # lower bounds on the sets a queued warp still needs (inf: empty)
         self._reg_need = math.inf
         self._scratch_need = math.inf
@@ -138,22 +137,15 @@ class Coordinator(Registry):
     # -- bookkeeping ----------------------------------------------------
 
     def _set_state(self, w: WarpRecord, state: WarpState):
-        """The one place a warp changes state; keeps the indices current."""
-        old = w.state
-        if old is WarpState.SCHEDULABLE:
-            self._schedulable -= 1
-        else:
-            index = self._by_state.get(old)
-            if index is not None:
-                # a new warp starts in PENDING_THREAD outside the queue
-                index.pop(w.wid, None)
-        if state is WarpState.SCHEDULABLE:
-            self._schedulable += 1
-        else:
-            index = self._by_state.get(state)
-            if index is not None:
-                index[w.wid] = None
-        w.state = state
+        """Keep the queue and barrier indices, then the registry's own."""
+        index = self._by_state.get(w.state)
+        if index is not None:
+            # a new warp starts in PENDING_THREAD outside the queue
+            index.pop(w.wid, None)
+        index = self._by_state.get(state)
+        if index is not None:
+            index[w.wid] = None
+        super()._set_state(w, state)
 
     def _enqueue(self, warp: WarpRecord, state: WarpState):
         """Queue a warp for a stage, lowering that queue's need bound."""
@@ -164,9 +156,6 @@ class Coordinator(Registry):
             self._reg_need = min(self._reg_need, self._reg_delta(warp))
         elif state is WarpState.PENDING_SCRATCH:
             self._scratch_need = min(self._scratch_need, self._scratch_delta(warp))
-
-    def schedulable_count(self) -> int:
-        return self._schedulable
 
     # -- admission stages -------------------------------------------------
 
@@ -545,7 +534,7 @@ class Coordinator(Registry):
         if not self.cfg.guard_enabled:
             return False
         limit = GUARD_MIN_SCHEDULABLE_FRAC * self.arch.warp_slots_per_sm
-        if self._schedulable >= limit:
+        if self.n_schedulable >= limit:
             return False
         queues = [q for q in (self._reg_q, self._scratch_q) if q]
         if self._thread_q and self._slot_stage_feasible(forced=True):
@@ -629,8 +618,6 @@ class Coordinator(Registry):
             queued = sorted(by_state[state], key=lambda w: w.enqueue_seq)
             if list(self._by_state[state]) != [w.wid for w in queued]:
                 errors.append(f"{state.value} queue is not the enqueue_seq order of its warps")
-        if self._schedulable != len(by_state[WarpState.SCHEDULABLE]):
-            errors.append(f"schedulable counter {self._schedulable} drifted")
         return errors
 
     def _fixpoint_errors(self) -> list[str]:

@@ -38,12 +38,11 @@ and the launch finishes when the slowest replica does.
 
 from __future__ import annotations
 
-import bisect
 import enum
 import heapq
 from collections import deque
 from dataclasses import dataclass, fields, replace
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Optional, Union
 
 from .coordinator import OversubscriptionConfig
@@ -80,11 +79,10 @@ _PHASE_SPEC = Opcode.PHASE_SPEC
 _PHASE_CHANGE = EventKind.PHASE_CHANGE
 _BARRIER_REACHED = EventKind.BARRIER_REACHED
 _WARP_FINISHED = EventKind.WARP_FINISHED
+_SCHEDULABLE = WarpState.SCHEDULABLE
 
 # end-of-cycle events run in (kind, wid) order
 _event_order = itemgetter(0, 1)
-# scheduler lists are ordered by warp id
-_wid = attrgetter("wid")
 
 
 @dataclass(frozen=True)
@@ -283,7 +281,9 @@ class _SMRun:
     The admission object decides which warps may run (see policies.py);
     the engine schedules and issues them and turns what happens into the
     admission hooks, passing phase specifiers on as they are: it never
-    counts sets.  Warps and blocks live in the admission's registry.
+    counts sets.  Warps and blocks live in the admission's registry, and
+    so do the scheduler lists the loop issues from and the schedulable
+    count: the engine keeps no copy of which warps may issue.
 
     run is the one cycle loop.  Each cycle makes one pass over the
     scheduler lists: a scheduler picks its greedy warp if that is ready
@@ -342,13 +342,6 @@ class _SMRun:
         self.last_issue = 0
         self.warps: dict[int, WarpRecord] = adm.warps
         self.blocks: dict[int, BlockRecord] = adm.blocks
-        # ids of the schedulable warps, and per scheduler (wid mod
-        # schedulers) their records in wid order; changed only by
-        # _schedule/_unschedule
-        self.sched_set: set[int] = set()
-        self.part: tuple[list[WarpRecord], ...] = tuple(
-            [] for _ in range(arch.schedulers_per_sm)
-        )
         self.next_bid = 0
         # drained effect batches not yet applied, each with its wake
         self.work: deque[tuple[int, list[tuple[str, int]]]] = deque()
@@ -381,21 +374,6 @@ class _SMRun:
             totals[ResourceKind.SCRATCHPAD][1],
             totals[ResourceKind.WARP_SLOT][1],
         )
-
-    def _check_invariants(self):
-        problems = self.adm.check_invariants()
-        schedulable = {wid for wid, w in self.warps.items() if w.state is WarpState.SCHEDULABLE}
-        if self.sched_set != schedulable:
-            problems.append("scheduler set differs from the schedulable warps")
-        n = len(self.part)
-        for sid, part in enumerate(self.part):
-            wids = [w.wid for w in part]
-            if wids != sorted(wid for wid in self.sched_set if wid % n == sid):
-                problems.append(f"scheduler {sid} list is not its schedulable warps in wid order")
-            if any(w is not self.warps.get(w.wid) for w in part):
-                problems.append(f"scheduler {sid} list holds a record the registry does not")
-        if problems:
-            raise RuntimeError("invariant violation: " + "; ".join(problems))
 
     def _record_in_flight(self):
         in_flight = len(self.blocks)
@@ -441,28 +419,15 @@ class _SMRun:
                     w.next_ready = max(w.next_ready, wake + self.arch.memory_latency_cycles)
                 elif w.pc < len(self.body):
                     w.next_ready = max(w.next_ready, wake)
-                    self._schedule(w)
                 else:
                     # admitted only to retire: its last instruction was a
                     # barrier
                     self._finish_warp(w)
 
-    def _schedule(self, w: WarpRecord):
-        if w.wid not in self.sched_set:
-            self.sched_set.add(w.wid)
-            bisect.insort(self.part[w.wid % len(self.part)], w, key=_wid)
-
-    def _unschedule(self, wid: int):
-        if wid in self.sched_set:
-            self.sched_set.remove(wid)
-            part = self.part[wid % len(self.part)]
-            del part[bisect.bisect_left(part, wid, key=_wid)]
-
     # -- end-of-cycle events ----------------------------------------------
 
     def _finish_warp(self, w: WarpRecord):
         wid = w.wid
-        self._unschedule(wid)
         self._log(_WARP_FINISHED, wid)
         done = self.adm.on_warp_finished(wid)
         self._take_effects(self.now + 1)
@@ -478,11 +443,9 @@ class _SMRun:
         else:
             self._log(kind, wid)
             if kind is _PHASE_CHANGE:
-                if not self.adm.on_phase_change(wid, payload):
-                    self._unschedule(wid)
+                self.adm.on_phase_change(wid, payload)
             else:
                 bid = self.warps[wid].block_id
-                self._unschedule(wid)
                 if self.adm.on_barrier(wid):
                     self.adm.release_barrier(bid)
             self._take_effects(self.now + 1)
@@ -521,15 +484,15 @@ class _SMRun:
         self.adm.deadlock_guard()
         self._take_effects(self.now + 1)
         self._apply_effects()
-        if self.debug:
-            self._check_invariants()
+        if self.debug and (problems := self.adm.check_invariants()):
+            raise RuntimeError("invariant violation: " + "; ".join(problems))
         self.prev_idle = stats.c_idle
         self.prev_mem = stats.c_mem
 
     # -- main loop -----------------------------------------------------------
 
     def _classify_stall(self, delta: int):
-        if self.sched_set:
+        if self.adm.n_schedulable:
             self.ep_mem += delta
         elif self._pending_work():
             self.ep_idle += delta
@@ -543,17 +506,17 @@ class _SMRun:
         """Simulate to completion; the finished run carries its figures."""
         self._dispatch()
         self._apply_effects()
-        sched_set = self.sched_set
-        part = self.part
+        adm = self.adm
+        part = adm.sched_lists
         body = self.body
         n_body = len(body)
-        access_cost = self.adm.access_cost
+        access_cost = adm.access_cost
         request = self.mem.request
         epoch_cycles = self.arch.epoch_cycles
         cycle_cap = self.cycle_cap
         util = self.util
         plain = None
-        if not (self.adm.charges_access or util is not None):
+        if not (adm.charges_access or util is not None):
             # plain[pc]: how many instructions from pc on raise no event
             # and make no memory request; a warp's last instruction raises
             # its finish, and admission that charges nothing costs none
@@ -569,7 +532,7 @@ class _SMRun:
             picks = []
             wake = None
             for cur, warps in zip(greedy, part):
-                if cur is None or cur.next_ready > now or cur.wid not in sched_set:
+                if cur is None or cur.next_ready > now or cur.state is not _SCHEDULABLE:
                     # the list is in wid order, so the first ready warp is the oldest
                     cur = None
                     for w in warps:
@@ -583,7 +546,7 @@ class _SMRun:
             if any(picks):
                 if util is not None:
                     util.sample(1)
-                self.sched_integral += len(sched_set)
+                self.sched_integral += adm.n_schedulable
                 greedy = picks
                 pending = []
                 issued = 0
@@ -635,7 +598,7 @@ class _SMRun:
                                 w.next_ready += k
                         self.ep_issued += issued * k
                         self.ep_issue_cycles += k
-                        self.sched_integral += len(sched_set) * k
+                        self.sched_integral += adm.n_schedulable * k
                         now = self.now = now + k
                         self.last_issue = now
                 if (now + 1) % epoch_cycles == 0:
@@ -644,18 +607,18 @@ class _SMRun:
                 continue
             if wake is None:
                 # nothing schedulable at all; force progress or give up
-                if self.adm.deadlock_guard():
+                if adm.deadlock_guard():
                     self._take_effects(now)
                     self._apply_effects()
                     continue
-                if not (self.adm.retunes and self._pending_work()):
+                if not (adm.retunes and self._pending_work()):
                     raise NonTerminationError("wedged with no runnable warps")
                 # fall through: skip to the epoch boundary and let the
                 # controller retune admission
             boundary = (now // epoch_cycles + 1) * epoch_cycles
             target = boundary if wake is None else min(wake, boundary)
             delta = target - now
-            self.sched_integral += len(sched_set) * delta
+            self.sched_integral += adm.n_schedulable * delta
             if util is not None:
                 util.sample(delta)
             self._classify_stall(delta)
@@ -668,8 +631,8 @@ class _SMRun:
         """Close the last epoch and derive the run's figures."""
         if self.ep_issued or self.ep_issue_cycles or self.ep_idle or self.ep_mem or self.ep_barrier:
             self._close_epoch()
-        if self.debug:
-            self._check_invariants()
+        if self.debug and (problems := self.adm.check_invariants()):
+            raise RuntimeError("invariant violation: " + "; ".join(problems))
 
         self.cycles = self.last_issue + 1
         if self.bif_min is None:  # every block arrived at launch

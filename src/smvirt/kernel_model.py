@@ -271,8 +271,9 @@ def serialize_kernel(kernel: KernelSpec) -> str:
             p = ins.phase_payload
             lines.append(f"phase live_regs={p.live_regs} scratch={p.scratch_bytes}")
         else:
+            # _name_ is enum's plain attribute; .name goes through a descriptor
             lines.append(
-                f"instr {ins.opcode.name} live_regs={ins.live_regs_after} "
+                f"instr {ins.opcode._name_} live_regs={ins.live_regs_after} "
                 f"scratch={ins.live_scratch_after}"
             )
     return "\n".join(lines) + "\n"

@@ -18,8 +18,9 @@ capabilities: retunes (the controller may loosen admission at the next
 epoch) and charges_access (access_cost counts or charges something, so
 the engine may not skip issue cycles).  Every admission class is a
 Registry (registry.py), which owns the one warp and block registry,
-holding live blocks only, and hands warps to the engine as
-("schedulable" | "slot_swapin", wid) effects.  The static policies
+holding live blocks only, and each scheduler's list of schedulable
+warps, which the engine issues from; it hands warp wakes to the engine
+as ("schedulable" | "slot_swapin", wid) effects.  The static policies
 ignore the phase specifiers; only zorua turns them into sets.
 make_admission is the one place a policy picks its class.
 """
@@ -128,7 +129,7 @@ class BaselineAdmission(_StaticAdmission):
     """Whole blocks, each holding its declared worst case for its lifetime."""
 
     def __init__(self, spec: ResourceSpecification, arch: ArchConfig):
-        super().__init__()
+        super().__init__(arch.schedulers_per_sm)
         self.limit = baseline_blocks_in_flight(spec, arch)
         if self.limit == 0:
             raise KernelUnrunnableError("static allocation admits zero blocks on this hardware")
@@ -159,7 +160,7 @@ class WlmAdmission(_StaticAdmission):
     """
 
     def __init__(self, spec: ResourceSpecification, arch: ArchConfig, has_barrier: bool):
-        super().__init__()
+        super().__init__(arch.schedulers_per_sm)
         if not wlm_is_runnable(spec, arch, has_barrier):
             raise KernelUnrunnableError("warp-granular admission cannot complete this kernel")
         self.arch = arch

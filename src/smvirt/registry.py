@@ -6,14 +6,18 @@ leave when its last warp finishes, so the registry holds live blocks
 only.  Warps come and go a block at a time, so ``warps`` lists each
 block's warps together, in block order.  A record starts with no set
 demand: only zorua admission (coordinator.py) turns a phase specifier
-into the sets a warp needs.  Warps reach the engine as drained
-(tag, wid) effects.
+into the sets a warp needs.  The registry also keeps, per scheduler
+(wid mod schedulers), the schedulable warps in wid order, and their
+count: the one index the engine issues from, kept by _set_state.  Warp
+wakes reach the engine as drained (tag, wid) effects.
 """
 
 from __future__ import annotations
 
+import bisect
 import enum
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Optional
 
 
@@ -25,6 +29,11 @@ class WarpState(enum.Enum):
     AT_BARRIER = "at_barrier"
     PARKED = "parked"  # at barrier with slot and scheduler state swapped out
     FINISHED = "finished"
+
+
+_SCHEDULABLE = WarpState.SCHEDULABLE
+# scheduler lists are ordered by warp id
+_wid = attrgetter("wid")
 
 
 @dataclass
@@ -58,10 +67,13 @@ class BlockRecord:
 class Registry:
     """Live warps and blocks of one SM, and the effects not yet drained."""
 
-    def __init__(self):
+    def __init__(self, schedulers: int):
         self.warps: dict[int, WarpRecord] = {}
         self.blocks: dict[int, BlockRecord] = {}
         self._effects: list[tuple[str, int]] = []
+        # per scheduler, its schedulable warps in wid order, and their count
+        self.sched_lists: tuple[list[WarpRecord], ...] = tuple([] for _ in range(schedulers))
+        self.n_schedulable = 0
 
     def drain_effects(self) -> list[tuple[str, int]]:
         out = self._effects
@@ -69,6 +81,16 @@ class Registry:
         return out
 
     def _set_state(self, w: WarpRecord, state: WarpState):
+        """The one place a warp changes state; keeps the scheduler lists."""
+        old = w.state
+        if old is not state:
+            if old is _SCHEDULABLE:
+                part = self.sched_lists[w.wid % len(self.sched_lists)]
+                del part[bisect.bisect_left(part, w.wid, key=_wid)]
+                self.n_schedulable -= 1
+            elif state is _SCHEDULABLE:
+                bisect.insort(self.sched_lists[w.wid % len(self.sched_lists)], w, key=_wid)
+                self.n_schedulable += 1
         w.state = state
 
     def _admit(self, w: WarpRecord):
@@ -115,8 +137,9 @@ class Registry:
         return block
 
     def registry_errors(self) -> list[str]:
-        """A registry holds live blocks only, the block of every warp, and
-        the warps a block at a time."""
+        """A registry holds live blocks only, the block of every warp, the
+        warps a block at a time, and scheduler lists of its own records of
+        exactly the schedulable warps, in wid order, with their count."""
         errors = [
             f"block {b.bid} completed but is still registered"
             for b in self.blocks.values()
@@ -130,4 +153,19 @@ class Registry:
         listed = [wid for b in self.blocks.values() for wid in b.warp_ids if wid in self.warps]
         if list(self.warps) != listed:
             errors.append("warps are not listed a block at a time, in block order")
+        n = len(self.sched_lists)
+        for sid, part in enumerate(self.sched_lists):
+            wids = [w.wid for w in part]
+            schedulable = sorted(
+                w.wid for w in self.warps.values() if w.state is _SCHEDULABLE and w.wid % n == sid
+            )
+            if wids != sorted(wids):
+                errors.append(f"scheduler {sid} list is not in wid order")
+            if sorted(wids) != schedulable:
+                errors.append(f"scheduler {sid} list is not its schedulable warps")
+            if any(w is not self.warps.get(w.wid) for w in part):
+                errors.append(f"scheduler {sid} list holds a record the registry does not")
+        listed = sum(map(len, self.sched_lists))
+        if self.n_schedulable != listed:
+            errors.append(f"{self.n_schedulable} warps counted schedulable, {listed} listed")
         return errors

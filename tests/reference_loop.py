@@ -1,11 +1,14 @@
 """Naive references: differential oracles of the cycle loop and admission.
 
 ReferenceSMRun advances the clock one cycle at a time.  Each cycle it
-rebuilds every scheduler's candidates from sched_set in wid order and
-picks its greedy warp if that is ready and still schedulable, else the
-first ready candidate.  It has no stall skip, no issue skip and no cached
-scheduler lists, and it drives the same admission hooks and event
-handlers as the fast loop.  An epoch tick after an issue cycle runs in
+rebuilds every scheduler's candidates from the registry's warps whose
+state is SCHEDULABLE, in wid order, and picks its greedy warp if that is
+ready and still schedulable, else the first ready candidate.  It counts
+the schedulable warps the same way, for the wedge test and the integral.
+It has no stall skip and no issue skip, and it reads none of the
+registry's scheduler lists, so it shares no index with the loop it
+checks; it drives the same admission hooks and event handlers as the
+fast loop.  An epoch tick after an issue cycle runs in
 that cycle; one after a stall cycle runs at the boundary, as the fast
 loop's stall skip does.
 
@@ -25,31 +28,32 @@ from smvirt import engine, policies
 from smvirt.coordinator import Coordinator
 from smvirt.engine import EventKind, NonTerminationError, _SMRun
 from smvirt.kernel_model import Opcode
+from smvirt.registry import WarpState
 
 
 class ReferenceSMRun(_SMRun):
     def run(self) -> "ReferenceSMRun":
         self._dispatch()
         self._apply_effects()
-        n_sched = len(self.part)
+        n_sched = self.arch.schedulers_per_sm
         epoch_cycles = self.arch.epoch_cycles
         greedy = [None] * n_sched
         while self.blocks or self.remaining:
             now = self.now
             if now >= self.cycle_cap:
                 raise NonTerminationError(f"no completion within {self.cycle_cap} cycles")
-            candidates = None
+            schedulable = sorted(
+                (w for w in self.warps.values() if w.state is WarpState.SCHEDULABLE),
+                key=lambda w: w.wid,
+            )
             picks = []
             for sid in range(n_sched):
                 cur = greedy[sid]
-                if cur is None or cur.wid not in self.sched_set or cur.next_ready > now:
-                    if candidates is None:
-                        candidates = [[] for _ in range(n_sched)]
-                        for wid in sorted(self.sched_set):
-                            candidates[wid % n_sched].append(self.warps[wid])
-                    cur = next((w for w in candidates[sid] if w.next_ready <= now), None)
+                if cur is None or cur.state is not WarpState.SCHEDULABLE or cur.next_ready > now:
+                    candidates = [w for w in schedulable if w.wid % n_sched == sid]
+                    cur = next((w for w in candidates if w.next_ready <= now), None)
                 picks.append(cur)
-            if not any(picks) and not self.sched_set:
+            if not any(picks) and not schedulable:
                 if self.adm.deadlock_guard():
                     self._take_effects(now)
                     self._apply_effects()
@@ -58,7 +62,7 @@ class ReferenceSMRun(_SMRun):
                     raise NonTerminationError("wedged with no runnable warps")
             if self.util is not None:
                 self.util.sample(1)
-            self.sched_integral += len(self.sched_set)
+            self.sched_integral += len(schedulable)
             if any(picks):
                 greedy = picks
                 self._issue(picks)

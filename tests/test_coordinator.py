@@ -156,7 +156,7 @@ def test_barrier_parking_and_resume():
     coord = Coordinator(TINY, cfg)
     for bid in range(4):
         _arrive(coord, bid, range(bid * 4, bid * 4 + 4), reg_sets=1, scratch_sets=0)
-    assert coord.schedulable_count() == 16
+    assert coord.n_schedulable == 16
     for wid in range(16):
         coord.on_barrier(wid)
     # slots are full of barrier-waiting warps; a new block parks victims
@@ -235,7 +235,7 @@ def test_deadlock_guard_forces_one_admission_per_call():
     for w in range(4):
         coord.on_barrier(w)
     # everyone is stuck at the barrier now and nothing is schedulable
-    assert coord.schedulable_count() == 0
+    assert coord.n_schedulable == 0
     regs = coord.tables[ResourceKind.REGISTER]
     assert coord.deadlock_guard() is True
     assert coord.guard_admissions == 1

@@ -139,7 +139,7 @@ def test_baseline_invariants_bound_blocks_in_flight():
     assert any("4 blocks in flight" in e for e in adm.check_invariants())
 
 
-@pytest.mark.parametrize(
+each_admission = pytest.mark.parametrize(
     "make",
     [
         lambda: BaselineAdmission(_spec(64, 8), FERMI),
@@ -148,6 +148,9 @@ def test_baseline_invariants_bound_blocks_in_flight():
     ],
     ids=["baseline", "wlm", "zorua"],
 )
+
+
+@each_admission
 def test_admission_drops_a_completed_block(make):
     adm = make()
     _arrive(adm, 0, 2)
@@ -160,3 +163,36 @@ def test_admission_drops_a_completed_block(make):
     assert adm.check_invariants() == []
     adm.warps[9] = WarpRecord(wid=9, block_id=4, state=WarpState.FINISHED)
     assert "warp 9 belongs to unregistered block 4" in adm.check_invariants()
+
+
+def _leave_a_stale_record(adm):
+    adm.warps[2].state = WarpState.AT_BARRIER  # past _set_state, so still listed
+
+
+def _break_the_wid_order(adm):
+    adm.sched_lists[0].reverse()
+
+
+def _miscount(adm):
+    adm.n_schedulable += 1
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_leave_a_stale_record, "scheduler 0 list is not its schedulable warps"),
+        (_break_the_wid_order, "scheduler 0 list is not in wid order"),
+        (_miscount, "5 warps counted schedulable, 4 listed"),
+    ],
+    ids=["stale", "order", "count"],
+)
+@each_admission
+def test_registry_errors_name_a_corrupted_scheduler_index(make, corrupt, message):
+    adm = make()
+    _arrive(adm, 0, 2)
+    _arrive(adm, 1, 2)
+    assert [[w.wid for w in part] for part in adm.sched_lists] == [[0, 2], [1, 3]]
+    assert adm.n_schedulable == 4
+    assert adm.registry_errors() == []
+    corrupt(adm)
+    assert adm.registry_errors() == [message]
