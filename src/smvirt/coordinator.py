@@ -11,18 +11,21 @@ feedback controller driven by the change in idle- and memory-stall
 counters, and a deadlock guard force-admits the oldest waiting warp
 (budget-exempt) when almost nothing is schedulable.
 
-A queue is retried only when it can admit someone: the register and
-scratchpad queues keep a lower bound on what their warps still need and
-are skipped while it exceeds what the table can grant, and the slot queue
-is skipped while no slot can be freed.
+Block arrivals, barrier releases and epochs always retry the queues.  A
+phase change retries only if it queued its warp or freed a register or
+scratchpad set, a finished warp only if it freed one or slot waiters
+queue, and a barrier arrival only if slot waiters queue: otherwise the
+retry would admit nobody.  Within a retry a queue is passed over while
+it cannot admit anyone: the register and scratchpad queues keep a lower
+bound on what their warps still need and are skipped while it exceeds
+what the table can grant, and the slot queue while no slot can be freed.
 
-Each queue keeps its warps in enqueue_seq order, and a pass visits them
-with the warps holding the most sets first, oldest first among equals.
-Only the register pass sorts: a register waiter holds one slot and may
-keep the register sets of its last phase.  A scratchpad waiter holds one
-slot and no register sets, so its queue is already the order.  A slot
-waiter holds no register sets and a slot only if it was parked, so its
-order is the parked waiters, then the new ones, each in queue order.
+A pass visits the warps holding the most sets first, oldest first among
+equals.  A register waiter holds one slot and keeps the register sets of
+its last phase while it waits, so its queue is kept in buckets by held
+sets, each in enqueue_seq order.  A scratchpad waiter holds one slot and
+no register sets, so its queue is the order.  A slot waiter holds a slot
+only if it was parked, so its order is the parked waiters, then the rest.
 
 Warp-slot oversubscription has one extra wrinkle: a slot moves to swap only
 by parking a warp that is already waiting at a barrier, which also saves its
@@ -40,11 +43,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Optional
 
 from .kernel_model import Opcode, PhaseSpecifier
 from .registry import Registry, WarpRecord, WarpState
 from .resource_maps import (
+    MAX_REG_SETS_PER_WARP,
     ArchConfig,
     MappingTable,
     Placement,
@@ -54,14 +59,15 @@ from .resource_maps import (
     scratch_sets_for,
 )
 
-_PENDING = (WarpState.PENDING_THREAD, WarpState.PENDING_SCRATCH, WarpState.PENDING_REG)
-
 # module-level aliases: an Enum member lookup costs far more than a global
-# name, and access_cost runs once per issued instruction
-_BARRIER = Opcode.BARRIER
-_PHASE_SPEC = Opcode.PHASE_SPEC
-_LD_SHARED = Opcode.LD_SHARED
-_ST_SHARED = Opcode.ST_SHARED
+# name, and _set_state runs on every change of a warp's state
+_PENDING_THREAD = WarpState.PENDING_THREAD
+_PENDING_SCRATCH = WarpState.PENDING_SCRATCH
+_PENDING_REG = WarpState.PENDING_REG
+_AT_BARRIER = WarpState.AT_BARRIER
+
+# access_plan's entry for an opcode: the number of tables it consults
+_CONSULTS = {Opcode.BARRIER: 0, Opcode.PHASE_SPEC: 0, Opcode.LD_SHARED: 2, Opcode.ST_SHARED: 2}
 
 
 # controller and guard constants; fractions are of physical capacity
@@ -107,9 +113,12 @@ class Coordinator(Registry):
         self.regs = self.tables[ResourceKind.REGISTER]
         self.scratch = self.tables[ResourceKind.SCRATCHPAD]
         self.slots = self.tables[ResourceKind.WARP_SLOT]
-        # what access_cost reads once per issued instruction
-        self._penalty = arch.mapping_table_penalty_cycles
-        self._latency = arch.memory_latency_cycles
+        # what access_cost reads per issued instruction (tables keep their dicts)
+        self._penalty, self._latency = arch.mapping_table_penalty_cycles, arch.memory_latency_cycles
+        self._reg_owned = self.regs.owned_sets
+        self._reg_swap_owned = self.regs.swap_owned
+        self._scratch_owned = self.scratch.owned_sets
+        self._scratch_swap_owned = self.scratch.swap_owned
         # the oversubscription thresholds, keyed by table in ResourceKind
         # order; read on every admission attempt
         frac = O_DEFAULT_FRAC if cfg.fixed_o_thresh_frac is None else cfg.fixed_o_thresh_frac
@@ -119,14 +128,14 @@ class Coordinator(Registry):
         self._seq = 0
         # state indices, kept by _set_state: the three admission queues
         # (pending warps in enqueue_seq order) and barrier waiters in
-        # barrier_seq order
-        self._by_state: dict[WarpState, dict[int, None]] = {
-            state: {} for state in (*_PENDING, WarpState.AT_BARRIER)
-        }
-        self._thread_q, self._scratch_q, self._reg_q, self._at_barrier = self._by_state.values()
+        # barrier_seq order, each a dict of wids
+        self._thread_q, self._scratch_q, self._at_barrier = {}, {}, {}
+        # the register queue maps each waiter to the sets it held when
+        # queued and keeps while it waits: its bucket, of waiters in order
+        self._reg_q: dict[int, int] = {}
+        self._reg_buckets: list[dict[int, None]] = [{} for _ in range(MAX_REG_SETS_PER_WARP + 1)]
         # lower bounds on the sets a queued warp still needs (inf: empty)
-        self._reg_need = math.inf
-        self._scratch_need = math.inf
+        self._reg_need = self._scratch_need = math.inf
         self.guard_admissions = 0
         # admissions whose swap overflow exceeded the threshold (must stay 0)
         self.budget_violations = 0
@@ -138,23 +147,36 @@ class Coordinator(Registry):
 
     def _set_state(self, w: WarpRecord, state: WarpState):
         """Keep the queue and barrier indices, then the registry's own."""
-        index = self._by_state.get(w.state)
-        if index is not None:
+        wid = w.wid
+        old = w.state
+        if old is _PENDING_REG:
+            del self._reg_buckets[self._reg_q.pop(wid)][wid]
+        elif old is _PENDING_SCRATCH:
+            del self._scratch_q[wid]
+        elif old is _PENDING_THREAD:
             # a new warp starts in PENDING_THREAD outside the queue
-            index.pop(w.wid, None)
-        index = self._by_state.get(state)
-        if index is not None:
-            index[w.wid] = None
-        super()._set_state(w, state)
+            self._thread_q.pop(wid, None)
+        elif old is _AT_BARRIER:
+            del self._at_barrier[wid]
+        if state is _PENDING_REG:
+            self._reg_q[wid] = held = self._reg_owned.get(wid, 0)
+            self._reg_buckets[held][wid] = None
+        elif state is _PENDING_SCRATCH:
+            self._scratch_q[wid] = None
+        elif state is _PENDING_THREAD:
+            self._thread_q[wid] = None
+        elif state is _AT_BARRIER:
+            self._at_barrier[wid] = None
+        Registry._set_state(self, w, state)
 
     def _enqueue(self, warp: WarpRecord, state: WarpState):
         """Queue a warp for a stage, lowering that queue's need bound."""
         self._set_state(warp, state)
         self._seq += 1
         warp.enqueue_seq = self._seq
-        if state is WarpState.PENDING_REG:
+        if state is _PENDING_REG:
             self._reg_need = min(self._reg_need, self._reg_delta(warp))
-        elif state is WarpState.PENDING_SCRATCH:
+        elif state is _PENDING_SCRATCH:
             self._scratch_need = min(self._scratch_need, self._scratch_delta(warp))
 
     # -- admission stages -------------------------------------------------
@@ -213,32 +235,32 @@ class Coordinator(Registry):
     def _reg_delta(self, warp: WarpRecord) -> int:
         return warp.reg_sets_needed - self.regs.owned(warp.wid)
 
-    def _retry_reg(self, room: int) -> bool:
+    def _retry_reg(self, room: int):
         """One pass over the register queue with room sets grantable.
 
         Warps holding more register sets go first, FIFO among equals: the
-        queue is in enqueue_seq order and a reversed sort is stable.  A
+        buckets, from the most held sets down, each in queue order.  A
         warp's delta changes only with its own grant, so the survivors'
         smallest delta is the queue's new need bound.
         """
         warps = self.warps
         regs = self.regs
-        held = regs.owned_sets.get
         need = math.inf
-        progressed = False
-        for wid in sorted(self._reg_q, key=lambda wid: held(wid, 0), reverse=True):
-            w = warps[wid]
-            delta = w.reg_sets_needed - held(wid, 0)
-            if delta > room:
-                need = min(need, delta)
+        for held, bucket in zip(range(MAX_REG_SETS_PER_WARP, -1, -1), reversed(self._reg_buckets)):
+            if not bucket:
                 continue
-            if delta > 0:
-                self._grant(regs, wid, delta, False)
-                room -= delta
-            self._admit(w)
-            progressed = True
+            for wid in list(bucket):
+                w = warps[wid]
+                delta = w.reg_sets_needed - held
+                if delta > room:
+                    if delta < need:
+                        need = delta
+                    continue
+                if delta > 0:
+                    self._grant(regs, wid, delta, False)
+                    room -= delta
+                self._admit(w)
         self._reg_need = need
-        return progressed
 
     def _retry_scratch(self, room: int) -> bool:
         """One pass over the scratchpad queue, in its own order.  A later
@@ -291,7 +313,8 @@ class Coordinator(Registry):
         A pass that admits nobody changes nothing, so a stage is passed
         over while it provably cannot admit: a register or scratchpad
         queue while its need bound exceeds the table's headroom, the slot
-        queue while no slot can be freed.
+        queue while no slot can be freed.  A register pass only admits, so
+        only scratchpad and slot progress call for another round.
         """
         regs, scratch, limit = self.regs, self.scratch, self._limit
         for tbl in (regs, scratch):
@@ -301,13 +324,13 @@ class Coordinator(Registry):
                         break
                     tbl.migrate_in(owner, logical)
         while True:
-            progressed = False
             room = regs.headroom(limit[regs])
             if self._reg_need <= room:
-                progressed = self._retry_reg(room)
+                self._retry_reg(room)
+            progressed = False
             room = scratch.headroom(limit[scratch])
             if self._scratch_need <= room:
-                progressed |= self._retry_scratch(room)
+                progressed = self._retry_scratch(room)
             if self._thread_q and self._slot_stage_feasible(forced=False):
                 progressed |= self._retry_slots()
             if not progressed:
@@ -336,51 +359,46 @@ class Coordinator(Registry):
             self._enqueue(w, WarpState.PENDING_THREAD)
         self.retry_all_queues()
 
-    def _shrink_block_scratch(self, bid: int):
-        tbl = self.scratch
-        held = tbl.owned(bid)
-        if not held:
-            return
-        block = self.blocks[bid]
+    def _shrink_block_scratch(self, bid: int, need: int) -> bool:
+        """Free the block's scratchpad sets beyond what its unfinished warps
+        need, which is at least need; True if any were freed."""
+        held = self.scratch.owned(bid)
+        if held <= need:
+            return False
+        warps = [self.warps[wid] for wid in self.blocks[bid].warp_ids]
         demand = max(
-            (
-                self.warps[wid].scratch_sets_needed
-                for wid in block.warp_ids
-                if self.warps[wid].state is not WarpState.FINISHED
-            ),
-            default=0,
+            (w.scratch_sets_needed for w in warps if w.state is not WarpState.FINISHED), default=0
         )
         if held > demand:
-            tbl.free(bid, held - demand)
+            self.scratch.free(bid, held - demand)
+        return held > demand
 
     def on_phase_change(self, wid: int, phase: PhaseSpecifier) -> bool:
-        """Apply the sets a schedulable warp's new phase needs.
-
-        Returns True if the warp stays schedulable, False if it had to
-        re-enter an admission queue.  A warp waiting for scratchpad may not
-        sit on register sets, so scratch growth releases them all first.
+        """Apply the sets a warp's new phase needs; the warp just issued
+        the specifier, and no earlier hook of that cycle moves a schedulable
+        warp, so it is schedulable.  Returns True if it stays so, False if
+        it re-entered a queue.  A warp waiting for scratchpad may not sit on
+        register sets, so scratch growth releases them all first.
         """
         w = self.warps[wid]
-        if w.state is not WarpState.SCHEDULABLE:
-            return False
         regs = self.regs
-        scratch = self.scratch
+        bid = w.block_id
         w.reg_sets_needed = reg_sets = reg_sets_for(phase.live_regs)
         w.scratch_sets_needed = scratch_sets = scratch_sets_for(phase.scratch_bytes)
+        held = regs.owned(wid)
         still = True
-        if scratch_sets > scratch.owned(w.block_id):
+        if scratch_sets > self.scratch.owned(bid):
             regs.free_all(wid)
-            self._enqueue(w, WarpState.PENDING_SCRATCH)
+            self._enqueue(w, _PENDING_SCRATCH)
             still = False
-        elif reg_sets > regs.owned(wid):
-            self._enqueue(w, WarpState.PENDING_REG)
+        elif reg_sets > held:
+            self._enqueue(w, _PENDING_REG)
             still = False
-        else:
-            held = regs.owned(wid)
-            if held > reg_sets:
-                regs.free(wid, held - reg_sets)
-        self._shrink_block_scratch(w.block_id)
-        self.retry_all_queues()
+        elif held > reg_sets:
+            regs.free(wid, held - reg_sets)
+        # a retry admits nobody unless this queued the warp or freed a set
+        if self._shrink_block_scratch(bid, scratch_sets) or not still or held > reg_sets:
+            self.retry_all_queues()
         return still
 
     def on_barrier(self, wid: int) -> bool:
@@ -390,7 +408,8 @@ class Coordinator(Registry):
         self._seq += 1
         self.warps[wid].barrier_seq = self._seq
         # a parkable warp appeared, so slot waiters may now pass
-        self.retry_all_queues()
+        if self._thread_q:
+            self.retry_all_queues()
         return complete
 
     def release_barrier(self, bid: int):
@@ -399,22 +418,24 @@ class Coordinator(Registry):
         for wid in self.blocks[bid].warp_ids:
             w = self.warps[wid]
             if w.state is WarpState.PARKED:
-                self._enqueue(w, WarpState.PENDING_THREAD)
+                self._enqueue(w, _PENDING_THREAD)
         self.retry_all_queues()
 
     def on_warp_finished(self, wid: int) -> bool:
         """Release everything the warp holds; True when its block completed.
 
         A completed block leaves the registry with its warps; a warp still
-        owning sets then leaked them after it finished.
-        """
+        owning sets then leaked them.  The freed slot matters only to slot
+        waiters."""
         bid = self.warps[wid].block_id
+        freed = self.regs.owned(wid) > 0
         self.regs.free_all(wid)
         self.slots.free_all(wid)
         block = self._retire(wid)
         if block is None:
-            self._shrink_block_scratch(bid)
+            freed |= self._shrink_block_scratch(bid, 0)
         else:
+            freed |= self.scratch.owned(bid) > 0
             self.scratch.free_all(bid)
             self.retired_errors.extend(
                 f"warp {bw} finished but still owns resources"
@@ -422,7 +443,8 @@ class Coordinator(Registry):
                 if self.regs.owned(bw) or self.slots.owned(bw)
             )
         self._block_completed = block is not None
-        self.retry_all_queues()
+        if freed or self._thread_q:
+            self.retry_all_queues()
         return self._block_completed
 
     def on_epoch(self, d_idle: int, d_mem: int):
@@ -450,61 +472,51 @@ class Coordinator(Registry):
             return (k % 8) % n_hot
         return n_hot + (k // 8) % n_cold
 
-    def access_cost(self, w: WarpRecord, op: Opcode) -> int:
-        """Extra cycles the mapping tables add to one issued instruction.
+    def access_plan(self, body) -> list[int]:
+        """Per pc, the tables the instruction there consults (_CONSULTS)."""
+        return [_CONSULTS.get(ins.opcode, 1) for ins in body]
 
-        Every register access consults the register table and every
-        scratchpad access also the scratchpad table; each consult costs the
-        pipeline penalty, and touching a set in swap a memory round trip.
-        An owner with no set in swap touches an on-chip set whichever one
-        its locality walk picks, so its consult only advances the walk and
-        counts the access.
+    def access_cost(self, w: WarpRecord, consult: int) -> int:
+        """Extra cycles the mapping tables add to one issued instruction,
+        given its access_plan entry.  Each consult of an owner's sets costs
+        the pipeline penalty, and touching a set in swap a memory round
+        trip.  An owner with no set in swap touches an on-chip set whichever
+        one its locality walk picks, so its consult only advances the walk
+        and counts the access.
         """
-        if op is _BARRIER or op is _PHASE_SPEC:
+        if not consult:
             return 0
+        # every consulting instruction uses its warp's slot
+        self.slots.total_accesses += 1
         extra = 0
-        regs = self.regs
         wid = w.wid
-        n = regs.owned_sets.get(wid)
+        n = self._reg_owned.get(wid)
         if n:
             extra = self._penalty
-            if wid not in regs.swap_owned:
+            if wid not in self._reg_swap_owned:
                 w.acc_counter += 1
-                regs.total_accesses += 1
+                self.regs.total_accesses += 1
             elif self.access_register(wid, self._locality(w, n)):
                 extra += self._latency
-        if op is _LD_SHARED or op is _ST_SHARED:
-            scratch = self.scratch
+        if consult == 2:
             bid = w.block_id
-            m = scratch.owned_sets.get(bid)
+            m = self._scratch_owned.get(bid)
             if m:
                 extra += self._penalty
-                if bid not in scratch.swap_owned:
+                if bid not in self._scratch_swap_owned:
                     w.acc_counter += 1
-                    scratch.total_accesses += 1
+                    self.scratch.total_accesses += 1
                 elif self.access_scratch(bid, self._locality(w, m)):
                     extra += self._latency
-        # every issued instruction uses its warp's slot
-        self.slots.total_accesses += 1
         return extra
 
     def access_register(self, wid: int, logical: int) -> bool:
-        """Touch one register set; True means it was in swap (round trip).
-        A set found in swap moves on chip if a physical set is free."""
-        tbl = self.regs
-        if tbl.lookup(wid, logical) is Placement.SWAP:
-            if tbl.free_physical:
-                tbl.migrate_in(wid, logical)
-            return True
-        return False
+        """Touch one register set; True means it was in swap (a round trip)."""
+        return self.regs.lookup(wid, logical) is Placement.SWAP
 
     def access_scratch(self, bid: int, logical: int) -> bool:
-        tbl = self.scratch
-        if tbl.lookup(bid, logical) is Placement.SWAP:
-            if tbl.free_physical:
-                tbl.migrate_in(bid, logical)
-            return True
-        return False
+        """Touch one scratchpad set; True means it was in swap."""
+        return self.scratch.lookup(bid, logical) is Placement.SWAP
 
     # -- engine queries and result counters -----------------------------------
 
@@ -569,8 +581,7 @@ class Coordinator(Registry):
         errors = []
         for tbl in self.tables.values():
             errors.extend(tbl.check_invariants())
-        regs = self.regs
-        slots = self.slots
+        regs, slots = self.regs, self.slots
         for w in self.warps.values():
             if w.state in (WarpState.PENDING_THREAD, WarpState.PENDING_SCRATCH):
                 if regs.owned(w.wid):
@@ -592,6 +603,13 @@ class Coordinator(Registry):
                     errors.append(f"warp {w.wid} parked but slot not in swap")
                 if regs.owned(w.wid):
                     errors.append(f"warp {w.wid} parked while holding registers")
+        # a retry promotes while a physical set is free, and runs after every
+        # hook that frees one (a parked warp's slot stays in swap regardless)
+        errors.extend(
+            f"{t.kind.value}: {t.mapped_swap} sets in swap, {t.free_physical} physical sets free"
+            for t in (regs, self.scratch)
+            if t.mapped_swap and t.free_physical
+        )
         errors.extend(self.retired_errors)
         errors.extend(self.registry_errors())
         errors.extend(self._index_errors())
@@ -600,24 +618,27 @@ class Coordinator(Registry):
             if not 0 <= value <= tbl.capacity:
                 errors.append(f"{tbl.kind.value} threshold out of range")
         if self.budget_violations:
-            errors.append(
-                f"{self.budget_violations} admissions exceeded the swap budget"
-            )
+            errors.append(f"{self.budget_violations} admissions exceeded the swap budget")
         return errors
 
     def _index_errors(self) -> list[str]:
-        """The state indices must match a scan of the registry."""
-        by_state: dict[WarpState, list[WarpRecord]] = {s: [] for s in WarpState}
-        for w in self.warps.values():
-            by_state[w.state].append(w)
-        at_barrier = sorted(by_state[WarpState.AT_BARRIER], key=lambda w: w.barrier_seq)
+        """The state indices must match a scan of the registry, and each
+        register bucket must hold the waiters with its held count."""
         errors = []
-        if list(self._at_barrier) != [w.wid for w in at_barrier]:
-            errors.append("barrier-waiter index is not the barrier_seq order of waiters")
-        for state in _PENDING:
-            queued = sorted(by_state[state], key=lambda w: w.enqueue_seq)
-            if list(self._by_state[state]) != [w.wid for w in queued]:
-                errors.append(f"{state.value} queue is not the enqueue_seq order of its warps")
+        for state, index, seq in (
+            (_AT_BARRIER, self._at_barrier, "barrier_seq"),
+            (_PENDING_THREAD, self._thread_q, "enqueue_seq"),
+            (_PENDING_SCRATCH, self._scratch_q, "enqueue_seq"),
+            (_PENDING_REG, self._reg_q, "enqueue_seq"),
+        ):
+            waiters = [w for w in self.warps.values() if w.state is state]
+            if list(index) != [w.wid for w in sorted(waiters, key=attrgetter(seq))]:
+                errors.append(f"{state.value} index is not the {seq} order of its warps")
+        held = {wid: self.regs.owned(wid) for wid in self._reg_q}
+        if held != self._reg_q or list(map(list, self._reg_buckets)) != [
+            [wid for wid in held if held[wid] == n] for n in range(len(self._reg_buckets))
+        ]:
+            errors.append("register buckets are not the waiters by the sets they hold")
         return errors
 
     def _fixpoint_errors(self) -> list[str]:

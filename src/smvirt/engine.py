@@ -2,22 +2,9 @@
 
 Each SM runs two instruction schedulers that issue greedily from their
 current warp and fall back to the oldest ready one.  One loop,
-_SMRun.run, simulates the cycles.  Each cycle makes one pass over the
-schedulers' warp lists.  If a warp is ready, every scheduler's pick
-issues, the events the issues raised run in (kind, wid) order, then the
-epoch tick if the next cycle starts an epoch, and the clock advances by
-one.  Two skips leave out cycles whose outcome is known.  The stall
-skip: if no warp at all is ready, the clock skips to the earliest cycle
-at which one will be or to the epoch boundary, whichever comes first.
-The issue skip: under admission that charges nothing per access, after
-an issue cycle that raised no event and left every pick ready in the
-next cycle, the same picks issue again each cycle while their next
-instructions are plain (no global memory, barrier, phase specifier or
-last instruction), so the loop advances them several cycles at once;
-it stops before the first non-plain instruction, before an idle
-scheduler's warp wakes and at the epoch's last cycle.  A scheduler's
-greedy warp changes only in a cycle that issues.  Global
-memory round trips share a fixed number of in-flight request slots;
+_SMRun.run, simulates the cycles, and skips those whose outcome is
+known (see _SMRun).  Global memory round trips share a fixed number of
+in-flight request slots;
 arithmetic and scratchpad accesses complete in one cycle.  Under the
 virtualizing policy every register access consults the register mapping
 table and every scratchpad access additionally consults the scratchpad
@@ -80,6 +67,7 @@ _PHASE_CHANGE = EventKind.PHASE_CHANGE
 _BARRIER_REACHED = EventKind.BARRIER_REACHED
 _WARP_FINISHED = EventKind.WARP_FINISHED
 _SCHEDULABLE = WarpState.SCHEDULABLE
+_NEVER = 1 << 62  # the scan's wake before it sees a warp: later than any cycle
 
 # end-of-cycle events run in (kind, wid) order
 _event_order = itemgetter(0, 1)
@@ -96,14 +84,6 @@ class EpochStats:
     reg_swap_accesses: int
     scratch_swap_accesses: int
     slot_swap_accesses: int
-
-    @property
-    def swap_accesses(self) -> int:
-        return (
-            self.reg_swap_accesses
-            + self.scratch_swap_accesses
-            + self.slot_swap_accesses
-        )
 
     @property
     def span(self) -> int:
@@ -303,9 +283,17 @@ class _SMRun:
     scheduler's warp wakes inside the skip; and boundary - 1 - now, so
     the skip ends no later than the epoch's last cycle, whose normal tick
     check then runs.  A cycle_cap inside the skip raises at the top of the
-    next pass, as it would have in the cycles skipped.  The pass, the
-    issue and the per-cycle counters are inline in run over names bound
-    before the loop; the events and the epoch tick go through the methods
+    next pass, as it would have in the cycles skipped.  A scheduler's
+    greedy warp changes only in a cycle that issues.
+
+    The pass and the issue are inline in run over names bound before the
+    loop: a per-pc opcode list and, if the admission charges accesses, its
+    per-pc access_plan, whose entry access_cost is given.  The clock, the
+    next epoch boundary and the per-cycle counters (ep_issued,
+    ep_issue_cycles, sched_integral, last_issue) are locals; run writes
+    the clock back before a hook runs, and the counters before an epoch
+    tick and at the end.  One list made before the loop collects each
+    cycle's events.  The events and the epoch tick go through the methods
     below, and _finish derives the figures.
 
     After the hooks of one occasion, _take_effects appends the effects
@@ -338,8 +326,7 @@ class _SMRun:
         self.wpb = kernel.resource_spec.warps_per_block
         self.remaining = n_blocks
 
-        self.now = 0
-        self.last_issue = 0
+        self.now = self.last_issue = 0
         self.warps: dict[int, WarpRecord] = adm.warps
         self.blocks: dict[int, BlockRecord] = adm.blocks
         self.next_bid = 0
@@ -351,15 +338,9 @@ class _SMRun:
         self.events: list[tuple[int, str, int]] = [] if log_events else None
 
         self.epochs: list[EpochStats] = []
-        self.ep_issued = 0
-        self.ep_issue_cycles = 0
-        self.ep_idle = 0
-        self.ep_mem = 0
-        self.ep_barrier = 0
+        self.ep_issued = self.ep_issue_cycles = self.ep_idle = self.ep_mem = self.ep_barrier = 0
         self.ep_swap_snap = (0, 0, 0)
-        self.prev_idle = 0
-        self.prev_mem = 0
-        self.sched_integral = 0
+        self.prev_idle = self.prev_mem = self.sched_integral = 0
 
     # -- logging / accounting helpers ------------------------------------
 
@@ -367,23 +348,15 @@ class _SMRun:
         if self.events is not None:
             self.events.append((self.now, kind.name, ident))
 
-    def _swap_snapshot(self) -> tuple[int, int, int]:
+    def _swap_snapshot(self) -> tuple[int, ...]:  # in ResourceKind order
         totals = self.adm.access_totals()
-        return (
-            totals[ResourceKind.REGISTER][1],
-            totals[ResourceKind.SCRATCHPAD][1],
-            totals[ResourceKind.WARP_SLOT][1],
-        )
+        return tuple(totals[kind][1] for kind in ResourceKind)
 
     def _record_in_flight(self):
         in_flight = len(self.blocks)
         self.bif_max = max(self.bif_max, in_flight)
         if self.remaining > 0:
-            self.bif_min = (
-                in_flight
-                if self.bif_min is None
-                else min(self.bif_min, in_flight)
-            )
+            self.bif_min = in_flight if self.bif_min is None else min(self.bif_min, in_flight)
 
     # -- block dispatch -----------------------------------------------------
 
@@ -467,11 +440,7 @@ class _SMRun:
             slot_swap_accesses=swap_now[2] - self.ep_swap_snap[2],
         )
         self.epochs.append(stats)
-        self.ep_issued = 0
-        self.ep_issue_cycles = 0
-        self.ep_idle = 0
-        self.ep_mem = 0
-        self.ep_barrier = 0
+        self.ep_issued = self.ep_issue_cycles = self.ep_idle = self.ep_mem = self.ep_barrier = 0
         self.ep_swap_snap = swap_now
         if self.util is not None:
             self.util.close_epoch()
@@ -508,82 +477,91 @@ class _SMRun:
         self._apply_effects()
         adm = self.adm
         part = adm.sched_lists
+        blocks = self.blocks
         body = self.body
         n_body = len(body)
-        access_cost = adm.access_cost
+        ops = [ins.opcode for ins in body]
+        plan = adm.access_plan(body) if adm.charges_access else None
+        access_cost = None if plan is None else adm.access_cost
         request = self.mem.request
         epoch_cycles = self.arch.epoch_cycles
         cycle_cap = self.cycle_cap
         util = self.util
         plain = None
-        if not (adm.charges_access or util is not None):
+        if plan is None and util is None:
             # plain[pc]: how many instructions from pc on raise no event
             # and make no memory request; a warp's last instruction raises
             # its finish, and admission that charges nothing costs none
             plain = [0] * (n_body + 1)
             for i in range(n_body - 2, -1, -1):
-                if body[i].opcode not in (_LD_GLOBAL, _ST_GLOBAL, _BARRIER, _PHASE_SPEC):
+                if ops[i] not in (_LD_GLOBAL, _ST_GLOBAL, _BARRIER, _PHASE_SPEC):
                     plain[i] = plain[i + 1] + 1
-        greedy = [None] * len(part)
+        greedy, schedulers = [None] * len(part), range(len(part))
+        pending = []
         now = self.now
-        while self.blocks or self.remaining:
+        boundary = (now // epoch_cycles + 1) * epoch_cycles
+        ep_issued, ep_issue_cycles = self.ep_issued, self.ep_issue_cycles
+        sched_integral, last_issue = self.sched_integral, self.last_issue
+        while blocks or self.remaining:
             if now >= cycle_cap:
                 raise NonTerminationError(f"no completion within {cycle_cap} cycles")
-            picks = []
-            wake = None
-            for cur, warps in zip(greedy, part):
+            picks, picked, wake = greedy[:], False, _NEVER
+            for sid in schedulers:
+                cur = picks[sid]
                 if cur is None or cur.next_ready > now or cur.state is not _SCHEDULABLE:
                     # the list is in wid order, so the first ready warp is the oldest
                     cur = None
-                    for w in warps:
+                    for w in part[sid]:
                         nr = w.next_ready
                         if nr <= now:
                             cur = w
+                            picked = True
                             break
-                        if wake is None or nr < wake:
+                        if nr < wake:
                             wake = nr
-                picks.append(cur)
-            if any(picks):
+                    picks[sid] = cur
+                else:
+                    picked = True
+            if picked:
                 if util is not None:
                     util.sample(1)
-                self.sched_integral += adm.n_schedulable
+                sched_integral += adm.n_schedulable
                 greedy = picks
-                pending = []
                 issued = 0
                 for w in picks:
                     if w is None:
                         continue
-                    ins = body[w.pc]
-                    op = ins.opcode
-                    extra = access_cost(w, op)
+                    pc = w.pc
+                    op = ops[pc]
+                    extra = 0 if plan is None else access_cost(w, plan[pc])
                     if op is _LD_GLOBAL:
                         w.next_ready = request(now) + extra
                     else:
                         if op is _ST_GLOBAL:
                             request(now)  # fire and forget, holds a slot only
                         w.next_ready = now + 1 + extra
-                    w.pc += 1
+                    w.pc = pc + 1
                     issued += 1
                     if op is _BARRIER:
                         pending.append((_BARRIER_REACHED, w.wid, None))
                     else:
                         if op is _PHASE_SPEC:
-                            pending.append((_PHASE_CHANGE, w.wid, ins.phase_payload))
-                        if w.pc == n_body:
+                            pending.append((_PHASE_CHANGE, w.wid, body[pc].phase_payload))
+                        if pc + 1 == n_body:
                             pending.append((_WARP_FINISHED, w.wid, None))
-                self.ep_issued += issued
-                self.ep_issue_cycles += 1
-                self.last_issue = now
-                if len(pending) > 1:
+                ep_issued += issued
+                ep_issue_cycles += 1
+                last_issue = tick = now
+                if pending:
+                    self.now = now
                     pending.sort(key=_event_order)
-                for kind, wid, payload in pending:
-                    self._handle_event(kind, wid, payload)
-                if plain is not None and not pending:
+                    for kind, wid, payload in pending:
+                        self._handle_event(kind, wid, payload)
+                    pending.clear()
+                elif plain is not None:
                     # the issue skip, to the first of its three bounds; a
                     # cycle_cap inside it raises at the top of the loop
-                    k = epoch_cycles - 1 - now % epoch_cycles
-                    if wake is not None and wake - 1 - now < k:
-                        k = wake - 1 - now
+                    k = min(boundary, wake) - 1 - now
                     for w in picks:
                         if w is not None:
                             if w.next_ready != now + 1:
@@ -596,35 +574,37 @@ class _SMRun:
                             if w is not None:
                                 w.pc += k
                                 w.next_ready += k
-                        self.ep_issued += issued * k
-                        self.ep_issue_cycles += k
-                        self.sched_integral += adm.n_schedulable * k
-                        now = self.now = now + k
-                        self.last_issue = now
-                if (now + 1) % epoch_cycles == 0:
-                    self._epoch_tick()
-                now = self.now = now + 1
-                continue
-            if wake is None:
-                # nothing schedulable at all; force progress or give up
-                if adm.deadlock_guard():
-                    self._take_effects(now)
-                    self._apply_effects()
-                    continue
-                if not (adm.retunes and self._pending_work()):
-                    raise NonTerminationError("wedged with no runnable warps")
-                # fall through: skip to the epoch boundary and let the
-                # controller retune admission
-            boundary = (now // epoch_cycles + 1) * epoch_cycles
-            target = boundary if wake is None else min(wake, boundary)
-            delta = target - now
-            self.sched_integral += adm.n_schedulable * delta
-            if util is not None:
-                util.sample(delta)
-            self._classify_stall(delta)
-            now = self.now = target
-            if target == boundary:
+                        ep_issued += issued * k
+                        ep_issue_cycles += k
+                        sched_integral += adm.n_schedulable * k
+                        last_issue = tick = now = now + k
+                now += 1
+            else:
+                if wake == _NEVER:
+                    # nothing schedulable at all; force progress or give up
+                    self.now = now
+                    if adm.deadlock_guard():
+                        self._take_effects(now)
+                        self._apply_effects()
+                        continue
+                    if not (adm.retunes and self._pending_work()):
+                        raise NonTerminationError("wedged with no runnable warps")
+                    # fall through: skip to the epoch boundary and let the
+                    # controller retune admission
+                delta = min(wake, boundary) - now
+                sched_integral += adm.n_schedulable * delta
+                if util is not None:
+                    util.sample(delta)
+                self._classify_stall(delta)
+                now = tick = now + delta
+            if now == boundary:
+                self.now = tick
+                self.ep_issued, self.ep_issue_cycles = ep_issued, ep_issue_cycles
                 self._epoch_tick()
+                ep_issued = ep_issue_cycles = 0
+                boundary += epoch_cycles
+        self.ep_issued, self.ep_issue_cycles = ep_issued, ep_issue_cycles
+        self.sched_integral, self.last_issue = sched_integral, last_issue
         return self._finish()
 
     def _finish(self) -> "_SMRun":

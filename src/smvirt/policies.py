@@ -11,12 +11,14 @@ through the same hooks: can_accept_block and on_block_arrival (given the
 kernel's entry phase specifier, None for an uncompiled kernel),
 on_phase_change (given the issued specifier), on_barrier and
 release_barrier, on_warp_finished (True when the block completed),
-on_epoch, deadlock_guard, pending_work, access_cost (extra cycles of one
-issued instruction), drain_effects and check_invariants, plus the result
-counters access_totals, final_thresholds and guard_admissions, and two
-capabilities: retunes (the controller may loosen admission at the next
-epoch) and charges_access (access_cost counts or charges something, so
-the engine may not skip issue cycles).  Every admission class is a
+on_epoch, deadlock_guard, pending_work, drain_effects and
+check_invariants, plus the result counters access_totals,
+final_thresholds and guard_admissions, and two capabilities: retunes
+(the controller may loosen admission at the next epoch) and
+charges_access.  Only an admission that charges accesses has
+access_plan (per pc of the kernel body, what access_cost is given) and
+access_cost (extra cycles of one issued instruction); the engine calls
+neither otherwise, and may skip issue cycles.  Every admission class is a
 Registry (registry.py), which owns the one warp and block registry,
 holding live blocks only, and each scheduler's list of schedulable
 warps, which the engine issues from; it hands warp wakes to the engine
@@ -33,7 +35,7 @@ from typing import Optional
 
 from .coordinator import Coordinator, OversubscriptionConfig
 from .kernel_model import WARP_WIDTH, KernelSpec, Opcode, PhaseSpecifier, ResourceSpecification
-from .registry import Registry, WarpRecord, WarpState
+from .registry import Registry, WarpState
 from .resource_maps import MAX_REG_SETS_PER_WARP, ArchConfig, ResourceKind
 from .resource_maps import reg_sets_for, scratch_sets_for
 
@@ -96,7 +98,7 @@ class _StaticAdmission(Registry):
 
     guard_admissions = 0
     retunes = False  # no controller, so a wedged SM stays wedged
-    charges_access = False  # access_cost is 0 and touches nothing
+    charges_access = False  # accesses cost nothing: no access_plan or access_cost
 
     def on_phase_change(self, wid: int, phase: PhaseSpecifier) -> bool:
         return True
@@ -114,9 +116,6 @@ class _StaticAdmission(Registry):
 
     def pending_work(self) -> bool:
         return False
-
-    def access_cost(self, w: WarpRecord, op: Opcode) -> int:
-        return 0
 
     def access_totals(self) -> dict[ResourceKind, tuple[int, int]]:
         return {kind: (0, 0) for kind in ResourceKind}

@@ -36,7 +36,7 @@ _SCHEDULABLE = WarpState.SCHEDULABLE
 _wid = attrgetter("wid")
 
 
-@dataclass
+@dataclass(slots=True)
 class WarpRecord:
     wid: int
     block_id: int

@@ -16,10 +16,14 @@ reference_run is engine.run with this loop in place of the fast one.
 
 ReferenceCoordinator is zorua admission with a naive retry: after the
 same promotion it runs all three stage passes every round until none
-progresses.  It ignores the need bounds of the register and scratchpad
-queues and the slot-feasibility gate, which the fast retry uses to pass
-over a stage that cannot admit anyone.  reference_admission_run is
-engine.run with it in place of Coordinator.
+progresses.  It ignores the need bounds of
+the register and scratchpad queues and the slot-feasibility gate, which
+the fast retry uses to pass over a stage that cannot admit anyone.  It
+retries after every event hook, also where Coordinator skips the retry,
+and its register pass sorts the queue by held sets, where Coordinator
+walks its buckets.  reference_admission_run is engine.run with it in
+place of Coordinator.  with_effect_batches records what every hook
+call released, to compare the two hook by hook.
 """
 
 from unittest import mock
@@ -36,6 +40,7 @@ class ReferenceSMRun(_SMRun):
         self._dispatch()
         self._apply_effects()
         n_sched = self.arch.schedulers_per_sm
+        self.plan = self.adm.access_plan(self.body) if self.adm.charges_access else None
         epoch_cycles = self.arch.epoch_cycles
         greedy = [None] * n_sched
         while self.blocks or self.remaining:
@@ -84,7 +89,7 @@ class ReferenceSMRun(_SMRun):
                 continue
             ins = self.body[w.pc]
             op = ins.opcode
-            extra = self.adm.access_cost(w, op)
+            extra = 0 if self.plan is None else self.adm.access_cost(w, self.plan[w.pc])
             if op is Opcode.LD_GLOBAL:
                 w.next_ready = self.mem.request(now) + extra
             else:
@@ -112,7 +117,25 @@ def reference_run(*args, **kwargs):
         return engine.run(*args, **kwargs)
 
 
+def _retrying(hook):
+    """The hook, then a retry, whether or not the hook needed one."""
+
+    def retried(self, *args):
+        out = hook(self, *args)
+        self.retry_all_queues()
+        return out
+
+    return retried
+
+
 class ReferenceCoordinator(Coordinator):
+    on_block_arrival = _retrying(Coordinator.on_block_arrival)
+    on_phase_change = _retrying(Coordinator.on_phase_change)
+    on_barrier = _retrying(Coordinator.on_barrier)
+    release_barrier = _retrying(Coordinator.release_barrier)
+    on_warp_finished = _retrying(Coordinator.on_warp_finished)
+    on_epoch = _retrying(Coordinator.on_epoch)
+
     def retry_all_queues(self):
         for tbl in (self.regs, self.scratch):
             for owner, logical in tbl.swap_keys_by_heat():
@@ -126,8 +149,42 @@ class ReferenceCoordinator(Coordinator):
             if not progressed:
                 return
 
+    def _retry_reg(self, room):
+        # the queue in enqueue_seq order, stably sorted by held sets, most first
+        held = self.regs.owned
+        progressed = False
+        for wid in sorted(self._reg_q, key=held, reverse=True):
+            w = self.warps[wid]
+            delta = w.reg_sets_needed - held(wid)
+            if delta <= room:
+                if delta > 0:
+                    self._grant(self.regs, wid, delta, False)
+                    room -= delta
+                self._admit(w)
+                progressed = True
+        return progressed
+
 
 def reference_admission_run(*args, **kwargs):
     """engine.run, with zorua admission retrying every stage every round."""
     with mock.patch.object(policies, "Coordinator", ReferenceCoordinator):
         return engine.run(*args, **kwargs)
+
+
+def with_effect_batches(runner, *args, **kwargs):
+    """runner's result, and each batch of effects a hook call produced on
+    any SM, with the cycle it was taken in and its wake: a retry that runs
+    later than it should moves an admission into a later batch even where
+    the outputs cannot tell."""
+    batches = []
+    take_effects = _SMRun._take_effects
+
+    def recorded(self, wake):
+        before = len(self.work)
+        take_effects(self, wake)
+        if len(self.work) > before:
+            batches.append((self.now, *self.work[-1]))
+
+    with mock.patch.object(_SMRun, "_take_effects", recorded):
+        return runner(*args, **kwargs), batches
+

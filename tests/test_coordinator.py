@@ -357,32 +357,38 @@ def test_retry_after_a_forced_admission_runs_every_stage():
     assert coord.check_invariants() == []
 
 
+_EVENT_HOOKS = (
+    "on_block_arrival",
+    "on_phase_change",
+    "on_barrier",
+    "release_barrier",
+    "on_warp_finished",
+    "on_epoch",
+)
+
+
 def test_queue_passes_stay_few_on_a_large_launch(monkeypatch):
     # a work count, not a time: a retry passes over a queue only when the
     # queue can admit someone, so most events pass over none of them
-    counts = {"retries": 0, "passes": 0}
-    retry_all_queues = Coordinator.retry_all_queues
+    counts = {"events": 0, "passes": 0}
 
-    def counted_retry(self):
-        counts["retries"] += 1
-        return retry_all_queues(self)
+    def counter(method, key):
+        def counted(self, *args):
+            counts[key] += 1
+            return method(self, *args)
 
-    def counter(queue_pass):
-        def counted_pass(self, *args):
-            counts["passes"] += 1
-            return queue_pass(self, *args)
+        return counted
 
-        return counted_pass
-
-    monkeypatch.setattr(Coordinator, "retry_all_queues", counted_retry)
+    for name in _EVENT_HOOKS:
+        monkeypatch.setattr(Coordinator, name, counter(getattr(Coordinator, name), "events"))
     for name in _QUEUE_PASSES:
-        monkeypatch.setattr(Coordinator, name, counter(getattr(Coordinator, name)))
+        monkeypatch.setattr(Coordinator, name, counter(getattr(Coordinator, name), "passes"))
     kernel = corpus_kernel("reg_cliff")
     kernel = replace(kernel, resource_spec=replace(kernel.resource_spec, num_blocks=225))
     run(kernel, "zorua", "fermi")
     # retrying all three queues after every event made 3372 passes
     assert counts["passes"] <= 1000, counts
-    assert counts["passes"] < counts["retries"], counts
+    assert counts["passes"] < counts["events"], counts
 
 
 def test_a_requeued_parked_warp_passes_the_slot_stage_before_an_older_new_warp():
@@ -461,3 +467,47 @@ def test_invariants_report_a_waiter_with_the_wrong_slot():
     # a new warp waiting for a slot must not hold one on chip
     coord._set_state(coord.warps[4], WarpState.PENDING_THREAD)
     assert "warp 4 waits for a slot it holds on chip" in coord.check_invariants()
+
+
+def test_invariants_hold_after_every_hook(monkeypatch):
+    # the skipped retries and the swap-free fact rest on every hook leaving
+    # a fixpoint, not only the epoch ticks that debug runs check
+    hooks = (*_EVENT_HOOKS, "deadlock_guard")
+    calls = {"hooks": 0, "swap": 0}
+
+    def checked(hook):
+        def run_and_check(self, *args):
+            out = hook(self, *args)
+            calls["hooks"] += 1
+            calls["swap"] += bool(self.regs.mapped_swap or self.scratch.mapped_swap)
+            assert self.check_invariants() == [], hook.__name__
+            return out
+
+        return run_and_check
+
+    for name in hooks:
+        monkeypatch.setattr(Coordinator, name, checked(getattr(Coordinator, name)))
+    one_sm = replace(FERMI, num_sms=1)
+    launches = (("reg_cliff", 12), ("mixed_phase", 10), ("scratch_cliff", 20), ("barrier_heavy", 12))
+    for name, blocks in launches:
+        kernel = corpus_kernel(name)
+        kernel = replace(kernel, resource_spec=replace(kernel.resource_spec, num_blocks=blocks))
+        run(kernel, "zorua", one_sm)
+    # the launches keep sets in swap through many hooks
+    assert calls["swap"] > 100, calls
+
+
+def test_invariants_report_a_set_in_swap_beside_a_free_physical_set():
+    coord = Coordinator(TINY, OversubscriptionConfig(fixed_o_thresh_frac=0.0, guard_enabled=False))
+    regs = coord.tables[ResourceKind.REGISTER]
+    _arrive(coord, 0, range(4), reg_sets=2, scratch_sets=0)
+    regs.spill_specific(0, 1)
+    assert coord.check_invariants() == ["register: 1 sets in swap, 25 physical sets free"]
+    # a consult of the swapped set is a lookup: it pays the round trip and
+    # leaves the set where it is
+    assert coord.access_register(0, 1) is True
+    assert regs.peek(0, 1) is Placement.SWAP
+    assert coord.access_register(0, 0) is False
+    coord.retry_all_queues()
+    assert regs.peek(0, 1) is Placement.PHYSICAL
+    assert coord.check_invariants() == []

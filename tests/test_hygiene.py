@@ -148,3 +148,106 @@ def test_coordinator_defines_every_method_the_benchmark_counts():
         )
     assert len(counted) == 10  # six events, the retry, the guard, two accesses
     assert sorted(counted - set(vars(Coordinator))) == []
+
+
+def class_members(source: str) -> dict[str, int]:
+    """The methods and properties each top-level class of a module defines,
+    as "Class.name" with their lines; dunder methods are exempt."""
+    members = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                name = getattr(item, "name", "")
+                if isinstance(item, ast.FunctionDef) and not name.startswith("__"):
+                    members[f"{node.name}.{name}"] = item.lineno
+    return members
+
+
+def data_attributes(source: str) -> set[str]:
+    """The names a module assigns as instance data: ``self.name = ...`` and
+    annotated class fields, such as dataclass fields."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "self"
+        ):
+            names.add(node.attr)
+        elif isinstance(node, ast.ClassDef):
+            names.update(
+                item.target.id
+                for item in node.body
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+            )
+    return names
+
+
+def qualified_reads(source: str) -> set[str]:
+    """Attribute reads whose class the source names: ``self.name`` inside
+    class C reads "C.name", and ``C.name`` reads itself."""
+    read = set()
+    tree = ast.parse(source)
+    for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+        read.update(
+            f"{cls.name}.{n.attr}"
+            for n in ast.walk(cls)
+            if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == "self"
+        )
+    read.update(
+        f"{n.value.id}.{n.attr}"
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+    )
+    return read
+
+
+def unread_members(package: list[str], everything: list[str]) -> list[str]:
+    """Methods and properties of the package's classes that nothing reads.
+
+    A read of ``.name`` on any object counts for every class member of
+    that name, unless some class also keeps instance data of that name:
+    then the read may be of the data, and only a class-qualified read
+    counts for the member.
+    """
+    bare = set().union(*map(read_names, everything))
+    data = set().union(*map(data_attributes, everything))
+    qualified = set().union(*map(qualified_reads, everything))
+    return [
+        member
+        for source in package
+        for member in class_members(source)
+        if member not in qualified and not (member.split(".")[1] in bare - data)
+    ]
+
+
+def test_member_checker_tells_a_property_from_data_of_the_same_name():
+    source = (
+        "class Table:\n"
+        "    def __init__(self):\n"
+        "        self.hits = 0\n"
+        "    def clear(self):\n"
+        "        self.reset()\n"
+        "    def reset(self):\n"
+        "        self.hits = 0\n"
+        "class Stats:\n"
+        "    count: int\n"
+        "    @property\n"
+        "    def hits(self):\n"
+        "        return self.count\n"
+        "    def total(self):\n"
+        "        return 1\n"
+        "    def unused(self):\n"
+        "        return 2\n"
+    )
+    reader = "def f(t, s):\n    return t.hits + s.total() + t.clear()\n"
+    assert unread_members([source], [source, reader]) == ["Stats.hits", "Stats.unused"]
+
+
+def test_every_class_member_is_read_somewhere():
+    everything = [
+        path.read_text() for tree in ("src", "tests", "perfbench") for path in (ROOT / tree).rglob("*.py")
+    ]
+    package = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
+    assert unread_members(package, everything) == []

@@ -53,7 +53,7 @@ from smvirt.phase_compiler import annotate_phases
 from smvirt.policies import KernelUnrunnableError, Policy, baseline_blocks_in_flight
 from smvirt.resource_maps import get_arch
 
-from reference_loop import reference_admission_run, reference_run
+from reference_loop import reference_admission_run, reference_run, with_effect_batches
 
 ONE_SM_ARCHS = {
     name: replace(get_arch(name), num_sms=1) for name in ("fermi", "kepler", "maxwell")
@@ -384,12 +384,15 @@ def test_zorua_admission_matches_a_retry_of_every_stage(
     )
     cfg = OversubscriptionConfig(fixed_o_thresh_frac=o_thresh)
     try:
-        fast = run(kernel, "zorua", hw, oversub=cfg, log_events=True)
+        fast, fast_batches = with_effect_batches(run, kernel, "zorua", hw, oversub=cfg, log_events=True)
     except KernelUnrunnableError:
         return
-    naive = reference_admission_run(kernel, "zorua", hw, oversub=cfg, log_events=True)
+    naive, naive_batches = with_effect_batches(
+        reference_admission_run, kernel, "zorua", hw, oversub=cfg, log_events=True
+    )
     assert fast.to_dict() == naive.to_dict()
     assert fast.event_log == naive.event_log
+    assert fast_batches == naive_batches
 
 
 _KERNEL_TEXTS = [
