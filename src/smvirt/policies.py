@@ -11,18 +11,20 @@ through the same hooks: can_accept_block and on_block_arrival (given the
 kernel's entry phase specifier, None for an uncompiled kernel),
 on_phase_change (given the issued specifier), on_barrier and
 release_barrier, on_warp_finished (True when the block completed),
-on_epoch, deadlock_guard, pending_work, drain_effects and
-check_invariants, plus the result counters access_totals,
-final_thresholds and guard_admissions, and two capabilities: retunes
-(the controller may loosen admission at the next epoch) and
-charges_access.  Only an admission that charges accesses has
-access_plan (per pc of the kernel body, what access_cost is given) and
-access_cost (extra cycles of one issued instruction); the engine calls
-neither otherwise, and may skip issue cycles.  Every admission class is a
-Registry (registry.py), which owns the one warp and block registry,
-holding live blocks only, and each scheduler's list of schedulable
-warps, which the engine issues from; it hands warp wakes to the engine
-as ("schedulable" | "slot_swapin", wid) effects.  The static policies
+on_epoch, deadlock_guard, drain_effects and check_invariants, plus the
+result counters access_totals, final_thresholds and guard_admissions,
+and two capabilities: retunes (the controller may loosen admission at
+the next epoch) and charges_access.  Only an admission that retunes has
+pending_work (whether admissible warps wait), which the engine asks
+before it waits for the next epoch with nothing schedulable.  Only an
+admission that charges accesses has access_plan (per pc of the kernel
+body, what access_cost is given) and access_cost (extra cycles of one
+issued instruction); the engine calls neither otherwise, and may skip
+issue cycles.  Every admission class is a Registry (registry.py), which
+owns the one warp and block registry, holding live blocks only, and each
+scheduler's list of schedulable warps, which the engine issues from; it
+hands warp wakes to the engine as ("schedulable" | "slot_swapin", wid)
+effects.  The static policies
 ignore the phase specifiers; only zorua turns them into sets.
 make_admission is the one place a policy picks its class.
 """
@@ -114,9 +116,6 @@ class _StaticAdmission(Registry):
     def deadlock_guard(self) -> bool:
         return False
 
-    def pending_work(self) -> bool:
-        return False
-
     def access_totals(self) -> dict[ResourceKind, tuple[int, int]]:
         return {kind: (0, 0) for kind in ResourceKind}
 
@@ -201,9 +200,6 @@ class WlmAdmission(_StaticAdmission):
         self._admit_waiting()
         return done
 
-    def pending_work(self) -> bool:
-        return bool(self._waiting)
-
     def check_invariants(self) -> list[str]:
         held = sum(
             1
@@ -227,8 +223,6 @@ class WlmAdmission(_StaticAdmission):
 
 
 def _check_phase_demands(kernel: KernelSpec, arch: ArchConfig):
-    if not kernel.is_compiled:
-        raise ValueError("the virtualizing policy needs a compiled kernel")
     if kernel.resource_spec.warps_per_block > arch.max_logical_warps:
         raise KernelUnrunnableError("block has more warps than logical slots")
     for ins in kernel.body:

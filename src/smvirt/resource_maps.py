@@ -78,8 +78,9 @@ class ArchConfig:
         ):
             if getattr(self, f) < 1:
                 raise ValueError(f"{f} must be >= 1")
-        if self.mapping_table_penalty_cycles < 0:
-            raise ValueError("mapping_table_penalty_cycles must be >= 0")
+        for f in ("registers_per_sm", "scratch_bytes_per_sm", "mapping_table_penalty_cycles"):
+            if getattr(self, f) < 0:
+                raise ValueError(f"{f} must be >= 0")
         if self.max_logical_warps < self.warp_slots_per_sm:
             raise ValueError("max_logical_warps must cover the physical warp slots")
 
@@ -143,12 +144,13 @@ def get_arch(name: str) -> ArchConfig:
 
 
 def _entry_bits(physical_count: int) -> int:
-    # physical index plus one valid bit
-    return math.ceil(math.log2(physical_count)) + 1
+    # physical index plus one valid bit; a resource the SM lacks needs no table
+    return math.ceil(math.log2(physical_count)) + 1 if physical_count else 0
 
 
 def table_size_bits(arch: ArchConfig, kind: ResourceKind) -> int:
-    """Storage cost of one SM's mapping table for the given resource."""
+    """Storage cost of one SM's mapping table for the given resource, 0
+    for a resource the SM has none of."""
     if kind is ResourceKind.REGISTER:
         rows = arch.max_logical_warps * MAX_REG_SETS_PER_WARP
         return rows * _entry_bits(arch.reg_sets_physical)
@@ -198,8 +200,6 @@ class MappingTable:
     """
 
     def __init__(self, kind: ResourceKind, capacity: int):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
         self.kind = kind
         self.capacity = capacity
         self.free_physical = capacity

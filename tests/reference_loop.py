@@ -8,9 +8,13 @@ the schedulable warps the same way, for the wedge test and the integral.
 It has no stall skip and no issue skip, and it reads none of the
 registry's scheduler lists, so it shares no index with the loop it
 checks; it drives the same admission hooks and event handlers as the
-fast loop.  An epoch tick after an issue cycle runs in
-that cycle; one after a stall cycle runs at the boundary, as the fast
-loop's stall skip does.
+fast loop.  It tells whether admissible work waits, for the wedge test,
+and sorts a stall cycle into one of three buckets from the warp states
+alone: memory if a warp is schedulable, idle if a warp is pending
+admission or blocks remain, barrier otherwise.  The fast loop has no
+barrier bucket, so the reference must never fill it.  An epoch tick
+after an issue cycle runs in that cycle; one after a stall cycle runs
+at the boundary, as the fast loop's stall skip does.
 
 reference_run is engine.run with this loop in place of the fast one.
 
@@ -26,6 +30,7 @@ place of Coordinator.  with_effect_batches records what every hook
 call released, to compare the two hook by hook.
 """
 
+from dataclasses import replace
 from unittest import mock
 
 from smvirt import engine, policies
@@ -33,6 +38,8 @@ from smvirt.coordinator import Coordinator
 from smvirt.engine import EventKind, NonTerminationError, _SMRun
 from smvirt.kernel_model import Opcode
 from smvirt.registry import WarpState
+
+_PENDING = (WarpState.PENDING_THREAD, WarpState.PENDING_SCRATCH, WarpState.PENDING_REG)
 
 
 class ReferenceSMRun(_SMRun):
@@ -43,6 +50,7 @@ class ReferenceSMRun(_SMRun):
         self.plan = self.adm.access_plan(self.body) if self.adm.charges_access else None
         epoch_cycles = self.arch.epoch_cycles
         greedy = [None] * n_sched
+        self.ep_barrier = 0
         while self.blocks or self.remaining:
             now = self.now
             if now >= self.cycle_cap:
@@ -63,7 +71,7 @@ class ReferenceSMRun(_SMRun):
                     self._take_effects(now)
                     self._apply_effects()
                     continue
-                if not (self.adm.retunes and self._pending_work()):
+                if not (self.adm.retunes and self._work_waits()):
                     raise NonTerminationError("wedged with no runnable warps")
             if self.util is not None:
                 self.util.sample(1)
@@ -75,11 +83,25 @@ class ReferenceSMRun(_SMRun):
                     self._epoch_tick()
                 self.now = now + 1
             else:
-                self._classify_stall(1)
+                if schedulable:
+                    self.ep_mem += 1
+                elif self._work_waits():
+                    self.ep_idle += 1
+                else:
+                    self.ep_barrier += 1
                 self.now = now + 1
                 if self.now % epoch_cycles == 0:
                     self._epoch_tick()
         return self._finish()
+
+    def _work_waits(self) -> bool:
+        return self.remaining > 0 or any(w.state in _PENDING for w in self.warps.values())
+
+    def _close_epoch(self):
+        # the epoch carries this loop's own barrier count
+        stats = self.epochs[-1] = replace(super()._close_epoch(), barrier_stall=self.ep_barrier)
+        self.ep_barrier = 0
+        return stats
 
     def _issue(self, picks):
         now = self.now

@@ -1,7 +1,11 @@
 """Exit codes and output files of every subcommand, driven through main()."""
 
 import json
+import runpy
+import sys
 from functools import partial
+
+import pytest
 
 from smvirt import cli
 from smvirt.cli import main
@@ -321,3 +325,109 @@ def test_corpus_export_writes_loadable_kernels(tmp_path, capsys):
     assert out.count("wrote ") == 12
     kern = load_kernel(tmp_path / "uniform.kernel")
     assert kern.name == "uniform"
+
+
+_CONFIG = "config threads_per_block=64 regs_per_thread=8 scratch=0 blocks=1"
+_ALU = "instr ALU live_regs=8 scratch=0"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("kernel t\nkernel u\n", "line 2: duplicate kernel line"),
+        (f"{_CONFIG}\n", "line 1: config before kernel line"),
+        (f"kernel t\n{_CONFIG}\n{_CONFIG}\n", "line 3: duplicate config line"),
+        (
+            "kernel t\nconfig threads_per_block=64 threads_per_block=64\n",
+            "line 2: duplicate key 'threads_per_block'",
+        ),
+        (
+            "kernel t\nconfig threads_per_block=33 regs_per_thread=8 scratch=0 blocks=1\n",
+            "line 2: threads_per_block must be a positive multiple of 32, got 33",
+        ),
+        (f"kernel t\n{_CONFIG}\ninstr\n", "line 3: expected: instr <OPCODE> key=value..."),
+        (
+            f"kernel t\n{_CONFIG}\ninstr PHASE_SPEC live_regs=8 scratch=0\n",
+            "line 3: use a 'phase' line for phase specifiers",
+        ),
+        (
+            f"kernel t\n{_CONFIG}\n{_ALU}\ninstr ALU live_regs=-1 scratch=0\n",
+            "line 4: liveness annotations must be non-negative",
+        ),
+        ("kernel t\nphase live_regs=8 scratch=0\n", "line 2: phase before config line"),
+        (
+            f"kernel t\n{_CONFIG}\nphase live_regs=-8 scratch=0\n",
+            "line 3: phase requirements must be non-negative",
+        ),
+        ("kernel t\n", "line 0: missing config line"),
+        (f"kernel t\n{_CONFIG}\n", "kernel 't': kernel body may not be empty"),
+        (f"kernel t/u\n{_CONFIG}\n{_ALU}\n", "kernel 't/u': bad kernel name 't/u'"),
+        (
+            f"kernel t\n{_CONFIG}\n{_ALU}\ninstr ALU live_regs=9 scratch=0\n",
+            "kernel 't': instr 1: live_regs_after 9 exceeds regs_per_thread 8",
+        ),
+    ],
+)
+def test_each_malformed_kernel_file_exits_2_with_its_line(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.kernel"
+    path.write_text(text, encoding="utf-8")
+    rc = main(["simulate", "--kernel", str(path), "--policy", "baseline"])
+    assert (rc, capsys.readouterr().err) == (2, f"error: {message}\n")
+
+
+def test_a_phase_beyond_the_scratchpad_exits_2(tmp_path, capsys):
+    path = tmp_path / "huge.kernel"
+    path.write_text(
+        "kernel huge\nconfig threads_per_block=64 regs_per_thread=8 scratch=65536 blocks=1\n"
+        "instr ST_SHARED live_regs=8 scratch=65536\n",
+        encoding="utf-8",
+    )
+    rc = main(["simulate", "--kernel", str(path), "--policy", "zorua"])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: phase needs 64 scratchpad sets per block, beyond hardware reach\n"
+    )
+
+
+def test_a_range_of_non_integers_exits_2_with_its_line(tmp_path, capsys):
+    grid = tmp_path / "g.grid"
+    grid.write_text("list regs_per_thread=8\nrange scratch=0:a:1\n", encoding="utf-8")
+    out = str(tmp_path / "o.csv")
+    argv = ["sweep", "--kernel", "corpus:uniform", "--grid", str(grid), "--out", out]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: grid line 2: range bounds must be integers\n"
+
+
+def test_phases_rejects_a_min_span_below_one(capsys):
+    rc = main(["phases", "--kernel", "corpus:reg_cliff", "--min-span", "0"])
+    assert (rc, capsys.readouterr().err) == (2, "error: min_span must be at least 1\n")
+
+
+def test_simulate_reports_guard_admissions_and_a_scratch_override(tmp_path, capsys):
+    # 32 warps of 16 register sets each, with a barrier: the warps that
+    # fit wait at the barrier holding every set, so only the guard lets
+    # the rest in
+    path = tmp_path / "wide.kernel"
+    path.write_text(
+        "kernel wide\nconfig threads_per_block=1024 regs_per_thread=63 scratch=0 blocks=1\n"
+        "instr ALU live_regs=63 scratch=0\ninstr BARRIER live_regs=63 scratch=0\n"
+        "instr ALU live_regs=63 scratch=0\n",
+        encoding="utf-8",
+    )
+    rc = main(["simulate", "--kernel", str(path), "--policy", "zorua", "--scratch", "1024"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "1024 B scratch/blk" in out
+    assert "guard   15 forced admissions" in out
+
+
+def test_the_console_entry_and_python_m_exit_with_the_code_of_main(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["smvirt", "tables", "--arch", "volta"])
+    with pytest.raises(SystemExit) as info:
+        cli.entry()
+    assert info.value.code == 1
+    monkeypatch.setattr(sys, "argv", ["smvirt", "tables", "--arch", "fermi"])
+    with pytest.raises(SystemExit) as info:
+        runpy.run_module("smvirt", run_name="__main__")
+    assert info.value.code == 0
+    assert "fermi: mapping table sizes" in capsys.readouterr().out

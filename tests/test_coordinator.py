@@ -1,5 +1,7 @@
 from dataclasses import replace
 
+import pytest
+
 from smvirt.coordinator import Coordinator, OversubscriptionConfig, adjust_o_thresh
 from smvirt.corpus import corpus_kernel
 from smvirt.engine import run
@@ -511,3 +513,96 @@ def test_invariants_report_a_set_in_swap_beside_a_free_physical_set():
     coord.retry_all_queues()
     assert regs.peek(0, 1) is Placement.PHYSICAL
     assert coord.check_invariants() == []
+
+
+def _two_blocks():
+    """Block 0's four warps run on 4 register sets each; block 1's warps
+    need 8, so warps 4 and 5 run and 6 and 7 wait, with every set taken."""
+    coord = Coordinator(TINY, OversubscriptionConfig(fixed_o_thresh_frac=0.0, guard_enabled=False))
+    _arrive(coord, 0, range(4), reg_sets=4, scratch_sets=0)
+    _arrive(coord, 1, range(4, 8), reg_sets=8, scratch_sets=0)
+    assert [coord.warps[w].state for w in (5, 6)] == [WarpState.SCHEDULABLE, WarpState.PENDING_REG]
+    assert coord.regs.free_physical == 0
+    assert coord.check_invariants() == []
+    return coord
+
+
+def _regs_while_waiting_for_scratch(coord):
+    coord.regs.owned_sets[6] = 1
+    coord._set_state(coord.warps[6], WarpState.PENDING_SCRATCH)
+
+
+def _park_in_place(coord):
+    coord._set_state(coord.warps[0], WarpState.PARKED)
+
+
+def _grant_past_the_budget(coord):
+    coord._grant(coord.regs, 0, 1, False)
+
+
+def _swap_enqueue_order(coord):
+    w6, w7 = coord.warps[6], coord.warps[7]
+    w6.enqueue_seq, w7.enqueue_seq = w7.enqueue_seq, w6.enqueue_seq
+
+
+@pytest.mark.parametrize(
+    "corrupt, messages",
+    [
+        (_regs_while_waiting_for_scratch, ["warp 6 holds registers while in pending_scratch"]),
+        (
+            lambda c: c.slots.spill_specific(0, 0),
+            ["warp 0 is schedulable without a physical slot"],
+        ),
+        (
+            lambda c: setattr(c.warps[0], "reg_sets_needed", 5),
+            ["warp 0 schedulable with missing register sets"],
+        ),
+        (
+            _park_in_place,
+            ["warp 0 parked but slot not in swap", "warp 0 parked while holding registers"],
+        ),
+        (lambda c: c._limit.update({c.regs: -1}), ["register threshold out of range"]),
+        (_grant_past_the_budget, ["1 admissions exceeded the swap budget"]),
+        (_swap_enqueue_order, ["pending_reg index is not the enqueue_seq order of its warps"]),
+        (
+            lambda c: c._reg_q.update({6: 3}),
+            ["register buckets are not the waiters by the sets they hold"],
+        ),
+        (
+            lambda c: setattr(c.warps[6], "reg_sets_needed", 0),
+            [
+                "warp 6 waits for 0 register sets with 0 grantable",
+                "register need bound 8 exceeds warp 6's delta 0",
+            ],
+        ),
+    ],
+    ids=[
+        "registers",
+        "slot",
+        "missing",
+        "parked",
+        "threshold",
+        "budget",
+        "order",
+        "buckets",
+        "fixpoint",
+    ],
+)
+def test_each_invariant_names_its_corrupted_state(corrupt, messages):
+    coord = _two_blocks()
+    corrupt(coord)
+    errors = coord.check_invariants()
+    assert [m for m in messages if m not in errors] == []
+
+
+def test_the_guard_refuses_a_slot_stage_it_cannot_force():
+    # every slot is taken and nobody waits at a barrier, so no slot can be
+    # forced: a waiter queued for registers without one is a broken index
+    coord = Coordinator(TINY, OversubscriptionConfig())
+    _arrive(coord, 0, range(16), reg_sets=2, scratch_sets=0)
+    _arrive(coord, 1, (16,), reg_sets=2, scratch_sets=0)
+    assert coord.warps[16].state is WarpState.PENDING_THREAD
+    coord.n_schedulable = 0
+    coord._reg_q[16] = 0
+    with pytest.raises(RuntimeError, match="forced admission stage failed"):
+        coord.deadlock_guard()

@@ -13,6 +13,7 @@ import pytest
 from smvirt.corpus import corpus_kernel, corpus_names
 from smvirt.coordinator import Coordinator, OversubscriptionConfig
 from smvirt.engine import NonTerminationError, _SMRun, measure_underutilization, run
+from smvirt.harness import run_sweep
 from smvirt.kernel_model import Instruction, KernelSpec, Opcode, ResourceSpecification
 from smvirt.phase_compiler import annotate_phases
 from smvirt.policies import KernelUnrunnableError, Policy
@@ -179,6 +180,16 @@ def test_stall_taxonomy_sums_to_total_cycles():
                 continue
             total = res.issued_cycles + res.c_idle + res.c_mem + res.barrier_stall
             assert total == res.cycles, (name, policy)
+
+
+@pytest.mark.parametrize("epoch_cycles", [8, 2048])
+def test_debug_runs_fail_on_a_broken_invariant(monkeypatch, epoch_cycles):
+    # checked at each epoch tick (8-cycle epochs) and once more at the end
+    monkeypatch.setattr(Coordinator, "check_invariants", lambda self: ["broken", "twice"])
+    hw = replace(ONE_SM, epoch_cycles=epoch_cycles)
+    with pytest.raises(RuntimeError, match="^invariant violation: broken; twice$"):
+        run(_kernel(_alu(10)), Policy.ZORUA, hw, debug=True)
+    assert run(_kernel(_alu(10)), Policy.ZORUA, hw).cycles > 10
 
 
 def test_debug_invariants_hold_for_every_policy():
@@ -403,6 +414,39 @@ def test_per_warp_demand_beyond_hardware_is_unrunnable():
     wide = _kernel(_alu(4), threads=512)  # 16 warps > 8 logical slots
     with pytest.raises(KernelUnrunnableError):
         run(wide, Policy.ZORUA, replace(small, warp_slots_per_sm=8, max_logical_warps=8))
+
+
+def test_a_kernel_opening_with_a_barrier_runs_under_every_policy():
+    body = [Instruction(Opcode.BARRIER, live_regs_after=4)] + _alu(12)
+    kern = _kernel(body, threads=64, name="barrier_first")
+    for policy in (Policy.BASELINE, Policy.WLM):
+        res = run(kern, policy, ONE_SM, debug=True)
+        assert (res.cycles, res.issued_instructions) == (13, 2 * 13)
+    compiled = annotate_phases(kern)
+    assert [i.opcode for i in compiled.body[:2]] == [Opcode.PHASE_SPEC, Opcode.BARRIER]
+    for policy in Policy:
+        res = run(compiled, policy, ONE_SM, debug=True)
+        assert res.issued_instructions == 2 * len(compiled.body)
+        assert res == reference_run(compiled, policy, ONE_SM)
+    assert run(kern, Policy.ZORUA, ONE_SM, debug=True).issued_instructions == 2 * len(compiled.body)
+    sweep = run_sweep(kern, "list regs_per_thread=8,16\n", archs=(ONE_SM,))
+    assert len(sweep.rows) == 6 and all(r.cycles is not None for r in sweep.rows)
+
+
+def test_an_arch_without_scratchpad_runs_kernels_that_use_none():
+    # the scratchpad table has capacity 0; a kernel that declares no
+    # scratchpad never asks it for a set
+    bare = replace(ONE_SM, scratch_bytes_per_sm=0)
+    cliff = corpus_kernel("reg_cliff")
+    kern = replace(cliff, resource_spec=replace(cliff.resource_spec, num_blocks=12))
+    assert kern.resource_spec.scratch_bytes_per_block == 0
+    for policy in Policy:
+        res = run(kern, policy, bare, debug=True)
+        assert res.cycles == run(kern, policy, ONE_SM).cycles
+    uses_scratch = _kernel(_alu(4, scr=1024), scratch=1024)
+    for policy in Policy:
+        with pytest.raises(KernelUnrunnableError):
+            run(uses_scratch, policy, bare)
 
 
 def test_pinned_threshold_keeps_every_access_on_chip():

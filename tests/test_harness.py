@@ -225,6 +225,12 @@ def test_porting_loss_unrunnable_destination_loses_everything():
     assert porting_loss(src, dst) == 1.0
 
 
+def test_porting_loss_skips_source_points_it_cannot_run():
+    src = [_row(None), _row(100), _row(300)]
+    dst = [_row(100, arch="kepler"), _row(200, arch="kepler"), _row(100, arch="kepler")]
+    assert porting_loss(src, dst) == pytest.approx(0.5)
+
+
 def test_porting_loss_rejects_mismatched_grids():
     src = [_row(100), _row(200)]
     with pytest.raises(ValueError):

@@ -130,6 +130,11 @@ def test_synthetic_kernels_are_deterministic_and_valid():
         KernelSpec(a.name, a.resource_spec, a.body)
 
 
+def test_synthetic_kernels_need_an_instruction():
+    with pytest.raises(KernelInvariantError, match="length must be >= 1"):
+        generate_synthetic_kernel("mixed", length=0, seed=1)
+
+
 def test_synthetic_barrier_profile_has_barriers():
     k = generate_synthetic_kernel(Profile.BARRIER_HEAVY, length=40, seed=3)
     assert any(i.opcode is Opcode.BARRIER for i in k.body)

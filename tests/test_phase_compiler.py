@@ -4,8 +4,10 @@ import pytest
 
 from smvirt.kernel_model import (
     Instruction,
+    KernelInvariantError,
     KernelSpec,
     Opcode,
+    PhaseSpecifier,
     Profile,
     ResourceSpecification,
     generate_synthetic_kernel,
@@ -74,7 +76,7 @@ def _oracle_phases(body, boundaries):
             end=end,
             max_live_regs=max(ins.live_regs_after for ins in body[start:end]),
             max_live_scratch=max(ins.live_scratch_after for ins in body[start:end]),
-            opened_by_barrier=body[start].opcode is Opcode.BARRIER,
+            opened_by_barrier=start > 0 and body[start].opcode is Opcode.BARRIER,
         )
         for start, end in zip(starts, ends)
     )
@@ -177,6 +179,16 @@ def test_annotate_barrier_opened_phase_gets_no_specifier():
             assert ins.opcode is not Opcode.PHASE_SPEC
 
 
+def test_a_kernel_opening_with_a_barrier_gets_an_entry_specifier():
+    k = _kernel([4] + [8] * 12, barriers={0})
+    report = detect_phase_boundaries(k)
+    assert not report.phases[0].opened_by_barrier
+    compiled = annotate_phases(k)
+    assert [i.opcode for i in compiled.body[:3]] == [Opcode.PHASE_SPEC, Opcode.BARRIER, Opcode.ALU]
+    assert phase_demand_table(compiled)[0].live_regs == report.phases[0].max_live_regs
+    validate_compiled(compiled)
+
+
 def test_annotated_kernel_passes_validation():
     rng = random.Random(5)
     for _ in range(100):
@@ -194,15 +206,44 @@ def test_validate_rejects_liveness_above_announcement():
     spec = ResourceSpecification(
         threads_per_block=64, regs_per_thread=64, scratch_bytes_per_block=0, num_blocks=1
     )
-    from smvirt.kernel_model import PhaseSpecifier
-
     body = (
         Instruction(Opcode.PHASE_SPEC, live_regs_after=8, phase_payload=PhaseSpecifier(8, 0)),
         Instruction(Opcode.ALU, live_regs_after=40),  # above the announced 8
     )
     k = KernelSpec("cheat", spec, body)
-    with pytest.raises(Exception):
+    with pytest.raises(KernelInvariantError, match="instruction 1 uses 40 registers"):
         validate_compiled(k)
+
+
+def _spec_ins(regs, scratch=0):
+    return Instruction(
+        Opcode.PHASE_SPEC, live_regs_after=regs, phase_payload=PhaseSpecifier(regs, scratch)
+    )
+
+
+_ALU8 = Instruction(Opcode.ALU, live_regs_after=8)
+_BAR8 = Instruction(Opcode.BARRIER, live_regs_after=8)
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ((_ALU8,), "compiled body must begin with a specifier"),
+        ((_spec_ins(8), _spec_ins(8), _ALU8), "empty specifier span before 1"),
+        ((_spec_ins(8), _ALU8, _BAR8, _spec_ins(8), _BAR8), "specifier at a barrier with no body"),
+        (
+            (_spec_ins(8, 1024), Instruction(Opcode.LD_SHARED, 8, 2048)),
+            "instruction 1 uses 2048 scratch bytes, specifier announced 1024",
+        ),
+    ],
+    ids=["uncompiled", "adjacent", "barrier", "scratchpad"],
+)
+def test_validate_names_each_broken_rule(body, message):
+    spec = ResourceSpecification(
+        threads_per_block=64, regs_per_thread=64, scratch_bytes_per_block=4096, num_blocks=1
+    )
+    with pytest.raises(KernelInvariantError, match=f"kernel 'cheat': {message}"):
+        validate_compiled(KernelSpec("cheat", spec, body))
 
 
 @pytest.mark.parametrize("threshold", [0.0, -0.25, float("nan")])
@@ -221,3 +262,5 @@ def test_phase_demand_table_lists_payloads():
     levels = [8] * 12 + [32] * 12
     table = phase_demand_table(annotate_phases(_kernel(levels)))
     assert [p.live_regs for p in table] == [8, 32]
+    with pytest.raises(KernelInvariantError, match="kernel 'straightline' is not compiled"):
+        phase_demand_table(_kernel(levels))

@@ -110,7 +110,6 @@ def test_wlm_admits_a_block_warp_by_warp_as_slots_free():
     _arrive(adm, 1, 32)  # only 16 of the 48 slots are left
     admitted = [wid for tag, wid in adm.drain_effects() if tag == "schedulable"]
     assert admitted == list(range(48))
-    assert adm.pending_work()
     assert not adm.can_accept_block(32)
     assert adm.on_warp_finished(0) is False
     assert adm.drain_effects() == [("schedulable", 48)]
@@ -177,14 +176,19 @@ def _miscount(adm):
     adm.n_schedulable += 1
 
 
+def _list_a_copy(adm):
+    adm.sched_lists[0][0] = WarpRecord(wid=0, block_id=0, state=WarpState.SCHEDULABLE)
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [
         (_leave_a_stale_record, "scheduler 0 list is not its schedulable warps"),
         (_break_the_wid_order, "scheduler 0 list is not in wid order"),
         (_miscount, "5 warps counted schedulable, 4 listed"),
+        (_list_a_copy, "scheduler 0 list holds a record the registry does not"),
     ],
-    ids=["stale", "order", "count"],
+    ids=["stale", "order", "count", "copy"],
 )
 @each_admission
 def test_registry_errors_name_a_corrupted_scheduler_index(make, corrupt, message):

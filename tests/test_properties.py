@@ -22,6 +22,7 @@ per distinct line, and sweep results survive JSON and CSV.
 import re
 from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -352,6 +353,7 @@ def test_fast_loop_matches_the_naive_reference_loop(
         except KernelUnrunnableError:
             continue
         naive = reference_run(kernel, policy, hw, log_events=True)
+        assert fast.barrier_stall == 0, policy
         assert fast.to_dict() == naive.to_dict(), policy
         assert fast.event_log == naive.event_log, policy
 
@@ -387,6 +389,32 @@ def test_zorua_admission_matches_a_retry_of_every_stage(
         fast, fast_batches = with_effect_batches(run, kernel, "zorua", hw, oversub=cfg, log_events=True)
     except KernelUnrunnableError:
         return
+    naive, naive_batches = with_effect_batches(
+        reference_admission_run, kernel, "zorua", hw, oversub=cfg, log_events=True
+    )
+    assert fast.to_dict() == naive.to_dict()
+    assert fast.event_log == naive.event_log
+    assert fast_batches == naive_batches
+
+
+@pytest.mark.parametrize("o_thresh", [0.0, None])
+@pytest.mark.parametrize("registers", [2048, 4096])
+def test_zorua_admission_matches_a_retry_of_every_stage_after_a_register_shrink(
+    registers, o_thresh
+):
+    # a register file of 16 or 32 sets holds two or four warps of the
+    # 8-set phase; the rest wait for registers until the admitted warps'
+    # next phase drops to one set each, and that shrink's own retry must
+    # admit them
+    wide, narrow = Instruction(Opcode.ALU, 32, 0), Instruction(Opcode.ALU, 4, 0)
+    body = [wide] * 6 + [Instruction(Opcode.LD_GLOBAL, 32, 0)] + [wide] * 5 + [narrow] * 12
+    spec = ResourceSpecification(
+        threads_per_block=128, regs_per_thread=32, scratch_bytes_per_block=0, num_blocks=2
+    )
+    kernel = annotate_phases(KernelSpec("shrink", spec, tuple(body)))
+    hw = replace(ONE_SM_ARCHS["fermi"], registers_per_sm=registers)
+    cfg = OversubscriptionConfig(fixed_o_thresh_frac=o_thresh)
+    fast, fast_batches = with_effect_batches(run, kernel, "zorua", hw, oversub=cfg, log_events=True)
     naive, naive_batches = with_effect_batches(
         reference_admission_run, kernel, "zorua", hw, oversub=cfg, log_events=True
     )

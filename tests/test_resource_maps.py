@@ -41,8 +41,18 @@ def test_arch_presets_exist():
         ({"schedulers_per_sm": 0}, "schedulers_per_sm must be >= 1"),
         ({"max_logical_warps": 47}, "max_logical_warps must cover the physical warp slots"),
         ({"mapping_table_penalty_cycles": -5}, "mapping_table_penalty_cycles must be >= 0"),
+        ({"registers_per_sm": -128}, "registers_per_sm must be >= 0"),
+        ({"scratch_bytes_per_sm": -1024}, "scratch_bytes_per_sm must be >= 0"),
     ],
-    ids=["registers", "scratchpad", "below-one", "logical-warps", "negative-penalty"],
+    ids=[
+        "registers",
+        "scratchpad",
+        "below-one",
+        "logical-warps",
+        "negative-penalty",
+        "negative-registers",
+        "negative-scratchpad",
+    ],
 )
 def test_arch_config_rejects_each_invalid_field(change, message):
     with pytest.raises(ValueError, match=message):
@@ -75,6 +85,19 @@ def test_table_sizes_fermi():
     assert table_size_bits(FERMI, ResourceKind.REGISTER) == 9216
     assert table_size_bits(FERMI, ResourceKind.SCRATCHPAD) == 5376
     assert table_size_bits(FERMI, ResourceKind.WARP_SLOT) == 448
+
+
+def test_a_resource_the_sm_lacks_has_an_empty_table_of_no_bits():
+    bare = replace(FERMI, registers_per_sm=0, scratch_bytes_per_sm=0)
+    assert table_size_bits(bare, ResourceKind.REGISTER) == 0
+    assert table_size_bits(bare, ResourceKind.SCRATCHPAD) == 0
+    assert table_size_bits(bare, ResourceKind.WARP_SLOT) == 448
+    t = make_tables(bare)[ResourceKind.SCRATCHPAD]
+    assert (t.capacity, t.free_physical, t.headroom(0)) == (0, 0, 0)
+    t.allocate(7, 0, Placement.PHYSICAL)
+    with pytest.raises(MappingError, match="1 physical sets requested, 0 free"):
+        t.allocate(7, 1, Placement.PHYSICAL)
+    assert t.check_invariants() == []
 
 
 def test_allocate_physical_then_lookup():
@@ -247,6 +270,18 @@ def test_invariants_report_a_drifted_or_zero_swap_owner_count():
     t.swap_owned[1] = 2
     t.swap_owned[5] = 0
     assert t.check_invariants() == ["register: owner 5 swap count kept as 0, mapped 0"]
+
+
+def test_invariants_report_drifted_swap_counters():
+    t = MappingTable(ResourceKind.SCRATCHPAD, capacity=2)
+    t.allocate(1, 1, Placement.SWAP, forced=True)
+    assert t.check_invariants() == []
+    t.mapped_swap += 1
+    t.forced_swap -= 1
+    assert t.check_invariants() == [
+        "scratchpad: mapped_swap counter drifted",
+        "scratchpad: forced_swap counter drifted",
+    ]
 
 
 def test_invariants_report_a_drifted_free_count():
