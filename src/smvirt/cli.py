@@ -37,6 +37,7 @@ from .phase_compiler import (
     DEFAULT_CHANGE_THRESHOLD,
     DEFAULT_MIN_SPAN,
     detect_phase_boundaries,
+    validate_compiled,
 )
 from .policies import KernelUnrunnableError, Policy
 from .resource_maps import ARCHITECTURES, ResourceKind, get_arch, table_size_bits
@@ -47,7 +48,10 @@ _CORPUS_PREFIX = "corpus:"
 def _load(ref: str) -> KernelSpec:
     if ref.startswith(_CORPUS_PREFIX):
         return corpus_kernel(ref[len(_CORPUS_PREFIX) :])
-    return load_kernel(ref)
+    kernel = load_kernel(ref)
+    if any(ins.phase_payload for ins in kernel.body):  # a file with a phase line is compiled
+        validate_compiled(kernel)
+    return kernel
 
 
 def _apply_overrides(kernel: KernelSpec, args: argparse.Namespace) -> KernelSpec:

@@ -103,8 +103,6 @@ class Coordinator(Registry):
     """Owns the mapping tables, admission queues, and oversubscription state
     of a single SM."""
 
-    charges_access = True  # every access consults the mapping tables
-
     def __init__(self, arch: ArchConfig, cfg: OversubscriptionConfig):
         super().__init__(arch.schedulers_per_sm)
         self.arch = arch
@@ -346,12 +344,10 @@ class Coordinator(Registry):
         live = len(self.warps) - sum(b.finished_warps for b in self.blocks.values())
         return live + warps <= self.arch.max_logical_warps
 
-    def on_block_arrival(self, bid: int, wids: tuple[int, ...], phase: Optional[PhaseSpecifier]):
+    def on_block_arrival(self, bid: int, wids: tuple[int, ...], phase: PhaseSpecifier):
         super().on_block_arrival(bid, wids)
-        reg_sets = scratch_sets = 0
-        if phase is not None:
-            reg_sets = reg_sets_for(phase.live_regs)
-            scratch_sets = scratch_sets_for(phase.scratch_bytes)
+        reg_sets = reg_sets_for(phase.live_regs)
+        scratch_sets = scratch_sets_for(phase.scratch_bytes)
         for wid in wids:
             w = self.warps[wid]
             w.reg_sets_needed = reg_sets

@@ -273,8 +273,8 @@ class _SMRun:
     tick if the next cycle starts an epoch, and now advances by one.  If
     none picks, the stall skip moves the clock to the earliest next_ready
     seen or to the epoch boundary.  The issue skip runs after an issue
-    cycle that raised no event, when the admission does not charge
-    accesses (charges_access is False), no utilization sampler runs and
+    cycle that raised no event, when the admission charges no accesses
+    (its access_plan is None), no utilization sampler runs and
     every pick is ready in the next cycle.  It advances k cycles at once,
     each pick's pc and next_ready by k, where k is the smallest of three
     bounds: the picks' plain[pc], so no pick reaches an instruction that
@@ -286,8 +286,8 @@ class _SMRun:
     greedy warp changes only in a cycle that issues.
 
     The pass and the issue are inline in run over names bound before the
-    loop: a per-pc opcode list and, if the admission charges accesses, its
-    per-pc access_plan, whose entry access_cost is given.  The clock, the
+    loop: a per-pc opcode list and the admission's access_plan: None, or
+    per pc the entry access_cost is given.  The clock, the
     next epoch boundary and the per-cycle counters (ep_issued,
     ep_issue_cycles, sched_integral, last_issue) are locals; run writes
     the clock back before a hook runs, and the counters before an epoch
@@ -370,7 +370,7 @@ class _SMRun:
         wids = tuple(range(bid * self.wpb, (bid + 1) * self.wpb))
         self.remaining -= 1
         self._log(EventKind.BLOCK_ARRIVAL, bid)
-        # the kernel's entry phase specifier, None if it is uncompiled
+        # the kernel's entry phase specifier
         self.adm.on_block_arrival(bid, wids, self.body[0].phase_payload)
         self._take_effects(self.now)
 
@@ -469,7 +469,7 @@ class _SMRun:
         body = self.body
         n_body = len(body)
         ops = [ins.opcode for ins in body]
-        plan = adm.access_plan(body) if adm.charges_access else None
+        plan = adm.access_plan(body)
         access_cost = None if plan is None else adm.access_cost
         request = self.mem.request
         epoch_cycles = self.arch.epoch_cycles
@@ -637,8 +637,8 @@ def run(
 ) -> SimResult:
     """Simulate one kernel launch and aggregate across SM replicas.
 
-    The engine itself is deterministic; the seed is recorded in the result
-    for provenance only.
+    A source kernel is phase-compiled first, under every policy.  The
+    engine is deterministic; the seed is recorded for provenance only.
     """
     if isinstance(policy, str):
         policy = Policy.from_name(policy)
@@ -646,7 +646,7 @@ def run(
         arch = get_arch(arch)
     if oversub is None:
         oversub = OversubscriptionConfig()
-    if policy is Policy.ZORUA and not kernel.is_compiled:
+    if not kernel.is_compiled:
         kernel = annotate_phases(kernel)
 
     counts = _per_sm_block_counts(kernel.resource_spec.num_blocks, arch.num_sms)

@@ -249,9 +249,9 @@ def parse_kernel(text: str) -> KernelSpec:
         else:
             raise KernelSyntaxError(line_no, f"unknown directive {directive!r}")
     if name is None:
-        raise KernelSyntaxError(0, "missing kernel line")
+        raise KernelError("missing kernel line")
     if spec is None:
-        raise KernelSyntaxError(0, "missing config line")
+        raise KernelError("missing config line")
     try:
         return KernelSpec(name, spec, tuple(body))
     except KernelInvariantError as e:

@@ -8,23 +8,21 @@ with bounded swap oversubscription (see coordinator.py).
 
 Each policy is one admission object per SM, and the engine drives all three
 through the same hooks: can_accept_block and on_block_arrival (given the
-kernel's entry phase specifier, None for an uncompiled kernel),
-on_phase_change (given the issued specifier), on_barrier and
-release_barrier, on_warp_finished (True when the block completed),
-on_epoch, deadlock_guard, drain_effects and check_invariants, plus the
-result counters access_totals, final_thresholds and guard_admissions,
-and two capabilities: retunes (the controller may loosen admission at
-the next epoch) and charges_access.  Only an admission that retunes has
-pending_work (whether admissible warps wait), which the engine asks
-before it waits for the next epoch with nothing schedulable.  Only an
-admission that charges accesses has access_plan (per pc of the kernel
-body, what access_cost is given) and access_cost (extra cycles of one
-issued instruction); the engine calls neither otherwise, and may skip
-issue cycles.  Every admission class is a Registry (registry.py), which
-owns the one warp and block registry, holding live blocks only, and each
-scheduler's list of schedulable warps, which the engine issues from; it
-hands warp wakes to the engine as ("schedulable" | "slot_swapin", wid)
-effects.  The static policies
+compiled kernel's entry phase specifier), on_phase_change (given the
+issued specifier), on_barrier and release_barrier, on_warp_finished
+(True when the block completed), on_epoch, deadlock_guard, drain_effects
+and check_invariants, plus the result counters access_totals,
+final_thresholds and guard_admissions, and one capability: retunes (the
+controller may loosen admission at the next epoch).  Only an admission
+that retunes has pending_work (whether admissible warps wait), which the
+engine asks before it waits for the next epoch with nothing schedulable.
+access_plan(body) is None where accesses cost nothing, and the engine may
+then skip issue cycles; else it gives per pc of the body what access_cost
+(extra cycles of one issued instruction) is given.  Every admission class
+is a Registry (registry.py), which owns the one warp and block registry,
+holding live blocks only, and each scheduler's list of schedulable warps,
+which the engine issues from; it hands warp wakes to the engine as
+("schedulable" | "slot_swapin", wid) effects.  The static policies
 ignore the phase specifiers; only zorua turns them into sets.
 make_admission is the one place a policy picks its class.
 """
@@ -33,7 +31,6 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from typing import Optional
 
 from .coordinator import Coordinator, OversubscriptionConfig
 from .kernel_model import WARP_WIDTH, KernelSpec, Opcode, PhaseSpecifier, ResourceSpecification
@@ -100,7 +97,9 @@ class _StaticAdmission(Registry):
 
     guard_admissions = 0
     retunes = False  # no controller, so a wedged SM stays wedged
-    charges_access = False  # accesses cost nothing: no access_plan or access_cost
+
+    def access_plan(self, body) -> None:  # accesses cost nothing: no access_cost
+        return None
 
     def on_phase_change(self, wid: int, phase: PhaseSpecifier) -> bool:
         return True
@@ -135,7 +134,7 @@ class BaselineAdmission(_StaticAdmission):
     def can_accept_block(self, warps: int) -> bool:
         return len(self.blocks) < self.limit
 
-    def on_block_arrival(self, bid: int, wids: tuple[int, ...], phase: Optional[PhaseSpecifier]):
+    def on_block_arrival(self, bid: int, wids: tuple[int, ...], phase: PhaseSpecifier):
         super().on_block_arrival(bid, wids)
         for wid in wids:
             self._admit(self.warps[wid])
@@ -185,7 +184,7 @@ class WlmAdmission(_StaticAdmission):
             and self._warp_fits()
         )
 
-    def on_block_arrival(self, bid: int, wids: tuple[int, ...], phase: Optional[PhaseSpecifier]):
+    def on_block_arrival(self, bid: int, wids: tuple[int, ...], phase: PhaseSpecifier):
         super().on_block_arrival(bid, wids)
         self.free_scratch -= self.scratch_per_block
         self._waiting.extend(wids)

@@ -12,12 +12,17 @@ that arch: the event log and the per-epoch utilization tuples, which
 
     PYTHONPATH=src python tests/golden/regen.py            # list differing files
     PYTHONPATH=src python tests/golden/regen.py --update   # rewrite them
+
+Under each differing file the script says what differs: the top-level
+keys of a run JSON, the policies of a recorder file whose digest
+changed, and the changed rows of a sweep CSV.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -74,6 +79,22 @@ def golden_files(kernel_name: str) -> dict[str, str]:
     return files
 
 
+def describe(rel: str, old: str, new: str) -> list[str]:
+    """What differs between a golden file's committed text and its new
+    text: the changed rows of a CSV, else the changed top-level keys (the
+    policies of a recorder file)."""
+    if rel.endswith(".csv"):
+        changed = []
+        for a, b in itertools.zip_longest(old.splitlines(), new.splitlines(), fillvalue="(none)"):
+            if a != b:
+                changed += [f"- {a}", f"+ {b}"]
+        return changed
+    old_doc, new_doc = json.loads(old), json.loads(new)
+    missing = object()
+    keys = [k for k in {**old_doc, **new_doc} if old_doc.get(k, missing) != new_doc.get(k, missing)]
+    return [f"{'policies' if rel.startswith('recorders/') else 'keys'}: {', '.join(keys)}"]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--update", action="store_true", help="rewrite differing files")
@@ -82,10 +103,13 @@ def main(argv=None) -> int:
     for name in corpus_names():
         for rel, text in golden_files(name).items():
             path = GOLDEN_DIR / rel
-            if path.is_file() and path.read_bytes() == text.encode():
+            old = path.read_bytes().decode() if path.is_file() else None
+            if old == text:
                 continue
             differing += 1
             print(f"{'wrote' if args.update else 'differs'} {rel}")
+            for line in ["new file"] if old is None else describe(rel, old, text):
+                print(f"    {line}")
             if args.update:
                 path.parent.mkdir(parents=True, exist_ok=True)
                 path.write_bytes(text.encode())

@@ -47,7 +47,7 @@ class ReferenceSMRun(_SMRun):
         self._dispatch()
         self._apply_effects()
         n_sched = self.arch.schedulers_per_sm
-        self.plan = self.adm.access_plan(self.body) if self.adm.charges_access else None
+        self.plan = self.adm.access_plan(self.body)
         epoch_cycles = self.arch.epoch_cycles
         greedy = [None] * n_sched
         self.ep_barrier = 0

@@ -92,6 +92,18 @@ def test_simulate_csv_output(tmp_path, capsys):
     assert lines[1].startswith("fermi,baseline,256")
 
 
+def test_simulate_csv_is_the_row_of_a_one_point_sweep(tmp_path, capsys):
+    # simulate compiles the kernel under every policy, as sweep does
+    single, swept, grid = tmp_path / "one.csv", tmp_path / "sweep.csv", tmp_path / "g.grid"
+    grid.write_text("list regs_per_thread=32\n", encoding="utf-8")
+    kernel = ["--kernel", "corpus:reg_cliff"]
+    assert main(["simulate", *kernel, "--policy", "baseline", "--csv", str(single)]) == 0
+    sweep = ["sweep", *kernel, "--grid", str(grid), "--policies", "baseline", "--out", str(swept)]
+    assert main(sweep) == 0
+    capsys.readouterr()
+    assert single.read_bytes() == swept.read_bytes()
+
+
 def test_simulate_event_log(tmp_path, capsys):
     path = tmp_path / "events.jsonl"
     rc = main(
@@ -359,7 +371,8 @@ _ALU = "instr ALU live_regs=8 scratch=0"
             f"kernel t\n{_CONFIG}\nphase live_regs=-8 scratch=0\n",
             "line 3: phase requirements must be non-negative",
         ),
-        ("kernel t\n", "line 0: missing config line"),
+        ("# no kernel line\n", "missing kernel line"),
+        ("kernel t\n", "missing config line"),
         (f"kernel t\n{_CONFIG}\n", "kernel 't': kernel body may not be empty"),
         (f"kernel t/u\n{_CONFIG}\n{_ALU}\n", "kernel 't/u': bad kernel name 't/u'"),
         (
@@ -373,6 +386,22 @@ def test_each_malformed_kernel_file_exits_2_with_its_line(tmp_path, capsys, text
     path.write_text(text, encoding="utf-8")
     rc = main(["simulate", "--kernel", str(path), "--policy", "baseline"])
     assert (rc, capsys.readouterr().err) == (2, f"error: {message}\n")
+
+
+@pytest.mark.parametrize("policy", ["baseline", "wlm", "zorua"])
+def test_a_compiled_kernel_file_is_validated_under_every_policy(tmp_path, capsys, policy):
+    # a file with phase lines is a compiled kernel: one whose specifier
+    # covers its instructions runs, two adjacent specifiers announcing one
+    # register ahead of instructions with 32 live are refused
+    header = "kernel k\nconfig threads_per_block=64 regs_per_thread=32 scratch=0 blocks=1\n"
+    alus = "instr ALU live_regs=32 scratch=0\n" * 4
+    good, bad = tmp_path / "good.kernel", tmp_path / "bad.kernel"
+    good.write_text(header + "phase live_regs=32 scratch=0\n" + alus, encoding="utf-8")
+    bad.write_text(header + "phase live_regs=1 scratch=0\n" * 2 + alus, encoding="utf-8")
+    assert main(["simulate", "--kernel", str(good), "--policy", policy]) == 0
+    capsys.readouterr()
+    rc = main(["simulate", "--kernel", str(bad), "--policy", policy])
+    assert (rc, capsys.readouterr().err) == (2, "error: kernel 'k': empty specifier span before 1\n")
 
 
 def test_a_phase_beyond_the_scratchpad_exits_2(tmp_path, capsys):

@@ -11,7 +11,7 @@ import pytest
 
 from smvirt import corpus_names
 
-from golden.regen import GOLDEN_DIR, golden_files
+from golden.regen import GOLDEN_DIR, describe, golden_files
 
 
 @pytest.mark.parametrize("kernel_name", corpus_names())
@@ -20,3 +20,12 @@ def test_outputs_match_goldens(kernel_name):
         path = GOLDEN_DIR / rel
         assert path.is_file(), f"missing golden {rel}"
         assert path.read_bytes() == text.encode(), f"{rel} differs from its golden"
+
+
+def test_regen_says_what_differs_in_each_kind_of_golden():
+    old, new = '{"a": 1, "b": 2}', '{"a": 1, "b": 3, "c": 0}'
+    assert describe("run/k.zorua.fermi.json", old, new) == ["keys: b, c"]
+    old, new = '{"baseline": "x", "wlm": "y"}', '{"baseline": "z", "wlm": "y"}'
+    assert describe("recorders/k.fermi.json", old, new) == ["policies: baseline"]
+    old, new = "h\n1\n2\n", "h\n1\n3\n4\n"
+    assert describe("sweep/k.fermi.csv", old, new) == ["- 2", "+ 3", "- (none)", "+ 4"]

@@ -109,7 +109,8 @@ def test_parse_list_set_and_comments():
         ("set total_threads=512\nlist threads_per_block=0,64", 2),
         ("range scratch=-1024:0:1024", 1),
         ("list scratch=0\nset total_threads=-64", 2),
-        ("set blocks=1\nset total_threads=64", 0),
+        ("set blocks=1\nset total_threads=64", 2),
+        ("set total_threads=64\nlist scratch=0\nset blocks=1", 3),
         ("range threads_per_block=1:100001:1", 1),
         ("list threads_per_block=32,64\nrange scratch=0:50000:1", 2),
     ],

@@ -4,7 +4,7 @@ policies, and the registry all three policies share."""
 import pytest
 
 from smvirt.coordinator import Coordinator, OversubscriptionConfig
-from smvirt.kernel_model import ResourceSpecification
+from smvirt.kernel_model import PhaseSpecifier, ResourceSpecification
 from smvirt.policies import (
     BaselineAdmission,
     Policy,
@@ -100,7 +100,8 @@ def test_wlm_single_warp_floor_without_barriers():
 
 
 def _arrive(adm, bid, warps):
-    adm.on_block_arrival(bid, tuple(range(bid * warps, (bid + 1) * warps)), None)
+    """A block arrives with an entry phase that needs no sets."""
+    adm.on_block_arrival(bid, tuple(range(bid * warps, (bid + 1) * warps)), PhaseSpecifier(0, 0))
 
 
 def test_wlm_admits_a_block_warp_by_warp_as_slots_free():
