@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import enum
 import heapq
+import math
 from collections import deque
 from dataclasses import dataclass, fields, replace
 from operator import itemgetter
@@ -92,9 +93,7 @@ class EpochStats:
 
 def _mean_defined(values: tuple[Optional[float], ...]) -> Optional[float]:
     defined = [v for v in values if v is not None]
-    if not defined:
-        return None
-    return sum(defined) / len(defined)
+    return sum(defined) / len(defined) if defined else None
 
 
 @dataclass(frozen=True)
@@ -199,7 +198,10 @@ class _UtilSampler:
     Finished warps sit past the end, and so do warps at a trailing
     barrier, which every warp of a block reaches before any finishes;
     past any other last instruction a warp has finished by the next
-    sample.  A block's live scratchpad is the most any warp holds.
+    sample.  A block's live scratchpad is the most any warp holds.  The
+    live space is summed exactly, per count of blocks in flight, and an
+    epoch's mean is rounded once, so constant liveness reads exactly its
+    fraction.
     """
 
     def __init__(self, kernel: KernelSpec, registry):
@@ -215,40 +217,45 @@ class _UtilSampler:
             self.regs_at[-1] = self.scratch_at[-1] = 0
         self.blk_regs = spec.threads_per_block * spec.regs_per_thread
         self.blk_scr = spec.scratch_bytes_per_block
-        self.reg_sum = 0.0
-        self.reg_cycles = 0
-        self.scr_sum = 0.0
-        self.scr_cycles = 0
+        # blocks in flight -> the epoch's live register and scratchpad sums
+        self.sums: dict[int, list[int]] = {}
+        self.cycles = 0
         self.reg_frac: list[Optional[float]] = []
         self.scr_frac: list[Optional[float]] = []
 
     def sample(self, delta: int):
-        """Integrate live/allocated over the next delta cycles; a cycle is
+        """Integrate live space over the next delta cycles; a cycle is
         sampled only while a block is in flight."""
-        in_flight = len(self.blocks)
         warps = self.warps.values()
         regs_at = self.regs_at
         live_regs = sum([regs_at[w.pc] for w in warps])
         if regs_at[-1]:
             # the finished warps past the end hold no registers
             live_regs -= regs_at[-1] * sum([b.finished_warps for b in self.blocks.values()])
-        self.reg_sum += delta * live_regs / (in_flight * self.blk_regs)
-        self.reg_cycles += delta
+        live_scr = 0
         if self.blk_scr:
             # the registry lists each block's warps together, wpb of them
             scratch_at = self.scratch_at
             live = iter([scratch_at[w.pc] for w in warps])
             live_scr = sum(map(max, zip(*[live] * self.wpb)))
-            self.scr_sum += delta * live_scr / (in_flight * self.blk_scr)
-            self.scr_cycles += delta
+        sums = self.sums.setdefault(len(self.blocks), [0, 0])
+        sums[0] += delta * live_regs
+        sums[1] += delta * live_scr
+        self.cycles += delta
 
     def close_epoch(self):
-        self.reg_frac.append(self.reg_sum / self.reg_cycles if self.reg_cycles else None)
-        self.scr_frac.append(self.scr_sum / self.scr_cycles if self.scr_cycles else None)
-        self.reg_sum = 0.0
-        self.reg_cycles = 0
-        self.scr_sum = 0.0
-        self.scr_cycles = 0
+        reg = scr = None
+        if self.cycles:
+            common = math.lcm(*self.sums)
+            weighted = [(common // k, r, s) for k, (r, s) in self.sums.items()]
+            scale = common * self.cycles
+            reg = sum(w * r for w, r, _ in weighted) / (scale * self.blk_regs)
+            if self.blk_scr:
+                scr = sum(w * s for w, _, s in weighted) / (scale * self.blk_scr)
+        self.reg_frac.append(reg)
+        self.scr_frac.append(scr)
+        self.sums = {}
+        self.cycles = 0
 
     def report(self) -> UtilizationReport:
         return UtilizationReport(tuple(self.reg_frac), tuple(self.scr_frac))
@@ -605,7 +612,6 @@ class _SMRun:
             self._close_epoch()
         if self.debug and (problems := self.adm.check_invariants()):
             raise RuntimeError("invariant violation: " + "; ".join(problems))
-
         self.cycles = self.last_issue + 1
         if self.bif_min is None:  # every block arrived at launch
             self.bif_min = self.bif_max
@@ -714,11 +720,4 @@ def measure_underutilization(
         kernel = replace(kernel, resource_spec=spec)
     if epoch_cycles is not None:
         arch = replace(arch, epoch_cycles=epoch_cycles)
-    result = run(
-        kernel,
-        Policy.BASELINE,
-        arch,
-        collect_util=True,
-        cycle_cap=cycle_cap,
-    )
-    return result.utilization
+    return run(kernel, Policy.BASELINE, arch, collect_util=True, cycle_cap=cycle_cap).utilization

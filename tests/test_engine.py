@@ -503,11 +503,8 @@ def test_utilization_exposes_scratch_phase_gap():
     kern = corpus_kernel("scratch_cliff")
     spec = replace(kern.resource_spec, num_blocks=1)
     rep = measure_underutilization(kern, spec=spec, epoch_cycles=16)
-    # epochs inside the 384-byte phase read 384/4224, up to the rounding
-    # of a sum of equal samples
-    assert any(
-        v == pytest.approx(384 / 4224, rel=1e-12) for v in rep.scratch_per_epoch if v is not None
-    )
+    # epochs inside the 384-byte phase read exactly 384/4224
+    assert any(v == 384 / 4224 for v in rep.scratch_per_epoch if v is not None)
     assert rep.scratch_utilization < 1.0
 
 

@@ -226,7 +226,7 @@ def test_one_warp_of_global_loads_is_latency_bound(loads, latency, max_inflight,
     warps=st.integers(min_value=1, max_value=32),
     schedulers=st.integers(min_value=1, max_value=4),
     max_inflight=st.integers(min_value=1, max_value=16),
-    latency=st.integers(min_value=64, max_value=500),
+    latency=st.integers(min_value=32, max_value=500),
     policy=st.sampled_from(["baseline", "wlm"]),
     arch=st.sampled_from(sorted(ONE_SM_ARCHS)),
 )
@@ -240,7 +240,11 @@ def test_loads_past_the_request_slots_are_bandwidth_bound(
     # j - M to return, so it returns at
     # 2 * ((j mod M) // s) + 1 + (j // M + 1) * latency; a scheduler sees
     # one load return per cycle at most, and the ALU after it issues that
-    # cycle.  The last load returns last.
+    # cycle.  The last load returns last.  Past that premise (one
+    # scheduler, 2W > latency) returned warps' ALUs take issue cycles from
+    # the specifiers and loads still to issue, which only delays loads:
+    # the closed form is then a lower bound, and the naive loop of
+    # reference_loop.py gives the exact count.
     kernel = _straight_line_kernel((Opcode.LD_GLOBAL, Opcode.ALU), 32 * warps, 1, 8)
     hw = replace(
         ONE_SM_ARCHS[arch],
@@ -253,7 +257,11 @@ def test_loads_past_the_request_slots_are_bandwidth_bound(
     returns = (
         2 * ((last % max_inflight) // schedulers) + 1 + (last // max_inflight + 1) * latency
     )
-    assert res.cycles == returns + 1
+    if 2 * -(-warps // schedulers) <= latency:
+        assert res.cycles == returns + 1
+    else:
+        assert res.cycles >= returns + 1
+        assert res.to_dict() == reference_run(kernel, policy, hw).to_dict()
     assert res.c_idle == res.barrier_stall == 0
     _check_accounting(annotate_phases(kernel), res)
 
