@@ -54,11 +54,9 @@ from .kernel_model import (
 )
 from .phase_compiler import (
     Phase,
-    PhaseReport,
     annotate_phases,
     detect_phase_boundaries,
     phase_demand_table,
-    validate_compiled,
 )
 from .policies import KernelUnrunnableError, Policy, baseline_blocks_in_flight, wlm_is_runnable
 from .registry import WarpState
@@ -97,7 +95,6 @@ __all__ = [
     "Opcode",
     "OversubscriptionConfig",
     "Phase",
-    "PhaseReport",
     "PhaseSpecifier",
     "Placement",
     "Policy",
@@ -138,7 +135,6 @@ __all__ = [
     "serialize_kernel",
     "sets_required",
     "table_size_bits",
-    "validate_compiled",
     "wlm_is_runnable",
     "write_csv",
     "write_json",

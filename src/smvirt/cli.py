@@ -37,7 +37,6 @@ from .phase_compiler import (
     DEFAULT_CHANGE_THRESHOLD,
     DEFAULT_MIN_SPAN,
     detect_phase_boundaries,
-    validate_compiled,
 )
 from .policies import KernelUnrunnableError, Policy
 from .resource_maps import ARCHITECTURES, ResourceKind, get_arch, table_size_bits
@@ -48,10 +47,7 @@ _CORPUS_PREFIX = "corpus:"
 def _load(ref: str) -> KernelSpec:
     if ref.startswith(_CORPUS_PREFIX):
         return corpus_kernel(ref[len(_CORPUS_PREFIX) :])
-    kernel = load_kernel(ref)
-    if any(ins.phase_payload for ins in kernel.body):  # a file with a phase line is compiled
-        validate_compiled(kernel)
-    return kernel
+    return load_kernel(ref)
 
 
 def _apply_overrides(kernel: KernelSpec, args: argparse.Namespace) -> KernelSpec:
@@ -146,12 +142,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_phases(args: argparse.Namespace) -> int:
     kernel = _load(args.kernel)
-    report = detect_phase_boundaries(
+    phases = detect_phase_boundaries(
         kernel, change_threshold=args.threshold, min_span=args.min_span
     )
-    print(f"kernel {kernel.name}: {len(report.phases)} phases over {report.body_len} instructions")
+    print(f"kernel {kernel.name}: {len(phases)} phases over {len(kernel.body)} instructions")
     print("phase  start    end   span  barrier  max_regs  max_scratch")
-    for i, ph in enumerate(report.phases):
+    for i, ph in enumerate(phases):
         opened = "yes" if ph.opened_by_barrier else "no"
         print(
             f"{i:5d}  {ph.start:5d}  {ph.end:5d}  {ph.span:5d}  {opened:>7s}  "

@@ -369,12 +369,12 @@ class Coordinator(Registry):
             self.scratch.free(bid, held - demand)
         return held > demand
 
-    def on_phase_change(self, wid: int, phase: PhaseSpecifier) -> bool:
+    def on_phase_change(self, wid: int, phase: PhaseSpecifier):
         """Apply the sets a warp's new phase needs; the warp just issued
         the specifier, and no earlier hook of that cycle moves a schedulable
-        warp, so it is schedulable.  Returns True if it stays so, False if
-        it re-entered a queue.  A warp waiting for scratchpad may not sit on
-        register sets, so scratch growth releases them all first.
+        warp, so it is schedulable, and stays so unless it must queue.  A
+        warp waiting for scratchpad may not sit on register sets, so scratch
+        growth releases them all first.
         """
         w = self.warps[wid]
         regs = self.regs
@@ -395,7 +395,6 @@ class Coordinator(Registry):
         # a retry admits nobody unless this queued the warp or freed a set
         if self._shrink_block_scratch(bid, scratch_sets) or not still or held > reg_sets:
             self.retry_all_queues()
-        return still
 
     def on_barrier(self, wid: int) -> bool:
         """Hold the warp at its barrier; True when it was the last of its

@@ -210,9 +210,12 @@ class _UtilSampler:
         self.blocks: dict[int, BlockRecord] = registry.blocks
         self.warps: dict[int, WarpRecord] = registry.warps
         self.wpb = spec.warps_per_block
-        # a warp's live registers and scratchpad, indexed by its pc
-        self.regs_at = [i.live_regs_after * WARP_WIDTH for i in (body[0],) + body]
-        self.scratch_at = [i.live_scratch_after for i in (body[0],) + body]
+        # a warp's live registers and scratchpad, indexed by its pc; a
+        # specifier has no liveness of its own, so past one a warp holds
+        # what the instruction after it leaves live
+        after = [body[pc + 1] if ins.opcode is _PHASE_SPEC else ins for pc, ins in enumerate(body)]
+        self.regs_at = [i.live_regs_after * WARP_WIDTH for i in after[:1] + after]
+        self.scratch_at = [i.live_scratch_after for i in after[:1] + after]
         if body[-1].opcode is not _BARRIER:
             self.regs_at[-1] = self.scratch_at[-1] = 0
         self.blk_regs = spec.threads_per_block * spec.regs_per_thread

@@ -9,6 +9,12 @@ the simulator never derives it from operands.
 
 Scratchpad liveness is treated as a prefix of the block's scratch space:
 ``live_scratch_after=4224`` means bytes [0, 4224) are live.
+
+A compiled kernel's body begins with a phase specifier: a PHASE_SPEC
+instruction whose only data is its payload, the demand of the span that
+follows, with no liveness of its own.  KernelSpec checks the rules of a
+compiled body wherever one is built (constructor, ``dataclasses.replace``,
+parser, phase compiler).
 """
 
 from __future__ import annotations
@@ -74,6 +80,8 @@ class Instruction:
             raise KernelInvariantError(
                 "phase_payload must be present exactly on PHASE_SPEC instructions"
             )
+        if self.phase_payload is not None and (self.live_regs_after or self.live_scratch_after):
+            raise KernelInvariantError("a phase specifier carries only its payload")
 
 
 @dataclass(frozen=True)
@@ -119,6 +127,7 @@ class KernelSpec:
         if not self.body:
             raise KernelInvariantError("kernel body may not be empty")
         rs = self.resource_spec
+        compiled = self.is_compiled
         for i, ins in enumerate(self.body):
             if ins.live_regs_after > rs.regs_per_thread:
                 raise KernelInvariantError(
@@ -131,11 +140,17 @@ class KernelSpec:
                     f"scratch_bytes_per_block {rs.scratch_bytes_per_block}"
                 )
             if ins.phase_payload is not None:
+                if not compiled:
+                    raise KernelInvariantError(
+                        f"instr {i}: a body with a specifier must begin with one"
+                    )
                 p = ins.phase_payload
                 if p.live_regs > rs.regs_per_thread or p.scratch_bytes > rs.scratch_bytes_per_block:
                     raise KernelInvariantError(
                         f"instr {i}: phase payload exceeds the static resource spec"
                     )
+        if compiled:
+            _check_spans(self.body)
 
     @property
     def is_compiled(self) -> bool:
@@ -144,6 +159,51 @@ class KernelSpec:
 
     def has_barrier(self) -> bool:
         return any(i.opcode is Opcode.BARRIER for i in self.body)
+
+
+def _check_spans(body: tuple[Instruction, ...]) -> None:
+    """The span rules of a compiled body, which begins with a specifier.
+
+    A specifier's span runs to the next specifier or barrier, whichever
+    comes first, and its payload must cover all liveness inside it.  Each
+    specifier is followed by at least one real instruction before the next
+    specifier, a barrier or the end of the body; only the entry specifier
+    may stand directly before a barrier, as a kernel may begin with one.
+    Instructions between a barrier and the next specifier are outside any
+    span: at run time the demands announced before the barrier remain in
+    force there, so they are not re-checked against the old specifier.
+    """
+    spec_op, barrier_op = Opcode.PHASE_SPEC, Opcode.BARRIER  # an enum lookup is slow
+    current: Optional[PhaseSpecifier] = None  # None past a barrier
+    bare = False  # the last specifier has no real instruction yet
+    for i, ins in enumerate(body):
+        op = ins.opcode
+        if op is spec_op:
+            if bare:
+                raise KernelInvariantError(f"empty specifier span before {i}")
+            current = ins.phase_payload
+            bare = True
+        elif op is barrier_op:
+            if bare and i > 1:
+                raise KernelInvariantError("specifier at a barrier with no body")
+            current = None
+            bare = False
+        else:
+            bare = False
+            if current is None:
+                continue
+            if ins.live_regs_after > current.live_regs:
+                raise KernelInvariantError(
+                    f"instruction {i} uses {ins.live_regs_after} registers, "
+                    f"specifier announced {current.live_regs}"
+                )
+            if ins.live_scratch_after > current.scratch_bytes:
+                raise KernelInvariantError(
+                    f"instruction {i} uses {ins.live_scratch_after} scratch bytes, "
+                    f"specifier announced {current.scratch_bytes}"
+                )
+    if bare:
+        raise KernelInvariantError("the body ends in a specifier")
 
 
 # --------------------------------------------------------------------------
@@ -241,7 +301,7 @@ def parse_kernel(text: str) -> KernelSpec:
             kv = _parse_kv(tokens[1:], ("live_regs", "scratch"), line_no)
             try:
                 payload = PhaseSpecifier(kv["live_regs"], kv["scratch"])
-                ins = Instruction(Opcode.PHASE_SPEC, kv["live_regs"], kv["scratch"], payload)
+                ins = Instruction(Opcode.PHASE_SPEC, phase_payload=payload)
             except KernelInvariantError as e:
                 raise KernelSyntaxError(line_no, str(e)) from None
             seen[line] = ins

@@ -12,7 +12,9 @@ entry, even where its first instruction is a barrier, so a compiled body
 always begins with a specifier.  The specifier carries that phase's
 maximum live register count and maximum live scratchpad bytes.  Phases
 opened by a barrier get no specifier: the demands announced by the
-previous specifier simply remain in force across the barrier.
+previous specifier simply remain in force across the barrier.  The rules
+of a compiled body live in kernel_model, whose KernelSpec checks them as
+annotation builds its result.
 """
 
 from __future__ import annotations
@@ -46,15 +48,6 @@ class Phase:
         return self.end - self.start
 
 
-@dataclass(frozen=True)
-class PhaseReport:
-    body_len: int
-    boundaries: tuple[int, ...]
-    phases: tuple[Phase, ...]
-    change_threshold: float
-    min_span: int
-
-
 def _changed(reference: int, value: int, threshold: float) -> bool:
     """Relative liveness change test against the phase-opening value."""
     if value == reference:
@@ -68,11 +61,10 @@ def detect_phase_boundaries(
     kernel: KernelSpec,
     change_threshold: float = DEFAULT_CHANGE_THRESHOLD,
     min_span: int = DEFAULT_MIN_SPAN,
-) -> PhaseReport:
-    """Scan a raw kernel body and return its phase decomposition.
+) -> tuple[Phase, ...]:
+    """Scan a raw kernel body and return its phases in body order.
 
-    Boundaries are instruction indices that open a new phase.  Index 0 is
-    implicit and never listed, and its phase is not opened by a barrier.
+    The first phase starts at index 0 and is not opened by a barrier.
     Any later BARRIER opens a phase regardless of ``min_span``;
     liveness-driven boundaries additionally require the previous phase to
     span at least ``min_span`` instructions.
@@ -87,7 +79,6 @@ def detect_phase_boundaries(
         )
 
     body = kernel.body
-    boundaries: list[int] = []
     phases: list[Phase] = []
     first = body[0]
     start = 0
@@ -108,7 +99,6 @@ def detect_phase_boundaries(
             )
         ):
             phases.append(Phase(start, i, max_regs, max_scratch, opened_by_barrier))
-            boundaries.append(i)
             start = i
             opened_by_barrier = barrier
             ref_regs = max_regs = regs
@@ -119,14 +109,7 @@ def detect_phase_boundaries(
             if scratch > max_scratch:
                 max_scratch = scratch
     phases.append(Phase(start, len(body), max_regs, max_scratch, opened_by_barrier))
-
-    return PhaseReport(
-        body_len=len(body),
-        boundaries=tuple(boundaries),
-        phases=tuple(phases),
-        change_threshold=change_threshold,
-        min_span=min_span,
-    )
+    return tuple(phases)
 
 
 def annotate_phases(
@@ -140,90 +123,14 @@ def annotate_phases(
     barrier, carrying that phase's own liveness maxima.  The original
     instruction order is preserved.
     """
-    report = detect_phase_boundaries(kernel, change_threshold, min_span)
     body = kernel.body
     out: list[Instruction] = []
-    for phase in report.phases:
+    for phase in detect_phase_boundaries(kernel, change_threshold, min_span):
         if not phase.opened_by_barrier:
-            out.append(
-                Instruction(
-                    opcode=Opcode.PHASE_SPEC,
-                    live_regs_after=body[phase.start].live_regs_after,
-                    live_scratch_after=body[phase.start].live_scratch_after,
-                    phase_payload=PhaseSpecifier(
-                        live_regs=phase.max_live_regs,
-                        scratch_bytes=phase.max_live_scratch,
-                    ),
-                )
-            )
+            payload = PhaseSpecifier(phase.max_live_regs, phase.max_live_scratch)
+            out.append(Instruction(Opcode.PHASE_SPEC, phase_payload=payload))
         out.extend(body[phase.start : phase.end])
-
-    compiled = KernelSpec(
-        name=kernel.name,
-        resource_spec=kernel.resource_spec,
-        body=tuple(out),
-    )
-    validate_compiled(compiled)
-    return compiled
-
-
-def validate_compiled(kernel: KernelSpec) -> None:
-    """Check the structural soundness of a compiled kernel body.
-
-    Rules: the body starts with a specifier, no two specifiers are
-    adjacent, every specifier is followed by at least one real instruction
-    before the next specifier or barrier (only the entry specifier may
-    stand directly before a barrier, as a kernel may begin with one), and
-    each specifier's announced demands cover all liveness inside its span.
-    A span runs from the specifier to the next PHASE_SPEC or BARRIER,
-    whichever comes first.  Instructions between a barrier and the next
-    specifier are outside any span: at run time the demands announced
-    before the barrier remain in force there, so they are not re-validated
-    against the old specifier.
-    """
-    body = kernel.body
-    if body[0].opcode is not Opcode.PHASE_SPEC:
-        raise KernelInvariantError(
-            f"kernel {kernel.name!r}: compiled body must begin with a specifier"
-        )
-
-    current: PhaseSpecifier | None = None
-    span_len = 0
-    for i, instr in enumerate(body):
-        if instr.opcode is Opcode.PHASE_SPEC:
-            if current is not None and span_len == 0:
-                raise KernelInvariantError(
-                    f"kernel {kernel.name!r}: empty specifier span before {i}"
-                )
-            current = instr.phase_payload
-            span_len = 0
-            continue
-        if instr.opcode is Opcode.BARRIER:
-            if current is not None and span_len == 0 and i > 1:
-                raise KernelInvariantError(
-                    f"kernel {kernel.name!r}: specifier at a barrier with no body"
-                )
-            # The barrier closes the active coverage span; demands announced
-            # before it remain in force but later liveness is not re-checked
-            # against them.
-            current = None
-            span_len = 0
-            continue
-        span_len += 1
-        if current is None:
-            continue
-        if instr.live_regs_after > current.live_regs:
-            raise KernelInvariantError(
-                f"kernel {kernel.name!r}: instruction {i} uses "
-                f"{instr.live_regs_after} registers, specifier announced "
-                f"{current.live_regs}"
-            )
-        if instr.live_scratch_after > current.scratch_bytes:
-            raise KernelInvariantError(
-                f"kernel {kernel.name!r}: instruction {i} uses "
-                f"{instr.live_scratch_after} scratch bytes, specifier "
-                f"announced {current.scratch_bytes}"
-            )
+    return KernelSpec(kernel.name, kernel.resource_spec, tuple(out))
 
 
 def phase_demand_table(kernel: KernelSpec) -> tuple[PhaseSpecifier, ...]:

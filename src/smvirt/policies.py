@@ -9,13 +9,14 @@ with bounded swap oversubscription (see coordinator.py).
 Each policy is one admission object per SM, and the engine drives all three
 through the same hooks: can_accept_block and on_block_arrival (given the
 compiled kernel's entry phase specifier), on_phase_change (given the
-issued specifier), on_barrier and release_barrier, on_warp_finished
-(True when the block completed), on_epoch, deadlock_guard, drain_effects
-and check_invariants, plus the result counters access_totals,
-final_thresholds and guard_admissions, and one capability: retunes (the
-controller may loosen admission at the next epoch).  Only an admission
-that retunes has pending_work (whether admissible warps wait), which the
-engine asks before it waits for the next epoch with nothing schedulable.
+issued specifier; it returns nothing), on_barrier and release_barrier,
+on_warp_finished (True when the block completed), on_epoch,
+deadlock_guard, drain_effects and check_invariants, plus the result
+counters access_totals, final_thresholds and guard_admissions, and one
+capability: retunes (the controller may loosen admission at the next
+epoch).  Only an admission that retunes has pending_work (whether
+admissible warps wait), which the engine asks before it waits for the
+next epoch with nothing schedulable.
 access_plan(body) is None where accesses cost nothing, and the engine may
 then skip issue cycles; else it gives per pc of the body what access_cost
 (extra cycles of one issued instruction) is given.  Every admission class
@@ -30,6 +31,7 @@ make_admission is the one place a policy picks its class.
 from __future__ import annotations
 
 import enum
+import math
 from collections import deque
 
 from .coordinator import Coordinator, OversubscriptionConfig
@@ -101,8 +103,8 @@ class _StaticAdmission(Registry):
     def access_plan(self, body) -> None:  # accesses cost nothing: no access_cost
         return None
 
-    def on_phase_change(self, wid: int, phase: PhaseSpecifier) -> bool:
-        return True
+    def on_phase_change(self, wid: int, phase: PhaseSpecifier):
+        pass
 
     def on_warp_finished(self, wid: int) -> bool:
         """True when the warp completed its block, which then leaves the
@@ -160,42 +162,36 @@ class WlmAdmission(_StaticAdmission):
         super().__init__(arch.schedulers_per_sm)
         if not wlm_is_runnable(spec, arch, has_barrier):
             raise KernelUnrunnableError("warp-granular admission cannot complete this kernel")
-        self.arch = arch
-        self.regs_per_warp = spec.regs_per_thread * WARP_WIDTH
-        self.scratch_per_block = spec.scratch_bytes_per_block
-        self.free_regs = arch.registers_per_sm
-        self.free_slots = arch.warp_slots_per_sm
-        self.free_scratch = arch.scratch_bytes_per_sm
+        scratch = spec.scratch_bytes_per_block
+        # a warp fits while fewer than warp_limit are held, a block while
+        # fewer than block_limit are live
+        self.warp_limit = min(
+            arch.warp_slots_per_sm, arch.registers_per_sm // (spec.regs_per_thread * WARP_WIDTH)
+        )
+        self.block_limit = arch.scratch_bytes_per_sm // scratch if scratch else math.inf
+        self.held = 0  # admitted warps not yet finished
         self._waiting: deque[int] = deque()  # unadmitted warps of the partial block
 
-    def _warp_fits(self) -> bool:
-        return self.free_slots >= 1 and self.free_regs >= self.regs_per_warp
-
     def _admit_waiting(self):
-        while self._waiting and self._warp_fits():
-            self.free_slots -= 1
-            self.free_regs -= self.regs_per_warp
+        while self._waiting and self.held < self.warp_limit:
+            self.held += 1
             self._admit(self.warps[self._waiting.popleft()])
 
     def can_accept_block(self, warps: int) -> bool:
         return (
             not self._waiting
-            and self.free_scratch >= self.scratch_per_block
-            and self._warp_fits()
+            and len(self.blocks) < self.block_limit
+            and self.held < self.warp_limit
         )
 
     def on_block_arrival(self, bid: int, wids: tuple[int, ...], phase: PhaseSpecifier):
         super().on_block_arrival(bid, wids)
-        self.free_scratch -= self.scratch_per_block
         self._waiting.extend(wids)
         self._admit_waiting()
 
     def on_warp_finished(self, wid: int) -> bool:
         done = super().on_warp_finished(wid)
-        self.free_slots += 1
-        self.free_regs += self.regs_per_warp
-        if done:
-            self.free_scratch += self.scratch_per_block
+        self.held -= 1
         self._admit_waiting()
         return done
 
@@ -206,18 +202,8 @@ class WlmAdmission(_StaticAdmission):
             if w.state is not WarpState.PENDING_THREAD and w.state is not WarpState.FINISHED
         )
         errors = self.registry_errors()
-        for name, free, used, cap in (
-            ("registers", self.free_regs, held * self.regs_per_warp, self.arch.registers_per_sm),
-            ("slots", self.free_slots, held, self.arch.warp_slots_per_sm),
-            (
-                "scratchpad",
-                self.free_scratch,
-                len(self.blocks) * self.scratch_per_block,
-                self.arch.scratch_bytes_per_sm,
-            ),
-        ):
-            if free + used != cap:
-                errors.append(f"{name}: {free} free + {used} held != capacity {cap}")
+        if self.held != held:
+            errors.append(f"{self.held} warps counted as held, {held} are")
         return errors
 
 

@@ -299,11 +299,16 @@ def test_sweep_that_does_not_terminate_names_its_point_and_exits_3(tmp_path, cap
 
 def test_phases_prints_the_decomposition(capsys):
     rc = main(["phases", "--kernel", "corpus:scratch_cliff"])
-    out = capsys.readouterr().out
     assert rc == 0
-    assert "5 phases" in out
-    assert "4224" in out
-    assert "384" in out
+    assert capsys.readouterr().out == (
+        "kernel scratch_cliff: 5 phases over 42 instructions\n"
+        "phase  start    end   span  barrier  max_regs  max_scratch\n"
+        "    0      0     10     10       no        16            0\n"
+        "    1     10     14      4       no        16         4224\n"
+        "    2     14     20      6      yes        16         4224\n"
+        "    3     20     32     12      yes        16         4224\n"
+        "    4     32     42     10       no        16          384\n"
+    )
 
 
 def test_phases_rejects_a_nan_threshold(capsys):
@@ -402,6 +407,21 @@ def test_a_compiled_kernel_file_is_validated_under_every_policy(tmp_path, capsys
     capsys.readouterr()
     rc = main(["simulate", "--kernel", str(bad), "--policy", policy])
     assert (rc, capsys.readouterr().err) == (2, "error: kernel 'k': empty specifier span before 1\n")
+
+
+@pytest.mark.parametrize("policy", ["baseline", "wlm", "zorua"])
+def test_a_kernel_file_ending_in_a_phase_line_exits_2(tmp_path, capsys, policy):
+    # under zorua the trailing specifier queued the warp for the sets it
+    # announced, and the warp then finished from its queue
+    path = tmp_path / "tail.kernel"
+    path.write_text(
+        "kernel k\nconfig threads_per_block=64 regs_per_thread=32 scratch=1024 blocks=1\n"
+        "phase live_regs=8 scratch=0\ninstr ALU live_regs=8 scratch=0\n"
+        "phase live_regs=32 scratch=1024\n",
+        encoding="utf-8",
+    )
+    rc = main(["simulate", "--kernel", str(path), "--policy", policy])
+    assert (rc, capsys.readouterr().err) == (2, "error: kernel 'k': the body ends in a specifier\n")
 
 
 def test_a_phase_beyond_the_scratchpad_exits_2(tmp_path, capsys):

@@ -136,7 +136,7 @@ def test_phase_growth_releases_registers_before_scratch_wait():
     assert coord.warps[7].state is WarpState.SCHEDULABLE
     # the warp's next phase wants 8 scratch sets; only 1 physical left and
     # the 7-set overflow blows the budget of 4, so it waits without regs
-    assert coord.on_phase_change(7, _phase(reg_sets=2, scratch_sets=8)) is False
+    coord.on_phase_change(7, _phase(reg_sets=2, scratch_sets=8))
     assert coord.warps[7].state is WarpState.PENDING_SCRATCH
     assert regs.owned(7) == 0
     assert coord.check_invariants() == []
@@ -147,7 +147,8 @@ def test_phase_shrink_frees_excess_immediately():
     _arrive(coord, 0, (0,), reg_sets=6, scratch_sets=8)
     regs = coord.tables[ResourceKind.REGISTER]
     scratch = coord.tables[ResourceKind.SCRATCHPAD]
-    assert coord.on_phase_change(0, _phase(reg_sets=2, scratch_sets=3)) is True
+    coord.on_phase_change(0, _phase(reg_sets=2, scratch_sets=3))
+    assert coord.warps[0].state is WarpState.SCHEDULABLE
     assert regs.owned(0) == 2
     assert scratch.owned(0) == 3  # block shrinks to the max live demand
     assert coord.check_invariants() == []
@@ -426,11 +427,13 @@ def test_the_register_waiter_holding_more_sets_is_granted_first():
     _arrive(coord, 1, (4, 5), reg_sets=8, scratch_sets=0)  # all 32 sets taken
     _arrive(coord, 2, (6,), reg_sets=2, scratch_sets=0)
     # warp 0 grows from four sets to six and queues behind warp 6
-    assert coord.on_phase_change(0, _phase(reg_sets=6, scratch_sets=0)) is False
+    coord.on_phase_change(0, _phase(reg_sets=6, scratch_sets=0))
+    assert coord.warps[0].state is WarpState.PENDING_REG
     assert coord.warps[6].enqueue_seq < coord.warps[0].enqueue_seq
     assert regs.owned(0) == 4 and regs.owned(6) == 0
     # two sets free: both waiters lack two, and the one holding four wins
-    assert coord.on_phase_change(1, _phase(reg_sets=2, scratch_sets=0)) is True
+    coord.on_phase_change(1, _phase(reg_sets=2, scratch_sets=0))
+    assert coord.warps[1].state is WarpState.SCHEDULABLE
     assert coord.warps[0].state is WarpState.SCHEDULABLE
     assert coord.warps[6].state is WarpState.PENDING_REG
     assert regs.owned(0) == 6
@@ -444,7 +447,7 @@ def test_scratch_waiters_pass_in_enqueue_order():
     _arrive(coord, 1, (2, 3), reg_sets=1, scratch_sets=3)  # 6 of 8 sets taken
     _arrive(coord, 2, (4,), reg_sets=1, scratch_sets=4)
     # warp 0, of an older block and a lower id, queues for scratch later
-    assert coord.on_phase_change(0, _phase(reg_sets=1, scratch_sets=6)) is False
+    coord.on_phase_change(0, _phase(reg_sets=1, scratch_sets=6))
     assert [coord.warps[w].state for w in (4, 0)] == [WarpState.PENDING_SCRATCH] * 2
     assert coord.warps[4].enqueue_seq < coord.warps[0].enqueue_seq
     # block 1 shrinks to one set: four are free, enough for either waiter

@@ -10,7 +10,7 @@ from smvirt.corpus import (
     export_corpus,
 )
 from smvirt.harness import grid_points, parse_grid
-from smvirt.kernel_model import Opcode, load_kernel
+from smvirt.kernel_model import Opcode, load_kernel, parse_kernel, serialize_kernel
 from smvirt.phase_compiler import annotate_phases, detect_phase_boundaries
 
 
@@ -51,8 +51,7 @@ def test_scratch_cliff_phase_structure():
     # the scratch profile steps 0 -> 4224 -> 384; barrier-opened phases
     # carry no specifier of their own
     assert payloads == [(16, 0), (16, 4224), (16, 384)]
-    report = detect_phase_boundaries(kern)
-    assert [p.opened_by_barrier for p in report.phases] == [
+    assert [p.opened_by_barrier for p in detect_phase_boundaries(kern)] == [
         False,
         False,
         True,
@@ -63,8 +62,7 @@ def test_scratch_cliff_phase_structure():
 
 def test_mixed_phase_alternates_register_levels():
     kern = corpus_kernel("mixed_phase")
-    report = detect_phase_boundaries(kern)
-    assert [p.max_live_regs for p in report.phases] == [16, 32, 16, 32, 16]
+    assert [p.max_live_regs for p in detect_phase_boundaries(kern)] == [16, 32, 16, 32, 16]
     assert not kern.has_barrier()
 
 
@@ -74,7 +72,7 @@ def test_barrier_heavy_has_barriers_every_phase():
 
 
 def test_uniform_is_a_single_phase():
-    assert len(detect_phase_boundaries(corpus_kernel("uniform")).phases) == 1
+    assert len(detect_phase_boundaries(corpus_kernel("uniform"))) == 1
 
 
 def test_recommended_grids_parse_and_produce_points():
@@ -103,3 +101,9 @@ def test_export_round_trips(tmp_path):
         assert load_kernel(kpath) == corpus_kernel(name)
         gtext = (tmp_path / f"{name}.grid").read_text(encoding="utf-8")
         assert gtext == RECOMMENDED_GRIDS[name]
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_a_compiled_kernel_text_round_trips_exactly(name):
+    compiled = annotate_phases(corpus_kernel(name))
+    assert parse_kernel(serialize_kernel(compiled)) == compiled

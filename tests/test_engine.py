@@ -16,7 +16,14 @@ from smvirt.corpus import corpus_kernel, corpus_names
 from smvirt.coordinator import Coordinator, OversubscriptionConfig
 from smvirt.engine import NonTerminationError, _SMRun, measure_underutilization, run
 from smvirt.harness import run_sweep
-from smvirt.kernel_model import Instruction, KernelSpec, Opcode, ResourceSpecification
+from smvirt.kernel_model import (
+    Instruction,
+    KernelSpec,
+    Opcode,
+    ResourceSpecification,
+    load_kernel,
+    save_kernel,
+)
 from smvirt.phase_compiler import annotate_phases
 from smvirt.policies import KernelUnrunnableError, Policy
 from smvirt.resource_maps import get_arch
@@ -467,6 +474,21 @@ def test_pinned_threshold_keeps_every_access_on_chip():
     assert res.reg_hit_rate == 1.0
     assert res.scratch_hit_rate == 1.0
     assert res.slot_hit_rate == 1.0
+
+
+@pytest.mark.parametrize("policy", ["baseline", "wlm", "zorua"])
+def test_a_saved_compiled_kernel_reloads_as_itself(tmp_path, policy):
+    # a specifier has no liveness of its own, so its text loses nothing:
+    # past it a warp holds what the next instruction leaves live
+    compiled = annotate_phases(corpus_kernel("reg_cliff"))
+    path = tmp_path / "reg_cliff.kernel"
+    save_kernel(compiled, path)
+    reloaded = load_kernel(path)
+    assert reloaded == compiled
+    util = run(compiled, policy, collect_util=True).utilization
+    assert run(reloaded, policy, collect_util=True).utilization == util
+    expected = {"baseline": 0.766, "wlm": 0.768, "zorua": 0.537}[policy]
+    assert round(util.register_utilization, 3) == expected
 
 
 def test_utilization_constant_liveness_at_maximum_is_one():

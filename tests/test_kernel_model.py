@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -64,6 +65,23 @@ def test_phase_payload_only_on_specifier():
         Instruction(Opcode.ALU, live_regs_after=8, phase_payload=PhaseSpecifier(8, 0))
     with pytest.raises(KernelInvariantError):
         Instruction(Opcode.PHASE_SPEC)
+
+
+def test_a_specifier_carries_only_its_payload():
+    with pytest.raises(KernelInvariantError, match="carries only its payload"):
+        Instruction(Opcode.PHASE_SPEC, live_regs_after=8, phase_payload=PhaseSpecifier(8, 0))
+    with pytest.raises(KernelInvariantError, match="carries only its payload"):
+        Instruction(Opcode.PHASE_SPEC, live_scratch_after=1, phase_payload=PhaseSpecifier(8, 0))
+
+
+def test_replace_checks_a_compiled_body():
+    spec_ins = Instruction(Opcode.PHASE_SPEC, phase_payload=PhaseSpecifier(8, 0))
+    alu = Instruction(Opcode.ALU, live_regs_after=8)
+    compiled = KernelSpec("k", _spec(), (spec_ins, alu))
+    with pytest.raises(KernelInvariantError, match="the body ends in a specifier"):
+        replace(compiled, body=compiled.body + (spec_ins,))
+    with pytest.raises(KernelInvariantError, match="instruction 1 uses 16 registers"):
+        replace(compiled, body=(spec_ins, Instruction(Opcode.ALU, live_regs_after=16)))
 
 
 def test_is_compiled_and_has_barrier():

@@ -17,7 +17,6 @@ from smvirt.phase_compiler import (
     annotate_phases,
     detect_phase_boundaries,
     phase_demand_table,
-    validate_compiled,
 )
 
 
@@ -82,39 +81,41 @@ def _oracle_phases(body, boundaries):
     )
 
 
+def _boundaries(phases):
+    """The indices that open a phase, index 0 aside."""
+    return [p.start for p in phases[1:]]
+
+
 def test_flat_kernel_is_one_phase():
     k = _kernel([8] * 30)
-    report = detect_phase_boundaries(k)
-    assert report.boundaries == ()
-    assert len(report.phases) == 1
-    assert report.phases[0].start == 0
-    assert report.phases[0].end == 30
-    assert report.phases[0].max_live_regs == 8
+    phases = detect_phase_boundaries(k)
+    assert _boundaries(phases) == []
+    assert len(phases) == 1
+    assert phases[0].start == 0
+    assert phases[0].end == 30
+    assert phases[0].max_live_regs == 8
 
 
 def test_barrier_always_opens_phase_regardless_of_span():
     k = _kernel([8] * 20, barriers={3})
-    report = detect_phase_boundaries(k)
-    assert 3 in report.boundaries
-    assert report.phases[1].opened_by_barrier
+    phases = detect_phase_boundaries(k)
+    assert 3 in _boundaries(phases)
+    assert phases[1].opened_by_barrier
 
 
 def test_small_change_below_threshold_ignored():
     levels = [40] * 12 + [44] * 12  # 10% move, threshold 25%
-    report = detect_phase_boundaries(_kernel(levels))
-    assert report.boundaries == ()
+    assert _boundaries(detect_phase_boundaries(_kernel(levels))) == []
 
 
 def test_change_from_zero_base_counts():
     scratch = [0] * 12 + [512] * 12
-    report = detect_phase_boundaries(_kernel([8] * 24, scratch_levels=scratch))
-    assert report.boundaries == (12,)
+    assert _boundaries(detect_phase_boundaries(_kernel([8] * 24, scratch_levels=scratch))) == [12]
 
 
 def test_min_span_defers_boundary():
     levels = [8] * 5 + [32] * 25  # jump at 5 must wait until index 10
-    report = detect_phase_boundaries(_kernel(levels))
-    assert report.boundaries == (10,)
+    assert _boundaries(detect_phase_boundaries(_kernel(levels))) == [10]
 
 
 def test_boundaries_match_oracle_on_random_kernels():
@@ -126,10 +127,10 @@ def test_boundaries_match_oracle_on_random_kernels():
         )
         threshold = rng.choice([0.1, 0.25, 0.5])
         min_span = rng.choice([1, 4, 10])
-        report = detect_phase_boundaries(k, change_threshold=threshold, min_span=min_span)
+        phases = detect_phase_boundaries(k, change_threshold=threshold, min_span=min_span)
         oracle = _oracle_boundaries(k.body, threshold, min_span)
-        assert list(report.boundaries) == oracle, (k.name, threshold, min_span)
-        assert report.phases == _oracle_phases(k.body, oracle), (k.name, threshold, min_span)
+        assert _boundaries(phases) == oracle, (k.name, threshold, min_span)
+        assert phases == _oracle_phases(k.body, oracle), (k.name, threshold, min_span)
 
 
 def test_raising_threshold_never_adds_boundaries():
@@ -140,15 +141,15 @@ def test_raising_threshold_never_adds_boundaries():
         )
         loose = detect_phase_boundaries(k, change_threshold=0.1)
         tight = detect_phase_boundaries(k, change_threshold=0.6)
-        assert len(tight.boundaries) <= len(loose.boundaries)
+        assert len(tight) <= len(loose)
 
 
 def test_phase_maxima_cover_span():
     levels = [8, 16, 24, 32] + [32] * 8 + [12] * 12
-    report = detect_phase_boundaries(_kernel(levels))
+    phases = detect_phase_boundaries(_kernel(levels))
     # first phase spans the ramp, so its announced demand is the peak
-    assert report.phases[0].max_live_regs == 32
-    assert report.phases[-1].max_live_regs == 12
+    assert phases[0].max_live_regs == 32
+    assert phases[-1].max_live_regs == 12
 
 
 def test_annotate_inserts_specifier_per_nonbarrier_phase():
@@ -157,8 +158,7 @@ def test_annotate_inserts_specifier_per_nonbarrier_phase():
     compiled = annotate_phases(k)
     assert compiled.is_compiled
     specs = [i for i in compiled.body if i.opcode is Opcode.PHASE_SPEC]
-    report = detect_phase_boundaries(k)
-    open_phases = [p for p in report.phases if not p.opened_by_barrier]
+    open_phases = [p for p in detect_phase_boundaries(k) if not p.opened_by_barrier]
     assert len(specs) == len(open_phases)
     for ins, phase in zip(specs, open_phases):
         assert ins.phase_payload.live_regs == phase.max_live_regs
@@ -181,12 +181,13 @@ def test_annotate_barrier_opened_phase_gets_no_specifier():
 
 def test_a_kernel_opening_with_a_barrier_gets_an_entry_specifier():
     k = _kernel([4] + [8] * 12, barriers={0})
-    report = detect_phase_boundaries(k)
-    assert not report.phases[0].opened_by_barrier
+    phases = detect_phase_boundaries(k)
+    assert not phases[0].opened_by_barrier
     compiled = annotate_phases(k)
     assert [i.opcode for i in compiled.body[:3]] == [Opcode.PHASE_SPEC, Opcode.BARRIER, Opcode.ALU]
-    assert phase_demand_table(compiled)[0].live_regs == report.phases[0].max_live_regs
-    validate_compiled(compiled)
+    assert phase_demand_table(compiled)[0].live_regs == phases[0].max_live_regs
+    # the entry specifier may stand directly before a barrier
+    assert KernelSpec(k.name, k.resource_spec, compiled.body) == compiled
 
 
 def test_annotated_kernel_passes_validation():
@@ -196,29 +197,26 @@ def test_annotated_kernel_passes_validation():
             rng.choice(list(Profile)), length=rng.randint(8, 60), seed=rng.randint(0, 1 << 30)
         )
         compiled = annotate_phases(k)
-        validate_compiled(compiled)
+        assert KernelSpec(k.name, k.resource_spec, compiled.body) == compiled
         # instruction stream unchanged apart from inserted specifiers
         stripped = tuple(i for i in compiled.body if i.opcode is not Opcode.PHASE_SPEC)
         assert stripped == k.body
 
 
-def test_validate_rejects_liveness_above_announcement():
+def test_a_compiled_body_rejects_liveness_above_its_announcement():
     spec = ResourceSpecification(
         threads_per_block=64, regs_per_thread=64, scratch_bytes_per_block=0, num_blocks=1
     )
     body = (
-        Instruction(Opcode.PHASE_SPEC, live_regs_after=8, phase_payload=PhaseSpecifier(8, 0)),
+        Instruction(Opcode.PHASE_SPEC, phase_payload=PhaseSpecifier(8, 0)),
         Instruction(Opcode.ALU, live_regs_after=40),  # above the announced 8
     )
-    k = KernelSpec("cheat", spec, body)
     with pytest.raises(KernelInvariantError, match="instruction 1 uses 40 registers"):
-        validate_compiled(k)
+        KernelSpec("cheat", spec, body)
 
 
 def _spec_ins(regs, scratch=0):
-    return Instruction(
-        Opcode.PHASE_SPEC, live_regs_after=regs, phase_payload=PhaseSpecifier(regs, scratch)
-    )
+    return Instruction(Opcode.PHASE_SPEC, phase_payload=PhaseSpecifier(regs, scratch))
 
 
 _ALU8 = Instruction(Opcode.ALU, live_regs_after=8)
@@ -228,22 +226,23 @@ _BAR8 = Instruction(Opcode.BARRIER, live_regs_after=8)
 @pytest.mark.parametrize(
     "body, message",
     [
-        ((_ALU8,), "compiled body must begin with a specifier"),
+        ((_ALU8, _spec_ins(8), _ALU8), "instr 1: a body with a specifier must begin with one"),
         ((_spec_ins(8), _spec_ins(8), _ALU8), "empty specifier span before 1"),
         ((_spec_ins(8), _ALU8, _BAR8, _spec_ins(8), _BAR8), "specifier at a barrier with no body"),
         (
             (_spec_ins(8, 1024), Instruction(Opcode.LD_SHARED, 8, 2048)),
             "instruction 1 uses 2048 scratch bytes, specifier announced 1024",
         ),
+        ((_spec_ins(8), _ALU8, _spec_ins(8)), "the body ends in a specifier"),
     ],
-    ids=["uncompiled", "adjacent", "barrier", "scratchpad"],
+    ids=["uncompiled", "adjacent", "barrier", "scratchpad", "end"],
 )
-def test_validate_names_each_broken_rule(body, message):
+def test_a_compiled_body_names_each_broken_rule(body, message):
     spec = ResourceSpecification(
         threads_per_block=64, regs_per_thread=64, scratch_bytes_per_block=4096, num_blocks=1
     )
-    with pytest.raises(KernelInvariantError, match=f"kernel 'cheat': {message}"):
-        validate_compiled(KernelSpec("cheat", spec, body))
+    with pytest.raises(KernelInvariantError, match=f"^{message}$"):
+        KernelSpec("cheat", spec, body)
 
 
 @pytest.mark.parametrize("threshold", [0.0, -0.25, float("nan")])

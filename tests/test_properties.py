@@ -517,23 +517,6 @@ def test_parsers_raise_only_their_own_errors(text):
             pass
 
 
-def _as_text_carries(kernel: KernelSpec) -> KernelSpec:
-    """The kernel its text stands for.  A phase line carries only the
-    payload, and the parser gives the specifier the payload as its own
-    liveness; annotate_phases gives it the liveness of the phase's first
-    instruction instead, so a compiled kernel's specifiers change."""
-    return replace(kernel, body=tuple(
-        replace(
-            ins,
-            live_regs_after=ins.phase_payload.live_regs,
-            live_scratch_after=ins.phase_payload.scratch_bytes,
-        )
-        if ins.phase_payload is not None
-        else ins
-        for ins in kernel.body
-    ))
-
-
 # lines put between kernel lines, and endings put after them
 _NOISE_LINES = ("", "   ", "# note", "\t# kernel x", "#instr ALU live_regs=1 scratch=0")
 _LINE_ENDINGS = ("", "  # trailing", " #", "\t")
@@ -552,7 +535,7 @@ def test_kernel_text_round_trips_with_one_instruction_per_distinct_line(kernel, 
     for i, line in data.draw(st.lists(st.tuples(at, st.sampled_from(_NOISE_LINES)), max_size=12)):
         noisy.insert(i, line)
     parsed = parse_kernel("\n".join(noisy) + "\n")
-    assert parsed == _as_text_carries(kernel)
+    assert parsed == kernel
     # a repeated instruction line yields the object its first occurrence made
     distinct = {line for line in lines if line.startswith(("instr ", "phase "))}
     assert len({id(ins) for ins in parsed.body}) == len(distinct)
