@@ -270,7 +270,10 @@ class _SMRun:
     The admission object decides which warps may run (see policies.py);
     the engine schedules and issues them and turns what happens into the
     admission hooks, passing phase specifiers on as they are: it never
-    counts sets.  Warps and blocks live in the admission's registry, and
+    counts sets.  Where the admission's access_plan is None, issuing costs
+    it nothing and a specifier changes nothing, so a specifier issues as
+    a plain instruction and raises no event, unless the event log records
+    its phase change.  Warps and blocks live in the admission's registry, and
     so do the scheduler lists the loop issues from and the schedulable
     count: the engine keeps no copy of which warps may issue.
 
@@ -288,8 +291,10 @@ class _SMRun:
     every pick is ready in the next cycle.  It advances k cycles at once,
     each pick's pc and next_ready by k, where k is the smallest of three
     bounds: the picks' plain[pc], so no pick reaches an instruction that
-    raises an event or makes a memory request; wake - 1 - now, so no idle
-    scheduler's warp wakes inside the skip; and boundary - 1 - now, so
+    raises an event or makes a memory request (a global load or store, a
+    barrier, a warp's last instruction, and a specifier only in a logged
+    run); wake - 1 - now, so no idle scheduler's warp wakes inside the
+    skip; and boundary - 1 - now, so
     the skip ends no later than the epoch's last cycle, whose normal tick
     check then runs.  A cycle_cap inside the skip raises at the top of the
     next pass, as it would have in the cycles skipped.  A scheduler's
@@ -485,6 +490,10 @@ class _SMRun:
         epoch_cycles = self.arch.epoch_cycles
         cycle_cap = self.cycle_cap
         util = self.util
+        # the opcode that raises a phase change: none where admission
+        # charges nothing, so a specifier changes nothing, unless the log
+        # records it
+        spec_op = None if plan is None and self.events is None else _PHASE_SPEC
         plain = None
         if plan is None and util is None:
             # plain[pc]: how many instructions from pc on raise no event
@@ -492,7 +501,7 @@ class _SMRun:
             # its finish, and admission that charges nothing costs none
             plain = [0] * (n_body + 1)
             for i in range(n_body - 2, -1, -1):
-                if ops[i] not in (_LD_GLOBAL, _ST_GLOBAL, _BARRIER, _PHASE_SPEC):
+                if ops[i] not in (_LD_GLOBAL, _ST_GLOBAL, _BARRIER, spec_op):
                     plain[i] = plain[i + 1] + 1
         greedy, schedulers = [None] * len(part), range(len(part))
         pending = []
@@ -543,7 +552,7 @@ class _SMRun:
                     if op is _BARRIER:
                         pending.append((_BARRIER_REACHED, w.wid, None))
                     else:
-                        if op is _PHASE_SPEC:
+                        if op is spec_op:
                             pending.append((_PHASE_CHANGE, w.wid, body[pc].phase_payload))
                         if pc + 1 == n_body:
                             pending.append((_WARP_FINISHED, w.wid, None))

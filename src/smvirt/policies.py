@@ -8,7 +8,7 @@ with bounded swap oversubscription (see coordinator.py).
 
 Each policy is one admission object per SM, and the engine drives all three
 through the same hooks: can_accept_block and on_block_arrival (given the
-compiled kernel's entry phase specifier), on_phase_change (given the
+compiled kernel's entry phase specifier), on_phase_change (given an
 issued specifier; it returns nothing), on_barrier and release_barrier,
 on_warp_finished (True when the block completed), on_epoch,
 deadlock_guard, drain_effects and check_invariants, plus the result
@@ -17,9 +17,12 @@ capability: retunes (the controller may loosen admission at the next
 epoch).  Only an admission that retunes has pending_work (whether
 admissible warps wait), which the engine asks before it waits for the
 next epoch with nothing schedulable.
-access_plan(body) is None where accesses cost nothing, and the engine may
-then skip issue cycles; else it gives per pc of the body what access_cost
-(extra cycles of one issued instruction) is given.  Every admission class
+access_plan(body) is None where issuing costs the admission nothing and
+specifiers change nothing: the engine then calls on_phase_change only in
+a run that logs its events, and may skip issue cycles, specifiers
+included.  Else it gives per pc of the body what access_cost (extra
+cycles of one issued instruction) is given, and every issued specifier
+reaches on_phase_change.  Every admission class
 is a Registry (registry.py), which owns the one warp and block registry,
 holding live blocks only, and each scheduler's list of schedulable warps,
 which the engine issues from; it hands warp wakes to the engine as

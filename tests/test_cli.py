@@ -128,6 +128,20 @@ def test_simulate_event_log(tmp_path, capsys):
     assert events[0]["event"] == "BLOCK_ARRIVAL"
 
 
+@pytest.mark.parametrize("policy", ["baseline", "wlm"])
+@pytest.mark.parametrize("kernel", ["corpus:reg_cliff", "corpus:mixed_phase"])
+def test_the_event_log_only_observes(tmp_path, capsys, kernel, policy):
+    # the log makes a static policy's specifiers raise events again; the
+    # results must not see it
+    plain, logged, log = tmp_path / "plain.json", tmp_path / "logged.json", tmp_path / "ev.jsonl"
+    cmd = ["simulate", "--kernel", kernel, "--policy", policy, "--arch", "fermi", "--json"]
+    assert main([*cmd, str(plain)]) == 0
+    assert main([*cmd, str(logged), "--event-log", str(log)]) == 0
+    capsys.readouterr()
+    assert plain.read_bytes() == logged.read_bytes()
+    assert '"event": "PHASE_CHANGE"' in log.read_text(encoding="utf-8")
+
+
 def test_unknown_corpus_kernel_is_a_validation_error(capsys):
     rc = main(["simulate", "--kernel", "corpus:nqu", "--policy", "baseline"])
     assert rc == 2

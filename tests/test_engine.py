@@ -8,13 +8,14 @@ policy runs the compiled kernel, so each warp first issues its entry
 phase specifier, in one cycle like an ALU.
 """
 
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
 from smvirt.corpus import corpus_kernel, corpus_names
 from smvirt.coordinator import Coordinator, OversubscriptionConfig
-from smvirt.engine import NonTerminationError, _SMRun, measure_underutilization, run
+from smvirt.engine import EventKind, NonTerminationError, _SMRun, measure_underutilization, run
 from smvirt.harness import run_sweep
 from smvirt.kernel_model import (
     Instruction,
@@ -25,7 +26,7 @@ from smvirt.kernel_model import (
     save_kernel,
 )
 from smvirt.phase_compiler import annotate_phases
-from smvirt.policies import KernelUnrunnableError, Policy
+from smvirt.policies import KernelUnrunnableError, Policy, _StaticAdmission
 from smvirt.resource_maps import get_arch
 
 from reference_loop import reference_run
@@ -341,6 +342,38 @@ def test_event_log_shape_and_counts():
     assert run(kern, Policy.ZORUA, ONE_SM).event_log is None
 
 
+@pytest.mark.parametrize("policy", [Policy.BASELINE, Policy.WLM, Policy.ZORUA])
+@pytest.mark.parametrize("name", ["reg_cliff", "barrier_heavy"])
+def test_only_zorua_reads_the_specifiers_of_an_unlogged_run(monkeypatch, name, policy):
+    # admission that charges nothing is told of no specifier: the loop
+    # issues over them, so only barrier arrivals and the finishes that
+    # issues raise reach the event handler
+    def refuse(self, wid, phase):
+        raise AssertionError(f"warp {wid} passed a specifier to a static admission")
+
+    monkeypatch.setattr(_StaticAdmission, "on_phase_change", refuse)
+    handled = Counter()
+    handle = _SMRun._handle_event
+
+    def counted(self, kind, wid, payload):
+        handled[kind] += 1
+        handle(self, kind, wid, payload)
+
+    monkeypatch.setattr(_SMRun, "_handle_event", counted)
+    kern = annotate_phases(corpus_kernel(name))
+    run(kern, policy, ONE_SM)
+    warps = kern.resource_spec.num_blocks * kern.resource_spec.warps_per_block
+    per_warp = Counter(ins.opcode for ins in kern.body)
+    expected = {
+        EventKind.BARRIER_REACHED: per_warp[Opcode.BARRIER] * warps,
+        EventKind.WARP_FINISHED: warps,
+    }
+    if policy is Policy.ZORUA:
+        expected[EventKind.PHASE_CHANGE] = per_warp[Opcode.PHASE_SPEC] * warps
+    assert kern.body[-1].opcode is not Opcode.BARRIER
+    assert handled == Counter(expected)
+
+
 def test_cycle_cap_raises_non_termination():
     body = _alu(1) + [Instruction(Opcode.LD_GLOBAL, live_regs_after=8)] + _alu(1)
     with pytest.raises(NonTerminationError):
@@ -389,10 +422,10 @@ def test_a_plain_run_through_epoch_boundaries_ticks_with_the_same_epoch_stats():
 
 @pytest.mark.parametrize("cap", [0, 1, 50, 98, 99, 100])
 def test_a_cycle_cap_inside_a_plain_run_still_raises(cap):
-    # one warp of a specifier and 99 ALUs issues in cycles 0 to 99.  The
-    # specifier raises a phase change, so after the first ALU, at cycle 1,
-    # the issue skip leaps to cycle 98, past any cap in between; the check
-    # at the top of the next pass raises, as in the cycles skipped
+    # one warp of a specifier and 99 ALUs issues in cycles 0 to 99.  Under
+    # baseline the specifier raises no event, so after it, at cycle 0, the
+    # issue skip leaps to cycle 98, past any cap in between; the check at
+    # the top of the next pass raises, as in the cycles skipped
     kern = _kernel(_alu(99))
     if cap < 100:
         with pytest.raises(NonTerminationError, match=f"no completion within {cap} cycles"):

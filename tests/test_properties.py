@@ -370,6 +370,8 @@ def test_fast_loop_matches_the_naive_reference_loop(
         assert fast.barrier_stall == 0, policy
         assert fast.to_dict() == naive.to_dict(), policy
         assert fast.event_log == naive.event_log, policy
+        # without the log, the static policies issue over specifiers
+        assert run(kernel, policy, hw).to_dict() == naive.to_dict(), policy
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -411,6 +413,7 @@ def test_with_nothing_scarce_the_three_policies_run_one_schedule(
     for policy in Policy:
         res = run(kernel, policy, hw, log_events=True)
         doc = res.to_dict()
+        assert run(kernel, policy, hw).to_dict() == doc, policy
         del doc["policy"], doc["o_thresh_final"]
         schedules.append((doc, res.event_log))
     assert schedules[0] == schedules[1] == schedules[2]
