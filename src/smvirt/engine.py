@@ -294,11 +294,11 @@ class _SMRun:
     raises an event or makes a memory request (a global load or store, a
     barrier, a warp's last instruction, and a specifier only in a logged
     run); wake - 1 - now, so no idle scheduler's warp wakes inside the
-    skip; and boundary - 1 - now, so
-    the skip ends no later than the epoch's last cycle, whose normal tick
-    check then runs.  A cycle_cap inside the skip raises at the top of the
-    next pass, as it would have in the cycles skipped.  A scheduler's
-    greedy warp changes only in a cycle that issues.
+    skip; and boundary - 1 - now, so the skip ends no later than the
+    epoch's last cycle, whose normal tick check then runs.  A cycle_cap
+    inside the skip raises at the top of the next pass, as it would have
+    in the cycles skipped.  A scheduler's greedy warp changes only in a
+    cycle that issues.
 
     The pass and the issue are inline in run over names bound before the
     loop: a per-pc opcode list and the admission's access_plan: None, or

@@ -8,11 +8,15 @@ the schedulable warps the same way, for the wedge test and the integral.
 It has no stall skip and no issue skip, and it reads none of the
 registry's scheduler lists, so it shares no index with the loop it
 checks; it drives the same admission hooks and event handlers as the
-fast loop.  It tells whether admissible work waits, for the wedge test,
-and sorts a stall cycle into one of three buckets from the warp states
-alone: memory if a warp is schedulable, idle if a warp is pending
-admission or blocks remain, barrier otherwise.  The fast loop has no
-barrier bucket, so the reference must never fill it.  An epoch tick
+fast loop.  Every issued specifier raises a phase change here, under
+every policy and with the log off too, so an unlogged fast run that
+matches it shows that the static policies lose nothing when the fast
+loop issues over their specifiers.  It tells whether admissible work
+waits, for the wedge test, and sorts a stall cycle into one of three
+buckets from the warp states alone: memory if a warp is schedulable,
+idle if a warp is pending admission or blocks remain, barrier
+otherwise.  The fast loop has no barrier bucket, so the reference must
+never fill it.  An epoch tick
 after an issue cycle runs in that cycle; one after a stall cycle runs
 at the boundary, as the fast loop's stall skip does.
 
