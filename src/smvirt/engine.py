@@ -3,9 +3,10 @@
 Each SM runs two instruction schedulers that issue greedily from their
 current warp and fall back to the oldest ready one.  One loop,
 _SMRun.run, simulates the cycles, and skips those whose outcome is
-known (see _SMRun).  Global memory round trips share a fixed number of
-in-flight request slots;
-arithmetic and scratchpad accesses complete in one cycle.  Under the
+known (see _SMRun).  Global memory round trips take a fixed latency and
+share a fixed number of in-flight slots, so they complete in issue order;
+past the cap a request starts when the oldest outstanding one completes.
+Arithmetic and scratchpad accesses complete in one cycle.  Under the
 virtualizing policy every register access consults the register mapping
 table and every scratchpad access additionally consults the scratchpad
 table, each consult adding a fixed pipeline penalty to that warp, and
@@ -26,11 +27,10 @@ and the launch finishes when the slowest replica does.
 from __future__ import annotations
 
 import enum
-import heapq
 import math
 from collections import deque
 from dataclasses import dataclass, fields, replace
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Optional, Union
 
 from .coordinator import OversubscriptionConfig
@@ -72,6 +72,9 @@ _NEVER = 1 << 62  # the scan's wake before it sees a warp: later than any cycle
 
 # end-of-cycle events run in (kind, wid) order
 _event_order = itemgetter(0, 1)
+# the epoch counters a launch sums over its SMs, named alike in SimResult
+_SUMMED_EPOCH_FIELDS = ("issued_instructions", "issued_cycles", "c_idle", "c_mem", "barrier_stall")
+_summed_epoch_fields = attrgetter(*_SUMMED_EPOCH_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -171,22 +174,22 @@ class SimResult:
 class _MemSystem:
     """Global memory with a bounded number of in-flight round trips.
 
-    A request past the cap starts when the earliest outstanding one
-    completes.
+    Requests come at a clock that never goes back and take a fixed
+    latency, so they complete in issue order and the slots are a FIFO of
+    completion times.  A request past the cap starts when the oldest
+    outstanding one completes, and its append evicts that one.
     """
 
     def __init__(self, latency: int, max_inflight: int):
         self.latency = latency
-        self.max_inflight = max_inflight
-        self._slots: list[int] = []
+        self._slots: deque[int] = deque(maxlen=max_inflight)
 
     def request(self, now: int) -> int:
-        if len(self._slots) < self.max_inflight:
-            done = now + self.latency
-        else:
-            free = heapq.heappop(self._slots)
-            done = max(now, free) + self.latency
-        heapq.heappush(self._slots, done)
+        slots = self._slots
+        if len(slots) == slots.maxlen and slots[0] > now:
+            now = slots[0]
+        done = now + self.latency
+        slots.append(done)
         return done
 
 
@@ -301,12 +304,13 @@ class _SMRun:
     cycle that issues.
 
     The pass and the issue are inline in run over names bound before the
-    loop: a per-pc opcode list and the admission's access_plan: None, or
-    per pc the entry access_cost is given.  The clock, the
-    next epoch boundary and the per-cycle counters (ep_issued,
-    ep_issue_cycles, sched_integral, last_issue) are locals; run writes
-    the clock back before a hook runs, and the counters before an epoch
-    tick and at the end.  One list made before the loop collects each
+    loop: a per-pc opcode list, the admission's access_plan: None, or per
+    pc the entry access_cost is given, and request, which books a global
+    load or store in the memory FIFO.  The clock, the next epoch boundary
+    and the per-cycle counters (ep_issued, ep_issue_cycles,
+    sched_integral, last_issue) are locals; run writes the clock back
+    before a hook runs, and the counters before an epoch tick and at the
+    end.  One list made before the loop collects each
     cycle's events.  The events and the epoch tick go through the methods
     below, and _finish derives the figures.
 
@@ -366,18 +370,17 @@ class _SMRun:
         totals = self.adm.access_totals()
         return tuple(totals[kind][1] for kind in ResourceKind)
 
-    def _record_in_flight(self):
-        in_flight = len(self.blocks)
-        self.bif_max = max(self.bif_max, in_flight)
-        if self.remaining > 0:
-            self.bif_min = in_flight if self.bif_min is None else min(self.bif_min, in_flight)
-
     # -- block dispatch -----------------------------------------------------
 
     def _dispatch(self):
+        """Start every block admission accepts, then record blocks in flight."""
         while self.remaining and self.adm.can_accept_block(self.wpb):
             self._start_block()
-        self._record_in_flight()
+        in_flight = len(self.blocks)
+        if in_flight > self.bif_max:
+            self.bif_max = in_flight
+        if self.remaining and (self.bif_min is None or in_flight < self.bif_min):
+            self.bif_min = in_flight
 
     def _start_block(self):
         bid = self.next_bid
@@ -397,15 +400,16 @@ class _SMRun:
 
     def _apply_effects(self):
         """The effect loop: apply queued batches in order until none is left."""
-        work = self.work
+        work, warps, n_body = self.work, self.warps, len(self.body)
         while work:
             wake, effects = work.popleft()
             for tag, wid in effects:
-                w = self.warps[wid]
+                w = warps[wid]
                 if tag == "slot_swapin":
                     w.next_ready = max(w.next_ready, wake + self.arch.memory_latency_cycles)
-                elif w.pc < len(self.body):
-                    w.next_ready = max(w.next_ready, wake)
+                elif w.pc < n_body:
+                    if w.next_ready < wake:
+                        w.next_ready = wake
                 else:
                     # admitted only to retire: its last instruction was a
                     # barrier
@@ -675,17 +679,18 @@ def run(
         sms[count] = _SMRun(kernel, adm, arch, count, debug, cycle_cap, util, log_events).run()
     critical = sms[max(sms, key=lambda c: (sms[c].cycles, c))]
 
-    def total(figure) -> int:
-        """One per-SM figure summed over every SM of the launch."""
-        return sum(counts[c] * figure(sm) for c, sm in sms.items())
-
-    def epoch_total(name: str) -> int:
-        return total(lambda sm: sum(getattr(e, name) for e in sm.epochs))
-
-    def rate(kind: ResourceKind) -> float:
-        tot = total(lambda sm: sm.adm.access_totals()[kind][0])
-        swap = total(lambda sm: sm.adm.access_totals()[kind][1])
-        return 1.0 if tot == 0 else 1.0 - swap / tot
+    # per-SM figures summed over every SM of the launch, one walk per replica
+    summed = dict.fromkeys(_SUMMED_EPOCH_FIELDS, 0)
+    accesses = dict.fromkeys(ResourceKind, (0, 0))
+    guard_admissions = 0
+    for c, sm in sms.items():
+        n = counts[c]
+        for name, column in zip(_SUMMED_EPOCH_FIELDS, zip(*map(_summed_epoch_fields, sm.epochs))):
+            summed[name] += n * sum(column)
+        for kind, (tot, swap) in sm.adm.access_totals().items():
+            accesses[kind] = (accesses[kind][0] + n * tot, accesses[kind][1] + n * swap)
+        guard_admissions += n * sm.adm.guard_admissions
+    rates = {kind: 1.0 if tot == 0 else 1.0 - swap / tot for kind, (tot, swap) in accesses.items()}
 
     return SimResult(
         kernel_name=kernel.name,
@@ -694,18 +699,14 @@ def run(
         seed=seed,
         spec=kernel.resource_spec,
         cycles=critical.cycles,
-        issued_instructions=epoch_total("issued_instructions"),
-        issued_cycles=epoch_total("issued_cycles"),
-        c_idle=epoch_total("c_idle"),
-        c_mem=epoch_total("c_mem"),
-        barrier_stall=epoch_total("barrier_stall"),
-        reg_hit_rate=rate(ResourceKind.REGISTER),
-        scratch_hit_rate=rate(ResourceKind.SCRATCHPAD),
-        slot_hit_rate=rate(ResourceKind.WARP_SLOT),
+        **summed,
+        reg_hit_rate=rates[ResourceKind.REGISTER],
+        scratch_hit_rate=rates[ResourceKind.SCRATCHPAD],
+        slot_hit_rate=rates[ResourceKind.WARP_SLOT],
         mean_schedulable_warps=critical.sched_integral / critical.cycles,
         blocks_in_flight_min=critical.bif_min,
         blocks_in_flight_max=critical.bif_max,
-        guard_admissions=total(lambda sm: sm.adm.guard_admissions),
+        guard_admissions=guard_admissions,
         o_thresh_final=critical.adm.final_thresholds(),
         epochs=tuple(critical.epochs),
         utilization=None if critical.util is None else critical.util.report(),

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import bisect
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Optional
 
@@ -31,7 +31,10 @@ class WarpState(enum.Enum):
     FINISHED = "finished"
 
 
+# per-event aliases: an Enum member lookup costs far more than a global name
 _SCHEDULABLE = WarpState.SCHEDULABLE
+_AT_BARRIER = WarpState.AT_BARRIER
+_FINISHED = WarpState.FINISHED
 # scheduler lists are ordered by warp id
 _wid = attrgetter("wid")
 
@@ -52,16 +55,16 @@ class WarpRecord:
     acc_counter: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class BlockRecord:
     bid: int
     warp_ids: tuple[int, ...]
     barrier_arrivals: int = 0
     finished_warps: int = 0
+    size: int = field(init=False)  # its warp count, read on every barrier arrival and finish
 
-    @property
-    def size(self) -> int:
-        return len(self.warp_ids)
+    def __post_init__(self):
+        self.size = len(self.warp_ids)
 
 
 class Registry:
@@ -81,7 +84,8 @@ class Registry:
         return out
 
     def _set_state(self, w: WarpRecord, state: WarpState):
-        """The one place a warp changes state; keeps the scheduler lists."""
+        """The one place a warp changes state; keeps the scheduler lists, where
+        a warp past the tail, as each of a newly arrived block is, appends."""
         old = w.state
         if old is not state:
             if old is _SCHEDULABLE:
@@ -89,13 +93,17 @@ class Registry:
                 del part[bisect.bisect_left(part, w.wid, key=_wid)]
                 self.n_schedulable -= 1
             elif state is _SCHEDULABLE:
-                bisect.insort(self.sched_lists[w.wid % len(self.sched_lists)], w, key=_wid)
+                part = self.sched_lists[w.wid % len(self.sched_lists)]
+                if part and part[-1].wid > w.wid:
+                    bisect.insort(part, w, key=_wid)
+                else:
+                    part.append(w)
                 self.n_schedulable += 1
         w.state = state
 
     def _admit(self, w: WarpRecord):
         """Make a warp schedulable and tell the engine."""
-        self._set_state(w, WarpState.SCHEDULABLE)
+        self._set_state(w, _SCHEDULABLE)
         self._effects.append(("schedulable", w.wid))
 
     def on_block_arrival(self, bid: int, wids: tuple[int, ...]):
@@ -108,7 +116,7 @@ class Registry:
         """Hold the warp at its barrier; True when it was the last of its
         block to arrive."""
         w = self.warps[wid]
-        self._set_state(w, WarpState.AT_BARRIER)
+        self._set_state(w, _AT_BARRIER)
         block = self.blocks[w.block_id]
         block.barrier_arrivals += 1
         return block.barrier_arrivals == block.size
@@ -118,7 +126,7 @@ class Registry:
         block = self.blocks[bid]
         for wid in block.warp_ids:
             w = self.warps[wid]
-            if w.state is WarpState.AT_BARRIER:
+            if w.state is _AT_BARRIER:
                 self._admit(w)
         block.barrier_arrivals = 0
 
@@ -126,7 +134,7 @@ class Registry:
         """Count the warp finished; when that completes its block, drop the
         block and its warps and return the block."""
         w = self.warps[wid]
-        self._set_state(w, WarpState.FINISHED)
+        self._set_state(w, _FINISHED)
         block = self.blocks[w.block_id]
         block.finished_warps += 1
         if block.finished_warps < block.size:

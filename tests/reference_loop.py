@@ -8,7 +8,9 @@ the schedulable warps the same way, for the wedge test and the integral.
 It has no stall skip and no issue skip, and it reads none of the
 registry's scheduler lists, so it shares no index with the loop it
 checks; it drives the same admission hooks and event handlers as the
-fast loop.  Every issued specifier raises a phase change here, under
+fast loop.  Its memory is HeapMemSystem, a heap of completion times
+that assumes nothing of the order they come in, where the engine keeps
+a FIFO.  Every issued specifier raises a phase change here, under
 every policy and with the log off too, so an unlogged fast run that
 matches it shows that the static policies lose nothing when the fast
 loop issues over their specifiers.  It tells whether admissible work
@@ -34,6 +36,7 @@ place of Coordinator.  with_effect_batches records what every hook
 call released, to compare the two hook by hook.
 """
 
+import heapq
 from dataclasses import replace
 from unittest import mock
 
@@ -46,8 +49,28 @@ from smvirt.registry import WarpState
 _PENDING = (WarpState.PENDING_THREAD, WarpState.PENDING_SCRATCH, WarpState.PENDING_REG)
 
 
+class HeapMemSystem:
+    """Bounded in-flight global memory: a request past the cap pops the
+    earliest completion time and starts no earlier than it."""
+
+    def __init__(self, latency: int, max_inflight: int):
+        self.latency = latency
+        self.max_inflight = max_inflight
+        self.slots: list[int] = []
+
+    def request(self, now: int) -> int:
+        if len(self.slots) < self.max_inflight:
+            done = now + self.latency
+        else:
+            done = max(now, heapq.heappop(self.slots)) + self.latency
+        heapq.heappush(self.slots, done)
+        return done
+
+
 class ReferenceSMRun(_SMRun):
     def run(self) -> "ReferenceSMRun":
+        arch = self.arch
+        self.mem = HeapMemSystem(arch.memory_latency_cycles, arch.max_inflight_mem_requests)
         self._dispatch()
         self._apply_effects()
         n_sched = self.arch.schedulers_per_sm

@@ -5,7 +5,8 @@ import pytest
 from smvirt.coordinator import Coordinator, OversubscriptionConfig, adjust_o_thresh
 from smvirt.corpus import corpus_kernel
 from smvirt.engine import run
-from smvirt.kernel_model import PhaseSpecifier
+from smvirt.kernel_model import PhaseSpecifier, ResourceSpecification
+from smvirt.policies import BaselineAdmission
 from smvirt.registry import BlockRecord, WarpState
 from smvirt.resource_maps import ArchConfig, Placement, ResourceKind, get_arch
 
@@ -209,6 +210,30 @@ def test_completed_block_leaves_the_registry():
     assert all(coord.warps[w].state is not WarpState.FINISHED for w in (2, 3))
     assert coord.tables[ResourceKind.SCRATCHPAD].owned(0) == 0
     assert coord.check_invariants() == []
+
+
+def test_scheduler_lists_stay_in_wid_order_through_appends_and_inserts():
+    # two schedulers: even wids on list 0, odd on list 1
+    spec = ResourceSpecification(
+        threads_per_block=128, regs_per_thread=8, scratch_bytes_per_block=0, num_blocks=3
+    )
+    adm = BaselineAdmission(spec, FERMI)
+
+    def lists():
+        return [[w.wid for w in part] for part in adm.sched_lists]
+
+    adm.on_block_arrival(0, (0, 1, 2, 3), None)
+    adm.on_block_arrival(1, (4, 5, 6, 7), None)
+    assert [adm.on_barrier(wid) for wid in range(4)] == [False, False, False, True]
+    assert lists() == [[4, 6], [5, 7]]
+    # released below block 1's warps: each is inserted mid-list
+    adm.release_barrier(0)
+    assert lists() == [[0, 2, 4, 6], [1, 3, 5, 7]]
+    # a new block's warps lie past every tail: each is appended
+    adm.on_block_arrival(2, (8, 9, 10, 11), None)
+    assert lists() == [[0, 2, 4, 6, 8, 10], [1, 3, 5, 7, 9, 11]]
+    assert adm.n_schedulable == 12
+    assert adm.registry_errors() == []
 
 
 def test_invariants_report_leaks_and_a_stale_registry():

@@ -12,10 +12,19 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smvirt.corpus import corpus_kernel, corpus_names
 from smvirt.coordinator import Coordinator, OversubscriptionConfig
-from smvirt.engine import EventKind, NonTerminationError, _SMRun, measure_underutilization, run
+from smvirt.engine import (
+    EventKind,
+    NonTerminationError,
+    _MemSystem,
+    _SMRun,
+    measure_underutilization,
+    run,
+)
 from smvirt.harness import run_sweep
 from smvirt.kernel_model import (
     Instruction,
@@ -29,7 +38,7 @@ from smvirt.phase_compiler import annotate_phases
 from smvirt.policies import KernelUnrunnableError, Policy, _StaticAdmission
 from smvirt.resource_maps import get_arch
 
-from reference_loop import reference_run
+from reference_loop import HeapMemSystem, reference_run
 
 FERMI = get_arch("fermi")
 ONE_SM = replace(FERMI, num_sms=1)
@@ -126,6 +135,23 @@ def test_inflight_cap_serializes_memory_traffic():
     loose = run(kern, Policy.BASELINE, replace(ONE_SM, max_inflight_mem_requests=1000))
     assert loose.cycles == 404
     assert tight.cycles == 802
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    gaps=st.lists(st.integers(min_value=0, max_value=60), max_size=80),
+    latency=st.integers(min_value=1, max_value=500),
+    cap=st.integers(min_value=1, max_value=8),
+)
+def test_the_memory_fifo_completes_requests_as_a_heap_does(gaps, latency, cap):
+    # request clocks never go back and the latency is fixed, so the
+    # earliest outstanding completion is always the oldest; several
+    # requests may share a cycle
+    fifo, heap = _MemSystem(latency, cap), HeapMemSystem(latency, cap)
+    now = 0
+    for gap in gaps:
+        now += gap
+        assert fifo.request(now) == heap.request(now)
 
 
 def test_barrier_release_timing_three_warps():

@@ -346,10 +346,11 @@ def test_zorua_without_a_swap_budget_hits_on_chip_every_time(kernel, arch, guard
 def test_fast_loop_matches_the_naive_reference_loop(
     kernel, trailing_barrier, compiled, arch, schedulers, epoch_cycles, latency, max_inflight
 ):
-    # the stall skip, the issue skip, the cached greedy picks and the
-    # sorted scheduler lists must change nothing a cycle-by-cycle loop
-    # would see; short epochs and latencies put boundaries and wakes
-    # inside the skipped stretches
+    # the stall skip, the issue skip, the cached greedy picks, the sorted
+    # scheduler lists and the memory FIFO must change nothing a
+    # cycle-by-cycle loop with a heap of memory slots would see; short
+    # epochs and latencies put boundaries and wakes inside the skipped
+    # stretches
     if trailing_barrier:
         kernel = _ending_in_barrier(kernel)
     if compiled:
