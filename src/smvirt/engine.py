@@ -408,8 +408,7 @@ class _SMRun:
                 if tag == "slot_swapin":
                     w.next_ready = max(w.next_ready, wake + self.arch.memory_latency_cycles)
                 elif w.pc < n_body:
-                    if w.next_ready < wake:
-                        w.next_ready = wake
+                    w.next_ready = max(w.next_ready, wake)
                 else:
                     # admitted only to retire: its last instruction was a
                     # barrier
@@ -685,8 +684,9 @@ def run(
     guard_admissions = 0
     for c, sm in sms.items():
         n = counts[c]
-        for name, column in zip(_SUMMED_EPOCH_FIELDS, zip(*map(_summed_epoch_fields, sm.epochs))):
-            summed[name] += n * sum(column)
+        for e in sm.epochs:
+            for name, value in zip(_SUMMED_EPOCH_FIELDS, _summed_epoch_fields(e)):
+                summed[name] += n * value
         for kind, (tot, swap) in sm.adm.access_totals().items():
             accesses[kind] = (accesses[kind][0] + n * tot, accesses[kind][1] + n * swap)
         guard_admissions += n * sm.adm.guard_admissions
