@@ -69,7 +69,6 @@ from .resource_maps import (
     get_arch,
     reg_sets_for,
     scratch_sets_for,
-    sets_required,
     table_size_bits,
 )
 
@@ -133,7 +132,6 @@ __all__ = [
     "save_kernel",
     "scratch_sets_for",
     "serialize_kernel",
-    "sets_required",
     "table_size_bits",
     "wlm_is_runnable",
     "write_csv",

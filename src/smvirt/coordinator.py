@@ -60,11 +60,14 @@ from .resource_maps import (
 )
 
 # module-level aliases: an Enum member lookup costs far more than a global
-# name, and _set_state runs on every change of a warp's state
+# name, and the per-event paths name a state on every change of one
 _PENDING_THREAD = WarpState.PENDING_THREAD
 _PENDING_SCRATCH = WarpState.PENDING_SCRATCH
 _PENDING_REG = WarpState.PENDING_REG
+_SCHEDULABLE = WarpState.SCHEDULABLE
 _AT_BARRIER = WarpState.AT_BARRIER
+_PARKED = WarpState.PARKED
+_FINISHED = WarpState.FINISHED
 
 # access_plan's entry for an opcode: the number of tables it consults
 _CONSULTS = {Opcode.BARRIER: 0, Opcode.PHASE_SPEC: 0, Opcode.LD_SHARED: 2, Opcode.ST_SHARED: 2}
@@ -199,7 +202,7 @@ class Coordinator(Registry):
             slots.spill_specific(victim.wid, 0, forced=forced)
             slots.note_swap_event()
             self.regs.free_all(victim.wid)
-            self._set_state(victim, WarpState.PARKED)
+            self._set_state(victim, _PARKED)
         if warp.wid in slots.owned_sets:
             # parked warp resuming: restore its slot and pay the round trip
             slots.migrate_in(warp.wid, 0)
@@ -275,7 +278,7 @@ class Coordinator(Registry):
             if delta > 0:
                 self._grant(scratch, w.block_id, delta, False)
                 room -= delta
-            self._enqueue(w, WarpState.PENDING_REG)
+            self._enqueue(w, _PENDING_REG)
             progressed = True
         survivors = map(warps.__getitem__, self._scratch_q)
         self._scratch_need = min(map(self._scratch_delta, survivors), default=math.inf)
@@ -295,7 +298,7 @@ class Coordinator(Registry):
         for w in map(self.warps.__getitem__, order):
             if not self._pass_thread(w, False):
                 break
-            self._enqueue(w, WarpState.PENDING_SCRATCH)
+            self._enqueue(w, _PENDING_SCRATCH)
             progressed = True
         return progressed
 
@@ -352,7 +355,7 @@ class Coordinator(Registry):
             w = self.warps[wid]
             w.reg_sets_needed = reg_sets
             w.scratch_sets_needed = scratch_sets
-            self._enqueue(w, WarpState.PENDING_THREAD)
+            self._enqueue(w, _PENDING_THREAD)
         self.retry_all_queues()
 
     def _shrink_block_scratch(self, bid: int, need: int) -> bool:
@@ -363,7 +366,7 @@ class Coordinator(Registry):
             return False
         warps = [self.warps[wid] for wid in self.blocks[bid].warp_ids]
         demand = max(
-            (w.scratch_sets_needed for w in warps if w.state is not WarpState.FINISHED), default=0
+            (w.scratch_sets_needed for w in warps if w.state is not _FINISHED), default=0
         )
         if held > demand:
             self.scratch.free(bid, held - demand)
@@ -412,7 +415,7 @@ class Coordinator(Registry):
         super().release_barrier(bid)
         for wid in self.blocks[bid].warp_ids:
             w = self.warps[wid]
-            if w.state is WarpState.PARKED:
+            if w.state is _PARKED:
                 self._enqueue(w, _PENDING_THREAD)
         self.retry_all_queues()
 
@@ -552,14 +555,14 @@ class Coordinator(Registry):
         # heads one of them
         warps = self.warps
         w = min((warps[next(iter(q))] for q in queues), key=lambda w: w.enqueue_seq)
-        while w.state is not WarpState.SCHEDULABLE:
-            if w.state is WarpState.PENDING_THREAD:
+        while w.state is not _SCHEDULABLE:
+            if w.state is _PENDING_THREAD:
                 if not self._pass_thread(w, True):
                     raise RuntimeError("forced admission stage failed")
-                self._enqueue(w, WarpState.PENDING_SCRATCH)
-            elif w.state is WarpState.PENDING_SCRATCH:
+                self._enqueue(w, _PENDING_SCRATCH)
+            elif w.state is _PENDING_SCRATCH:
                 self._grant(self.scratch, w.block_id, self._scratch_delta(w), True)
-                self._enqueue(w, WarpState.PENDING_REG)
+                self._enqueue(w, _PENDING_REG)
             else:
                 self._grant(self.regs, w.wid, self._reg_delta(w), True)
                 self._admit(w)

@@ -26,7 +26,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Callable
 
-from .kernel_model import Instruction, KernelSpec, Opcode, ResourceSpecification
+from .kernel_model import Instruction, KernelSpec, Opcode, ResourceSpecification, save_kernel
 
 
 def _alu(regs: int, scratch: int) -> Instruction:
@@ -247,8 +247,6 @@ def corpus_kernel(name: str) -> KernelSpec:
 
 def export_corpus(directory) -> list[Path]:
     """Write every corpus kernel and its grid to a directory; return paths."""
-    from .kernel_model import save_kernel
-
     out_dir = Path(directory)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []

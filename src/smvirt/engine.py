@@ -720,7 +720,6 @@ def measure_underutilization(
     *,
     spec: Optional[ResourceSpecification] = None,
     epoch_cycles: Optional[int] = None,
-    cycle_cap: int = DEFAULT_CYCLE_CAP,
 ) -> UtilizationReport:
     """Per-epoch live/allocated gap under static whole-block allocation.
 
@@ -733,4 +732,4 @@ def measure_underutilization(
         kernel = replace(kernel, resource_spec=spec)
     if epoch_cycles is not None:
         arch = replace(arch, epoch_cycles=epoch_cycles)
-    return run(kernel, Policy.BASELINE, arch, collect_util=True, cycle_cap=cycle_cap).utilization
+    return run(kernel, Policy.BASELINE, arch, collect_util=True).utilization

@@ -2,9 +2,11 @@
 
 baseline reserves every block's worst-case static footprint for the block's
 whole lifetime.  wlm keeps block-granular scratchpad but hands out registers
-and slots per warp, admitting warps of one block at a time.  zorua runs the
-full virtualization stack: phase-sized allocations through mapping tables
-with bounded swap oversubscription (see coordinator.py).
+and slots per warp, admitting warps of one block at a time.  Both are
+StaticAdmission and differ only in its warp and block limits: baseline's
+are whole blocks.  zorua runs the full virtualization stack: phase-sized
+allocations through mapping tables with bounded swap oversubscription
+(see coordinator.py).
 
 Each policy is one admission object per SM, and the engine drives all three
 through the same hooks: can_accept_block and on_block_arrival (given the
@@ -28,7 +30,8 @@ holding live blocks only, and each scheduler's list of schedulable warps,
 which the engine issues from; it hands warp wakes to the engine as
 ("schedulable" | "slot_swapin", wid) effects.  The static policies
 ignore the phase specifiers; only zorua turns them into sets.
-make_admission is the one place a policy picks its class.
+make_admission is the one place a policy picks its class and its limits,
+and refuses a kernel the policy can never finish.
 """
 
 from __future__ import annotations
@@ -95,85 +98,28 @@ def wlm_is_runnable(spec: ResourceSpecification, arch: ArchConfig, has_barrier: 
     return spec.regs_per_thread * WARP_WIDTH <= arch.registers_per_sm
 
 
-class _StaticAdmission(Registry):
-    """Admission without virtualization: an admitted warp keeps what it was
-    given until it finishes, so phases, epochs and data accesses cost and
-    change nothing."""
+class StaticAdmission(Registry):
+    """Admission without virtualization, baseline's and wlm's: an admitted
+    warp keeps what it was given until it finishes, so phases, epochs and
+    data accesses cost and change nothing.
+
+    A block arrives while fewer than block_limit blocks are live and no
+    block is partially admitted; its warps are then admitted in wid order
+    while fewer than warp_limit are held.  make_admission sets the limits.
+    """
 
     guard_admissions = 0
     retunes = False  # no controller, so a wedged SM stays wedged
 
-    def access_plan(self, body) -> None:  # accesses cost nothing: no access_cost
-        return None
-
-    def on_phase_change(self, wid: int, phase: PhaseSpecifier):
-        pass
-
-    def on_warp_finished(self, wid: int) -> bool:
-        """True when the warp completed its block, which then leaves the
-        registry with its warps."""
-        return self._retire(wid) is not None
-
-    def on_epoch(self, d_idle: int, d_mem: int):
-        pass
-
-    def deadlock_guard(self) -> bool:
-        return False
-
-    def access_totals(self) -> dict[ResourceKind, tuple[int, int]]:
-        return {kind: (0, 0) for kind in ResourceKind}
-
-    def final_thresholds(self) -> dict[str, int]:
-        return {}
-
-
-class BaselineAdmission(_StaticAdmission):
-    """Whole blocks, each holding its declared worst case for its lifetime."""
-
-    def __init__(self, spec: ResourceSpecification, arch: ArchConfig):
+    def __init__(self, arch: ArchConfig, warp_limit: int, block_limit: float):
         super().__init__(arch.schedulers_per_sm)
-        self.limit = baseline_blocks_in_flight(spec, arch)
-        if self.limit == 0:
-            raise KernelUnrunnableError("static allocation admits zero blocks on this hardware")
-
-    def can_accept_block(self, warps: int) -> bool:
-        return len(self.blocks) < self.limit
-
-    def on_block_arrival(self, bid: int, wids: tuple[int, ...], phase: PhaseSpecifier):
-        super().on_block_arrival(bid, wids)
-        for wid in wids:
-            self._admit(self.warps[wid])
-
-    def check_invariants(self) -> list[str]:
-        live = len(self.blocks)
-        errors = self.registry_errors()
-        if live > self.limit:
-            errors.append(f"{live} blocks in flight, static allocation admits {self.limit}")
-        return errors
-
-
-class WlmAdmission(_StaticAdmission):
-    """Registers and slots per warp, scratchpad per block.
-
-    A block's scratchpad is reserved when it arrives; its warps are then
-    admitted in order as slots and registers free up.  Only one block is
-    partially admitted at a time, and no new block arrives before it is
-    whole.
-    """
-
-    def __init__(self, spec: ResourceSpecification, arch: ArchConfig, has_barrier: bool):
-        super().__init__(arch.schedulers_per_sm)
-        if not wlm_is_runnable(spec, arch, has_barrier):
-            raise KernelUnrunnableError("warp-granular admission cannot complete this kernel")
-        scratch = spec.scratch_bytes_per_block
-        # a warp fits while fewer than warp_limit are held, a block while
-        # fewer than block_limit are live
-        self.warp_limit = min(
-            arch.warp_slots_per_sm, arch.registers_per_sm // (spec.regs_per_thread * WARP_WIDTH)
-        )
-        self.block_limit = arch.scratch_bytes_per_sm // scratch if scratch else math.inf
+        self.warp_limit = warp_limit
+        self.block_limit = block_limit
         self.held = 0  # admitted warps not yet finished
         self._waiting: deque[int] = deque()  # unadmitted warps of the partial block
+
+    def access_plan(self, body) -> None:  # accesses cost nothing: no access_cost
+        return None
 
     def _admit_waiting(self):
         while self._waiting and self.held < self.warp_limit:
@@ -192,11 +138,28 @@ class WlmAdmission(_StaticAdmission):
         self._waiting.extend(wids)
         self._admit_waiting()
 
+    def on_phase_change(self, wid: int, phase: PhaseSpecifier):
+        pass
+
     def on_warp_finished(self, wid: int) -> bool:
-        done = super().on_warp_finished(wid)
+        """True when the warp completed its block, which then leaves the
+        registry with its warps."""
+        done = self._retire(wid) is not None
         self.held -= 1
         self._admit_waiting()
         return done
+
+    def on_epoch(self, d_idle: int, d_mem: int):
+        pass
+
+    def deadlock_guard(self) -> bool:
+        return False
+
+    def access_totals(self) -> dict[ResourceKind, tuple[int, int]]:
+        return {kind: (0, 0) for kind in ResourceKind}
+
+    def final_thresholds(self) -> dict[str, int]:
+        return {}
 
     def check_invariants(self) -> list[str]:
         held = sum(
@@ -204,9 +167,12 @@ class WlmAdmission(_StaticAdmission):
             for w in self.warps.values()
             if w.state is not WarpState.PENDING_THREAD and w.state is not WarpState.FINISHED
         )
+        live = len(self.blocks)
         errors = self.registry_errors()
         if self.held != held:
             errors.append(f"{self.held} warps counted as held, {held} are")
+        if live > self.block_limit:
+            errors.append(f"{live} blocks in flight, static allocation admits {self.block_limit}")
         return errors
 
 
@@ -237,10 +203,22 @@ def make_admission(
     Raises KernelUnrunnableError when the policy can never finish the
     kernel on this hardware.
     """
+    if policy is Policy.ZORUA:
+        _check_phase_demands(kernel, arch)
+        return Coordinator(arch, oversub)
     spec = kernel.resource_spec
     if policy is Policy.BASELINE:
-        return BaselineAdmission(spec, arch)
-    if policy is Policy.WLM:
-        return WlmAdmission(spec, arch, kernel.has_barrier())
-    _check_phase_demands(kernel, arch)
-    return Coordinator(arch, oversub)
+        # each live block holds at most its own warps, so a block that
+        # arrives below b live blocks is admitted whole at once
+        b = baseline_blocks_in_flight(spec, arch)
+        if b == 0:
+            raise KernelUnrunnableError("static allocation admits zero blocks on this hardware")
+        return StaticAdmission(arch, b * spec.warps_per_block, b)
+    if not wlm_is_runnable(spec, arch, kernel.has_barrier()):
+        raise KernelUnrunnableError("warp-granular admission cannot complete this kernel")
+    scratch = spec.scratch_bytes_per_block
+    return StaticAdmission(
+        arch,
+        min(arch.warp_slots_per_sm, arch.registers_per_sm // (spec.regs_per_thread * WARP_WIDTH)),
+        arch.scratch_bytes_per_sm // scratch if scratch else math.inf,
+    )

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .kernel_model import WARP_WIDTH, ResourceSpecification
+from .kernel_model import WARP_WIDTH
 
 REG_SET_SIZE = 4 * WARP_WIDTH  # registers per register set
 SCRATCH_SET_SIZE = 1024  # bytes per scratchpad set
@@ -167,18 +167,6 @@ def reg_sets_for(live_regs: int) -> int:
 
 def scratch_sets_for(scratch_bytes: int) -> int:
     return math.ceil(scratch_bytes / SCRATCH_SET_SIZE)
-
-
-def sets_required(kind: ResourceKind, spec: ResourceSpecification) -> int:
-    """Sets implied by a static resource specification.
-
-    REGISTER is per warp, SCRATCHPAD per block, WARP_SLOT per warp.
-    """
-    if kind is ResourceKind.REGISTER:
-        return reg_sets_for(spec.regs_per_thread)
-    if kind is ResourceKind.SCRATCHPAD:
-        return scratch_sets_for(spec.scratch_bytes_per_block)
-    return 1
 
 
 class _SwapSet:

@@ -5,8 +5,8 @@ import pytest
 from smvirt.coordinator import Coordinator, OversubscriptionConfig, adjust_o_thresh
 from smvirt.corpus import corpus_kernel
 from smvirt.engine import run
-from smvirt.kernel_model import PhaseSpecifier, ResourceSpecification
-from smvirt.policies import BaselineAdmission
+from smvirt.kernel_model import PhaseSpecifier
+from smvirt.policies import StaticAdmission
 from smvirt.registry import BlockRecord, WarpState
 from smvirt.resource_maps import ArchConfig, Placement, ResourceKind, get_arch
 
@@ -213,11 +213,9 @@ def test_completed_block_leaves_the_registry():
 
 
 def test_scheduler_lists_stay_in_wid_order_through_appends_and_inserts():
-    # two schedulers: even wids on list 0, odd on list 1
-    spec = ResourceSpecification(
-        threads_per_block=128, regs_per_thread=8, scratch_bytes_per_block=0, num_blocks=3
-    )
-    adm = BaselineAdmission(spec, FERMI)
+    # two schedulers: even wids on list 0, odd on list 1; room for three
+    # whole blocks of four warps
+    adm = StaticAdmission(FERMI, warp_limit=12, block_limit=3)
 
     def lists():
         return [[w.wid for w in part] for part in adm.sched_lists]

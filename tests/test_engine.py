@@ -35,7 +35,7 @@ from smvirt.kernel_model import (
     save_kernel,
 )
 from smvirt.phase_compiler import annotate_phases
-from smvirt.policies import KernelUnrunnableError, Policy, _StaticAdmission
+from smvirt.policies import KernelUnrunnableError, Policy, StaticAdmission
 from smvirt.resource_maps import get_arch
 
 from reference_loop import HeapMemSystem, reference_run
@@ -377,7 +377,7 @@ def test_only_zorua_reads_the_specifiers_of_an_unlogged_run(monkeypatch, name, p
     def refuse(self, wid, phase):
         raise AssertionError(f"warp {wid} passed a specifier to a static admission")
 
-    monkeypatch.setattr(_StaticAdmission, "on_phase_change", refuse)
+    monkeypatch.setattr(StaticAdmission, "on_phase_change", refuse)
     handled = Counter()
     handle = _SMRun._handle_event
 

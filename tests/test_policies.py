@@ -1,15 +1,15 @@
-"""Static admission math, admission objects of the two non-virtualizing
-policies, and the registry all three policies share."""
+"""Static admission math, the one admission class of the two
+non-virtualizing policies, and the registry all three policies share."""
 
 import pytest
 
 from smvirt.coordinator import Coordinator, OversubscriptionConfig
-from smvirt.kernel_model import PhaseSpecifier, ResourceSpecification
+from smvirt.kernel_model import Instruction, KernelSpec, Opcode, PhaseSpecifier, ResourceSpecification
 from smvirt.policies import (
-    BaselineAdmission,
     Policy,
-    WlmAdmission,
+    StaticAdmission,
     baseline_blocks_in_flight,
+    make_admission,
     wlm_is_runnable,
 )
 from smvirt.registry import WarpRecord, WarpState
@@ -99,13 +99,28 @@ def test_wlm_single_warp_floor_without_barriers():
     )  # 2000 x 32 > 32768
 
 
+def _static(policy, spec):
+    """policy's admission object on fermi for a one-ALU kernel of spec."""
+    kernel = KernelSpec("k", spec, (Instruction(Opcode.ALU),))
+    return make_admission(policy, kernel, FERMI, OversubscriptionConfig())
+
+
+def test_static_policies_differ_only_in_their_limits():
+    spec = _spec(512, 4, scratch=12 * 1024)  # three 16-warp blocks fit whole
+    for policy, limits in [(Policy.BASELINE, (48, 3)), (Policy.WLM, (48, 4))]:
+        adm = _static(policy, spec)
+        assert type(adm) is StaticAdmission
+        assert (adm.warp_limit, adm.block_limit) == limits
+    assert _static(Policy.WLM, _spec(512, 4)).block_limit == float("inf")
+
+
 def _arrive(adm, bid, warps):
     """A block arrives with an entry phase that needs no sets."""
     adm.on_block_arrival(bid, tuple(range(bid * warps, (bid + 1) * warps)), PhaseSpecifier(0, 0))
 
 
 def test_wlm_admits_a_block_warp_by_warp_as_slots_free():
-    adm = WlmAdmission(_spec(1024, 8), FERMI, has_barrier=False)  # 32 warps
+    adm = _static(Policy.WLM, _spec(1024, 8))  # 32 warps
     _arrive(adm, 0, 32)
     assert adm.can_accept_block(32)
     _arrive(adm, 1, 32)  # only 16 of the 48 slots are left
@@ -119,8 +134,9 @@ def test_wlm_admits_a_block_warp_by_warp_as_slots_free():
     assert adm.check_invariants() == []
 
 
-def test_wlm_invariants_report_a_corrupted_counter():
-    adm = WlmAdmission(_spec(64, 8), FERMI, has_barrier=False)
+@pytest.mark.parametrize("policy", [Policy.BASELINE, Policy.WLM], ids=["baseline", "wlm"])
+def test_static_invariants_report_a_corrupted_counter(policy):
+    adm = _static(policy, _spec(64, 8))
     _arrive(adm, 0, 2)
     assert adm.check_invariants() == []
     adm.held -= 1
@@ -128,7 +144,7 @@ def test_wlm_invariants_report_a_corrupted_counter():
 
 
 def test_baseline_invariants_bound_blocks_in_flight():
-    adm = BaselineAdmission(_spec(512, 4), FERMI)  # three 16-warp blocks fit
+    adm = _static(Policy.BASELINE, _spec(512, 4))  # three 16-warp blocks fit
     for bid in range(3):
         assert adm.can_accept_block(16)
         _arrive(adm, bid, 16)
@@ -141,8 +157,8 @@ def test_baseline_invariants_bound_blocks_in_flight():
 each_admission = pytest.mark.parametrize(
     "make",
     [
-        lambda: BaselineAdmission(_spec(64, 8), FERMI),
-        lambda: WlmAdmission(_spec(64, 8), FERMI, has_barrier=False),
+        lambda: _static(Policy.BASELINE, _spec(64, 8)),
+        lambda: _static(Policy.WLM, _spec(64, 8)),
         lambda: Coordinator(FERMI, OversubscriptionConfig()),
     ],
     ids=["baseline", "wlm", "zorua"],

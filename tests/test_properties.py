@@ -10,6 +10,8 @@ to retire.
 ALU-only kernels, global loads bound by latency or by the request
 slots, and long and short baseline launches have closed-form answers, so
 those properties check the cycle loop's answers, not only that it ends.
+Baseline admission, warp-level admission whose limits are whole blocks,
+takes every arriving block whole and exactly as many as fit.
 So does zorua with no swap budget: it never touches a set in swap.
 On arbitrary launches the fast cycle loop must match the naive one of
 reference_loop.py exactly, and zorua admission must match a retry that
@@ -23,7 +25,7 @@ import re
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from smvirt.coordinator import OversubscriptionConfig
@@ -40,10 +42,12 @@ from smvirt.harness import (
     run_sweep,
 )
 from smvirt.kernel_model import (
+    WARP_WIDTH,
     Instruction,
     KernelError,
     KernelSpec,
     Opcode,
+    PhaseSpecifier,
     Profile,
     ResourceSpecification,
     generate_synthetic_kernel,
@@ -51,7 +55,13 @@ from smvirt.kernel_model import (
     serialize_kernel,
 )
 from smvirt.phase_compiler import annotate_phases
-from smvirt.policies import KernelUnrunnableError, Policy, baseline_blocks_in_flight
+from smvirt.policies import (
+    KernelUnrunnableError,
+    Policy,
+    baseline_blocks_in_flight,
+    make_admission,
+)
+from smvirt.registry import WarpState
 from smvirt.resource_maps import get_arch
 
 from reference_loop import reference_admission_run, reference_run, with_effect_batches
@@ -301,6 +311,34 @@ def test_short_baseline_launch_has_all_its_blocks_in_flight_and_no_more(name, ar
     spec = replace(kernel.resource_spec, num_blocks=blocks)
     res = run(replace(kernel, resource_spec=spec), "baseline", hw, debug=True)
     assert res.blocks_in_flight_min == res.blocks_in_flight_max == blocks
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    warps=st.integers(min_value=1, max_value=32),
+    regs=st.integers(min_value=1, max_value=64),
+    scratch=st.one_of(st.just(0), st.integers(min_value=1, max_value=48 * 1024)),
+    arch=st.sampled_from(sorted(ONE_SM_ARCHS)),
+)
+def test_baseline_admission_takes_whole_blocks_up_to_the_static_count(warps, regs, scratch, arch):
+    # warp-level admission with whole-block limits: each block that arrives
+    # passes whole, in wid order, and exactly as many arrive as whole-block
+    # allocation fits
+    hw = ONE_SM_ARCHS[arch]
+    spec = ResourceSpecification(warps * WARP_WIDTH, regs, scratch, num_blocks=1)
+    fits = baseline_blocks_in_flight(spec, hw)
+    assume(fits > 0)
+    kernel = KernelSpec("k", spec, (Instruction(Opcode.ALU),))
+    adm = make_admission(Policy.BASELINE, kernel, hw, OversubscriptionConfig())
+    bid = 0
+    while bid <= fits and adm.can_accept_block(warps):
+        wids = tuple(range(bid * warps, (bid + 1) * warps))
+        adm.on_block_arrival(bid, wids, PhaseSpecifier(0, 0))
+        assert all(adm.warps[wid].state is not WarpState.PENDING_THREAD for wid in wids)
+        assert adm.drain_effects() == [("schedulable", wid) for wid in wids]
+        bid += 1
+    assert bid == fits
+    assert adm.check_invariants() == []
 
 
 @st.composite

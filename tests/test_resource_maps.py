@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smvirt.kernel_model import ResourceSpecification
 from smvirt.resource_maps import (
     ARCHITECTURES,
     MappingError,
@@ -17,7 +16,6 @@ from smvirt.resource_maps import (
     make_tables,
     reg_sets_for,
     scratch_sets_for,
-    sets_required,
     table_size_bits,
 )
 
@@ -70,15 +68,6 @@ def test_set_rounding():
     assert scratch_sets_for(1024) == 1
     assert scratch_sets_for(1025) == 2
     assert scratch_sets_for(4224) == 5
-
-
-def test_sets_required_per_kind():
-    spec = ResourceSpecification(
-        threads_per_block=256, regs_per_thread=32, scratch_bytes_per_block=4224, num_blocks=1
-    )
-    assert sets_required(ResourceKind.REGISTER, spec) == 8  # per warp
-    assert sets_required(ResourceKind.SCRATCHPAD, spec) == 5  # per block
-    assert sets_required(ResourceKind.WARP_SLOT, spec) == 1
 
 
 def test_table_sizes_fermi():
