@@ -14,8 +14,12 @@ built, so a short line cannot ask for unbounded memory.  Points
 whose resource declaration cannot carry the kernel body (liveness above a
 cap) are skipped with a warning on stderr; points a policy cannot run at
 all are kept as rows with infinite cycles ("INF" in CSV) so grids stay
-rectangular.  Output is byte-stable: rerunning the same sweep reproduces
-the CSV and JSON exactly.
+rectangular.  A launch reads of its declaration only the block's shape and
+count and what policies.admission_limits derives from it, so each distinct
+admission input is simulated once per run_sweep call and its row reused
+for every point that shares it; under zorua, which derives nothing, a
+registers or scratchpad axis is one simulation.  Output is byte-stable:
+rerunning the same sweep reproduces the CSV and JSON exactly.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from typing import Optional, Sequence, Union
 from .engine import DEFAULT_CYCLE_CAP, NonTerminationError, SimResult, run
 from .kernel_model import KernelInvariantError, KernelSpec, ResourceSpecification
 from .phase_compiler import annotate_phases
-from .policies import KernelUnrunnableError, Policy
+from .policies import KernelUnrunnableError, Policy, admission_limits
 from .resource_maps import ArchConfig, get_arch
 
 _AXIS_KEYS = ("threads_per_block", "regs_per_thread", "scratch")
@@ -233,8 +237,14 @@ def run_sweep(
 
     The kernel is compiled once up front, so run() does not compile it at
     each point: compiling reg_cliff took about 80 us, about 2% of a mean
-    recommended-grid launch (one Xeon core).  A point that does not
-    terminate raises NonTerminationError naming its arch, policy and point.
+    recommended-grid launch (one Xeon core).  Within one (arch, policy)
+    series, each distinct admission input, (threads_per_block,
+    num_blocks, admission_limits(...)), is simulated once per call: a
+    later point with the same input takes the first one's row with its
+    own declaration, and a point admission_limits refuses becomes an
+    unrunnable row without a simulation.  Nothing is kept between calls.
+    A point that does not terminate raises NonTerminationError naming its
+    arch, policy and point.
     """
     if isinstance(grid, str):
         grid = parse_grid(grid)
@@ -262,19 +272,26 @@ def run_sweep(
     rows: list[SweepRow] = []
     for arch in arch_list:
         for policy in policy_list:
+            # rows by admission input; every point runs the same body
+            done: dict[tuple, SweepRow] = {}
             for k in valid:
                 p = k.resource_spec
                 try:
-                    res = run(k, policy, arch, cycle_cap=cycle_cap)
-                    rows.append(result_row(res))
+                    key = (p.threads_per_block, p.num_blocks, admission_limits(policy, k, arch))
                 except KernelUnrunnableError:
                     rows.append(unrunnable_row(arch.name, policy.value, p))
-                except NonTerminationError as e:
-                    raise NonTerminationError(
-                        f"{arch.name} {policy.value} threads={p.threads_per_block} "
-                        f"regs={p.regs_per_thread} scratch={p.scratch_bytes_per_block} "
-                        f"blocks={p.num_blocks}: {e}"
-                    ) from e
+                    continue
+                row = done.get(key)
+                if row is None:
+                    try:
+                        row = done[key] = result_row(run(k, policy, arch, cycle_cap=cycle_cap))
+                    except NonTerminationError as e:
+                        raise NonTerminationError(
+                            f"{arch.name} {policy.value} threads={p.threads_per_block} "
+                            f"regs={p.regs_per_thread} scratch={p.scratch_bytes_per_block} "
+                            f"blocks={p.num_blocks}: {e}"
+                        ) from e
+                rows.append(replace(row, **asdict(p)))
     return SweepResult(
         kernel=kernel.name,
         archs=tuple(a.name for a in arch_list),

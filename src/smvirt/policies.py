@@ -30,8 +30,9 @@ holding live blocks only, and each scheduler's list of schedulable warps,
 which the engine issues from; it hands warp wakes to the engine as
 ("schedulable" | "slot_swapin", wid) effects.  The static policies
 ignore the phase specifiers; only zorua turns them into sets.
-make_admission is the one place a policy picks its class and its limits,
-and refuses a kernel the policy can never finish.
+admission_limits is the one place a policy reads the kernel's declaration
+and refuses a kernel it can never finish; make_admission picks the class
+and builds it from those limits alone.
 """
 
 from __future__ import annotations
@@ -105,7 +106,7 @@ class StaticAdmission(Registry):
 
     A block arrives while fewer than block_limit blocks are live and no
     block is partially admitted; its warps are then admitted in wid order
-    while fewer than warp_limit are held.  make_admission sets the limits.
+    while fewer than warp_limit are held.  admission_limits gives the limits.
     """
 
     guard_admissions = 0
@@ -195,17 +196,20 @@ def _check_phase_demands(kernel: KernelSpec, arch: ArchConfig):
             )
 
 
-def make_admission(
-    policy: Policy, kernel: KernelSpec, arch: ArchConfig, oversub: OversubscriptionConfig
-):
-    """The admission object of one SM running kernel under policy.
+def admission_limits(policy: Policy, kernel: KernelSpec, arch: ArchConfig) -> tuple:
+    """All that policy's admission reads of kernel's declaration on arch:
+    the (warp_limit, block_limit) of StaticAdmission under baseline and
+    wlm, and nothing, (), under zorua, whose Coordinator never sees the
+    declaration.  With the block's shape and count, which the engine
+    reads, this decides a launch, so run_sweep simulates each distinct
+    admission input once per call.
 
     Raises KernelUnrunnableError when the policy can never finish the
     kernel on this hardware.
     """
     if policy is Policy.ZORUA:
         _check_phase_demands(kernel, arch)
-        return Coordinator(arch, oversub)
+        return ()
     spec = kernel.resource_spec
     if policy is Policy.BASELINE:
         # each live block holds at most its own warps, so a block that
@@ -213,12 +217,26 @@ def make_admission(
         b = baseline_blocks_in_flight(spec, arch)
         if b == 0:
             raise KernelUnrunnableError("static allocation admits zero blocks on this hardware")
-        return StaticAdmission(arch, b * spec.warps_per_block, b)
+        return (b * spec.warps_per_block, b)
     if not wlm_is_runnable(spec, arch, kernel.has_barrier()):
         raise KernelUnrunnableError("warp-granular admission cannot complete this kernel")
     scratch = spec.scratch_bytes_per_block
-    return StaticAdmission(
-        arch,
+    return (
         min(arch.warp_slots_per_sm, arch.registers_per_sm // (spec.regs_per_thread * WARP_WIDTH)),
         arch.scratch_bytes_per_sm // scratch if scratch else math.inf,
     )
+
+
+def make_admission(
+    policy: Policy, kernel: KernelSpec, arch: ArchConfig, oversub: OversubscriptionConfig
+):
+    """The admission object of one SM running kernel under policy, built
+    from admission_limits alone.
+
+    Raises KernelUnrunnableError when the policy can never finish the
+    kernel on this hardware.
+    """
+    limits = admission_limits(policy, kernel, arch)
+    if policy is Policy.ZORUA:
+        return Coordinator(arch, oversub)
+    return StaticAdmission(arch, *limits)

@@ -8,6 +8,11 @@ the kernel's recommended grid on fermi under every policy.
 opt-in recorders of ``run(..., collect_util=True, log_events=True)`` on
 that arch: the event log and the per-epoch utilization tuples, which
 ``to_dict`` leaves out or does not produce.
+``claims.json`` holds the paper's comparison, from ``run_sweep`` of every
+corpus kernel's recommended grid on all three archs under every policy:
+per kernel and policy, the performance range on each arch, the cliffs
+summed over the archs, and the porting loss as the maximum over ordered
+arch pairs (the README's convention), each null where undefined.
 ``tests/test_golden.py`` compares the files byte for byte.
 
     PYTHONPATH=src python tests/golden/regen.py            # list differing files
@@ -15,7 +20,8 @@ that arch: the event log and the per-epoch utilization tuples, which
 
 Under each differing file the script says what differs: the top-level
 keys of a run JSON, the policies of a recorder file whose digest
-changed, and the changed rows of a sweep CSV.
+changed, the changed rows of a sweep CSV, and each changed cell of the
+claims table.
 """
 
 from __future__ import annotations
@@ -34,7 +40,10 @@ from smvirt import (
     Policy,
     corpus_kernel,
     corpus_names,
+    detect_cliffs,
     emit_csv,
+    performance_range,
+    porting_loss,
     run,
     run_sweep,
 )
@@ -42,6 +51,7 @@ from smvirt import (
 GOLDEN_DIR = Path(__file__).resolve().parent
 ARCHS = ("fermi", "kepler", "maxwell")
 SWEEP_ARCH = "fermi"
+CLAIMS = "claims.json"
 
 
 def recorder_digest(kernel, policy: Policy, arch: str) -> str:
@@ -79,10 +89,47 @@ def golden_files(kernel_name: str) -> dict[str, str]:
     return files
 
 
+def _rounded(value):
+    return None if value is None else round(value, 6)
+
+
+def claims(kernel) -> dict:
+    """Per policy: performance range per arch, cliffs summed over the
+    archs, and porting loss as the maximum over ordered arch pairs."""
+    sweep = run_sweep(kernel, RECOMMENDED_GRIDS[kernel.name], ARCHS)
+    table = {}
+    for policy in sweep.policies:
+        series = {arch: sweep.rows_for(arch, policy) for arch in ARCHS}
+        losses = [porting_loss(series[a], series[b]) for a, b in itertools.permutations(ARCHS, 2)]
+        losses = [loss for loss in losses if loss is not None]
+        table[policy] = {
+            "range": {arch: _rounded(performance_range(rows)) for arch, rows in series.items()},
+            "cliffs": sum(len(detect_cliffs(rows)) for rows in series.values()),
+            "porting_loss": _rounded(max(losses, default=None)),
+        }
+    return table
+
+
+def claims_text() -> str:
+    """The expected text of claims.json."""
+    doc = {name: claims(corpus_kernel(name)) for name in corpus_names()}
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def _cells(doc, path=()):
+    """(space-joined key path, value) of every leaf of a JSON document."""
+    if not isinstance(doc, dict):
+        yield " ".join(path), doc
+        return
+    for key, value in doc.items():
+        yield from _cells(value, path + (key,))
+
+
 def describe(rel: str, old: str, new: str) -> list[str]:
     """What differs between a golden file's committed text and its new
-    text: the changed rows of a CSV, else the changed top-level keys (the
-    policies of a recorder file)."""
+    text: the changed rows of a CSV, each changed cell of the claims
+    table, else the changed top-level keys (the policies of a recorder
+    file)."""
     if rel.endswith(".csv"):
         changed = []
         for a, b in itertools.zip_longest(old.splitlines(), new.splitlines(), fillvalue="(none)"):
@@ -91,6 +138,13 @@ def describe(rel: str, old: str, new: str) -> list[str]:
         return changed
     old_doc, new_doc = json.loads(old), json.loads(new)
     missing = object()
+    if rel == CLAIMS:
+        old_cells, new_cells = dict(_cells(old_doc)), dict(_cells(new_doc))
+        return [
+            f"{cell}: {old_cells.get(cell, '(none)')} -> {new_cells.get(cell, '(none)')}"
+            for cell in {**old_cells, **new_cells}
+            if old_cells.get(cell, missing) != new_cells.get(cell, missing)
+        ]
     keys = [k for k in {**old_doc, **new_doc} if old_doc.get(k, missing) != new_doc.get(k, missing)]
     return [f"{'policies' if rel.startswith('recorders/') else 'keys'}: {', '.join(keys)}"]
 
@@ -100,19 +154,19 @@ def main(argv=None) -> int:
     parser.add_argument("--update", action="store_true", help="rewrite differing files")
     args = parser.parse_args(argv)
     differing = 0
-    for name in corpus_names():
-        for rel, text in golden_files(name).items():
-            path = GOLDEN_DIR / rel
-            old = path.read_bytes().decode() if path.is_file() else None
-            if old == text:
-                continue
-            differing += 1
-            print(f"{'wrote' if args.update else 'differs'} {rel}")
-            for line in ["new file"] if old is None else describe(rel, old, text):
-                print(f"    {line}")
-            if args.update:
-                path.parent.mkdir(parents=True, exist_ok=True)
-                path.write_bytes(text.encode())
+    files = [item for name in corpus_names() for item in golden_files(name).items()]
+    for rel, text in files + [(CLAIMS, claims_text())]:
+        path = GOLDEN_DIR / rel
+        old = path.read_bytes().decode() if path.is_file() else None
+        if old == text:
+            continue
+        differing += 1
+        print(f"{'wrote' if args.update else 'differs'} {rel}")
+        for line in ["new file"] if old is None else describe(rel, old, text):
+            print(f"    {line}")
+        if args.update:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(text.encode())
     return 1 if differing and not args.update else 0
 
 

@@ -34,6 +34,10 @@ and its register pass sorts the queue by held sets, where Coordinator
 walks its buckets.  reference_admission_run is engine.run with it in
 place of Coordinator.  with_effect_batches records what every hook
 call released, to compare the two hook by hook.
+
+reference_sweep_rows is run_sweep's rows without its memo: one run() per
+(arch, policy, point), and an unrunnable row where run() refuses the
+point.
 """
 
 import heapq
@@ -43,8 +47,12 @@ from unittest import mock
 from smvirt import engine, policies
 from smvirt.coordinator import Coordinator
 from smvirt.engine import EventKind, NonTerminationError, _SMRun
-from smvirt.kernel_model import Opcode
+from smvirt.harness import grid_points, parse_grid, result_row, unrunnable_row
+from smvirt.kernel_model import KernelInvariantError, Opcode
+from smvirt.phase_compiler import annotate_phases
+from smvirt.policies import KernelUnrunnableError
 from smvirt.registry import WarpState
+from smvirt.resource_maps import get_arch
 
 _PENDING = (WarpState.PENDING_THREAD, WarpState.PENDING_SCRATCH, WarpState.PENDING_REG)
 
@@ -237,3 +245,27 @@ def with_effect_batches(runner, *args, **kwargs):
     with mock.patch.object(_SMRun, "_take_effects", recorded):
         return runner(*args, **kwargs), batches
 
+
+def reference_sweep_rows(kernel, grid, archs, policy_list):
+    """run_sweep's rows, each from a run() of its own point; archs are
+    names or configs, policy_list Policy members."""
+    if isinstance(grid, str):
+        grid = parse_grid(grid)
+    compiled = kernel if kernel.is_compiled else annotate_phases(kernel)
+    points = []
+    for p in grid_points(grid, kernel.resource_spec):
+        if p is None:  # zero blocks
+            continue
+        try:
+            points.append(replace(compiled, resource_spec=p))
+        except KernelInvariantError:  # a declaration below the body's liveness
+            pass
+    rows = []
+    for arch in [get_arch(a) if isinstance(a, str) else a for a in archs]:
+        for policy in policy_list:
+            for k in points:
+                try:
+                    rows.append(result_row(engine.run(k, policy, arch)))
+                except KernelUnrunnableError:
+                    rows.append(unrunnable_row(arch.name, policy.value, k.resource_spec))
+    return rows

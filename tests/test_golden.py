@@ -1,7 +1,8 @@
 """Simulated outputs must match the committed goldens byte for byte.
 
 The goldens cover ``to_dict()`` of every corpus kernel, policy and arch, the
-fermi sweep CSVs, and digests of the event log and utilization recorders.
+fermi sweep CSVs, digests of the event log and utilization recorders, and
+the claims table: range, cliffs and porting loss of every recommended grid.
 
 Rewrite the goldens with ``python tests/golden/regen.py --update`` only when
 a change to the simulated behaviour is intended.
@@ -11,7 +12,7 @@ import pytest
 
 from smvirt import corpus_names
 
-from golden.regen import GOLDEN_DIR, describe, golden_files
+from golden.regen import CLAIMS, GOLDEN_DIR, claims_text, describe, golden_files
 
 
 @pytest.mark.parametrize("kernel_name", corpus_names())
@@ -22,6 +23,12 @@ def test_outputs_match_goldens(kernel_name):
         assert path.read_bytes() == text.encode(), f"{rel} differs from its golden"
 
 
+def test_claims_match_golden():
+    text = claims_text()
+    old = (GOLDEN_DIR / CLAIMS).read_bytes().decode()
+    assert old == text, "\n".join(describe(CLAIMS, old, text))
+
+
 def test_regen_says_what_differs_in_each_kind_of_golden():
     old, new = '{"a": 1, "b": 2}', '{"a": 1, "b": 3, "c": 0}'
     assert describe("run/k.zorua.fermi.json", old, new) == ["keys: b, c"]
@@ -29,3 +36,14 @@ def test_regen_says_what_differs_in_each_kind_of_golden():
     assert describe("recorders/k.fermi.json", old, new) == ["policies: baseline"]
     old, new = "h\n1\n2\n", "h\n1\n3\n4\n"
     assert describe("sweep/k.fermi.csv", old, new) == ["- 2", "+ 3", "- (none)", "+ 4"]
+    old = '{"k": {"zorua": {"range": {"fermi": 0.1, "kepler": null}, "cliffs": 0}}}'
+    new = '{"k": {"zorua": {"range": {"fermi": 0.2, "kepler": null}, "cliffs": 1}}}'
+    assert describe(CLAIMS, old, new) == [
+        "k zorua range fermi: 0.1 -> 0.2",
+        "k zorua cliffs: 0 -> 1",
+    ]
+    old, new = '{"k": {"zorua": {"cliffs": 0}}}', '{"k": {"wlm": {"cliffs": 0}}}'
+    assert describe(CLAIMS, old, new) == [
+        "k zorua cliffs: 0 -> (none)",
+        "k wlm cliffs: (none) -> 0",
+    ]

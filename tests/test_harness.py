@@ -3,9 +3,11 @@
 import math
 import time
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
+from smvirt import harness
 from smvirt.harness import (
     CSV_COLUMNS,
     MAX_GRID_POINTS,
@@ -31,6 +33,10 @@ from smvirt.corpus import RECOMMENDED_GRIDS, corpus_kernel
 from smvirt.engine import NonTerminationError, run
 from smvirt.kernel_model import Instruction, KernelSpec, Opcode, ResourceSpecification
 from smvirt.policies import Policy
+
+from reference_loop import reference_sweep_rows
+
+ARCHS = ("fermi", "kepler", "maxwell")
 
 
 def _kernel(*, regs=8, scratch=0, name="sweep_me"):
@@ -291,6 +297,38 @@ def test_unrunnable_points_stay_in_the_grid_as_inf():
     assert bad.performance is None
     csv_text = emit_csv(result)
     assert "INF" in csv_text.splitlines()[2]
+
+
+@pytest.mark.parametrize("name", sorted(RECOMMENDED_GRIDS))
+def test_the_memo_matches_a_run_per_point_on_every_recommended_grid(name):
+    # every arch and policy; over the six grids, 96 of 333 rows are reused
+    kernel, grid = corpus_kernel(name), RECOMMENDED_GRIDS[name]
+    result = run_sweep(kernel, grid, ARCHS)
+    assert list(result.rows) == reference_sweep_rows(kernel, grid, ARCHS, list(Policy))
+
+
+def test_a_point_admission_refuses_becomes_unrunnable_without_a_run(monkeypatch):
+    # 1024 threads x 63 regs exceeds the register file under baseline
+    calls = []
+    monkeypatch.setattr(harness, "run", lambda k, *a, **kw: calls.append(k) or run(k, *a, **kw))
+    grid = GridSpec(threads_per_block=(64, 1024))
+    result = run_sweep(_kernel(regs=63), grid, policies=("baseline",))
+    assert [r.cycles is None for r in result.rows] == [False, True]
+    assert [k.resource_spec.threads_per_block for k in calls] == [64]
+
+
+def test_points_alike_in_admission_input_are_simulated_once(monkeypatch):
+    # zorua reads nothing of the declaration, so a block shape is one
+    # launch per arch whatever its registers; each row still carries its
+    # own point's declaration
+    calls = []
+    monkeypatch.setattr(harness, "run", lambda k, *a, **kw: calls.append(k) or run(k, *a, **kw))
+    grid = GridSpec(threads_per_block=(64, 128), regs_per_thread=(8, 16, 32))
+    result = run_sweep(_kernel(), grid, archs=("fermi", "kepler"), policies=("zorua",))
+    assert [k.resource_spec.threads_per_block for k in calls] == [64, 128, 64, 128]
+    assert [r.regs_per_thread for r in result.rows] == [8, 16, 32] * 4
+    for i, r in enumerate(result.rows):
+        assert replace(r, regs_per_thread=8) == result.rows[i - i % 3]
 
 
 def test_a_point_that_does_not_terminate_is_named_in_the_error():

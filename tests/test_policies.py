@@ -8,6 +8,7 @@ from smvirt.kernel_model import Instruction, KernelSpec, Opcode, PhaseSpecifier,
 from smvirt.policies import (
     Policy,
     StaticAdmission,
+    admission_limits,
     baseline_blocks_in_flight,
     make_admission,
     wlm_is_runnable,
@@ -107,11 +108,15 @@ def _static(policy, spec):
 
 def test_static_policies_differ_only_in_their_limits():
     spec = _spec(512, 4, scratch=12 * 1024)  # three 16-warp blocks fit whole
+    kernel = KernelSpec("k", spec, (Instruction(Opcode.ALU),))
     for policy, limits in [(Policy.BASELINE, (48, 3)), (Policy.WLM, (48, 4))]:
         adm = _static(policy, spec)
         assert type(adm) is StaticAdmission
         assert (adm.warp_limit, adm.block_limit) == limits
+        assert admission_limits(policy, kernel, FERMI) == limits
     assert _static(Policy.WLM, _spec(512, 4)).block_limit == float("inf")
+    # zorua admission reads nothing of the declaration
+    assert admission_limits(Policy.ZORUA, kernel, FERMI) == ()
 
 
 def _arrive(adm, bid, warps):

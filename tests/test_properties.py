@@ -18,14 +18,17 @@ reference_loop.py exactly, and zorua admission must match a retry that
 runs every stage every round.  The kernel and grid parsers, fed
 generated and edited text, raise only their own errors.  Kernel text
 round-trips with comments and blank lines in it, one instruction object
-per distinct line, and sweep results survive JSON and CSV.
+per distinct line, and sweep results survive JSON and CSV.  Two launches
+alike in block shape, block count and admission limits run alike under
+every policy, and each row of a sweep, which runs such launches once,
+equals a run of its own point.
 """
 
 import re
 from dataclasses import replace
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from smvirt.coordinator import OversubscriptionConfig
@@ -45,6 +48,7 @@ from smvirt.kernel_model import (
     WARP_WIDTH,
     Instruction,
     KernelError,
+    KernelInvariantError,
     KernelSpec,
     Opcode,
     PhaseSpecifier,
@@ -58,13 +62,19 @@ from smvirt.phase_compiler import annotate_phases
 from smvirt.policies import (
     KernelUnrunnableError,
     Policy,
+    admission_limits,
     baseline_blocks_in_flight,
     make_admission,
 )
 from smvirt.registry import WarpState
 from smvirt.resource_maps import get_arch
 
-from reference_loop import reference_admission_run, reference_run, with_effect_batches
+from reference_loop import (
+    reference_admission_run,
+    reference_run,
+    reference_sweep_rows,
+    with_effect_batches,
+)
 
 ONE_SM_ARCHS = {
     name: replace(get_arch(name), num_sms=1) for name in ("fermi", "kepler", "maxwell")
@@ -370,6 +380,61 @@ def test_zorua_without_a_swap_budget_hits_on_chip_every_time(kernel, arch, guard
         assert res.reg_hit_rate == res.scratch_hit_rate == res.slot_hit_rate == 1.0
 
 
+_DECLARED_REGS = (1, 2, 4, 8, 12, 16, 20, 24, 32, 40, 48, 63, 64, 96)
+_DECLARED_SCRATCH = (0, 1024, 4096, 8192, 16384, 40000, 49152)
+
+
+# no explain phase: it traces every line of two runs per example, and a
+# failing example took 54 s to report with it, against 3 s without
+@settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    phases=(Phase.generate, Phase.shrink),
+)
+@given(
+    kernel=_small_kernels(),
+    policy=st.sampled_from(list(Policy)),
+    arch=st.sampled_from(sorted(ONE_SM_ARCHS)),
+    data=st.data(),
+)
+def test_launches_alike_in_admission_input_run_alike(kernel, policy, arch, data):
+    # a launch reads of its declaration only the block's shape and count
+    # and admission_limits, so run_sweep may share one run between points
+    # alike in those; under zorua admission_limits is (): the declared
+    # registers and scratchpad are invisible to the virtualizing policy
+    kernel, hw = annotate_phases(kernel), ONE_SM_ARCHS[arch]
+    spec = kernel.resource_spec
+
+    def limits(k):
+        try:
+            return admission_limits(policy, k, hw)
+        except KernelUnrunnableError:
+            return None
+
+    first = limits(kernel)
+    assume(first is not None)
+    alike = []
+    for regs in _DECLARED_REGS:
+        for scratch in _DECLARED_SCRATCH:
+            if (regs, scratch) == (spec.regs_per_thread, spec.scratch_bytes_per_block):
+                continue
+            declared = replace(spec, regs_per_thread=regs, scratch_bytes_per_block=scratch)
+            try:
+                other = replace(kernel, resource_spec=declared)
+            except KernelInvariantError:  # below the body's liveness
+                continue
+            if limits(other) == first:
+                alike.append(other)
+    assume(alike)
+    other = data.draw(st.sampled_from(alike))
+    a, b = run(kernel, policy, hw).to_dict(), run(other, policy, hw).to_dict()
+    for d in (a, b):
+        del d["regs_per_thread"], d["scratch_bytes_per_block"]
+    assert a == b
+
+
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(
     kernel=_small_kernels(),
@@ -603,7 +668,10 @@ def _axis(values):
 )
 def test_sweep_results_survive_json_and_csv(profile, length, seed, grid, archs):
     kernel = generate_synthetic_kernel(profile, length, seed)
-    result = run_sweep(kernel, grid, [ONE_SM_ARCHS[a] for a in archs])
+    hw = [ONE_SM_ARCHS[a] for a in archs]
+    result = run_sweep(kernel, grid, hw)
+    # the memo changes no row: each is its own point's run, or unrunnable
+    assert list(result.rows) == reference_sweep_rows(kernel, grid, hw, list(Policy))
     assert parse_json(emit_json(result)) == result
     header, *lines = emit_csv(result).splitlines()
     assert header.split(",") == list(CSV_COLUMNS)
