@@ -31,7 +31,8 @@ Warp-slot oversubscription has one extra wrinkle: a slot moves to swap only
 by parking a warp that is already waiting at a barrier, which also saves its
 scheduler state to memory and releases all of its register sets.  Parked
 warps therefore re-enter the admission pipeline from the front when their
-barrier opens, paying one memory round trip to restore state.
+barrier opens, paying one memory round trip to restore state: a resumed
+warp issues no earlier than the occasion's wake plus the memory latency.
 
 Coordinator is the zorua admission object: it implements the hooks the
 engine calls for every policy (see policies.py) on the shared Registry.
@@ -114,7 +115,8 @@ class Coordinator(Registry):
         self.regs = self.tables[ResourceKind.REGISTER]
         self.scratch = self.tables[ResourceKind.SCRATCHPAD]
         self.slots = self.tables[ResourceKind.WARP_SLOT]
-        # what access_cost reads per issued instruction (tables keep their dicts)
+        # what access_cost reads per issued instruction (tables keep their
+        # dicts); a parked warp's restore pays the same latency
         self._penalty, self._latency = arch.mapping_table_penalty_cycles, arch.memory_latency_cycles
         self._reg_owned = self.regs.owned_sets
         self._reg_swap_owned = self.regs.swap_owned
@@ -207,7 +209,7 @@ class Coordinator(Registry):
             # parked warp resuming: restore its slot and pay the round trip
             slots.migrate_in(warp.wid, 0)
             slots.note_swap_event()
-            self._effects.append(("slot_swapin", warp.wid))
+            warp.next_ready = max(warp.next_ready, self.wake + self._latency)
         else:
             slots.allocate(warp.wid, 1, Placement.PHYSICAL)
         return True

@@ -38,7 +38,7 @@ from .kernel_model import WARP_WIDTH, KernelSpec, Opcode, ResourceSpecification
 from .phase_compiler import annotate_phases
 from .registry import BlockRecord, WarpRecord, WarpState
 from .resource_maps import ArchConfig, ResourceKind, get_arch
-from .policies import Policy, make_admission
+from .policies import Policy, admission_limits, make_admission
 
 DEFAULT_CYCLE_CAP = 30_000_000
 
@@ -314,13 +314,15 @@ class _SMRun:
     cycle's events.  The events and the epoch tick go through the methods
     below, and _finish derives the figures.
 
-    After the hooks of one occasion, _take_effects appends the effects
-    they produced to one FIFO work list as a batch with its wake: now for
-    a block arrival and the run loop's deadlock guard, now + 1 for the
-    end-of-cycle and epoch hooks.  _apply_effects is the one loop that
-    empties the list.  A warp admitted past its last instruction (its
-    kernel ends in a barrier) is finished by that loop; the finish and the
-    block dispatch it triggers only call hooks and append their batches,
+    Before the hooks of one occasion the engine sets the admission's
+    wake, the first cycle a warp they admit may issue in: now for a block
+    arrival and the run loop's deadlock guard, now + 1 for the
+    end-of-cycle and epoch hooks.  Admission raises each admitted warp's
+    next_ready to it and lists the warp in admitted.  _retire_admitted is
+    the one loop that walks that list, in admission order, and clears it.
+    A warp admitted past its last instruction (its kernel ends in a
+    barrier) is finished by that loop; the finish and the block dispatch
+    it triggers only call hooks, which append to the list being walked,
     so the loop is never entered while it runs.
     """
 
@@ -348,8 +350,6 @@ class _SMRun:
         self.warps: dict[int, WarpRecord] = adm.warps
         self.blocks: dict[int, BlockRecord] = adm.blocks
         self.next_bid = 0
-        # drained effect batches not yet applied, each with its wake
-        self.work: deque[tuple[int, list[tuple[str, int]]]] = deque()
         self.bif_min: Optional[int] = None
         self.bif_max = 0
         self.mem = _MemSystem(arch.memory_latency_cycles, arch.max_inflight_mem_requests)
@@ -388,39 +388,27 @@ class _SMRun:
         wids = tuple(range(bid * self.wpb, (bid + 1) * self.wpb))
         self.remaining -= 1
         self._log(EventKind.BLOCK_ARRIVAL, bid)
+        self.adm.wake = self.now
         # the kernel's entry phase specifier
         self.adm.on_block_arrival(bid, wids, self.body[0].phase_payload)
-        self._take_effects(self.now)
 
-    def _take_effects(self, wake: int):
-        """Queue the effects the last hook calls produced, to apply at wake."""
-        effects = self.adm.drain_effects()
-        if effects:
-            self.work.append((wake, effects))
-
-    def _apply_effects(self):
-        """The effect loop: apply queued batches in order until none is left."""
-        work, warps, n_body = self.work, self.warps, len(self.body)
-        while work:
-            wake, effects = work.popleft()
-            for tag, wid in effects:
-                w = warps[wid]
-                if tag == "slot_swapin":
-                    w.next_ready = max(w.next_ready, wake + self.arch.memory_latency_cycles)
-                elif w.pc < n_body:
-                    w.next_ready = max(w.next_ready, wake)
-                else:
-                    # admitted only to retire: its last instruction was a
-                    # barrier
-                    self._finish_warp(w)
+    def _retire_admitted(self):
+        """Finish, in admission order, each warp admitted past its last
+        instruction (its kernel ends in a barrier), then clear the list; a
+        finish's hooks append to it while it is walked."""
+        admitted, n_body = self.adm.admitted, len(self.body)
+        for w in admitted:
+            if w.pc >= n_body:
+                self._finish_warp(w)
+        admitted.clear()
 
     # -- end-of-cycle events ----------------------------------------------
 
     def _finish_warp(self, w: WarpRecord):
         wid = w.wid
         self._log(_WARP_FINISHED, wid)
+        self.adm.wake = self.now + 1
         done = self.adm.on_warp_finished(wid)
-        self._take_effects(self.now + 1)
         if done:
             self._log(EventKind.BLOCK_FINISHED, w.block_id)
         # refill before sampling: the freed resources admit the next
@@ -432,14 +420,14 @@ class _SMRun:
             self._finish_warp(self.warps[wid])
         else:
             self._log(kind, wid)
+            self.adm.wake = self.now + 1
             if kind is _PHASE_CHANGE:
                 self.adm.on_phase_change(wid, payload)
             else:
                 bid = self.warps[wid].block_id
                 if self.adm.on_barrier(wid):
                     self.adm.release_barrier(bid)
-            self._take_effects(self.now + 1)
-        self._apply_effects()
+        self._retire_admitted()
 
     # -- epochs ------------------------------------------------------------
 
@@ -466,10 +454,10 @@ class _SMRun:
     def _epoch_tick(self):
         stats = self._close_epoch()
         self._log(EventKind.EPOCH_TICK, stats.index)
+        self.adm.wake = self.now + 1
         self.adm.on_epoch(stats.c_idle - self.prev_idle, stats.c_mem - self.prev_mem)
         self.adm.deadlock_guard()
-        self._take_effects(self.now + 1)
-        self._apply_effects()
+        self._retire_admitted()
         if self.debug and (problems := self.adm.check_invariants()):
             raise RuntimeError("invariant violation: " + "; ".join(problems))
         self.prev_idle = stats.c_idle
@@ -480,7 +468,7 @@ class _SMRun:
     def run(self) -> "_SMRun":
         """Simulate to completion; the finished run carries its figures."""
         self._dispatch()
-        self._apply_effects()
+        self._retire_admitted()
         adm = self.adm
         part = adm.sched_lists
         blocks = self.blocks
@@ -592,10 +580,9 @@ class _SMRun:
             else:
                 if wake == _NEVER:
                     # nothing schedulable at all; force progress or give up
-                    self.now = now
+                    self.now = adm.wake = now
                     if adm.deadlock_guard():
-                        self._take_effects(now)
-                        self._apply_effects()
+                        self._retire_admitted()
                         continue
                     if not (adm.retunes and (self.remaining or adm.pending_work())):
                         raise NonTerminationError("wedged with no runnable warps")
@@ -670,10 +657,11 @@ def run(
     if not kernel.is_compiled:
         kernel = annotate_phases(kernel)
 
+    limits = admission_limits(policy, kernel, arch)
     counts = _per_sm_block_counts(kernel.resource_spec.num_blocks, arch.num_sms)
     sms: dict[int, _SMRun] = {}
     for count in sorted(counts, reverse=True):
-        adm = make_admission(policy, kernel, arch, oversub)
+        adm = make_admission(policy, limits, arch, oversub)
         util = _UtilSampler(kernel, adm) if collect_util else None
         sms[count] = _SMRun(kernel, adm, arch, count, debug, cycle_cap, util, log_events).run()
     critical = sms[max(sms, key=lambda c: (sms[c].cycles, c))]

@@ -13,7 +13,7 @@ through the same hooks: can_accept_block and on_block_arrival (given the
 compiled kernel's entry phase specifier), on_phase_change (given an
 issued specifier; it returns nothing), on_barrier and release_barrier,
 on_warp_finished (True when the block completed), on_epoch,
-deadlock_guard, drain_effects and check_invariants, plus the result
+deadlock_guard and check_invariants, plus the result
 counters access_totals, final_thresholds and guard_admissions, and one
 capability: retunes (the controller may loosen admission at the next
 epoch).  Only an admission that retunes has pending_work (whether
@@ -27,12 +27,14 @@ cycles of one issued instruction) is given, and every issued specifier
 reaches on_phase_change.  Every admission class
 is a Registry (registry.py), which owns the one warp and block registry,
 holding live blocks only, and each scheduler's list of schedulable warps,
-which the engine issues from; it hands warp wakes to the engine as
-("schedulable" | "slot_swapin", wid) effects.  The static policies
-ignore the phase specifiers; only zorua turns them into sets.
-admission_limits is the one place a policy reads the kernel's declaration
-and refuses a kernel it can never finish; make_admission picks the class
-and builds it from those limits alone.
+which the engine issues from.  The engine sets its wake before each
+occasion's hooks; admission raises each warp it admits to issue no
+earlier and lists it in admitted, which the engine walks and clears.
+The static policies ignore the phase specifiers; only zorua turns them
+into sets.  admission_limits is the one place a policy reads the
+kernel's declaration and refuses a kernel it can never finish; run
+calls it once per launch, and make_admission picks the class and
+builds it from those limits alone.
 """
 
 from __future__ import annotations
@@ -227,16 +229,9 @@ def admission_limits(policy: Policy, kernel: KernelSpec, arch: ArchConfig) -> tu
     )
 
 
-def make_admission(
-    policy: Policy, kernel: KernelSpec, arch: ArchConfig, oversub: OversubscriptionConfig
-):
-    """The admission object of one SM running kernel under policy, built
-    from admission_limits alone.
-
-    Raises KernelUnrunnableError when the policy can never finish the
-    kernel on this hardware.
-    """
-    limits = admission_limits(policy, kernel, arch)
+def make_admission(policy: Policy, limits: tuple, arch: ArchConfig, oversub: OversubscriptionConfig):
+    """The admission object of one SM under policy, built from the limits
+    admission_limits gave for the kernel."""
     if policy is Policy.ZORUA:
         return Coordinator(arch, oversub)
     return StaticAdmission(arch, *limits)

@@ -8,8 +8,10 @@ block's warps together, in block order.  A record starts with no set
 demand: only zorua admission (coordinator.py) turns a phase specifier
 into the sets a warp needs.  The registry also keeps, per scheduler
 (wid mod schedulers), the schedulable warps in wid order, and their
-count: the one index the engine issues from, kept by _set_state.  Warp
-wakes reach the engine as drained (tag, wid) effects.
+count: the one index the engine issues from, kept by _set_state.
+Admission wakes its own warps: the engine sets wake before each
+occasion's hooks, an admitted warp issues no earlier, and admitted
+lists the warps admitted since the engine last cleared it.
 """
 
 from __future__ import annotations
@@ -68,20 +70,16 @@ class BlockRecord:
 
 
 class Registry:
-    """Live warps and blocks of one SM, and the effects not yet drained."""
+    """Live warps and blocks of one SM, and the warps it admitted."""
 
     def __init__(self, schedulers: int):
         self.warps: dict[int, WarpRecord] = {}
         self.blocks: dict[int, BlockRecord] = {}
-        self._effects: list[tuple[str, int]] = []
+        self.wake = 0  # the first cycle a warp admitted now may issue in
+        self.admitted: list[WarpRecord] = []
         # per scheduler, its schedulable warps in wid order, and their count
         self.sched_lists: tuple[list[WarpRecord], ...] = tuple([] for _ in range(schedulers))
         self.n_schedulable = 0
-
-    def drain_effects(self) -> list[tuple[str, int]]:
-        out = self._effects
-        self._effects = []
-        return out
 
     def _set_state(self, w: WarpRecord, state: WarpState):
         """The one place a warp changes state; keeps the scheduler lists, where
@@ -102,9 +100,11 @@ class Registry:
         w.state = state
 
     def _admit(self, w: WarpRecord):
-        """Make a warp schedulable and tell the engine."""
+        """Make a warp schedulable from wake on and list it admitted."""
         self._set_state(w, _SCHEDULABLE)
-        self._effects.append(("schedulable", w.wid))
+        if w.next_ready < self.wake:
+            w.next_ready = self.wake
+        self.admitted.append(w)
 
     def on_block_arrival(self, bid: int, wids: tuple[int, ...]):
         """Register a block and its warps, none of them needing any sets yet."""

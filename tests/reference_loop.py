@@ -32,8 +32,9 @@ the fast retry uses to pass over a stage that cannot admit anyone.  It
 retries after every event hook, also where Coordinator skips the retry,
 and its register pass sorts the queue by held sets, where Coordinator
 walks its buckets.  reference_admission_run is engine.run with it in
-place of Coordinator.  with_effect_batches records what every hook
-call released, to compare the two hook by hook.
+place of Coordinator.  with_admissions records every admission, with
+its wake and the next_ready it left, to compare the two admission by
+admission.
 
 reference_sweep_rows is run_sweep's rows without its memo: one run() per
 (arch, policy, point), and an unrunnable row where run() refuses the
@@ -51,7 +52,7 @@ from smvirt.harness import grid_points, parse_grid, result_row, unrunnable_row
 from smvirt.kernel_model import KernelInvariantError, Opcode
 from smvirt.phase_compiler import annotate_phases
 from smvirt.policies import KernelUnrunnableError
-from smvirt.registry import WarpState
+from smvirt.registry import Registry, WarpState
 from smvirt.resource_maps import get_arch
 
 _PENDING = (WarpState.PENDING_THREAD, WarpState.PENDING_SCRATCH, WarpState.PENDING_REG)
@@ -80,7 +81,7 @@ class ReferenceSMRun(_SMRun):
         arch = self.arch
         self.mem = HeapMemSystem(arch.memory_latency_cycles, arch.max_inflight_mem_requests)
         self._dispatch()
-        self._apply_effects()
+        self._retire_admitted()
         n_sched = self.arch.schedulers_per_sm
         self.plan = self.adm.access_plan(self.body)
         epoch_cycles = self.arch.epoch_cycles
@@ -102,9 +103,9 @@ class ReferenceSMRun(_SMRun):
                     cur = next((w for w in candidates if w.next_ready <= now), None)
                 picks.append(cur)
             if not any(picks) and not schedulable:
+                self.adm.wake = now
                 if self.adm.deadlock_guard():
-                    self._take_effects(now)
-                    self._apply_effects()
+                    self._retire_admitted()
                     continue
                 if not (self.adm.retunes and self._work_waits()):
                     raise NonTerminationError("wedged with no runnable warps")
@@ -228,22 +229,20 @@ def reference_admission_run(*args, **kwargs):
         return engine.run(*args, **kwargs)
 
 
-def with_effect_batches(runner, *args, **kwargs):
-    """runner's result, and each batch of effects a hook call produced on
-    any SM, with the cycle it was taken in and its wake: a retry that runs
-    later than it should moves an admission into a later batch even where
-    the outputs cannot tell."""
-    batches = []
-    take_effects = _SMRun._take_effects
+def with_admissions(runner, *args, **kwargs):
+    """runner's result, and (wake, wid, next_ready) of each admission on
+    any SM, in order, next_ready as admission left it: a retry that runs
+    later than it should admits a warp at a later wake even where the
+    outputs cannot tell."""
+    admissions = []
+    admit = Registry._admit
 
-    def recorded(self, wake):
-        before = len(self.work)
-        take_effects(self, wake)
-        if len(self.work) > before:
-            batches.append((self.now, *self.work[-1]))
+    def recorded(self, w):
+        admit(self, w)
+        admissions.append((self.wake, w.wid, w.next_ready))
 
-    with mock.patch.object(_SMRun, "_take_effects", recorded):
-        return runner(*args, **kwargs), batches
+    with mock.patch.object(Registry, "_admit", recorded):
+        return runner(*args, **kwargs), admissions
 
 
 def reference_sweep_rows(kernel, grid, archs, policy_list):

@@ -173,11 +173,14 @@ def test_barrier_parking_and_resume():
     assert coord.tables[ResourceKind.REGISTER].owned(0) == 0
     assert coord.check_invariants() == []
 
-    # releasing block 0 lets its parked warps re-admit by parking others
+    # releasing block 0 lets its parked warps re-admit by parking others;
+    # restoring a parked warp's state costs a memory round trip
+    coord.wake = 100
+    coord.admitted.clear()
     coord.release_barrier(0)
-    effects = coord.drain_effects()
-    assert ("slot_swapin", 0) in effects
     assert coord.warps[0].state is WarpState.SCHEDULABLE
+    assert coord.warps[0] in coord.admitted
+    assert coord.warps[0].next_ready == 100 + TINY.memory_latency_cycles
     assert coord.check_invariants() == []
 
 
@@ -275,12 +278,44 @@ def test_deadlock_guard_forces_one_admission_per_call():
     assert coord.guard_admissions == 2
 
 
-def test_effects_drain_once():
+def test_admitted_lists_each_admission_once():
     coord = Coordinator(TINY, OversubscriptionConfig())
     _arrive(coord, 0, (0, 1), reg_sets=1, scratch_sets=0)
-    effects = coord.drain_effects()
-    assert ("schedulable", 0) in effects
-    assert coord.drain_effects() == []
+    assert [w.wid for w in coord.admitted] == [0, 1]
+    coord.admitted.clear()  # as the engine does once it has walked the list
+    coord.on_phase_change(0, _phase(reg_sets=1, scratch_sets=0))  # same demand
+    assert coord.admitted == []
+
+
+def test_admission_raises_an_admitted_warp_to_the_wake():
+    # the engine sets wake before each occasion's hooks: a warp admitted
+    # below it rises to it, one above it keeps its next_ready, and a
+    # parked warp restored from swap issues a memory round trip later
+    cfg = OversubscriptionConfig(fixed_o_thresh_frac=1 / 16, guard_enabled=False)
+    coord = Coordinator(TINY, cfg)
+    coord.wake = 7
+    for bid in range(4):
+        _arrive(coord, bid, range(bid * 4, bid * 4 + 4), reg_sets=1, scratch_sets=0)
+    assert [coord.warps[w].next_ready for w in range(16)] == [7] * 16
+    for wid in range(4):
+        coord.warps[wid].next_ready = 20 + wid  # as the engine sets it on issue
+        coord.on_barrier(wid)
+    coord.wake = 22
+    coord.release_barrier(0)
+    assert [coord.warps[w].next_ready for w in range(4)] == [22, 22, 22, 23]
+    # warp 16 parks warp 0 to take its slot
+    coord.on_barrier(0)
+    _arrive(coord, 4, (16,), reg_sets=1, scratch_sets=0)
+    assert coord.warps[0].state is WarpState.PARKED
+    for wid in (1, 2, 3):
+        coord.on_barrier(wid)
+    coord.release_barrier(0)  # warp 0 queues again for a slot
+    assert coord.warps[0].state is WarpState.PENDING_THREAD
+    coord.wake = 50
+    coord.on_warp_finished(16)
+    assert coord.warps[0].state is WarpState.SCHEDULABLE
+    assert coord.warps[0].next_ready == 50 + TINY.memory_latency_cycles
+    assert coord.check_invariants() == []
 
 
 _QUEUE_PASSES = ("_retry_reg", "_retry_scratch", "_retry_slots")
@@ -435,10 +470,14 @@ def test_a_requeued_parked_warp_passes_the_slot_stage_before_an_older_new_warp()
     assert list(coord.warps[w].state for w in (0, 17)) == [WarpState.PENDING_THREAD] * 2
     assert coord.warps[0].enqueue_seq > coord.warps[17].enqueue_seq
     # one slot frees: the parked warp, holding its slot in swap, goes first
+    # and pays the round trip that restores its state
+    coord.wake = 50
+    coord.admitted.clear()
     coord.on_warp_finished(4)
     assert coord.warps[0].state is WarpState.SCHEDULABLE
     assert coord.warps[17].state is WarpState.PENDING_THREAD
-    assert ("slot_swapin", 0) in coord.drain_effects()
+    assert coord.admitted == [coord.warps[0]]
+    assert coord.warps[0].next_ready == 50 + TINY.memory_latency_cycles
     assert coord.check_invariants() == []
 
 

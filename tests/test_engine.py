@@ -271,25 +271,25 @@ def _ending_in_barrier(name, **spec):
     )
 
 
-def test_warps_admitted_past_a_trailing_barrier_retire_without_reentering_the_effect_loop(
+def test_warps_admitted_past_a_trailing_barrier_retire_without_reentering_the_retire_loop(
     monkeypatch,
 ):
     # parked warps at the final barrier are admitted again only to retire;
     # their retirement frees resources that admit and retire more of them
-    # while effects of the same batch are still queued
+    # while warps admitted before them still wait in the list
     depth = max_depth = 0
-    apply_effects = _SMRun._apply_effects
+    retire_admitted = _SMRun._retire_admitted
 
     def counted(self, *args):
         nonlocal depth, max_depth
         depth += 1
         max_depth = max(max_depth, depth)
         try:
-            return apply_effects(self, *args)
+            return retire_admitted(self, *args)
         finally:
             depth -= 1
 
-    monkeypatch.setattr(_SMRun, "_apply_effects", counted)
+    monkeypatch.setattr(_SMRun, "_retire_admitted", counted)
     arch = replace(
         FERMI, num_sms=2, warp_slots_per_sm=16, max_logical_warps=40, registers_per_sm=8192
     )

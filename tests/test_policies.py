@@ -103,7 +103,8 @@ def test_wlm_single_warp_floor_without_barriers():
 def _static(policy, spec):
     """policy's admission object on fermi for a one-ALU kernel of spec."""
     kernel = KernelSpec("k", spec, (Instruction(Opcode.ALU),))
-    return make_admission(policy, kernel, FERMI, OversubscriptionConfig())
+    limits = admission_limits(policy, kernel, FERMI)
+    return make_admission(policy, limits, FERMI, OversubscriptionConfig())
 
 
 def test_static_policies_differ_only_in_their_limits():
@@ -129,11 +130,11 @@ def test_wlm_admits_a_block_warp_by_warp_as_slots_free():
     _arrive(adm, 0, 32)
     assert adm.can_accept_block(32)
     _arrive(adm, 1, 32)  # only 16 of the 48 slots are left
-    admitted = [wid for tag, wid in adm.drain_effects() if tag == "schedulable"]
-    assert admitted == list(range(48))
+    assert [w.wid for w in adm.admitted] == list(range(48))
+    adm.admitted.clear()
     assert not adm.can_accept_block(32)
     assert adm.on_warp_finished(0) is False
-    assert adm.drain_effects() == [("schedulable", 48)]
+    assert [w.wid for w in adm.admitted] == [48]
     assert adm.warps[48].state is WarpState.SCHEDULABLE
     assert adm.warps[49].state is WarpState.PENDING_THREAD
     assert adm.check_invariants() == []

@@ -73,7 +73,7 @@ from reference_loop import (
     reference_admission_run,
     reference_run,
     reference_sweep_rows,
-    with_effect_batches,
+    with_admissions,
 )
 
 ONE_SM_ARCHS = {
@@ -339,13 +339,15 @@ def test_baseline_admission_takes_whole_blocks_up_to_the_static_count(warps, reg
     fits = baseline_blocks_in_flight(spec, hw)
     assume(fits > 0)
     kernel = KernelSpec("k", spec, (Instruction(Opcode.ALU),))
-    adm = make_admission(Policy.BASELINE, kernel, hw, OversubscriptionConfig())
+    limits = admission_limits(Policy.BASELINE, kernel, hw)
+    adm = make_admission(Policy.BASELINE, limits, hw, OversubscriptionConfig())
     bid = 0
     while bid <= fits and adm.can_accept_block(warps):
         wids = tuple(range(bid * warps, (bid + 1) * warps))
         adm.on_block_arrival(bid, wids, PhaseSpecifier(0, 0))
         assert all(adm.warps[wid].state is not WarpState.PENDING_THREAD for wid in wids)
-        assert adm.drain_effects() == [("schedulable", wid) for wid in wids]
+        assert [w.wid for w in adm.admitted] == list(wids)
+        adm.admitted.clear()
         bid += 1
     assert bid == fits
     assert adm.check_invariants() == []
@@ -551,15 +553,15 @@ def test_zorua_admission_matches_a_retry_of_every_stage(
     )
     cfg = OversubscriptionConfig(fixed_o_thresh_frac=o_thresh)
     try:
-        fast, fast_batches = with_effect_batches(run, kernel, "zorua", hw, oversub=cfg, log_events=True)
+        fast, fast_admissions = with_admissions(run, kernel, "zorua", hw, oversub=cfg, log_events=True)
     except KernelUnrunnableError:
         return
-    naive, naive_batches = with_effect_batches(
+    naive, naive_admissions = with_admissions(
         reference_admission_run, kernel, "zorua", hw, oversub=cfg, log_events=True
     )
     assert fast.to_dict() == naive.to_dict()
     assert fast.event_log == naive.event_log
-    assert fast_batches == naive_batches
+    assert fast_admissions == naive_admissions
 
 
 @pytest.mark.parametrize("o_thresh", [0.0, None])
@@ -579,13 +581,13 @@ def test_zorua_admission_matches_a_retry_of_every_stage_after_a_register_shrink(
     kernel = annotate_phases(KernelSpec("shrink", spec, tuple(body)))
     hw = replace(ONE_SM_ARCHS["fermi"], registers_per_sm=registers)
     cfg = OversubscriptionConfig(fixed_o_thresh_frac=o_thresh)
-    fast, fast_batches = with_effect_batches(run, kernel, "zorua", hw, oversub=cfg, log_events=True)
-    naive, naive_batches = with_effect_batches(
+    fast, fast_admissions = with_admissions(run, kernel, "zorua", hw, oversub=cfg, log_events=True)
+    naive, naive_admissions = with_admissions(
         reference_admission_run, kernel, "zorua", hw, oversub=cfg, log_events=True
     )
     assert fast.to_dict() == naive.to_dict()
     assert fast.event_log == naive.event_log
-    assert fast_batches == naive_batches
+    assert fast_admissions == naive_admissions
 
 
 _KERNEL_TEXTS = [
