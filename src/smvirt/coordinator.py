@@ -145,6 +145,8 @@ class Coordinator(Registry):
         # warps that still owned resources when their block was dropped
         self.retired_errors: list[str] = []
         self._block_completed = True  # the last warp to finish completed its block
+        # the last epoch's stall counters, whose deltas drive the controller
+        self._last_idle = self._last_mem = 0
 
     # -- bookkeeping ----------------------------------------------------
 
@@ -421,8 +423,8 @@ class Coordinator(Registry):
                 self._enqueue(w, _PENDING_THREAD)
         self.retry_all_queues()
 
-    def on_warp_finished(self, wid: int) -> bool:
-        """Release everything the warp holds; True when its block completed.
+    def on_warp_finished(self, wid: int):
+        """Release everything the warp holds.
 
         A completed block leaves the registry with its warps; a warp still
         owning sets then leaked them.  The freed slot matters only to slot
@@ -445,10 +447,13 @@ class Coordinator(Registry):
         self._block_completed = block is not None
         if freed or self._thread_q:
             self.retry_all_queues()
-        return self._block_completed
 
-    def on_epoch(self, d_idle: int, d_mem: int):
-        """Controller update, promotion and retries, fresh accounting window."""
+    def on_epoch(self, stats):
+        """Controller update from the closed epoch's stall counters (an
+        engine EpochStats), promotion and retries, fresh accounting window,
+        then the deadlock guard."""
+        d_idle, d_mem = stats.c_idle - self._last_idle, stats.c_mem - self._last_mem
+        self._last_idle, self._last_mem = stats.c_idle, stats.c_mem
         if self.cfg.fixed_o_thresh_frac is None:
             for tbl, value in self._limit.items():
                 cap = tbl.capacity
@@ -458,6 +463,7 @@ class Coordinator(Registry):
         self.retry_all_queues()
         for tbl in self.tables.values():
             tbl.reset_access_window()
+        self.deadlock_guard()
 
     # -- data-access path ---------------------------------------------------
 
@@ -519,9 +525,6 @@ class Coordinator(Registry):
         return self.scratch.lookup(bid, logical) is Placement.SWAP
 
     # -- engine queries and result counters -----------------------------------
-
-    def pending_work(self) -> bool:
-        return bool(self._thread_q or self._scratch_q or self._reg_q)
 
     @property
     def retunes(self) -> bool:

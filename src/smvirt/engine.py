@@ -14,10 +14,11 @@ touching a set that lives in swap costs a full memory round trip.
 
 Every simulated cycle lands in exactly one accounting bucket: at least
 one instruction issued; memory stall (schedulable warps exist but all wait
-on latency); idle (nothing is schedulable, and the wedge check has shown
-that admissible work waits).  Counters accrue per epoch and the
-epoch-over-epoch deltas of the idle and memory buckets drive the
-oversubscription controller.
+on latency); idle (nothing is schedulable and the deadlock guard admits
+nobody, so the run waits for the next epoch if its admission retunes and
+is wedged if not).  Counters accrue per epoch, and admission gets each
+closed epoch: zorua's controller retunes from the epoch-over-epoch
+deltas of the idle and memory buckets, and its deadlock guard runs.
 
 Blocks are distributed round-robin over the SMs; SMs with equal block
 counts behave identically, so one replica is simulated per distinct count
@@ -27,10 +28,10 @@ and the launch finishes when the slowest replica does.
 from __future__ import annotations
 
 import enum
-import math
 from collections import deque
 from dataclasses import dataclass, fields, replace
-from operator import attrgetter, itemgetter
+from fractions import Fraction
+from operator import attrgetter
 from typing import Optional, Union
 
 from .coordinator import OversubscriptionConfig
@@ -70,8 +71,6 @@ _WARP_FINISHED = EventKind.WARP_FINISHED
 _SCHEDULABLE = WarpState.SCHEDULABLE
 _NEVER = 1 << 62  # the scan's wake before it sees a warp: later than any cycle
 
-# end-of-cycle events run in (kind, wid) order
-_event_order = itemgetter(0, 1)
 # the epoch counters a launch sums over its SMs, named alike in SimResult
 _SUMMED_EPOCH_FIELDS = ("issued_instructions", "issued_cycles", "c_idle", "c_mem", "barrier_stall")
 _summed_epoch_fields = attrgetter(*_SUMMED_EPOCH_FIELDS)
@@ -252,12 +251,11 @@ class _UtilSampler:
     def close_epoch(self):
         reg = scr = None
         if self.cycles:
-            common = math.lcm(*self.sums)
-            weighted = [(common // k, r, s) for k, (r, s) in self.sums.items()]
-            scale = common * self.cycles
-            reg = sum(w * r for w, r, _ in weighted) / (scale * self.blk_regs)
+            # k blocks in flight allocate k blocks' space: the sums weigh 1/k
+            per_block = [(Fraction(r, k), Fraction(s, k)) for k, (r, s) in self.sums.items()]
+            reg = float(sum(r for r, _ in per_block) / (self.cycles * self.blk_regs))
             if self.blk_scr:
-                scr = sum(w * s for w, _, s in weighted) / (scale * self.blk_scr)
+                scr = float(sum(s for _, s in per_block) / (self.cycles * self.blk_scr))
         self.reg_frac.append(reg)
         self.scr_frac.append(scr)
         self.sums = {}
@@ -358,7 +356,7 @@ class _SMRun:
         self.epochs: list[EpochStats] = []
         self.ep_issued = self.ep_issue_cycles = self.ep_idle = self.ep_mem = 0
         self.ep_swap_snap = (0, 0, 0)
-        self.prev_idle = self.prev_mem = self.sched_integral = 0
+        self.sched_integral = 0
 
     # -- logging / accounting helpers ------------------------------------
 
@@ -408,25 +406,25 @@ class _SMRun:
         wid = w.wid
         self._log(_WARP_FINISHED, wid)
         self.adm.wake = self.now + 1
-        done = self.adm.on_warp_finished(wid)
-        if done:
+        self.adm.on_warp_finished(wid)
+        if w.block_id not in self.blocks:  # the registry drops a block as it completes
             self._log(EventKind.BLOCK_FINISHED, w.block_id)
         # refill before sampling: the freed resources admit the next
         # block in the same cycle, so the dip is never observable
         self._dispatch()
 
-    def _handle_event(self, kind: EventKind, wid: int, payload):
+    def _handle_event(self, kind: EventKind, wid: int):
+        w = self.warps[wid]
         if kind is _WARP_FINISHED:
-            self._finish_warp(self.warps[wid])
+            self._finish_warp(w)
         else:
             self._log(kind, wid)
             self.adm.wake = self.now + 1
             if kind is _PHASE_CHANGE:
-                self.adm.on_phase_change(wid, payload)
-            else:
-                bid = self.warps[wid].block_id
-                if self.adm.on_barrier(wid):
-                    self.adm.release_barrier(bid)
+                # the specifier the warp issued: no hook moves a pc
+                self.adm.on_phase_change(wid, self.body[w.pc - 1].phase_payload)
+            elif self.adm.on_barrier(wid):
+                self.adm.release_barrier(w.block_id)
         self._retire_admitted()
 
     # -- epochs ------------------------------------------------------------
@@ -455,13 +453,10 @@ class _SMRun:
         stats = self._close_epoch()
         self._log(EventKind.EPOCH_TICK, stats.index)
         self.adm.wake = self.now + 1
-        self.adm.on_epoch(stats.c_idle - self.prev_idle, stats.c_mem - self.prev_mem)
-        self.adm.deadlock_guard()
+        self.adm.on_epoch(stats)
         self._retire_admitted()
         if self.debug and (problems := self.adm.check_invariants()):
             raise RuntimeError("invariant violation: " + "; ".join(problems))
-        self.prev_idle = stats.c_idle
-        self.prev_mem = stats.c_mem
 
     # -- main loop -----------------------------------------------------------
 
@@ -541,20 +536,20 @@ class _SMRun:
                     w.pc = pc + 1
                     issued += 1
                     if op is _BARRIER:
-                        pending.append((_BARRIER_REACHED, w.wid, None))
+                        pending.append((_BARRIER_REACHED, w.wid))
                     else:
                         if op is spec_op:
-                            pending.append((_PHASE_CHANGE, w.wid, body[pc].phase_payload))
+                            pending.append((_PHASE_CHANGE, w.wid))
                         if pc + 1 == n_body:
-                            pending.append((_WARP_FINISHED, w.wid, None))
+                            pending.append((_WARP_FINISHED, w.wid))
                 ep_issued += issued
                 ep_issue_cycles += 1
                 last_issue = tick = now
                 if pending:
                     self.now = now
-                    pending.sort(key=_event_order)
-                    for kind, wid, payload in pending:
-                        self._handle_event(kind, wid, payload)
+                    pending.sort()
+                    for kind, wid in pending:
+                        self._handle_event(kind, wid)
                     pending.clear()
                 elif plain is not None:
                     # the issue skip, to the first of its three bounds; a
@@ -584,7 +579,7 @@ class _SMRun:
                     if adm.deadlock_guard():
                         self._retire_admitted()
                         continue
-                    if not (adm.retunes and (self.remaining or adm.pending_work())):
+                    if not adm.retunes:
                         raise NonTerminationError("wedged with no runnable warps")
                     # fall through: skip to the epoch boundary and let the
                     # controller retune admission

@@ -123,13 +123,8 @@ def parse_grid(text: str) -> GridSpec:
                 raise GridSyntaxError(line_no, "blocks and total_threads are mutually exclusive")
         else:
             raise GridSyntaxError(line_no, f"unknown directive {directive!r}")
-    return GridSpec(
-        threads_per_block=axes.get("threads_per_block"),
-        regs_per_thread=axes.get("regs_per_thread"),
-        scratch=axes.get("scratch"),
-        blocks=fixed.get("blocks"),
-        total_threads=fixed.get("total_threads"),
-    )
+    # the grid keys are GridSpec's field names
+    return GridSpec(**axes, **fixed)
 
 
 def grid_points(grid: GridSpec, base: ResourceSpecification) -> list[ResourceSpecification]:

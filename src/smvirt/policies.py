@@ -11,14 +11,16 @@ allocations through mapping tables with bounded swap oversubscription
 Each policy is one admission object per SM, and the engine drives all three
 through the same hooks: can_accept_block and on_block_arrival (given the
 compiled kernel's entry phase specifier), on_phase_change (given an
-issued specifier; it returns nothing), on_barrier and release_barrier,
-on_warp_finished (True when the block completed), on_epoch,
-deadlock_guard and check_invariants, plus the result
-counters access_totals, final_thresholds and guard_admissions, and one
+issued specifier), on_barrier and release_barrier, on_warp_finished,
+on_epoch (given the closed epoch's EpochStats; it ends with the deadlock
+guard), deadlock_guard and check_invariants, plus the result counters
+access_totals, final_thresholds and guard_admissions, and one
 capability: retunes (the controller may loosen admission at the next
-epoch).  Only an admission that retunes has pending_work (whether
-admissible warps wait), which the engine asks before it waits for the
-next epoch with nothing schedulable.
+epoch).  Of the event hooks only on_barrier returns a value, True at
+its block's last arrival; the engine reads a block's completion off the
+registry.  With nothing schedulable and nothing the guard can force in,
+a run waits for the next epoch if its admission retunes, else it is
+wedged.
 access_plan(body) is None where issuing costs the admission nothing and
 specifiers change nothing: the engine then calls on_phase_change only in
 a run that logs its events, and may skip issue cycles, specifiers
@@ -144,15 +146,12 @@ class StaticAdmission(Registry):
     def on_phase_change(self, wid: int, phase: PhaseSpecifier):
         pass
 
-    def on_warp_finished(self, wid: int) -> bool:
-        """True when the warp completed its block, which then leaves the
-        registry with its warps."""
-        done = self._retire(wid) is not None
+    def on_warp_finished(self, wid: int):
+        self._retire(wid)
         self.held -= 1
         self._admit_waiting()
-        return done
 
-    def on_epoch(self, d_idle: int, d_mem: int):
+    def on_epoch(self, stats):
         pass
 
     def deadlock_guard(self) -> bool:

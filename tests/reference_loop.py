@@ -7,10 +7,13 @@ ready and still schedulable, else the first ready candidate.  It counts
 the schedulable warps the same way, for the wedge test and the integral.
 It has no stall skip and no issue skip, and it reads none of the
 registry's scheduler lists, so it shares no index with the loop it
-checks; it drives the same admission hooks and event handlers as the
-fast loop.  Its memory is HeapMemSystem, a heap of completion times
-that assumes nothing of the order they come in, where the engine keeps
-a FIFO.  Every issued specifier raises a phase change here, under
+checks.  It drives the same admission hooks through event handlers of
+its own: each sets the admission's wake from this loop's clock, a phase
+change passes the specifier read at issue, and a block's completion is
+this loop's own count of its finished warps.  Its memory is
+HeapMemSystem, a heap of completion times that assumes nothing of the
+order they come in, where the engine keeps a FIFO.  Every issued
+specifier raises a phase change here, under
 every policy and with the log off too, so an unlogged fast run that
 matches it shows that the static policies lose nothing when the fast
 loop issues over their specifiers.  It tells whether admissible work
@@ -80,6 +83,7 @@ class ReferenceSMRun(_SMRun):
     def run(self) -> "ReferenceSMRun":
         arch = self.arch
         self.mem = HeapMemSystem(arch.memory_latency_cycles, arch.max_inflight_mem_requests)
+        self.finished = {}  # block id -> its finished warps
         self._dispatch()
         self._retire_admitted()
         n_sched = self.arch.schedulers_per_sm
@@ -129,6 +133,36 @@ class ReferenceSMRun(_SMRun):
                 if self.now % epoch_cycles == 0:
                     self._epoch_tick()
         return self._finish()
+
+    def _start_block(self):
+        bid = self.next_bid
+        self.next_bid += 1
+        self.remaining -= 1
+        self._log(EventKind.BLOCK_ARRIVAL, bid)
+        self.adm.wake = self.now
+        wids = tuple(bid * self.wpb + i for i in range(self.wpb))
+        self.adm.on_block_arrival(bid, wids, self.body[0].phase_payload)
+
+    def _finish_warp(self, w):
+        self._log(EventKind.WARP_FINISHED, w.wid)
+        self.adm.wake = self.now + 1
+        self.adm.on_warp_finished(w.wid)
+        self.finished[w.block_id] = self.finished.get(w.block_id, 0) + 1
+        if self.finished[w.block_id] == self.wpb:
+            self._log(EventKind.BLOCK_FINISHED, w.block_id)
+        self._dispatch()
+
+    def _handle_event(self, kind, wid, payload):
+        if kind is EventKind.WARP_FINISHED:
+            self._finish_warp(self.warps[wid])
+        else:
+            self._log(kind, wid)
+            self.adm.wake = self.now + 1
+            if kind is EventKind.PHASE_CHANGE:
+                self.adm.on_phase_change(wid, payload)
+            elif self.adm.on_barrier(wid):
+                self.adm.release_barrier(self.warps[wid].block_id)
+        self._retire_admitted()
 
     def _work_waits(self) -> bool:
         return self.remaining > 0 or any(w.state in _PENDING for w in self.warps.values())

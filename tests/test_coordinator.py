@@ -4,7 +4,7 @@ import pytest
 
 from smvirt.coordinator import Coordinator, OversubscriptionConfig, adjust_o_thresh
 from smvirt.corpus import corpus_kernel
-from smvirt.engine import run
+from smvirt.engine import EpochStats, run
 from smvirt.kernel_model import PhaseSpecifier
 from smvirt.policies import StaticAdmission
 from smvirt.registry import BlockRecord, WarpState
@@ -75,6 +75,11 @@ def _phase(reg_sets, scratch_sets):
 
 def _arrive(coord, bid, wids, reg_sets, scratch_sets):
     coord.on_block_arrival(bid, tuple(wids), _phase(reg_sets, scratch_sets))
+
+
+def _epoch(c_idle, c_mem):
+    """A closed epoch with these stall counts and nothing else."""
+    return EpochStats(0, 0, 0, c_idle, c_mem, 0, 0, 0, 0)
 
 
 def test_block_admitted_when_everything_fits():
@@ -202,12 +207,12 @@ def test_completed_block_leaves_the_registry():
     coord = Coordinator(TINY, OversubscriptionConfig())
     _arrive(coord, 0, range(2), reg_sets=1, scratch_sets=1)
     _arrive(coord, 1, range(2, 4), reg_sets=1, scratch_sets=1)
-    assert coord.on_warp_finished(0) is False
+    coord.on_warp_finished(0)
     # a finished warp of a live block stays until its block completes
     assert sorted(coord.warps) == [0, 1, 2, 3]
     assert coord.warps[0].state is WarpState.FINISHED
     assert coord.blocks[0].finished_warps == 1
-    assert coord.on_warp_finished(1) is True
+    coord.on_warp_finished(1)
     assert sorted(coord.warps) == [2, 3]
     assert len(coord.blocks) == 1 and list(coord.blocks) == [1]
     assert all(coord.warps[w].state is not WarpState.FINISHED for w in (2, 3))
@@ -349,7 +354,7 @@ def test_register_waiter_is_retried_only_when_registers_free():
     # events that free no register set do not re-pass the register queue
     coord.on_barrier(0)
     coord.on_phase_change(1, _phase(reg_sets=8, scratch_sets=0))
-    coord.on_epoch(d_idle=0, d_mem=0)
+    coord.on_epoch(_epoch(c_idle=0, c_mem=0))
     assert passes == []
     assert coord.check_invariants() == []
     # the retry that frees a warp's eight sets admits the oldest waiter
@@ -371,11 +376,17 @@ def test_threshold_rise_at_epoch_admits_a_waiting_warp():
     assert coord.warps[17].state is WarpState.PENDING_REG
     assert regs.budget_swap() == 16
     # idle stalls outgrow memory stalls: the threshold rises by 10 to 35
-    coord.on_epoch(d_idle=100, d_mem=0)
+    coord.on_epoch(_epoch(c_idle=100, c_mem=0))
     assert coord.final_thresholds()["register"] == 35
     assert coord.warps[17].state is WarpState.SCHEDULABLE
     assert regs.budget_swap() == 32
     assert coord.check_invariants() == []
+    # the controller reads epoch-over-epoch deltas: the same stall counts
+    # again are no change, and fewer idle cycles than memory ones shrink
+    coord.on_epoch(_epoch(c_idle=100, c_mem=0))
+    assert coord.final_thresholds()["register"] == 35
+    coord.on_epoch(_epoch(c_idle=100, c_mem=40))
+    assert coord.final_thresholds()["register"] == 25
 
 
 def test_scratch_waiter_passes_on_its_siblings_share_with_no_headroom():

@@ -323,6 +323,24 @@ def test_blocks_in_flight_max_is_the_most_blocks_the_registry_held(monkeypatch):
     assert res.blocks_in_flight_max == held
 
 
+def test_each_epoch_tick_runs_the_deadlock_guard():
+    # some forced admissions come at an epoch tick, before the stall
+    # path's guard would run: without the epoch's guard the first launch
+    # takes 6519 cycles with the same 15 admissions, the second 28912
+    # cycles with none
+    alu, barrier = Instruction(Opcode.ALU, 63, 0), Instruction(Opcode.BARRIER, 63, 0)
+    # 32 warps of 16 register sets each: the warps that fit wait at the
+    # barrier holding every set, so only the guard lets the rest in
+    wide = _kernel([alu, barrier, alu], threads=1024, regs=63, scratch=1024)
+    res = run(wide, Policy.ZORUA, FERMI, debug=True)
+    assert (res.cycles, res.guard_admissions) == (6138, 15)
+    arch = replace(
+        FERMI, num_sms=2, warp_slots_per_sm=16, max_logical_warps=40, registers_per_sm=8192
+    )
+    res = run(_ending_in_barrier("uniform", num_blocks=87), Policy.ZORUA, arch, debug=True)
+    assert (res.cycles, res.guard_admissions) == (27612, 2)
+
+
 def test_adding_instructions_never_speeds_up_straight_line_code():
     for policy in Policy:
         prev = 0
@@ -381,9 +399,9 @@ def test_only_zorua_reads_the_specifiers_of_an_unlogged_run(monkeypatch, name, p
     handled = Counter()
     handle = _SMRun._handle_event
 
-    def counted(self, kind, wid, payload):
+    def counted(self, kind, wid):
         handled[kind] += 1
-        handle(self, kind, wid, payload)
+        handle(self, kind, wid)
 
     monkeypatch.setattr(_SMRun, "_handle_event", counted)
     kern = annotate_phases(corpus_kernel(name))
@@ -412,6 +430,21 @@ def _same_as_reference(kernel, policy, arch, **kwargs):
     assert fast.to_dict() == naive.to_dict()
     assert fast.event_log == naive.event_log
     return fast
+
+
+@pytest.mark.parametrize(
+    "name, blocks", [("barrier_heavy", 4), ("membound", 4), ("scratch_cliff", 12)]
+)
+def test_launches_that_park_warps_match_the_naive_reference_loop(name, blocks):
+    # on 16 warp slots these launches park warps at barriers, and a parked
+    # warp resumes one memory round trip after the wake its occasion set:
+    # the wake each end-of-cycle hook is given shows in the cycles, and
+    # the naive loop's handlers set it from a clock of their own
+    kern = corpus_kernel(name)
+    kern = replace(kern, resource_spec=replace(kern.resource_spec, num_blocks=blocks))
+    arch = replace(ONE_SM, warp_slots_per_sm=16, max_logical_warps=40)
+    res = _same_as_reference(kern, Policy.ZORUA, arch)
+    assert res.slot_hit_rate < 1.0  # a warp was parked and resumed
 
 
 def test_idle_schedulers_warp_issues_on_its_wake_cycle_inside_a_plain_run():

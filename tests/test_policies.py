@@ -115,6 +115,8 @@ def test_static_policies_differ_only_in_their_limits():
         assert type(adm) is StaticAdmission
         assert (adm.warp_limit, adm.block_limit) == limits
         assert admission_limits(policy, kernel, FERMI) == limits
+        # no controller and no guard: nothing schedulable is a wedge
+        assert not adm.retunes and adm.deadlock_guard() is False
     assert _static(Policy.WLM, _spec(512, 4)).block_limit == float("inf")
     # zorua admission reads nothing of the declaration
     assert admission_limits(Policy.ZORUA, kernel, FERMI) == ()
@@ -133,7 +135,7 @@ def test_wlm_admits_a_block_warp_by_warp_as_slots_free():
     assert [w.wid for w in adm.admitted] == list(range(48))
     adm.admitted.clear()
     assert not adm.can_accept_block(32)
-    assert adm.on_warp_finished(0) is False
+    adm.on_warp_finished(0)
     assert [w.wid for w in adm.admitted] == [48]
     assert adm.warps[48].state is WarpState.SCHEDULABLE
     assert adm.warps[49].state is WarpState.PENDING_THREAD
@@ -176,9 +178,11 @@ def test_admission_drops_a_completed_block(make):
     adm = make()
     _arrive(adm, 0, 2)
     _arrive(adm, 1, 2)
-    assert adm.on_warp_finished(0) is False
+    # the engine reads a completion off the registry, not the hook
+    assert adm.on_warp_finished(0) is None
     assert sorted(adm.warps) == [0, 1, 2, 3]
-    assert adm.on_warp_finished(1) is True
+    assert list(adm.blocks) == [0, 1]
+    assert adm.on_warp_finished(1) is None
     assert sorted(adm.warps) == [2, 3]
     assert list(adm.blocks) == [1]
     assert adm.check_invariants() == []
