@@ -17,7 +17,6 @@ from .engine import (
     NonTerminationError,
     SimResult,
     UtilizationReport,
-    measure_underutilization,
     run,
 )
 from .harness import (
@@ -52,12 +51,7 @@ from .kernel_model import (
     save_kernel,
     serialize_kernel,
 )
-from .phase_compiler import (
-    Phase,
-    annotate_phases,
-    detect_phase_boundaries,
-    phase_demand_table,
-)
+from .phase_compiler import Phase, annotate_phases, detect_phase_boundaries
 from .policies import KernelUnrunnableError, Policy, baseline_blocks_in_flight, wlm_is_runnable
 from .registry import WarpState
 from .resource_maps import (
@@ -119,12 +113,10 @@ __all__ = [
     "generate_synthetic_kernel",
     "get_arch",
     "load_kernel",
-    "measure_underutilization",
     "parse_grid",
     "parse_json",
     "parse_kernel",
     "performance_range",
-    "phase_demand_table",
     "porting_loss",
     "reg_sets_for",
     "run",

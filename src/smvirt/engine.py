@@ -23,13 +23,16 @@ deltas of the idle and memory buckets, and its deadlock guard runs.
 Blocks are distributed round-robin over the SMs; SMs with equal block
 counts behave identically, so one replica is simulated per distinct count
 and the launch finishes when the slowest replica does.
+
+The event log and per-epoch utilization are opt-in: where either is asked
+for, one recorder per replica observes the run and never steers it.
 """
 
 from __future__ import annotations
 
 import enum
 from collections import deque
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from operator import attrgetter
 from typing import Optional, Union
@@ -68,6 +71,7 @@ _PHASE_SPEC = Opcode.PHASE_SPEC
 _PHASE_CHANGE = EventKind.PHASE_CHANGE
 _BARRIER_REACHED = EventKind.BARRIER_REACHED
 _WARP_FINISHED = EventKind.WARP_FINISHED
+_EPOCH_TICK = EventKind.EPOCH_TICK
 _SCHEDULABLE = WarpState.SCHEDULABLE
 _NEVER = 1 << 62  # the scan's wake before it sees a warp: later than any cycle
 
@@ -192,23 +196,30 @@ class _MemSystem:
         return done
 
 
-class _UtilSampler:
-    """Per-epoch mean of live/allocated registers and scratchpad on one SM.
+class _Recorder:
+    """The opt-in recorders of one SM replica, fed by two engine calls:
+    event for every event the engine logs, and sample for the cycles it
+    simulates, called only where the recorder samples.
 
-    A sample reads each warp's live set off its pc: the entry set before
-    its first issue, then the set after the instruction it last issued.
-    Finished warps sit past the end, and so do warps at a trailing
-    barrier, which every warp of a block reaches before any finishes;
-    past any other last instruction a warp has finished by the next
-    sample.  A block's live scratchpad is the most any warp holds.  The
-    live space is summed exactly, per count of blocks in flight, and an
-    epoch's mean is rounded once, so constant liveness reads exactly its
-    fraction.
+    The event log, where asked for, is each event's (cycle, kind name,
+    id).  Utilization is the per-epoch mean of live/allocated registers
+    and scratchpad.  A sample reads each warp's live set off its pc: the
+    entry set before its first issue, then the set after the instruction
+    it last issued.  Finished warps sit past the end, and so do warps at
+    a trailing barrier, which every warp of a block reaches before any
+    finishes; past any other last instruction a warp has finished by the
+    next sample.  A block's live scratchpad is the most any warp holds.
+    The live space is summed exactly, per count of blocks in flight, and
+    an epoch's mean is rounded once, so constant liveness reads exactly
+    its fraction.  An EPOCH_TICK event closes the utilization epoch, and
+    report closes the last, partial one if it sampled any cycles.
     """
 
-    def __init__(self, kernel: KernelSpec, registry):
+    def __init__(self, kernel: KernelSpec, registry, collect_util: bool, log_events: bool):
         body = kernel.body
         spec = kernel.resource_spec
+        self.samples = collect_util
+        self.log: Optional[list[tuple[int, str, int]]] = [] if log_events else None
         self.blocks: dict[int, BlockRecord] = registry.blocks
         self.warps: dict[int, WarpRecord] = registry.warps
         self.wpb = spec.warps_per_block
@@ -227,6 +238,12 @@ class _UtilSampler:
         self.cycles = 0
         self.reg_frac: list[Optional[float]] = []
         self.scr_frac: list[Optional[float]] = []
+
+    def event(self, now: int, kind: EventKind, ident: int):
+        if self.log is not None:
+            self.log.append((now, kind.name, ident))
+        if kind is _EPOCH_TICK:
+            self._close_epoch()
 
     def sample(self, delta: int):
         """Integrate live space over the next delta cycles; a cycle is
@@ -248,7 +265,7 @@ class _UtilSampler:
         sums[1] += delta * live_scr
         self.cycles += delta
 
-    def close_epoch(self):
+    def _close_epoch(self):
         reg = scr = None
         if self.cycles:
             # k blocks in flight allocate k blocks' space: the sums weigh 1/k
@@ -262,6 +279,8 @@ class _UtilSampler:
         self.cycles = 0
 
     def report(self) -> UtilizationReport:
+        if self.cycles:
+            self._close_epoch()
         return UtilizationReport(tuple(self.reg_frac), tuple(self.scr_frac))
 
 
@@ -273,10 +292,13 @@ class _SMRun:
     admission hooks, passing phase specifiers on as they are: it never
     counts sets.  Where the admission's access_plan is None, issuing costs
     it nothing and a specifier changes nothing, so a specifier issues as
-    a plain instruction and raises no event, unless the event log records
-    its phase change.  Warps and blocks live in the admission's registry, and
-    so do the scheduler lists the loop issues from and the schedulable
-    count: the engine keeps no copy of which warps may issue.
+    a plain instruction and raises no event, unless a recorder is on: it
+    sees the phase change.  Warps and blocks live in the admission's
+    registry, and so do the scheduler lists the loop issues from and the
+    schedulable count: the engine keeps no copy of which warps may issue.
+    The engine reaches rec, the opt-in _Recorder or None, only through
+    _log, which hands it every event, and its sample, bound in run where
+    rec.samples is set.
 
     run is the one cycle loop.  Each cycle makes one pass over the
     scheduler lists: a scheduler picks its greedy warp if that is ready
@@ -288,12 +310,12 @@ class _SMRun:
     none picks, the stall skip moves the clock to the earliest next_ready
     seen or to the epoch boundary.  The issue skip runs after an issue
     cycle that raised no event, when the admission charges no accesses
-    (its access_plan is None), no utilization sampler runs and
+    (its access_plan is None), the recorder, if any, does not sample, and
     every pick is ready in the next cycle.  It advances k cycles at once,
     each pick's pc and next_ready by k, where k is the smallest of three
     bounds: the picks' plain[pc], so no pick reaches an instruction that
     raises an event or makes a memory request (a global load or store, a
-    barrier, a warp's last instruction, and a specifier only in a logged
+    barrier, a warp's last instruction, and a specifier only in a recorded
     run); wake - 1 - now, so no idle scheduler's warp wakes inside the
     skip; and boundary - 1 - now, so the skip ends no later than the
     epoch's last cycle, whose normal tick check then runs.  A cycle_cap
@@ -332,15 +354,14 @@ class _SMRun:
         n_blocks: int,
         debug: bool,
         cycle_cap: int,
-        util: Optional[_UtilSampler],
-        log_events: bool,
+        rec: Optional[_Recorder],
     ):
         self.body = kernel.body
         self.adm = adm
         self.arch = arch
         self.debug = debug
         self.cycle_cap = cycle_cap
-        self.util = util
+        self.rec = rec
         self.wpb = kernel.resource_spec.warps_per_block
         self.remaining = n_blocks
 
@@ -351,7 +372,6 @@ class _SMRun:
         self.bif_min: Optional[int] = None
         self.bif_max = 0
         self.mem = _MemSystem(arch.memory_latency_cycles, arch.max_inflight_mem_requests)
-        self.events: list[tuple[int, str, int]] = [] if log_events else None
 
         self.epochs: list[EpochStats] = []
         self.ep_issued = self.ep_issue_cycles = self.ep_idle = self.ep_mem = 0
@@ -361,8 +381,8 @@ class _SMRun:
     # -- logging / accounting helpers ------------------------------------
 
     def _log(self, kind: EventKind, ident: int):
-        if self.events is not None:
-            self.events.append((self.now, kind.name, ident))
+        if self.rec is not None:
+            self.rec.event(self.now, kind, ident)
 
     def _swap_snapshot(self) -> tuple[int, ...]:  # in ResourceKind order
         totals = self.adm.access_totals()
@@ -445,13 +465,11 @@ class _SMRun:
         self.epochs.append(stats)
         self.ep_issued = self.ep_issue_cycles = self.ep_idle = self.ep_mem = 0
         self.ep_swap_snap = swap_now
-        if self.util is not None:
-            self.util.close_epoch()
         return stats
 
     def _epoch_tick(self):
         stats = self._close_epoch()
-        self._log(EventKind.EPOCH_TICK, stats.index)
+        self._log(_EPOCH_TICK, stats.index)
         self.adm.wake = self.now + 1
         self.adm.on_epoch(stats)
         self._retire_admitted()
@@ -475,13 +493,14 @@ class _SMRun:
         request = self.mem.request
         epoch_cycles = self.arch.epoch_cycles
         cycle_cap = self.cycle_cap
-        util = self.util
+        rec = self.rec
+        sample = rec.sample if rec is not None and rec.samples else None
         # the opcode that raises a phase change: none where admission
-        # charges nothing, so a specifier changes nothing, unless the log
-        # records it
-        spec_op = None if plan is None and self.events is None else _PHASE_SPEC
+        # charges nothing, so a specifier changes nothing, unless a
+        # recorder sees it
+        spec_op = None if plan is None and rec is None else _PHASE_SPEC
         plain = None
-        if plan is None and util is None:
+        if plan is None and sample is None:
             # plain[pc]: how many instructions from pc on raise no event
             # and make no memory request; a warp's last instruction raises
             # its finish, and admission that charges nothing costs none
@@ -516,8 +535,8 @@ class _SMRun:
                 else:
                     picked = True
             if picked:
-                if util is not None:
-                    util.sample(1)
+                if sample is not None:
+                    sample(1)
                 sched_integral += adm.n_schedulable
                 greedy = picks
                 issued = 0
@@ -584,8 +603,8 @@ class _SMRun:
                     # fall through: skip to the epoch boundary and let the
                     # controller retune admission
                 delta = min(wake, boundary) - now
-                if util is not None:
-                    util.sample(delta)
+                if sample is not None:
+                    sample(delta)
                 n_sched = adm.n_schedulable
                 if n_sched:
                     sched_integral += n_sched * delta
@@ -657,8 +676,10 @@ def run(
     sms: dict[int, _SMRun] = {}
     for count in sorted(counts, reverse=True):
         adm = make_admission(policy, limits, arch, oversub)
-        util = _UtilSampler(kernel, adm) if collect_util else None
-        sms[count] = _SMRun(kernel, adm, arch, count, debug, cycle_cap, util, log_events).run()
+        rec = None
+        if collect_util or log_events:
+            rec = _Recorder(kernel, adm, collect_util, log_events)
+        sms[count] = _SMRun(kernel, adm, arch, count, debug, cycle_cap, rec).run()
     critical = sms[max(sms, key=lambda c: (sms[c].cycles, c))]
 
     # per-SM figures summed over every SM of the launch, one walk per replica
@@ -692,27 +713,6 @@ def run(
         guard_admissions=guard_admissions,
         o_thresh_final=critical.adm.final_thresholds(),
         epochs=tuple(critical.epochs),
-        utilization=None if critical.util is None else critical.util.report(),
-        event_log=None if critical.events is None else tuple(critical.events),
+        utilization=critical.rec.report() if collect_util else None,
+        event_log=tuple(critical.rec.log) if log_events else None,
     )
-
-
-def measure_underutilization(
-    kernel: KernelSpec,
-    arch: Union[ArchConfig, str] = "fermi",
-    *,
-    spec: Optional[ResourceSpecification] = None,
-    epoch_cycles: Optional[int] = None,
-) -> UtilizationReport:
-    """Per-epoch live/allocated gap under static whole-block allocation.
-
-    spec overrides the kernel's resource declaration, epoch_cycles the
-    architecture's accounting window.
-    """
-    if isinstance(arch, str):
-        arch = get_arch(arch)
-    if spec is not None:
-        kernel = replace(kernel, resource_spec=spec)
-    if epoch_cycles is not None:
-        arch = replace(arch, epoch_cycles=epoch_cycles)
-    return run(kernel, Policy.BASELINE, arch, collect_util=True).utilization

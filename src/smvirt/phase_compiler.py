@@ -131,10 +131,3 @@ def annotate_phases(
             out.append(Instruction(Opcode.PHASE_SPEC, phase_payload=payload))
         out.extend(body[phase.start : phase.end])
     return KernelSpec(kernel.name, kernel.resource_spec, tuple(out))
-
-
-def phase_demand_table(kernel: KernelSpec) -> tuple[PhaseSpecifier, ...]:
-    """List the specifier payloads of a compiled kernel in body order."""
-    if not kernel.is_compiled:
-        raise KernelInvariantError(f"kernel {kernel.name!r} is not compiled")
-    return tuple(ins.phase_payload for ins in kernel.body if ins.opcode is Opcode.PHASE_SPEC)

@@ -2,8 +2,12 @@
 
 ``run/<kernel>.<policy>.<arch>.json`` holds ``run(...).to_dict()`` of one
 corpus kernel at its declared launch, or ``{"error": <class name>}`` when
-the policy cannot run it.  ``sweep/<kernel>.fermi.csv`` holds ``emit_csv`` of
-the kernel's recommended grid on fermi under every policy.
+the policy cannot run it.  Besides the three presets, <arch> is
+``fermi_shrunk``: fermi with half its registers and scratchpad, on which
+the corpus launches oversubscribe the SM, so zorua's deadlock guard,
+parking and swap run.  Its ``to_dict`` still says ``"arch": "fermi"``.
+``sweep/<kernel>.fermi.csv`` holds ``emit_csv`` of the kernel's
+recommended grid on fermi under every policy.
 ``recorders/<kernel>.<arch>.json`` holds, per policy, the sha256 of the
 opt-in recorders of ``run(..., collect_util=True, log_events=True)`` on
 that arch: the event log and the per-epoch utilization tuples, which
@@ -31,6 +35,7 @@ import hashlib
 import itertools
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from smvirt import (
@@ -42,6 +47,7 @@ from smvirt import (
     corpus_names,
     detect_cliffs,
     emit_csv,
+    get_arch,
     performance_range,
     porting_loss,
     run,
@@ -50,11 +56,18 @@ from smvirt import (
 
 GOLDEN_DIR = Path(__file__).resolve().parent
 ARCHS = ("fermi", "kepler", "maxwell")
+# file label -> the arch of the run and recorder goldens
+RUN_ARCHS = {
+    **{arch: arch for arch in ARCHS},
+    "fermi_shrunk": replace(
+        get_arch("fermi"), registers_per_sm=16384, scratch_bytes_per_sm=24 * 1024
+    ),
+}
 SWEEP_ARCH = "fermi"
 CLAIMS = "claims.json"
 
 
-def recorder_digest(kernel, policy: Policy, arch: str) -> str:
+def recorder_digest(kernel, policy: Policy, arch) -> str:
     """sha256 of the event log and utilization tuples of one launch."""
     try:
         res = run(kernel, policy, arch, collect_util=True, log_events=True)
@@ -73,17 +86,17 @@ def golden_files(kernel_name: str) -> dict[str, str]:
     kernel = corpus_kernel(kernel_name)
     files = {}
     for policy in Policy:
-        for arch in ARCHS:
+        for label, arch in RUN_ARCHS.items():
             try:
                 doc = run(kernel, policy, arch).to_dict()
             except (KernelUnrunnableError, NonTerminationError) as e:
                 doc = {"error": type(e).__name__}
-            files[f"run/{kernel_name}.{policy.value}.{arch}.json"] = (
+            files[f"run/{kernel_name}.{policy.value}.{label}.json"] = (
                 json.dumps(doc, indent=2) + "\n"
             )
-    for arch in ARCHS:
+    for label, arch in RUN_ARCHS.items():
         recorders = {policy.value: recorder_digest(kernel, policy, arch) for policy in Policy}
-        files[f"recorders/{kernel_name}.{arch}.json"] = json.dumps(recorders, indent=2) + "\n"
+        files[f"recorders/{kernel_name}.{label}.json"] = json.dumps(recorders, indent=2) + "\n"
     sweep = run_sweep(kernel, RECOMMENDED_GRIDS[kernel_name], (SWEEP_ARCH,))
     files[f"sweep/{kernel_name}.{SWEEP_ARCH}.csv"] = emit_csv(sweep)
     return files

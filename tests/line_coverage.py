@@ -5,7 +5,8 @@ Runs the tier-1 suite in this process under the tracer, recording the
 lines executed in files under src/smvirt, then lists every executable
 line that never ran.  It exits 1 if there is one, or if the suite fails.
 A file's executable lines are those its code objects map instructions
-to (co_lines()).
+to (co_lines()), read before the suite starts: a file edited during the
+run is judged by the lines that were traced.
 
     python tests/line_coverage.py [pytest args...]
 
@@ -71,12 +72,12 @@ class LineCollector:
     def __exit__(self, *exc):
         sys.settrace(self._previous)
 
-    def unrun(self, paths) -> dict[str, list[int]]:
-        """Per file, its executable lines that never ran, in order."""
+    def unrun(self, executable: dict[Path, set[int]]) -> dict[str, list[int]]:
+        """Per file, its executable lines that never ran, in order; executable
+        maps each resolved path to its lines."""
         out = {}
-        for path in paths:
-            path = Path(path).resolve()
-            missed = executable_lines(path) - self.hits.get(str(path), set())
+        for path, lines in executable.items():
+            missed = lines - self.hits.get(str(path), set())
             if missed:
                 out[str(path)] = sorted(missed)
         return out
@@ -85,13 +86,13 @@ class LineCollector:
 def main(argv: list[str]) -> int:
     sys.path.insert(0, str(ROOT / "src"))
     args = argv or ["-q", "-p", "no:cacheprovider", str(ROOT)]
+    executable = {p.resolve(): executable_lines(p) for p in sorted(PACKAGE.glob("*.py"))}
     with LineCollector(PACKAGE) as collector:
         status = pytest.main(args)
     if status:
         print(f"the suite failed (pytest exit {status}); coverage is of what ran", file=sys.stderr)
-    paths = sorted(PACKAGE.glob("*.py"))
-    missed = collector.unrun(paths)
-    total = sum(len(executable_lines(p)) for p in paths)
+    missed = collector.unrun(executable)
+    total = sum(map(len, executable.values()))
     for filename, lines in missed.items():
         rel = Path(filename).relative_to(ROOT)
         for n in lines:

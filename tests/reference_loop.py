@@ -113,8 +113,8 @@ class ReferenceSMRun(_SMRun):
                     continue
                 if not (self.adm.retunes and self._work_waits()):
                     raise NonTerminationError("wedged with no runnable warps")
-            if self.util is not None:
-                self.util.sample(1)
+            if self.rec is not None and self.rec.samples:
+                self.rec.sample(1)
             self.sched_integral += len(schedulable)
             if any(picks):
                 greedy = picks

@@ -22,7 +22,6 @@ from smvirt.engine import (
     NonTerminationError,
     _MemSystem,
     _SMRun,
-    measure_underutilization,
     run,
 )
 from smvirt.harness import run_sweep
@@ -584,7 +583,7 @@ def test_a_saved_compiled_kernel_reloads_as_itself(tmp_path, policy):
 
 
 def test_utilization_constant_liveness_at_maximum_is_one():
-    rep = measure_underutilization(_kernel(_alu(50, live=8), regs=8))
+    rep = run(_kernel(_alu(50, live=8), regs=8), Policy.BASELINE, collect_util=True).utilization
     assert rep.register_utilization == 1.0
     assert rep.scratch_utilization is None  # kernel declares no scratchpad
 
@@ -594,7 +593,7 @@ def test_utilization_half_live_registers_reads_half():
         Instruction(Opcode.ALU, live_regs_after=16, live_scratch_after=2048)
         for _ in range(50)
     ]
-    rep = measure_underutilization(_kernel(body, regs=32, scratch=2048))
+    rep = run(_kernel(body, regs=32, scratch=2048), Policy.BASELINE, collect_util=True).utilization
     assert rep.register_utilization == 0.5
     assert rep.scratch_utilization == 1.0
 
@@ -608,15 +607,17 @@ def test_utilization_epoch_granularity_monotone_profile():
         for i in range(3300)
     ]
     kern = _kernel(ramp, regs=32)
-    fine = measure_underutilization(kern, epoch_cycles=500).register_utilization
-    coarse = measure_underutilization(kern, epoch_cycles=4000).register_utilization
-    assert coarse >= fine
+    fine, coarse = (
+        run(kern, Policy.BASELINE, replace(FERMI, epoch_cycles=e), collect_util=True).utilization
+        for e in (500, 4000)
+    )
+    assert coarse.register_utilization >= fine.register_utilization
 
 
 def test_utilization_exposes_scratch_phase_gap():
     kern = corpus_kernel("scratch_cliff")
-    spec = replace(kern.resource_spec, num_blocks=1)
-    rep = measure_underutilization(kern, spec=spec, epoch_cycles=16)
+    kern = replace(kern, resource_spec=replace(kern.resource_spec, num_blocks=1))
+    rep = run(kern, Policy.BASELINE, replace(FERMI, epoch_cycles=16), collect_util=True).utilization
     # epochs inside the 384-byte phase read exactly 384/4224
     assert any(v == 384 / 4224 for v in rep.scratch_per_epoch if v is not None)
     assert rep.scratch_utilization < 1.0
@@ -637,6 +638,14 @@ def test_recorders_only_observe(name, trailing_barrier):
         res = run(kern, policy, collect_util=True, log_events=True)
         assert res.utilization is not None and res.event_log
         assert res.to_dict() == {**plain, "utilization": res.to_dict()["utilization"]}
+        # each flag alone records its own part, the same as both together
+        util_only = run(kern, policy, collect_util=True)
+        assert util_only.event_log is None
+        assert util_only.to_dict() == res.to_dict()
+        log_only = run(kern, policy, log_events=True)
+        assert log_only.utilization is None
+        assert log_only.event_log == res.event_log
+        assert log_only.to_dict() == plain
 
 
 def test_deadlock_guard_resolves_barrier_wait_on_held_registers():

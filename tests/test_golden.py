@@ -1,12 +1,16 @@
 """Simulated outputs must match the committed goldens byte for byte.
 
-The goldens cover ``to_dict()`` of every corpus kernel, policy and arch, the
-fermi sweep CSVs, digests of the event log and utilization recorders, and
-the claims table: range, cliffs and porting loss of every recommended grid.
+The goldens cover ``to_dict()`` of every corpus kernel, policy and arch,
+and of a shrunk fermi SM that the launches oversubscribe, the fermi sweep
+CSVs, digests of the event log and utilization recorders on the same
+archs, and the claims table: range, cliffs and porting loss of every
+recommended grid.
 
 Rewrite the goldens with ``python tests/golden/regen.py --update`` only when
 a change to the simulated behaviour is intended.
 """
+
+import json
 
 import pytest
 
@@ -27,6 +31,16 @@ def test_claims_match_golden():
     text = claims_text()
     old = (GOLDEN_DIR / CLAIMS).read_bytes().decode()
     assert old == text, "\n".join(describe(CLAIMS, old, text))
+
+
+def test_the_shrunk_sm_goldens_reach_the_guard_and_swap():
+    def zorua(name):
+        return json.loads((GOLDEN_DIR / f"run/{name}.zorua.fermi_shrunk.json").read_text())
+
+    assert zorua("mixed_phase")["guard_admissions"] > 0
+    assert zorua("mixed_phase")["reg_hit_rate"] < 0.9
+    assert zorua("scratch_cliff")["scratch_hit_rate"] < 1.0
+    assert zorua("membound")["slot_hit_rate"] < 1.0  # it parks warps
 
 
 def test_regen_says_what_differs_in_each_kind_of_golden():

@@ -16,7 +16,6 @@ from smvirt.phase_compiler import (
     Phase,
     annotate_phases,
     detect_phase_boundaries,
-    phase_demand_table,
 )
 
 
@@ -185,7 +184,7 @@ def test_a_kernel_opening_with_a_barrier_gets_an_entry_specifier():
     assert not phases[0].opened_by_barrier
     compiled = annotate_phases(k)
     assert [i.opcode for i in compiled.body[:3]] == [Opcode.PHASE_SPEC, Opcode.BARRIER, Opcode.ALU]
-    assert phase_demand_table(compiled)[0].live_regs == phases[0].max_live_regs
+    assert compiled.body[0].phase_payload.live_regs == phases[0].max_live_regs
     # the entry specifier may stand directly before a barrier
     assert KernelSpec(k.name, k.resource_spec, compiled.body) == compiled
 
@@ -255,11 +254,3 @@ def test_annotate_rejects_already_compiled():
     k = annotate_phases(_kernel([8] * 12))
     with pytest.raises(ValueError):
         annotate_phases(k)
-
-
-def test_phase_demand_table_lists_payloads():
-    levels = [8] * 12 + [32] * 12
-    table = phase_demand_table(annotate_phases(_kernel(levels)))
-    assert [p.live_regs for p in table] == [8, 32]
-    with pytest.raises(KernelInvariantError, match="kernel 'straightline' is not compiled"):
-        phase_demand_table(_kernel(levels))
