@@ -15,11 +15,13 @@ whose resource declaration cannot carry the kernel body (liveness above a
 cap) are skipped with a warning on stderr; points a policy cannot run at
 all are kept as rows with infinite cycles ("INF" in CSV) so grids stay
 rectangular.  A launch reads of its declaration only the block's shape and
-count and what policies.admission_limits derives from it, so each distinct
-admission input is simulated once per run_sweep call and its row reused
-for every point that shares it; under zorua, which derives nothing, a
-registers or scratchpad axis is one simulation.  Output is byte-stable:
-rerunning the same sweep reproduces the CSV and JSON exactly.
+count and what policies.admission_limits derives from it, and of those
+limits only policies.binding_limits can refuse anything; baseline and wlm
+run the same admission class.  So on each arch, each distinct admission
+input is simulated once per run_sweep call, whatever the policy, and its
+row reused for every point that shares it; under zorua, which derives
+nothing, a registers or scratchpad axis is one simulation.  Output is
+byte-stable: rerunning the same sweep reproduces the CSV and JSON exactly.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from typing import Optional, Sequence, Union
 from .engine import DEFAULT_CYCLE_CAP, NonTerminationError, SimResult, run
 from .kernel_model import KernelInvariantError, KernelSpec, ResourceSpecification
 from .phase_compiler import annotate_phases
-from .policies import KernelUnrunnableError, Policy, admission_limits
+from .policies import KernelUnrunnableError, Policy, admission_limits, binding_limits
 from .resource_maps import ArchConfig, get_arch
 
 _AXIS_KEYS = ("threads_per_block", "regs_per_thread", "scratch")
@@ -232,11 +234,12 @@ def run_sweep(
 
     The kernel is compiled once up front, so run() does not compile it at
     each point: compiling reg_cliff took about 80 us, about 2% of a mean
-    recommended-grid launch (one Xeon core).  Within one (arch, policy)
-    series, each distinct admission input, (threads_per_block,
-    num_blocks, admission_limits(...)), is simulated once per call: a
-    later point with the same input takes the first one's row with its
-    own declaration, and a point admission_limits refuses becomes an
+    recommended-grid launch (one Xeon core).  On each arch, across all
+    policies, each distinct admission input, (threads_per_block,
+    num_blocks, binding_limits(admission_limits(...), ...)), is simulated
+    once per call: a later point with the same input, under the same
+    policy or another, takes the first one's row with its own policy and
+    declaration, and a point admission_limits refuses becomes an
     unrunnable row without a simulation.  Nothing is kept between calls.
     A point that does not terminate raises NonTerminationError naming its
     arch, policy and point.
@@ -266,16 +269,17 @@ def run_sweep(
 
     rows: list[SweepRow] = []
     for arch in arch_list:
+        # rows by admission input, under every policy; every point runs the same body
+        done: dict[tuple, SweepRow] = {}
         for policy in policy_list:
-            # rows by admission input; every point runs the same body
-            done: dict[tuple, SweepRow] = {}
             for k in valid:
                 p = k.resource_spec
                 try:
-                    key = (p.threads_per_block, p.num_blocks, admission_limits(policy, k, arch))
+                    limits = binding_limits(admission_limits(policy, k, arch), p, arch)
                 except KernelUnrunnableError:
                     rows.append(unrunnable_row(arch.name, policy.value, p))
                     continue
+                key = (p.threads_per_block, p.num_blocks, limits)
                 row = done.get(key)
                 if row is None:
                     try:
@@ -286,7 +290,7 @@ def run_sweep(
                             f"regs={p.regs_per_thread} scratch={p.scratch_bytes_per_block} "
                             f"blocks={p.num_blocks}: {e}"
                         ) from e
-                rows.append(replace(row, **asdict(p)))
+                rows.append(replace(row, policy=policy.value, **asdict(p)))
     return SweepResult(
         kernel=kernel.name,
         archs=tuple(a.name for a in arch_list),

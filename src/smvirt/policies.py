@@ -36,7 +36,9 @@ The static policies ignore the phase specifiers; only zorua turns them
 into sets.  admission_limits is the one place a policy reads the
 kernel's declaration and refuses a kernel it can never finish; run
 calls it once per launch, and make_admission picks the class and
-builds it from those limits alone.
+builds it from those limits alone.  binding_limits drops the part of those
+limits that the launch's round-robin block share can never reach, so two
+launches it maps alike run alike.
 """
 
 from __future__ import annotations
@@ -202,8 +204,8 @@ def admission_limits(policy: Policy, kernel: KernelSpec, arch: ArchConfig) -> tu
     the (warp_limit, block_limit) of StaticAdmission under baseline and
     wlm, and nothing, (), under zorua, whose Coordinator never sees the
     declaration.  With the block's shape and count, which the engine
-    reads, this decides a launch, so run_sweep simulates each distinct
-    admission input once per call.
+    reads, this decides a launch, so run_sweep simulates once per call
+    each distinct input whose binding_limits differ.
 
     Raises KernelUnrunnableError when the policy can never finish the
     kernel on this hardware.
@@ -226,6 +228,32 @@ def admission_limits(policy: Policy, kernel: KernelSpec, arch: ArchConfig) -> tu
         min(arch.warp_slots_per_sm, arch.registers_per_sm // (spec.regs_per_thread * WARP_WIDTH)),
         arch.scratch_bytes_per_sm // scratch if scratch else math.inf,
     )
+
+
+def binding_limits(limits: tuple, spec: ResourceSpecification, arch: ArchConfig) -> tuple:
+    """The part of admission_limits' limits that can refuse anything in a
+    launch of spec on arch: zorua's () as it is, and a static
+    (warp_limit, block_limit) as (min(warp_limit, b * warps_per_block), b)
+    with b = min(block_limit, ceil(num_blocks / num_sms)).
+
+    Two launches of one body and block shape with equal binding limits
+    make the same admission decisions, so they run alike.  Round-robin
+    dispatch gives no SM more than ceil(num_blocks / num_sms) blocks, and
+    StaticAdmission keeps at most block_limit live, so at most b are
+    live.  The engine asks can_accept_block only while a block of its SM
+    is still to come, and fewer than the ceil are then live: a
+    block_limit above the ceil refuses nothing more.  A live block holds
+    at most its own warps, so held never exceeds b * warps_per_block, and
+    it is below that wherever warp_limit is read: while warps wait, their
+    block is partly admitted, and where a block may arrive, fewer than b
+    are live.  So a warp_limit above b * warps_per_block refuses nothing
+    more.
+    """
+    if not limits:
+        return limits
+    warp_limit, block_limit = limits
+    b = min(block_limit, math.ceil(spec.num_blocks / arch.num_sms))
+    return (min(warp_limit, b * spec.warps_per_block), b)
 
 
 def make_admission(policy: Policy, limits: tuple, arch: ArchConfig, oversub: OversubscriptionConfig):

@@ -33,6 +33,7 @@ from smvirt.corpus import RECOMMENDED_GRIDS, corpus_kernel
 from smvirt.engine import NonTerminationError, run
 from smvirt.kernel_model import Instruction, KernelSpec, Opcode, ResourceSpecification
 from smvirt.policies import Policy
+from smvirt.resource_maps import get_arch
 
 from reference_loop import reference_sweep_rows
 
@@ -301,7 +302,7 @@ def test_unrunnable_points_stay_in_the_grid_as_inf():
 
 @pytest.mark.parametrize("name", sorted(RECOMMENDED_GRIDS))
 def test_the_memo_matches_a_run_per_point_on_every_recommended_grid(name):
-    # every arch and policy; over the six grids, 96 of 333 rows are reused
+    # every arch and policy; over the six grids, 144 of 333 rows are reused
     kernel, grid = corpus_kernel(name), RECOMMENDED_GRIDS[name]
     result = run_sweep(kernel, grid, ARCHS)
     assert list(result.rows) == reference_sweep_rows(kernel, grid, ARCHS, list(Policy))
@@ -329,6 +330,38 @@ def test_points_alike_in_admission_input_are_simulated_once(monkeypatch):
     assert [r.regs_per_thread for r in result.rows] == [8, 16, 32] * 4
     for i, r in enumerate(result.rows):
         assert replace(r, regs_per_thread=8) == result.rows[i - i % 3]
+
+
+def test_baseline_and_wlm_share_a_launch_their_limits_bind_alike(monkeypatch):
+    # one block per SM: under both policies only (warps_per_block, 1) can
+    # bind, so each point is one launch per arch; each row carries its own
+    # policy and equals the other policy's in every other field
+    calls = []
+    monkeypatch.setattr(harness, "run", lambda k, *a, **kw: calls.append(k) or run(k, *a, **kw))
+    grid = GridSpec(threads_per_block=(64, 128), blocks=15)
+    archs, policies = ("fermi", "kepler"), [Policy.BASELINE, Policy.WLM]
+    result = run_sweep(_kernel(), grid, archs, policies)
+    assert [k.resource_spec.threads_per_block for k in calls] == [64, 128, 64, 128]
+    for arch in archs:
+        base, wlm = result.rows_for(arch, "baseline"), result.rows_for(arch, "wlm")
+        assert len(base) == len(wlm) == 2
+        assert [replace(r, policy="baseline") for r in wlm] == base
+    assert list(result.rows) == reference_sweep_rows(_kernel(), grid, archs, policies)
+
+
+def test_the_memo_matches_a_run_per_point_where_sms_get_unequal_block_counts():
+    # 7 blocks on 2 SMs are 4 and 3 per SM; at 256 threads, 32 registers
+    # let baseline hold 4 blocks and 40 only 3, so a clamp to the smaller
+    # count would take one launch for the other
+    arch = replace(get_arch("fermi"), num_sms=2)
+    grid = "list threads_per_block=256\nlist regs_per_thread=32,40\nset blocks=7\n"
+    # a load per warp: a block that waits for a free place adds a latency
+    body = (Instruction(Opcode.LD_GLOBAL, live_regs_after=8), Instruction(Opcode.ALU))
+    kernel = replace(_kernel(), body=body)
+    result = run_sweep(kernel, grid, [arch])
+    expected = reference_sweep_rows(kernel, grid, [arch], list(Policy))
+    assert list(result.rows) == expected
+    assert len({r.cycles for r in expected if r.policy == "baseline"}) == 2
 
 
 def test_a_point_that_does_not_terminate_is_named_in_the_error():

@@ -10,6 +10,7 @@ from smvirt.policies import (
     StaticAdmission,
     admission_limits,
     baseline_blocks_in_flight,
+    binding_limits,
     make_admission,
     wlm_is_runnable,
 )
@@ -120,6 +121,24 @@ def test_static_policies_differ_only_in_their_limits():
     assert _static(Policy.WLM, _spec(512, 4)).block_limit == float("inf")
     # zorua admission reads nothing of the declaration
     assert admission_limits(Policy.ZORUA, kernel, FERMI) == ()
+
+
+def test_binding_limits_keep_what_a_launch_can_reach():
+    # 45, 30 and 15 blocks over fermi's 15 SMs are 3, 2 and 1 per SM
+    kernel = KernelSpec("k", _spec(480, 32, blocks=45), (Instruction(Opcode.ALU),))
+    assert binding_limits((), kernel.resource_spec, FERMI) == ()
+    # baseline's two whole 15-warp blocks bind while at most the per-SM count
+    assert admission_limits(Policy.BASELINE, kernel, FERMI) == (30, 2)
+    for blocks in (45, 30):
+        assert binding_limits((30, 2), _spec(480, 32, blocks=blocks), FERMI) == (30, 2)
+    assert binding_limits((30, 2), _spec(480, 32, blocks=15), FERMI) == (15, 1)
+    # wlm's unbounded block limit becomes the per-SM count; its warp limit
+    # binds until that count's warps are fewer
+    wlm = admission_limits(Policy.WLM, kernel, FERMI)
+    assert wlm == (32, float("inf"))
+    assert binding_limits(wlm, kernel.resource_spec, FERMI) == (32, 3)
+    assert binding_limits(wlm, _spec(480, 32, blocks=31), FERMI) == (32, 3)
+    assert binding_limits(wlm, _spec(480, 32, blocks=15), FERMI) == (15, 1)
 
 
 def _arrive(adm, bid, warps):

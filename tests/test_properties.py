@@ -64,6 +64,7 @@ from smvirt.policies import (
     Policy,
     admission_limits,
     baseline_blocks_in_flight,
+    binding_limits,
     make_admission,
 )
 from smvirt.registry import WarpState
@@ -403,37 +404,41 @@ _DECLARED_SCRATCH = (0, 1024, 4096, 8192, 16384, 40000, 49152)
 )
 def test_launches_alike_in_admission_input_run_alike(kernel, policy, arch, data):
     # a launch reads of its declaration only the block's shape and count
-    # and admission_limits, so run_sweep may share one run between points
-    # alike in those; under zorua admission_limits is (): the declared
+    # and binding_limits, so run_sweep may share one run between points
+    # alike in those, under baseline and wlm alike: both are
+    # StaticAdmission; under zorua admission_limits is (): the declared
     # registers and scratchpad are invisible to the virtualizing policy
     kernel, hw = annotate_phases(kernel), ONE_SM_ARCHS[arch]
     spec = kernel.resource_spec
+    statics = [Policy.BASELINE, Policy.WLM]
 
-    def limits(k):
+    def limits(q, k):
         try:
-            return admission_limits(policy, k, hw)
+            return binding_limits(admission_limits(q, k, hw), k.resource_spec, hw)
         except KernelUnrunnableError:
             return None
 
-    first = limits(kernel)
+    first = limits(policy, kernel)
     assume(first is not None)
+    own = (policy, spec.regs_per_thread, spec.scratch_bytes_per_block)
     alike = []
-    for regs in _DECLARED_REGS:
-        for scratch in _DECLARED_SCRATCH:
-            if (regs, scratch) == (spec.regs_per_thread, spec.scratch_bytes_per_block):
-                continue
-            declared = replace(spec, regs_per_thread=regs, scratch_bytes_per_block=scratch)
-            try:
-                other = replace(kernel, resource_spec=declared)
-            except KernelInvariantError:  # below the body's liveness
-                continue
-            if limits(other) == first:
-                alike.append(other)
+    for q in statics if policy in statics else [policy]:
+        for regs in _DECLARED_REGS:
+            for scratch in _DECLARED_SCRATCH:
+                if (q, regs, scratch) == own:
+                    continue
+                declared = replace(spec, regs_per_thread=regs, scratch_bytes_per_block=scratch)
+                try:
+                    other = replace(kernel, resource_spec=declared)
+                except KernelInvariantError:  # below the body's liveness
+                    continue
+                if limits(q, other) == first:
+                    alike.append((q, other))
     assume(alike)
-    other = data.draw(st.sampled_from(alike))
-    a, b = run(kernel, policy, hw).to_dict(), run(other, policy, hw).to_dict()
+    q, other = data.draw(st.sampled_from(alike))
+    a, b = run(kernel, policy, hw).to_dict(), run(other, q, hw).to_dict()
     for d in (a, b):
-        del d["regs_per_thread"], d["scratch_bytes_per_block"]
+        del d["policy"], d["regs_per_thread"], d["scratch_bytes_per_block"]
     assert a == b
 
 
