@@ -634,6 +634,32 @@ class _SMRun:
         return self
 
 
+def engine_timing(arch: ArchConfig) -> tuple[int, ...]:
+    """The fields of arch that a launch under baseline or wlm reads besides
+    its admission limits: (num_sms, schedulers_per_sm,
+    memory_latency_cycles, max_inflight_mem_requests, epoch_cycles).
+
+    So two archs with equal engine_timing run a static launch alike, but
+    for the arch's name, wherever policies.binding_limits maps it alike
+    on both.  run reads num_sms, in _per_sm_block_counts, and the name,
+    only as a label; any other field only through admission_limits, and
+    binding_limits, which reads num_sms too, keeps of those limits what
+    can refuse anything.  make_admission hands StaticAdmission the arch
+    with the limits, and its Registry reads schedulers_per_sm alone.  An
+    _SMRun reads the memory latency and request cap for its _MemSystem,
+    and epoch_cycles in run.  zorua's Coordinator also reads the
+    capacities, the consult penalty and the slot count, so under zorua
+    the whole arch counts.
+    """
+    return (
+        arch.num_sms,
+        arch.schedulers_per_sm,
+        arch.memory_latency_cycles,
+        arch.max_inflight_mem_requests,
+        arch.epoch_cycles,
+    )
+
+
 def _per_sm_block_counts(num_blocks: int, num_sms: int) -> dict[int, int]:
     """Round-robin distribution: map per-SM block count -> SM multiplicity."""
     base, extra = divmod(num_blocks, num_sms)

@@ -17,11 +17,14 @@ all are kept as rows with infinite cycles ("INF" in CSV) so grids stay
 rectangular.  A launch reads of its declaration only the block's shape and
 count and what policies.admission_limits derives from it, and of those
 limits only policies.binding_limits can refuse anything; baseline and wlm
-run the same admission class.  So on each arch, each distinct admission
-input is simulated once per run_sweep call, whatever the policy, and its
-row reused for every point that shares it; under zorua, which derives
-nothing, a registers or scratchpad axis is one simulation.  Output is
-byte-stable: rerunning the same sweep reproduces the CSV and JSON exactly.
+run the same admission class, which reads of the arch besides its limits
+only engine.engine_timing.  So each distinct launch input is simulated
+once per run_sweep call, whatever the policy, and its row reused for
+every point that shares it: under baseline and wlm across all archs of
+equal timing, as the three presets are; under zorua, which derives
+nothing, on each arch a registers or scratchpad axis is one simulation.
+Output is byte-stable: rerunning the same sweep reproduces the CSV and
+JSON exactly.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import sys
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional, Sequence, Union
 
-from .engine import DEFAULT_CYCLE_CAP, NonTerminationError, SimResult, run
+from .engine import DEFAULT_CYCLE_CAP, NonTerminationError, SimResult, engine_timing, run
 from .kernel_model import KernelInvariantError, KernelSpec, ResourceSpecification
 from .phase_compiler import annotate_phases
 from .policies import KernelUnrunnableError, Policy, admission_limits, binding_limits
@@ -234,20 +237,31 @@ def run_sweep(
 
     The kernel is compiled once up front, so run() does not compile it at
     each point: compiling reg_cliff took about 80 us, about 2% of a mean
-    recommended-grid launch (one Xeon core).  On each arch, across all
-    policies, each distinct admission input, (threads_per_block,
-    num_blocks, binding_limits(admission_limits(...), ...)), is simulated
-    once per call: a later point with the same input, under the same
-    policy or another, takes the first one's row with its own policy and
-    declaration, and a point admission_limits refuses becomes an
-    unrunnable row without a simulation.  Nothing is kept between calls.
-    A point that does not terminate raises NonTerminationError naming its
-    arch, policy and point.
+    recommended-grid launch (one Xeon core).  Across all archs and
+    policies, each distinct launch input is simulated once per call: under
+    baseline and wlm (engine_timing(arch), threads_per_block, num_blocks,
+    binding_limits(admission_limits(...), ...)), and under zorua the same
+    with the whole arch for its timing.  A later point with the same
+    input, on the same arch or another, under the same policy or another,
+    takes the first one's row with its own arch, policy and declaration,
+    and a point admission_limits refuses becomes an unrunnable row without
+    a simulation.  Nothing is kept between calls.  A point that does not
+    terminate raises NonTerminationError naming its arch, policy and
+    point.  An empty arch or policy list, or one that names an arch or a
+    policy twice, raises ValueError: a repeated arch, told apart by name
+    as the rows are, would have its rows read as one grid.
     """
     if isinstance(grid, str):
         grid = parse_grid(grid)
     arch_list = _coerce_archs(archs)
     policy_list = _coerce_policies(policies)
+    listed = {"arch": [a.name for a in arch_list], "policy": [q.value for q in policy_list]}
+    for kind, names in listed.items():
+        if not names:
+            raise ValueError(f"a sweep needs at least one {kind}")
+        if len(set(names)) < len(names):
+            twice = next(n for n in names if names.count(n) > 1)
+            raise ValueError(f"{kind} {twice!r} is listed twice")
     compiled = kernel if kernel.is_compiled else annotate_phases(kernel)
 
     valid: list[KernelSpec] = []
@@ -268,9 +282,11 @@ def run_sweep(
         print(f"warning: {msg}", file=sys.stderr)
 
     rows: list[SweepRow] = []
+    # rows by what a launch reads of its arch and declaration, under every
+    # arch and policy; every point runs the same body
+    done: dict[tuple, SweepRow] = {}
     for arch in arch_list:
-        # rows by admission input, under every policy; every point runs the same body
-        done: dict[tuple, SweepRow] = {}
+        timing = engine_timing(arch)
         for policy in policy_list:
             for k in valid:
                 p = k.resource_spec
@@ -279,7 +295,8 @@ def run_sweep(
                 except KernelUnrunnableError:
                     rows.append(unrunnable_row(arch.name, policy.value, p))
                     continue
-                key = (p.threads_per_block, p.num_blocks, limits)
+                # zorua's admission, with no limits, reads the arch itself
+                key = (timing if limits else arch, p.threads_per_block, p.num_blocks, limits)
                 row = done.get(key)
                 if row is None:
                     try:
@@ -290,7 +307,7 @@ def run_sweep(
                             f"regs={p.regs_per_thread} scratch={p.scratch_bytes_per_block} "
                             f"blocks={p.num_blocks}: {e}"
                         ) from e
-                rows.append(replace(row, policy=policy.value, **asdict(p)))
+                rows.append(replace(row, arch=arch.name, policy=policy.value, **asdict(p)))
     return SweepResult(
         kernel=kernel.name,
         archs=tuple(a.name for a in arch_list),

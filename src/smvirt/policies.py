@@ -38,7 +38,8 @@ kernel's declaration and refuses a kernel it can never finish; run
 calls it once per launch, and make_admission picks the class and
 builds it from those limits alone.  binding_limits drops the part of those
 limits that the launch's round-robin block share can never reach, so two
-launches it maps alike run alike.
+launches it maps alike run alike, on any two archs of equal
+engine.engine_timing: StaticAdmission reads nothing else of the arch.
 """
 
 from __future__ import annotations

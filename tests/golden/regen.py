@@ -6,6 +6,9 @@ the policy cannot run it.  Besides the three presets, <arch> is
 ``fermi_shrunk``: fermi with half its registers and scratchpad, on which
 the corpus launches oversubscribe the SM, so zorua's deadlock guard,
 parking and swap run.  Its ``to_dict`` still says ``"arch": "fermi"``.
+So does ``fermi_<count>_blocks``: the kernel's launch of that many
+blocks on fermi, for the four large launches of perfbench's
+``zorua_large`` workload, which last 4 to 19 epochs and touch swap.
 ``sweep/<kernel>.fermi.csv`` holds ``emit_csv`` of the kernel's
 recommended grid on fermi under every policy.
 ``recorders/<kernel>.<arch>.json`` holds, per policy, the sha256 of the
@@ -63,6 +66,9 @@ RUN_ARCHS = {
         get_arch("fermi"), registers_per_sm=16384, scratch_bytes_per_sm=24 * 1024
     ),
 }
+# kernel -> block counts of its large launches on fermi, perfbench's
+# zorua_large set; file label fermi_<count>_blocks
+LARGE_LAUNCHES = {"reg_cliff": (225, 900), "mixed_phase": (480,), "scratch_cliff": (1200,)}
 SWEEP_ARCH = "fermi"
 CLAIMS = "claims.json"
 
@@ -81,14 +87,23 @@ def recorder_digest(kernel, policy: Policy, arch) -> str:
     return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
 
 
+def run_launches(kernel) -> dict:
+    """File label -> (kernel, arch) of each run golden of one corpus kernel."""
+    launches = {label: (kernel, arch) for label, arch in RUN_ARCHS.items()}
+    for blocks in LARGE_LAUNCHES.get(kernel.name, ()):
+        spec = replace(kernel.resource_spec, num_blocks=blocks)
+        launches[f"fermi_{blocks}_blocks"] = (replace(kernel, resource_spec=spec), "fermi")
+    return launches
+
+
 def golden_files(kernel_name: str) -> dict[str, str]:
     """Relative path -> expected text of every golden file of one kernel."""
     kernel = corpus_kernel(kernel_name)
     files = {}
     for policy in Policy:
-        for label, arch in RUN_ARCHS.items():
+        for label, (launch, arch) in run_launches(kernel).items():
             try:
-                doc = run(kernel, policy, arch).to_dict()
+                doc = run(launch, policy, arch).to_dict()
             except (KernelUnrunnableError, NonTerminationError) as e:
                 doc = {"error": type(e).__name__}
             files[f"run/{kernel_name}.{policy.value}.{label}.json"] = (

@@ -283,6 +283,28 @@ def test_sweep_bad_grid_is_a_validation_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--arch-list", "fermi,fermi", "arch 'fermi' is listed twice"),
+        ("--arch-list", "", "a sweep needs at least one arch"),
+        ("--policies", "wlm,baseline,wlm", "policy 'wlm' is listed twice"),
+        ("--policies", "", "a sweep needs at least one policy"),
+    ],
+)
+def test_sweep_refuses_an_empty_or_repeated_list(tmp_path, capsys, flag, value, message):
+    # a repeated arch would write its rows twice, and the summary would
+    # read the copies as one grid; an empty list would write a bare header
+    grid = tmp_path / "g.grid"
+    grid.write_text("list threads_per_block=128,256\n", encoding="utf-8")
+    out = tmp_path / "o.csv"
+    argv = ["sweep", "--kernel", "corpus:uniform", "--grid", str(grid), "--out", str(out)]
+    rc = main(argv + [flag, value])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_sweep_that_does_not_terminate_names_its_point_and_exits_3(tmp_path, capsys, monkeypatch):
     # smvirt sweep has no cycle-cap flag, so lower the cap under it
     monkeypatch.setattr(cli, "run_sweep", partial(run_sweep, cycle_cap=500))

@@ -1,7 +1,8 @@
 """Simulated outputs must match the committed goldens byte for byte.
 
 The goldens cover ``to_dict()`` of every corpus kernel, policy and arch,
-and of a shrunk fermi SM that the launches oversubscribe, the fermi sweep
+of a shrunk fermi SM that the launches oversubscribe, and of four large
+launches on fermi, which oversubscribe it under zorua, the fermi sweep
 CSVs, digests of the event log and utilization recorders on the same
 archs, and the claims table: range, cliffs and porting loss of every
 recommended grid.
@@ -16,7 +17,14 @@ import pytest
 
 from smvirt import corpus_names
 
-from golden.regen import CLAIMS, GOLDEN_DIR, claims_text, describe, golden_files
+from golden.regen import (
+    CLAIMS,
+    GOLDEN_DIR,
+    LARGE_LAUNCHES,
+    claims_text,
+    describe,
+    golden_files,
+)
 
 
 @pytest.mark.parametrize("kernel_name", corpus_names())
@@ -41,6 +49,14 @@ def test_the_shrunk_sm_goldens_reach_the_guard_and_swap():
     assert zorua("mixed_phase")["reg_hit_rate"] < 0.9
     assert zorua("scratch_cliff")["scratch_hit_rate"] < 1.0
     assert zorua("membound")["slot_hit_rate"] < 1.0  # it parks warps
+
+
+def test_the_large_launch_goldens_touch_swap():
+    for name, counts in LARGE_LAUNCHES.items():
+        for blocks in counts:
+            path = GOLDEN_DIR / f"run/{name}.zorua.fermi_{blocks}_blocks.json"
+            doc = json.loads(path.read_text())
+            assert min(doc["reg_hit_rate"], doc["scratch_hit_rate"]) < 1.0, (name, blocks)
 
 
 def test_regen_says_what_differs_in_each_kind_of_golden():

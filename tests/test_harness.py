@@ -302,7 +302,7 @@ def test_unrunnable_points_stay_in_the_grid_as_inf():
 
 @pytest.mark.parametrize("name", sorted(RECOMMENDED_GRIDS))
 def test_the_memo_matches_a_run_per_point_on_every_recommended_grid(name):
-    # every arch and policy; over the six grids, 144 of 333 rows are reused
+    # every arch and policy; over the six grids, 195 of 333 rows are reused
     kernel, grid = corpus_kernel(name), RECOMMENDED_GRIDS[name]
     result = run_sweep(kernel, grid, ARCHS)
     assert list(result.rows) == reference_sweep_rows(kernel, grid, ARCHS, list(Policy))
@@ -334,19 +334,58 @@ def test_points_alike_in_admission_input_are_simulated_once(monkeypatch):
 
 def test_baseline_and_wlm_share_a_launch_their_limits_bind_alike(monkeypatch):
     # one block per SM: under both policies only (warps_per_block, 1) can
-    # bind, so each point is one launch per arch; each row carries its own
-    # policy and equals the other policy's in every other field
+    # bind, and fermi and kepler time a launch alike, so each point is one
+    # launch; each row carries its own arch and policy and equals the
+    # others in every other field
     calls = []
     monkeypatch.setattr(harness, "run", lambda k, *a, **kw: calls.append(k) or run(k, *a, **kw))
     grid = GridSpec(threads_per_block=(64, 128), blocks=15)
     archs, policies = ("fermi", "kepler"), [Policy.BASELINE, Policy.WLM]
     result = run_sweep(_kernel(), grid, archs, policies)
-    assert [k.resource_spec.threads_per_block for k in calls] == [64, 128, 64, 128]
+    assert [k.resource_spec.threads_per_block for k in calls] == [64, 128]
+    first = result.rows_for("fermi", "baseline")
+    assert len(first) == 2
     for arch in archs:
-        base, wlm = result.rows_for(arch, "baseline"), result.rows_for(arch, "wlm")
-        assert len(base) == len(wlm) == 2
-        assert [replace(r, policy="baseline") for r in wlm] == base
+        for policy in ("baseline", "wlm"):
+            rows = result.rows_for(arch, policy)
+            assert [replace(r, arch="fermi", policy="baseline") for r in rows] == first
     assert list(result.rows) == reference_sweep_rows(_kernel(), grid, archs, policies)
+
+
+@pytest.mark.parametrize(
+    "timing",
+    [{"memory_latency_cycles": 200}, {"schedulers_per_sm": 1}, {"max_inflight_mem_requests": 4}],
+    ids=lambda timing: next(iter(timing)),
+)
+def test_archs_that_time_a_launch_apart_share_no_row(timing):
+    # kepler and a copy unlike it in one engine_timing field: each static
+    # row must be its own arch's run, not the other's
+    kepler = get_arch("kepler")
+    archs = [kepler, replace(kepler, name="kepler_retimed", **timing)]
+    grid = "list threads_per_block=128,256\nset blocks=60\n"
+    kernel, policies = corpus_kernel("membound"), [Policy.BASELINE, Policy.WLM]
+    result = run_sweep(kernel, grid, archs, policies)
+    expected = reference_sweep_rows(kernel, grid, archs, policies)
+    assert list(result.rows) == expected
+    for policy in ("baseline", "wlm"):
+        apart = zip(result.rows_for("kepler", policy), result.rows_for("kepler_retimed", policy))
+        assert all(a.cycles != b.cycles for a, b in apart)
+
+
+@pytest.mark.parametrize(
+    "archs, policies, message",
+    [
+        ((), ("baseline",), "a sweep needs at least one arch"),
+        (("fermi",), (), "a sweep needs at least one policy"),
+        (("fermi", "kepler", "fermi"), ("baseline",), "arch 'fermi' is listed twice"),
+        # archs are told apart by name, as the rows are
+        (("fermi", replace(get_arch("fermi"), num_sms=2)), ("wlm",), "arch 'fermi' is listed"),
+        (("fermi",), ("zorua", Policy.ZORUA), "policy 'zorua' is listed twice"),
+    ],
+)
+def test_a_sweep_refuses_an_empty_or_repeated_list(archs, policies, message):
+    with pytest.raises(ValueError, match=message):
+        run_sweep(_kernel(), GridSpec(), archs, policies)
 
 
 def test_the_memo_matches_a_run_per_point_where_sms_get_unequal_block_counts():

@@ -20,7 +20,8 @@ generated and edited text, raise only their own errors.  Kernel text
 round-trips with comments and blank lines in it, one instruction object
 per distinct line, and sweep results survive JSON and CSV.  Two launches
 alike in block shape, block count and admission limits run alike under
-every policy, and each row of a sweep, which runs such launches once,
+every policy, and under baseline and wlm so do two archs alike in
+engine timing; each row of a sweep, which runs such launches once,
 equals a run of its own point.
 """
 
@@ -68,7 +69,7 @@ from smvirt.policies import (
     make_admission,
 )
 from smvirt.registry import WarpState
-from smvirt.resource_maps import get_arch
+from smvirt.resource_maps import REG_SET_SIZE, SCRATCH_SET_SIZE, get_arch
 
 from reference_loop import (
     reference_admission_run,
@@ -387,6 +388,15 @@ _DECLARED_REGS = (1, 2, 4, 8, 12, 16, 20, 24, 32, 40, 48, 63, 64, 96)
 _DECLARED_SCRATCH = (0, 1024, 4096, 8192, 16384, 40000, 49152)
 
 
+def _binding_limits(policy, kernel, arch):
+    """The run_sweep memo's limits of a launch, or None where the policy
+    cannot run it."""
+    try:
+        return binding_limits(admission_limits(policy, kernel, arch), kernel.resource_spec, arch)
+    except KernelUnrunnableError:
+        return None
+
+
 # no explain phase: it traces every line of two runs per example, and a
 # failing example took 54 s to report with it, against 3 s without
 @settings(
@@ -411,14 +421,7 @@ def test_launches_alike_in_admission_input_run_alike(kernel, policy, arch, data)
     kernel, hw = annotate_phases(kernel), ONE_SM_ARCHS[arch]
     spec = kernel.resource_spec
     statics = [Policy.BASELINE, Policy.WLM]
-
-    def limits(q, k):
-        try:
-            return binding_limits(admission_limits(q, k, hw), k.resource_spec, hw)
-        except KernelUnrunnableError:
-            return None
-
-    first = limits(policy, kernel)
+    first = _binding_limits(policy, kernel, hw)
     assume(first is not None)
     own = (policy, spec.regs_per_thread, spec.scratch_bytes_per_block)
     alike = []
@@ -432,13 +435,63 @@ def test_launches_alike_in_admission_input_run_alike(kernel, policy, arch, data)
                     other = replace(kernel, resource_spec=declared)
                 except KernelInvariantError:  # below the body's liveness
                     continue
-                if limits(q, other) == first:
+                if _binding_limits(q, other, hw) == first:
                     alike.append((q, other))
     assume(alike)
     q, other = data.draw(st.sampled_from(alike))
     a, b = run(kernel, policy, hw).to_dict(), run(other, q, hw).to_dict()
     for d in (a, b):
         del d["policy"], d["regs_per_thread"], d["scratch_bytes_per_block"]
+    assert a == b
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    phases=(Phase.generate, Phase.shrink),
+)
+@given(
+    kernel=_small_kernels(),
+    policy=st.sampled_from([Policy.BASELINE, Policy.WLM]),
+    arch=st.sampled_from(sorted(ONE_SM_ARCHS)),
+    data=st.data(),
+)
+def test_archs_alike_in_engine_timing_run_a_static_launch_alike(kernel, policy, arch, data):
+    # under baseline and wlm a launch reads of its arch only engine_timing
+    # and, through binding_limits, the capacities, so run_sweep may share
+    # one run between archs alike in those, across both policies and any
+    # declaration: an arch of other capacities, logical limits and consult
+    # penalty runs it alike wherever its binding limits are equal
+    kernel, hw = annotate_phases(kernel), ONE_SM_ARCHS[arch]
+    slots = data.draw(st.integers(min_value=1, max_value=96), label="warp_slots_per_sm")
+    other_hw = replace(
+        hw,
+        name="other",
+        registers_per_sm=REG_SET_SIZE * data.draw(st.integers(min_value=1, max_value=1024)),
+        scratch_bytes_per_sm=SCRATCH_SET_SIZE * data.draw(st.integers(min_value=0, max_value=96)),
+        warp_slots_per_sm=slots,
+        max_blocks_per_sm_baseline=data.draw(st.integers(min_value=1, max_value=32)),
+        max_logical_warps=slots + data.draw(st.integers(min_value=0, max_value=64)),
+        max_logical_blocks=data.draw(st.integers(min_value=1, max_value=64)),
+        mapping_table_penalty_cycles=data.draw(st.integers(min_value=0, max_value=8)),
+    )
+    q = data.draw(st.sampled_from([Policy.BASELINE, Policy.WLM]), label="other policy")
+    declared = replace(
+        kernel.resource_spec,
+        regs_per_thread=data.draw(st.sampled_from(_DECLARED_REGS), label="regs_per_thread"),
+        scratch_bytes_per_block=data.draw(st.sampled_from(_DECLARED_SCRATCH), label="scratch"),
+    )
+    try:
+        other = replace(kernel, resource_spec=declared)
+    except KernelInvariantError:  # below the body's liveness
+        other = kernel
+    first = _binding_limits(policy, kernel, hw)
+    assume(first is not None and _binding_limits(q, other, other_hw) == first)
+    a, b = run(kernel, policy, hw).to_dict(), run(other, q, other_hw).to_dict()
+    for d in (a, b):
+        del d["arch"], d["policy"], d["regs_per_thread"], d["scratch_bytes_per_block"]
     assert a == b
 
 
