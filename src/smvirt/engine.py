@@ -17,8 +17,8 @@ one instruction issued; memory stall (schedulable warps exist but all wait
 on latency); idle (nothing is schedulable and the deadlock guard admits
 nobody, so the run waits for the next epoch if its admission retunes and
 is wedged if not).  Counters accrue per epoch, and admission gets each
-closed epoch: zorua's controller retunes from the epoch-over-epoch
-deltas of the idle and memory buckets, and its deadlock guard runs.
+closed epoch: an admission that retunes does so from the epoch-over-epoch
+deltas of the idle and memory buckets, and runs its deadlock guard.
 
 Blocks are distributed round-robin over the SMs; SMs with equal block
 counts behave identically, so one replica is simulated per distinct count
@@ -632,32 +632,6 @@ class _SMRun:
         if self.bif_min is None:  # every block arrived at launch
             self.bif_min = self.bif_max
         return self
-
-
-def engine_timing(arch: ArchConfig) -> tuple[int, ...]:
-    """The fields of arch that a launch under baseline or wlm reads besides
-    its admission limits: (num_sms, schedulers_per_sm,
-    memory_latency_cycles, max_inflight_mem_requests, epoch_cycles).
-
-    So two archs with equal engine_timing run a static launch alike, but
-    for the arch's name, wherever policies.binding_limits maps it alike
-    on both.  run reads num_sms, in _per_sm_block_counts, and the name,
-    only as a label; any other field only through admission_limits, and
-    binding_limits, which reads num_sms too, keeps of those limits what
-    can refuse anything.  make_admission hands StaticAdmission the arch
-    with the limits, and its Registry reads schedulers_per_sm alone.  An
-    _SMRun reads the memory latency and request cap for its _MemSystem,
-    and epoch_cycles in run.  zorua's Coordinator also reads the
-    capacities, the consult penalty and the slot count, so under zorua
-    the whole arch counts.
-    """
-    return (
-        arch.num_sms,
-        arch.schedulers_per_sm,
-        arch.memory_latency_cycles,
-        arch.max_inflight_mem_requests,
-        arch.epoch_cycles,
-    )
 
 
 def _per_sm_block_counts(num_blocks: int, num_sms: int) -> dict[int, int]:

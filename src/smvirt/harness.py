@@ -14,15 +14,12 @@ built, so a short line cannot ask for unbounded memory.  Points
 whose resource declaration cannot carry the kernel body (liveness above a
 cap) are skipped with a warning on stderr; points a policy cannot run at
 all are kept as rows with infinite cycles ("INF" in CSV) so grids stay
-rectangular.  A launch reads of its declaration only the block's shape and
-count and what policies.admission_limits derives from it, and of those
-limits only policies.binding_limits can refuse anything; baseline and wlm
-run the same admission class, which reads of the arch besides its limits
-only engine.engine_timing.  So each distinct launch input is simulated
-once per run_sweep call, whatever the policy, and its row reused for
-every point that shares it: under baseline and wlm across all archs of
-equal timing, as the three presets are; under zorua, which derives
-nothing, on each arch a registers or scratchpad axis is one simulation.
+rectangular.  Each distinct policies.launch_key, all a launch reads of
+its arch and declaration, is simulated once per run_sweep call, whatever
+the policy, and its row reused for every point that shares it: under
+baseline and wlm across all archs of equal timing, as the three presets
+are; under zorua, which reads nothing of the declaration, on each arch a
+registers or scratchpad axis is one simulation.
 Output is byte-stable: rerunning the same sweep reproduces the CSV and
 JSON exactly.
 """
@@ -36,10 +33,10 @@ import sys
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional, Sequence, Union
 
-from .engine import DEFAULT_CYCLE_CAP, NonTerminationError, SimResult, engine_timing, run
+from .engine import DEFAULT_CYCLE_CAP, NonTerminationError, SimResult, run
 from .kernel_model import KernelInvariantError, KernelSpec, ResourceSpecification
 from .phase_compiler import annotate_phases
-from .policies import KernelUnrunnableError, Policy, admission_limits, binding_limits
+from .policies import KernelUnrunnableError, Policy, launch_key
 from .resource_maps import ArchConfig, get_arch
 
 _AXIS_KEYS = ("threads_per_block", "regs_per_thread", "scratch")
@@ -238,18 +235,16 @@ def run_sweep(
     The kernel is compiled once up front, so run() does not compile it at
     each point: compiling reg_cliff took about 80 us, about 2% of a mean
     recommended-grid launch (one Xeon core).  Across all archs and
-    policies, each distinct launch input is simulated once per call: under
-    baseline and wlm (engine_timing(arch), threads_per_block, num_blocks,
-    binding_limits(admission_limits(...), ...)), and under zorua the same
-    with the whole arch for its timing.  A later point with the same
-    input, on the same arch or another, under the same policy or another,
-    takes the first one's row with its own arch, policy and declaration,
-    and a point admission_limits refuses becomes an unrunnable row without
-    a simulation.  Nothing is kept between calls.  A point that does not
-    terminate raises NonTerminationError naming its arch, policy and
-    point.  An empty arch or policy list, or one that names an arch or a
-    policy twice, raises ValueError: a repeated arch, told apart by name
-    as the rows are, would have its rows read as one grid.
+    policies, each distinct launch_key is simulated once per call.  A
+    later point with the same key, on the same arch or another, under the
+    same policy or another, takes the first one's row with its own arch,
+    policy and declaration, and a point launch_key refuses becomes an
+    unrunnable row without a simulation.  Nothing is kept between calls.
+    A point that does not terminate raises NonTerminationError naming its
+    arch, policy and point.  An empty arch or policy list, or one that
+    names an arch or a policy twice, raises ValueError: a repeated arch,
+    told apart by name as the rows are, would have its rows read as one
+    grid.
     """
     if isinstance(grid, str):
         grid = parse_grid(grid)
@@ -282,21 +277,17 @@ def run_sweep(
         print(f"warning: {msg}", file=sys.stderr)
 
     rows: list[SweepRow] = []
-    # rows by what a launch reads of its arch and declaration, under every
-    # arch and policy; every point runs the same body
+    # rows by launch_key under every arch and policy; every point runs one body
     done: dict[tuple, SweepRow] = {}
     for arch in arch_list:
-        timing = engine_timing(arch)
         for policy in policy_list:
             for k in valid:
                 p = k.resource_spec
                 try:
-                    limits = binding_limits(admission_limits(policy, k, arch), p, arch)
+                    key = launch_key(policy, k, arch)
                 except KernelUnrunnableError:
                     rows.append(unrunnable_row(arch.name, policy.value, p))
                     continue
-                # zorua's admission, with no limits, reads the arch itself
-                key = (timing if limits else arch, p.threads_per_block, p.num_blocks, limits)
                 row = done.get(key)
                 if row is None:
                     try:

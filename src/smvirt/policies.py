@@ -36,10 +36,8 @@ The static policies ignore the phase specifiers; only zorua turns them
 into sets.  admission_limits is the one place a policy reads the
 kernel's declaration and refuses a kernel it can never finish; run
 calls it once per launch, and make_admission picks the class and
-builds it from those limits alone.  binding_limits drops the part of those
-limits that the launch's round-robin block share can never reach, so two
-launches it maps alike run alike, on any two archs of equal
-engine.engine_timing: StaticAdmission reads nothing else of the arch.
+builds it from those limits alone.  launch_key states all a launch reads
+of its arch and declaration, and why (its docstring holds the proof).
 """
 
 from __future__ import annotations
@@ -204,9 +202,8 @@ def admission_limits(policy: Policy, kernel: KernelSpec, arch: ArchConfig) -> tu
     """All that policy's admission reads of kernel's declaration on arch:
     the (warp_limit, block_limit) of StaticAdmission under baseline and
     wlm, and nothing, (), under zorua, whose Coordinator never sees the
-    declaration.  With the block's shape and count, which the engine
-    reads, this decides a launch, so run_sweep simulates once per call
-    each distinct input whose binding_limits differ.
+    declaration.  launch_key keys run_sweep's memo on what of these
+    limits can bind.
 
     Raises KernelUnrunnableError when the policy can never finish the
     kernel on this hardware.
@@ -231,30 +228,53 @@ def admission_limits(policy: Policy, kernel: KernelSpec, arch: ArchConfig) -> tu
     )
 
 
-def binding_limits(limits: tuple, spec: ResourceSpecification, arch: ArchConfig) -> tuple:
-    """The part of admission_limits' limits that can refuse anything in a
-    launch of spec on arch: zorua's () as it is, and a static
-    (warp_limit, block_limit) as (min(warp_limit, b * warps_per_block), b)
-    with b = min(block_limit, ceil(num_blocks / num_sms)).
+def launch_key(policy: Policy, kernel: KernelSpec, arch: ArchConfig) -> tuple:
+    """What a launch of kernel under policy on arch reads of its arch and
+    declaration, as one key: launches of one body with equal keys have
+    equal SimResult.to_dict() but for arch, policy and the declaration.
 
-    Two launches of one body and block shape with equal binding limits
-    make the same admission decisions, so they run alike.  Round-robin
-    dispatch gives no SM more than ceil(num_blocks / num_sms) blocks, and
-    StaticAdmission keeps at most block_limit live, so at most b are
-    live.  The engine asks can_accept_block only while a block of its SM
-    is still to come, and fewer than the ceil are then live: a
-    block_limit above the ceil refuses nothing more.  A live block holds
-    at most its own warps, so held never exceeds b * warps_per_block, and
-    it is below that wherever warp_limit is read: while warps wait, their
-    block is partly admitted, and where a block may arrive, fewer than b
-    are live.  So a warp_limit above b * warps_per_block refuses nothing
-    more.
+    Under zorua it is (arch, threads_per_block, num_blocks): the
+    Coordinator reads the capacities, logical limits, consult penalty and
+    slot count, and nothing of the declaration.  Under baseline and wlm it
+    is (num_sms, schedulers_per_sm, memory_latency_cycles,
+    max_inflight_mem_requests, epoch_cycles, threads_per_block,
+    num_blocks, (min(warp_limit, b * warps_per_block), b)), with
+    (warp_limit, block_limit) from admission_limits and
+    b = min(block_limit, ceil(num_blocks / num_sms)).
+
+    Proof of the static key.  run reads num_sms in _per_sm_block_counts,
+    the name only as a label, and every other field of the arch or the
+    declaration only through admission_limits.  StaticAdmission's Registry
+    reads schedulers_per_sm alone of the arch, and an _SMRun the memory
+    latency and request cap, for its _MemSystem, and epoch_cycles.  Of the
+    limits: round-robin dispatch gives no SM more than the ceil, and
+    StaticAdmission keeps at most block_limit blocks live, so at most b
+    are.  can_accept_block is asked only while a block of the SM is still
+    to come, when fewer than the ceil are live, so a block_limit above the
+    ceil refuses nothing more.  A live block holds at most its own warps,
+    so held never exceeds b * warps_per_block, and it is below that
+    wherever warp_limit is read: while warps wait their block is partly
+    admitted, and where a block may arrive fewer than b are live.  So a
+    warp_limit above b * warps_per_block refuses nothing more.
+
+    Raises KernelUnrunnableError as admission_limits does.
     """
+    limits = admission_limits(policy, kernel, arch)
+    spec = kernel.resource_spec
     if not limits:
-        return limits
+        return (arch, spec.threads_per_block, spec.num_blocks)
     warp_limit, block_limit = limits
     b = min(block_limit, math.ceil(spec.num_blocks / arch.num_sms))
-    return (min(warp_limit, b * spec.warps_per_block), b)
+    return (
+        arch.num_sms,
+        arch.schedulers_per_sm,
+        arch.memory_latency_cycles,
+        arch.max_inflight_mem_requests,
+        arch.epoch_cycles,
+        spec.threads_per_block,
+        spec.num_blocks,
+        (min(warp_limit, b * spec.warps_per_block), b),
+    )
 
 
 def make_admission(policy: Policy, limits: tuple, arch: ArchConfig, oversub: OversubscriptionConfig):

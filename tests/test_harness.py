@@ -358,8 +358,8 @@ def test_baseline_and_wlm_share_a_launch_their_limits_bind_alike(monkeypatch):
     ids=lambda timing: next(iter(timing)),
 )
 def test_archs_that_time_a_launch_apart_share_no_row(timing):
-    # kepler and a copy unlike it in one engine_timing field: each static
-    # row must be its own arch's run, not the other's
+    # kepler and a copy unlike it in one timing field of launch_key: each
+    # static row must be its own arch's run, not the other's
     kepler = get_arch("kepler")
     archs = [kepler, replace(kepler, name="kepler_retimed", **timing)]
     grid = "list threads_per_block=128,256\nset blocks=60\n"

@@ -6,11 +6,12 @@ import pytest
 from smvirt.coordinator import Coordinator, OversubscriptionConfig
 from smvirt.kernel_model import Instruction, KernelSpec, Opcode, PhaseSpecifier, ResourceSpecification
 from smvirt.policies import (
+    KernelUnrunnableError,
     Policy,
     StaticAdmission,
     admission_limits,
     baseline_blocks_in_flight,
-    binding_limits,
+    launch_key,
     make_admission,
     wlm_is_runnable,
 )
@@ -123,22 +124,36 @@ def test_static_policies_differ_only_in_their_limits():
     assert admission_limits(Policy.ZORUA, kernel, FERMI) == ()
 
 
-def test_binding_limits_keep_what_a_launch_can_reach():
+def _key_limits(policy, blocks):
+    """The binding limits in launch_key of a one-ALU 480-thread, 32-register
+    launch of blocks on fermi, after its timing, shape and count."""
+    kernel = KernelSpec("k", _spec(480, 32, blocks=blocks), (Instruction(Opcode.ALU),))
+    *read, limits = launch_key(policy, kernel, FERMI)
+    assert read == [15, 2, 400, 64, 2048, 480, blocks]
+    return limits
+
+
+def test_launch_key_keeps_the_limits_a_launch_can_reach():
     # 45, 30 and 15 blocks over fermi's 15 SMs are 3, 2 and 1 per SM
     kernel = KernelSpec("k", _spec(480, 32, blocks=45), (Instruction(Opcode.ALU),))
-    assert binding_limits((), kernel.resource_spec, FERMI) == ()
+    # zorua's admission reads the arch itself and nothing of the declaration
+    assert launch_key(Policy.ZORUA, kernel, FERMI) == (FERMI, 480, 45)
     # baseline's two whole 15-warp blocks bind while at most the per-SM count
     assert admission_limits(Policy.BASELINE, kernel, FERMI) == (30, 2)
     for blocks in (45, 30):
-        assert binding_limits((30, 2), _spec(480, 32, blocks=blocks), FERMI) == (30, 2)
-    assert binding_limits((30, 2), _spec(480, 32, blocks=15), FERMI) == (15, 1)
+        assert _key_limits(Policy.BASELINE, blocks) == (30, 2)
+    assert _key_limits(Policy.BASELINE, 15) == (15, 1)
     # wlm's unbounded block limit becomes the per-SM count; its warp limit
     # binds until that count's warps are fewer
-    wlm = admission_limits(Policy.WLM, kernel, FERMI)
-    assert wlm == (32, float("inf"))
-    assert binding_limits(wlm, kernel.resource_spec, FERMI) == (32, 3)
-    assert binding_limits(wlm, _spec(480, 32, blocks=31), FERMI) == (32, 3)
-    assert binding_limits(wlm, _spec(480, 32, blocks=15), FERMI) == (15, 1)
+    assert admission_limits(Policy.WLM, kernel, FERMI) == (32, float("inf"))
+    assert _key_limits(Policy.WLM, 45) == (32, 3)
+    assert _key_limits(Policy.WLM, 31) == (32, 3)
+    assert _key_limits(Policy.WLM, 15) == (15, 1)
+    # it refuses what admission_limits refuses: no 1024-thread block of
+    # 64 registers fits fermi whole
+    big = KernelSpec("k", _spec(1024, 64), (Instruction(Opcode.ALU),))
+    with pytest.raises(KernelUnrunnableError):
+        launch_key(Policy.BASELINE, big, FERMI)
 
 
 def _arrive(adm, bid, warps):

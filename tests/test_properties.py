@@ -65,7 +65,7 @@ from smvirt.policies import (
     Policy,
     admission_limits,
     baseline_blocks_in_flight,
-    binding_limits,
+    launch_key,
     make_admission,
 )
 from smvirt.registry import WarpState
@@ -388,11 +388,11 @@ _DECLARED_REGS = (1, 2, 4, 8, 12, 16, 20, 24, 32, 40, 48, 63, 64, 96)
 _DECLARED_SCRATCH = (0, 1024, 4096, 8192, 16384, 40000, 49152)
 
 
-def _binding_limits(policy, kernel, arch):
-    """The run_sweep memo's limits of a launch, or None where the policy
+def _launch_key(policy, kernel, arch):
+    """The run_sweep memo's key of a launch, or None where the policy
     cannot run it."""
     try:
-        return binding_limits(admission_limits(policy, kernel, arch), kernel.resource_spec, arch)
+        return launch_key(policy, kernel, arch)
     except KernelUnrunnableError:
         return None
 
@@ -413,15 +413,15 @@ def _binding_limits(policy, kernel, arch):
     data=st.data(),
 )
 def test_launches_alike_in_admission_input_run_alike(kernel, policy, arch, data):
-    # a launch reads of its declaration only the block's shape and count
-    # and binding_limits, so run_sweep may share one run between points
-    # alike in those, under baseline and wlm alike: both are
-    # StaticAdmission; under zorua admission_limits is (): the declared
-    # registers and scratchpad are invisible to the virtualizing policy
+    # a launch reads of its declaration only what launch_key keeps, so
+    # run_sweep may share one run between points of one arch alike in it,
+    # under baseline and wlm alike: both are StaticAdmission; under zorua
+    # the key holds nothing of the declaration: the declared registers and
+    # scratchpad are invisible to the virtualizing policy
     kernel, hw = annotate_phases(kernel), ONE_SM_ARCHS[arch]
     spec = kernel.resource_spec
     statics = [Policy.BASELINE, Policy.WLM]
-    first = _binding_limits(policy, kernel, hw)
+    first = _launch_key(policy, kernel, hw)
     assume(first is not None)
     own = (policy, spec.regs_per_thread, spec.scratch_bytes_per_block)
     alike = []
@@ -435,7 +435,7 @@ def test_launches_alike_in_admission_input_run_alike(kernel, policy, arch, data)
                     other = replace(kernel, resource_spec=declared)
                 except KernelInvariantError:  # below the body's liveness
                     continue
-                if _binding_limits(q, other, hw) == first:
+                if _launch_key(q, other, hw) == first:
                     alike.append((q, other))
     assume(alike)
     q, other = data.draw(st.sampled_from(alike))
@@ -443,6 +443,16 @@ def test_launches_alike_in_admission_input_run_alike(kernel, policy, arch, data)
     for d in (a, b):
         del d["policy"], d["regs_per_thread"], d["scratch_bytes_per_block"]
     assert a == b
+
+
+# another value for each of the five timing fields in a static launch_key
+_RETIMED = {
+    "num_sms": st.integers(min_value=2, max_value=3),
+    "schedulers_per_sm": st.sampled_from([1, 3]),
+    "memory_latency_cycles": st.sampled_from([8, 50]),
+    "max_inflight_mem_requests": st.sampled_from([1, 2]),
+    "epoch_cycles": st.sampled_from([16, 256]),
+}
 
 
 @settings(
@@ -458,13 +468,21 @@ def test_launches_alike_in_admission_input_run_alike(kernel, policy, arch, data)
     arch=st.sampled_from(sorted(ONE_SM_ARCHS)),
     data=st.data(),
 )
-def test_archs_alike_in_engine_timing_run_a_static_launch_alike(kernel, policy, arch, data):
-    # under baseline and wlm a launch reads of its arch only engine_timing
-    # and, through binding_limits, the capacities, so run_sweep may share
-    # one run between archs alike in those, across both policies and any
-    # declaration: an arch of other capacities, logical limits and consult
-    # penalty runs it alike wherever its binding limits are equal
+def test_static_launches_of_equal_launch_keys_run_alike_on_any_arch(kernel, policy, arch, data):
+    # under baseline and wlm launch_key keeps all a launch reads of its
+    # arch, so run_sweep may share one run between archs of equal keys,
+    # across both policies and any declaration: an arch of other
+    # capacities, logical limits and consult penalty runs it alike
+    # wherever the keys are equal
     kernel, hw = annotate_phases(kernel), ONE_SM_ARCHS[arch]
+    first = _launch_key(policy, kernel, hw)
+    assume(first is not None)
+    # hw with one timing field changed, field by field: the key tells the
+    # two apart unless the launch runs alike on both
+    for field, value in _RETIMED.items():
+        retimed = replace(hw, **{field: data.draw(value, label=field)})
+        if launch_key(policy, kernel, retimed) == first:
+            assert run(kernel, policy, retimed).to_dict() == run(kernel, policy, hw).to_dict()
     slots = data.draw(st.integers(min_value=1, max_value=96), label="warp_slots_per_sm")
     other_hw = replace(
         hw,
@@ -487,8 +505,7 @@ def test_archs_alike_in_engine_timing_run_a_static_launch_alike(kernel, policy, 
         other = replace(kernel, resource_spec=declared)
     except KernelInvariantError:  # below the body's liveness
         other = kernel
-    first = _binding_limits(policy, kernel, hw)
-    assume(first is not None and _binding_limits(q, other, other_hw) == first)
+    assume(_launch_key(q, other, other_hw) == first)
     a, b = run(kernel, policy, hw).to_dict(), run(other, q, other_hw).to_dict()
     for d in (a, b):
         del d["arch"], d["policy"], d["regs_per_thread"], d["scratch_bytes_per_block"]
