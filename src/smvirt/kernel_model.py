@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
@@ -362,6 +363,10 @@ class Profile(enum.Enum):
 
 _REG_LEVELS = (6, 8, 12, 16, 24, 32, 48)
 _SCRATCH_LEVELS = (0, 512, 1024, 2048, 4096, 8192)
+# an opcode draw below _OPCODE_CUTS[i], and not below the cut before it,
+# gives _DRAWN_OPS[i]; past the last cut it gives ALU
+_OPCODE_CUTS = (0.55, 0.67, 0.72, 0.86, 0.93)
+_DRAWN_OPS = (Opcode.ALU, Opcode.LD_GLOBAL, Opcode.ST_GLOBAL, Opcode.LD_SHARED, Opcode.ST_SHARED)
 
 
 def _walk_levels(rng: random.Random, levels, n: int, min_rel_change: float) -> list[int]:
@@ -382,7 +387,10 @@ def _walk_levels(rng: random.Random, levels, n: int, min_rel_change: float) -> l
 
 
 def generate_synthetic_kernel(profile, length: int, seed: int) -> KernelSpec:
-    """Deterministically generate a source kernel with the given liveness shape."""
+    """Deterministically generate a source kernel with the given liveness shape.
+
+    Liveness is flat over a segment, so its instructions are shared immutable
+    objects, one per opcode, like those of ``parse_kernel``'s line memo."""
     if isinstance(profile, str):
         profile = Profile(profile)
     if length < 1:
@@ -397,7 +405,7 @@ def generate_synthetic_kernel(profile, length: int, seed: int) -> KernelSpec:
         spec = ResourceSpecification(threads, regs, 0, blocks)
         return KernelSpec(name, spec, (Instruction(Opcode.ALU, regs, 0),))
 
-    n_seg = max(1, min(rng.randint(2, 5), length // 8)) if length >= 16 else max(1, length // 8) or 1
+    n_seg = min(rng.randint(2, 5), length // 8) if length >= 16 else 1
     if profile is Profile.BARRIER_HEAVY:
         n_seg = 1
     # segment lengths: roughly even split with jitter
@@ -418,31 +426,20 @@ def generate_synthetic_kernel(profile, length: int, seed: int) -> KernelSpec:
         scr_levels = _walk_levels(rng, _SCRATCH_LEVELS, n_seg, 0.25)
 
     barrier_every = rng.randint(5, 8) if profile is Profile.BARRIER_HEAVY else 0
+    mixed = profile is Profile.MIXED
     body: list[Instruction] = []
     for seg in range(n_seg):
         regs, scratch = reg_levels[seg], scr_levels[seg]
-        for j in range(bounds[seg], bounds[seg + 1]):
-            at_seg_start = j == bounds[seg]
-            if barrier_every and j > 0 and j % barrier_every == 0 and not at_seg_start:
-                body.append(Instruction(Opcode.BARRIER, regs, scratch))
-                continue
-            if profile is Profile.MIXED and not at_seg_start and rng.random() < 0.04:
-                body.append(Instruction(Opcode.BARRIER, regs, scratch))
-                continue
-            r = rng.random()
-            if at_seg_start or r < 0.55:
-                op = Opcode.ALU
-            elif r < 0.67:
-                op = Opcode.LD_GLOBAL
-            elif r < 0.72:
-                op = Opcode.ST_GLOBAL
-            elif r < 0.86 and scratch > 0:
-                op = Opcode.LD_SHARED
-            elif r < 0.93 and scratch > 0:
-                op = Opcode.ST_SHARED
-            else:
-                op = Opcode.ALU
-            body.append(Instruction(op, regs, scratch))
+        # without scratchpad the shared-memory draws give ALU too
+        ops = _DRAWN_OPS if scratch else _DRAWN_OPS[:3]
+        kinds = [Instruction(op, regs, scratch) for op in ops]
+        alu, barrier = kinds[0], Instruction(Opcode.BARRIER, regs, scratch)
+        kinds += [alu] * (len(_OPCODE_CUTS) + 1 - len(kinds))
+        rng.random()  # a segment's first draw is spent, and it always begins with ALU
+        body.append(alu)
+        for j in range(bounds[seg] + 1, bounds[seg + 1]):
+            at_barrier = barrier_every and j % barrier_every == 0 or mixed and rng.random() < 0.04
+            body.append(barrier if at_barrier else kinds[bisect_right(_OPCODE_CUTS, rng.random())])
 
     spec = ResourceSpecification(
         threads_per_block=threads,

@@ -20,6 +20,9 @@ corpus kernel's recommended grid on all three archs under every policy:
 per kernel and policy, the performance range on each arch, the cliffs
 summed over the archs, and the porting loss as the maximum over ordered
 arch pairs (the README's convention), each null where undefined.
+``synthetic.json`` pins the synthetic kernel generator: per profile and
+seed, the sha256 of the concatenated ``serialize_kernel`` text of
+``generate_synthetic_kernel`` at every length from 1 to 300.
 ``tests/test_golden.py`` compares the files byte for byte.
 
     PYTHONPATH=src python tests/golden/regen.py            # list differing files
@@ -27,8 +30,8 @@ arch pairs (the README's convention), each null where undefined.
 
 Under each differing file the script says what differs: the top-level
 keys of a run JSON, the policies of a recorder file whose digest
-changed, the changed rows of a sweep CSV, and each changed cell of the
-claims table.
+changed, the changed rows of a sweep CSV, each changed cell of the
+claims table, and each profile and seed whose synthetic digest changed.
 """
 
 from __future__ import annotations
@@ -46,15 +49,18 @@ from smvirt import (
     KernelUnrunnableError,
     NonTerminationError,
     Policy,
+    Profile,
     corpus_kernel,
     corpus_names,
     detect_cliffs,
     emit_csv,
+    generate_synthetic_kernel,
     get_arch,
     performance_range,
     porting_loss,
     run,
     run_sweep,
+    serialize_kernel,
 )
 
 GOLDEN_DIR = Path(__file__).resolve().parent
@@ -71,6 +77,9 @@ RUN_ARCHS = {
 LARGE_LAUNCHES = {"reg_cliff": (225, 900), "mixed_phase": (480,), "scratch_cliff": (1200,)}
 SWEEP_ARCH = "fermi"
 CLAIMS = "claims.json"
+SYNTHETIC = "synthetic.json"
+SYNTHETIC_SEEDS = (0, 1, 7)
+SYNTHETIC_LENGTHS = range(1, 301)
 
 
 def recorder_digest(kernel, policy: Policy, arch) -> str:
@@ -144,6 +153,19 @@ def claims_text() -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def synthetic_text() -> str:
+    """The expected text of synthetic.json."""
+    doc = {}
+    for profile in Profile:
+        doc[profile.value] = {}
+        for seed in SYNTHETIC_SEEDS:
+            h = hashlib.sha256()
+            for length in SYNTHETIC_LENGTHS:
+                h.update(serialize_kernel(generate_synthetic_kernel(profile, length, seed)).encode())
+            doc[profile.value][str(seed)] = h.hexdigest()
+    return json.dumps(doc, indent=2) + "\n"
+
+
 def _cells(doc, path=()):
     """(space-joined key path, value) of every leaf of a JSON document."""
     if not isinstance(doc, dict):
@@ -156,8 +178,8 @@ def _cells(doc, path=()):
 def describe(rel: str, old: str, new: str) -> list[str]:
     """What differs between a golden file's committed text and its new
     text: the changed rows of a CSV, each changed cell of the claims
-    table, else the changed top-level keys (the policies of a recorder
-    file)."""
+    table or of the synthetic digests, else the changed top-level keys
+    (the policies of a recorder file)."""
     if rel.endswith(".csv"):
         changed = []
         for a, b in itertools.zip_longest(old.splitlines(), new.splitlines(), fillvalue="(none)"):
@@ -166,7 +188,7 @@ def describe(rel: str, old: str, new: str) -> list[str]:
         return changed
     old_doc, new_doc = json.loads(old), json.loads(new)
     missing = object()
-    if rel == CLAIMS:
+    if rel in (CLAIMS, SYNTHETIC):
         old_cells, new_cells = dict(_cells(old_doc)), dict(_cells(new_doc))
         return [
             f"{cell}: {old_cells.get(cell, '(none)')} -> {new_cells.get(cell, '(none)')}"
@@ -183,7 +205,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     differing = 0
     files = [item for name in corpus_names() for item in golden_files(name).items()]
-    for rel, text in files + [(CLAIMS, claims_text())]:
+    for rel, text in files + [(CLAIMS, claims_text()), (SYNTHETIC, synthetic_text())]:
         path = GOLDEN_DIR / rel
         old = path.read_bytes().decode() if path.is_file() else None
         if old == text:

@@ -5,7 +5,7 @@ of a shrunk fermi SM that the launches oversubscribe, and of four large
 launches on fermi, which oversubscribe it under zorua, the fermi sweep
 CSVs, digests of the event log and utilization recorders on the same
 archs, and the claims table: range, cliffs and porting loss of every
-recommended grid.
+recommended grid, and digests of the synthetic kernel generator's text.
 
 Rewrite the goldens with ``python tests/golden/regen.py --update`` only when
 a change to the simulated behaviour is intended.
@@ -21,9 +21,11 @@ from golden.regen import (
     CLAIMS,
     GOLDEN_DIR,
     LARGE_LAUNCHES,
+    SYNTHETIC,
     claims_text,
     describe,
     golden_files,
+    synthetic_text,
 )
 
 
@@ -39,6 +41,12 @@ def test_claims_match_golden():
     text = claims_text()
     old = (GOLDEN_DIR / CLAIMS).read_bytes().decode()
     assert old == text, "\n".join(describe(CLAIMS, old, text))
+
+
+def test_synthetic_kernels_match_golden():
+    text = synthetic_text()
+    old = (GOLDEN_DIR / SYNTHETIC).read_bytes().decode()
+    assert old == text, "\n".join(describe(SYNTHETIC, old, text))
 
 
 def test_the_shrunk_sm_goldens_reach_the_guard_and_swap():

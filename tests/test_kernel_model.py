@@ -148,6 +148,18 @@ def test_synthetic_kernels_are_deterministic_and_valid():
         KernelSpec(a.name, a.resource_spec, a.body)
 
 
+def test_synthetic_segments_share_one_instruction_per_opcode():
+    for profile in Profile:
+        body = generate_synthetic_kernel(profile, length=256, seed=3).body
+        # a segment is a run of equal liveness; it emits at most six opcodes
+        segments = 1 + sum(
+            (a.live_regs_after, a.live_scratch_after) != (b.live_regs_after, b.live_scratch_after)
+            for a, b in zip(body, body[1:])
+        )
+        assert segments <= 5
+        assert len({id(ins) for ins in body}) <= 6 * segments, profile
+
+
 def test_synthetic_kernels_need_an_instruction():
     with pytest.raises(KernelInvariantError, match="length must be >= 1"):
         generate_synthetic_kernel("mixed", length=0, seed=1)
