@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 
@@ -67,6 +68,10 @@ def _apply_overrides(kernel: KernelSpec, args: argparse.Namespace) -> KernelSpec
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    out = args.json or args.csv
+    if args.event_log and out and os.path.realpath(args.event_log) == os.path.realpath(out):
+        print(f"error: --event-log would overwrite the result written to {out}", file=sys.stderr)
+        return 1
     kernel = _apply_overrides(_load(args.kernel), args)
     res = run(
         kernel,

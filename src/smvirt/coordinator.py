@@ -15,16 +15,15 @@ Block arrivals, barrier releases and epochs always retry the queues.  A
 phase change retries only if it queued its warp or freed a register or
 scratchpad set, a finished warp only if it freed one or slot waiters
 queue, and a barrier arrival only if slot waiters queue: otherwise the
-retry would admit nobody.  Within a retry a queue is passed over while
-it cannot admit anyone: the register and scratchpad queues keep a lower
-bound on what their warps still need and are skipped while it exceeds
-what the table can grant, and the slot queue while no slot can be freed.
+retry would admit nobody.  Within a retry the register and scratchpad
+queues are passed whenever they hold a warp, and the slot queue only
+while a slot can be freed.
 
 A pass visits the warps holding the most sets first, oldest first among
 equals.  A register waiter holds one slot and keeps the register sets of
-its last phase while it waits, so its queue is kept in buckets by held
-sets, each in enqueue_seq order.  A scratchpad waiter holds one slot and
-no register sets, so its queue is the order.  A slot waiter holds a slot
+its last phase while it waits, so its queue records those held sets and
+a pass sorts by them.  A scratchpad waiter holds one slot and no
+register sets, so its queue is the order.  A slot waiter holds a slot
 only if it was parked, so its order is the parked waiters, then the rest.
 
 Warp-slot oversubscription has one extra wrinkle: a slot moves to swap only
@@ -42,7 +41,6 @@ sets: on a block's arrival for the entry phase, and on each phase change.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Optional
@@ -50,7 +48,6 @@ from typing import Optional
 from .kernel_model import Opcode, PhaseSpecifier
 from .registry import Registry, WarpRecord, WarpState
 from .resource_maps import (
-    MAX_REG_SETS_PER_WARP,
     ArchConfig,
     MappingTable,
     Placement,
@@ -134,11 +131,8 @@ class Coordinator(Registry):
         # barrier_seq order, each a dict of wids
         self._thread_q, self._scratch_q, self._at_barrier = {}, {}, {}
         # the register queue maps each waiter to the sets it held when
-        # queued and keeps while it waits: its bucket, of waiters in order
+        # queued and keeps while it waits
         self._reg_q: dict[int, int] = {}
-        self._reg_buckets: list[dict[int, None]] = [{} for _ in range(MAX_REG_SETS_PER_WARP + 1)]
-        # lower bounds on the sets a queued warp still needs (inf: empty)
-        self._reg_need = self._scratch_need = math.inf
         self.guard_admissions = 0
         # admissions whose swap overflow exceeded the threshold (must stay 0)
         self.budget_violations = 0
@@ -155,7 +149,7 @@ class Coordinator(Registry):
         wid = w.wid
         old = w.state
         if old is _PENDING_REG:
-            del self._reg_buckets[self._reg_q.pop(wid)][wid]
+            del self._reg_q[wid]
         elif old is _PENDING_SCRATCH:
             del self._scratch_q[wid]
         elif old is _PENDING_THREAD:
@@ -164,8 +158,7 @@ class Coordinator(Registry):
         elif old is _AT_BARRIER:
             del self._at_barrier[wid]
         if state is _PENDING_REG:
-            self._reg_q[wid] = held = self._reg_owned.get(wid, 0)
-            self._reg_buckets[held][wid] = None
+            self._reg_q[wid] = self._reg_owned.get(wid, 0)
         elif state is _PENDING_SCRATCH:
             self._scratch_q[wid] = None
         elif state is _PENDING_THREAD:
@@ -175,14 +168,10 @@ class Coordinator(Registry):
         Registry._set_state(self, w, state)
 
     def _enqueue(self, warp: WarpRecord, state: WarpState):
-        """Queue a warp for a stage, lowering that queue's need bound."""
+        """Queue a warp for a stage, last in that queue's order."""
         self._set_state(warp, state)
         self._seq += 1
         warp.enqueue_seq = self._seq
-        if state is _PENDING_REG:
-            self._reg_need = min(self._reg_need, self._reg_delta(warp))
-        elif state is _PENDING_SCRATCH:
-            self._scratch_need = min(self._scratch_need, self._scratch_delta(warp))
 
     # -- admission stages -------------------------------------------------
 
@@ -243,34 +232,26 @@ class Coordinator(Registry):
     def _retry_reg(self, room: int):
         """One pass over the register queue with room sets grantable.
 
-        Warps holding more register sets go first, FIFO among equals: the
-        buckets, from the most held sets down, each in queue order.  A
-        warp's delta changes only with its own grant, so the survivors'
-        smallest delta is the queue's new need bound.
+        Warps holding more register sets go first, FIFO among equals: a
+        stable sort of the queue by the sets each waiter holds, most first.
         """
         warps = self.warps
         regs = self.regs
-        need = math.inf
-        for held, bucket in zip(range(MAX_REG_SETS_PER_WARP, -1, -1), reversed(self._reg_buckets)):
-            if not bucket:
+        held = self._reg_q
+        for wid in sorted(held, key=held.__getitem__, reverse=True):
+            w = warps[wid]
+            delta = w.reg_sets_needed - held[wid]
+            if delta > room:
                 continue
-            for wid in list(bucket):
-                w = warps[wid]
-                delta = w.reg_sets_needed - held
-                if delta > room:
-                    if delta < need:
-                        need = delta
-                    continue
-                if delta > 0:
-                    self._grant(regs, wid, delta, False)
-                    room -= delta
-                self._admit(w)
-        self._reg_need = need
+            if delta > 0:
+                self._grant(regs, wid, delta, False)
+                room -= delta
+            self._admit(w)
 
     def _retry_scratch(self, room: int) -> bool:
-        """One pass over the scratchpad queue, in its own order.  A later
-        sibling's grant lowers a skipped warp's delta as much as room, so
-        it still cannot pass, but the need bound moves: it is taken after."""
+        """One pass over the scratchpad queue, in its own order; True if it
+        passed a warp on.  A later sibling's grant lowers a skipped warp's
+        delta as much as room, so one pass leaves no warp it could pass."""
         warps = self.warps
         scratch = self.scratch
         held = scratch.owned_sets.get
@@ -284,8 +265,6 @@ class Coordinator(Registry):
                 room -= delta
             self._enqueue(w, _PENDING_REG)
             progressed = True
-        survivors = map(warps.__getitem__, self._scratch_q)
-        self._scratch_need = min(map(self._scratch_delta, survivors), default=math.inf)
         return progressed
 
     def _retry_slots(self) -> bool:
@@ -315,11 +294,11 @@ class Coordinator(Registry):
         more work.  Guard-forced sets promote too, clearing their budget
         exemption, and so does any budget overshoot a threshold drop leaves.
 
-        A pass that admits nobody changes nothing, so a stage is passed
-        over while it provably cannot admit: a register or scratchpad
-        queue while its need bound exceeds the table's headroom, the slot
-        queue while no slot can be freed.  A register pass only admits, so
-        only scratchpad and slot progress call for another round.
+        Each round passes the register and scratchpad queues if they hold
+        a warp, with the table's headroom as the room to grant, and the
+        slot queue only while a slot can be freed: a pass that admits
+        nobody changes nothing.  A register pass only admits, so only
+        scratchpad and slot progress call for another round.
         """
         regs, scratch, limit = self.regs, self.scratch, self._limit
         for tbl in (regs, scratch):
@@ -329,13 +308,11 @@ class Coordinator(Registry):
                         break
                     tbl.migrate_in(owner, logical)
         while True:
-            room = regs.headroom(limit[regs])
-            if self._reg_need <= room:
-                self._retry_reg(room)
+            if self._reg_q:
+                self._retry_reg(regs.headroom(limit[regs]))
             progressed = False
-            room = scratch.headroom(limit[scratch])
-            if self._scratch_need <= room:
-                progressed = self._retry_scratch(room)
+            if self._scratch_q:
+                progressed = self._retry_scratch(scratch.headroom(limit[scratch]))
             if self._thread_q and self._slot_stage_feasible(forced=False):
                 progressed |= self._retry_slots()
             if not progressed:
@@ -572,9 +549,6 @@ class Coordinator(Registry):
                 self._grant(self.regs, w.wid, self._reg_delta(w), True)
                 self._admit(w)
         self.guard_admissions += 1
-        # a forced scratch pass can raise a sibling's block share, which
-        # lowers that sibling's delta below its queue's bound
-        self._reg_need = self._scratch_need = -math.inf
         self.retry_all_queues()
         return True
 
@@ -625,8 +599,8 @@ class Coordinator(Registry):
         return errors
 
     def _index_errors(self) -> list[str]:
-        """The state indices must match a scan of the registry, and each
-        register bucket must hold the waiters with its held count."""
+        """The state indices must match a scan of the registry, and the
+        register queue must record the sets each of its waiters holds."""
         errors = []
         for state, index, seq in (
             (_AT_BARRIER, self._at_barrier, "barrier_seq"),
@@ -637,28 +611,22 @@ class Coordinator(Registry):
             waiters = [w for w in self.warps.values() if w.state is state]
             if list(index) != [w.wid for w in sorted(waiters, key=attrgetter(seq))]:
                 errors.append(f"{state.value} index is not the {seq} order of its warps")
-        held = {wid: self.regs.owned(wid) for wid in self._reg_q}
-        if held != self._reg_q or list(map(list, self._reg_buckets)) != [
-            [wid for wid in held if held[wid] == n] for n in range(len(self._reg_buckets))
-        ]:
-            errors.append("register buckets are not the waiters by the sets they hold")
+        if self._reg_q != {wid: self.regs.owned(wid) for wid in self._reg_q}:
+            errors.append("register queue does not record the sets its waiters hold")
         return errors
 
     def _fixpoint_errors(self) -> list[str]:
-        """After a retry no queue holds a warp its stage would pass, and no
-        need bound exceeds the delta of a warp in its queue."""
+        """After a retry no queue holds a warp its stage would pass."""
         errors = []
-        for name, queue, delta, need, tbl in (
-            ("register", self._reg_q, self._reg_delta, self._reg_need, self.regs),
-            ("scratchpad", self._scratch_q, self._scratch_delta, self._scratch_need, self.scratch),
+        for name, queue, delta, tbl in (
+            ("register", self._reg_q, self._reg_delta, self.regs),
+            ("scratchpad", self._scratch_q, self._scratch_delta, self.scratch),
         ):
             room = tbl.headroom(self._limit[tbl])
             for wid in queue:
                 d = delta(self.warps[wid])
                 if d <= room:
                     errors.append(f"warp {wid} waits for {d} {name} sets with {room} grantable")
-                if need > d:
-                    errors.append(f"{name} need bound {need} exceeds warp {wid}'s delta {d}")
         if self._thread_q and self._slot_stage_feasible(forced=False):
             errors.append("warps wait for a slot while the slot stage can pass them")
         return errors

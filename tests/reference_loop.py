@@ -29,12 +29,12 @@ reference_run is engine.run with this loop in place of the fast one.
 
 ReferenceCoordinator is zorua admission with a naive retry: after the
 same promotion it runs all three stage passes every round until none
-progresses.  It ignores the need bounds of
-the register and scratchpad queues and the slot-feasibility gate, which
-the fast retry uses to pass over a stage that cannot admit anyone.  It
-retries after every event hook, also where Coordinator skips the retry,
-and its register pass sorts the queue by held sets, where Coordinator
-walks its buckets.  reference_admission_run is engine.run with it in
+progresses.  It passes empty queues too and ignores the slot-feasibility
+gate, which the fast retry uses to pass over a stage that cannot admit
+anyone.  It retries after every event hook, also where Coordinator skips
+the retry, and its register pass sorts the queue by the sets the table
+says each waiter holds, where Coordinator sorts by the held sets its
+queue recorded.  reference_admission_run is engine.run with it in
 place of Coordinator.  with_admissions records every admission, with
 its wake and the next_ready it left, to compare the two admission by
 admission.

@@ -142,6 +142,17 @@ def test_the_event_log_only_observes(tmp_path, capsys, kernel, policy):
     assert '"event": "PHASE_CHANGE"' in log.read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("flag", ["--json", "--csv"])
+def test_an_event_log_over_the_result_file_is_a_usage_error(tmp_path, capsys, monkeypatch, flag):
+    # refused before simulating: the log would replace the result
+    monkeypatch.chdir(tmp_path)
+    cmd = ["simulate", "--kernel", "corpus:uniform", "--policy", "zorua", flag, "out"]
+    assert main([*cmd, "--event-log", "./out"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: --event-log would overwrite the result written to out\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_unknown_corpus_kernel_is_a_validation_error(capsys):
     rc = main(["simulate", "--kernel", "corpus:nqu", "--policy", "baseline"])
     assert rc == 2

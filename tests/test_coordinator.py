@@ -354,12 +354,16 @@ def test_register_waiter_is_retried_only_when_registers_free():
     # events that free no register set do not re-pass the register queue
     coord.on_barrier(0)
     coord.on_phase_change(1, _phase(reg_sets=8, scratch_sets=0))
-    coord.on_epoch(_epoch(c_idle=0, c_mem=0))
     assert passes == []
+    # an epoch always retries: one pass over the register queue, which
+    # admits nobody
+    coord.on_epoch(_epoch(c_idle=0, c_mem=0))
+    assert passes == ["_retry_reg"]
+    assert all(coord.warps[w].state is WarpState.PENDING_REG for w in range(4, 8))
     assert coord.check_invariants() == []
     # the retry that frees a warp's eight sets admits the oldest waiter
     coord.on_warp_finished(2)
-    assert passes == ["_retry_reg"]
+    assert passes == ["_retry_reg", "_retry_reg"]
     assert coord.warps[4].state is WarpState.SCHEDULABLE
     assert all(coord.warps[w].state is WarpState.PENDING_REG for w in range(5, 8))
     assert coord.check_invariants() == []
@@ -418,7 +422,10 @@ def test_retry_after_a_forced_admission_runs_every_stage():
     assert coord.warps[2].state is WarpState.PENDING_SCRATCH
     stages = _record_passes(coord)
     coord.retry_all_queues()
-    assert stages == []  # nothing can pass
+    # one pass over the scratchpad queue, which admits nobody
+    assert stages == ["_retry_scratch"]
+    assert coord.warps[1].state is WarpState.PENDING_SCRATCH
+    assert coord.warps[2].state is WarpState.PENDING_SCRATCH
     # one warp schedulable is below the guard's 20% of 16 slots; the guard
     # forces warp 1, whose block then holds four sets, two of them in swap
     assert coord.deadlock_guard() is True
@@ -440,27 +447,30 @@ _EVENT_HOOKS = (
 
 
 def test_queue_passes_stay_few_on_a_large_launch(monkeypatch):
-    # a work count, not a time: a retry passes over a queue only when the
-    # queue can admit someone, so most events pass over none of them
-    counts = {"events": 0, "passes": 0}
+    # a work count, not a time: a hook retries only when a warp could
+    # pass, and a retry passes only over a queue that holds a warp
+    counts = {"events": 0, "passes": 0, "empty passes": 0}
 
-    def counter(method, key):
+    def counter(method, key, queue=None):
         def counted(self, *args):
             counts[key] += 1
+            if queue and not getattr(self, queue):
+                counts["empty passes"] += 1
             return method(self, *args)
 
         return counted
 
     for name in _EVENT_HOOKS:
         monkeypatch.setattr(Coordinator, name, counter(getattr(Coordinator, name), "events"))
-    for name in _QUEUE_PASSES:
-        monkeypatch.setattr(Coordinator, name, counter(getattr(Coordinator, name), "passes"))
+    for name, queue in zip(_QUEUE_PASSES, ("_reg_q", "_scratch_q", "_thread_q")):
+        method = getattr(Coordinator, name)
+        monkeypatch.setattr(Coordinator, name, counter(method, "passes", queue))
     kernel = corpus_kernel("reg_cliff")
     kernel = replace(kernel, resource_spec=replace(kernel.resource_spec, num_blocks=225))
     run(kernel, "zorua", "fermi")
     # retrying all three queues after every event made 3372 passes
     assert counts["passes"] <= 1000, counts
-    assert counts["passes"] < counts["events"], counts
+    assert counts["empty passes"] == 0, counts
 
 
 def test_a_requeued_parked_warp_passes_the_slot_stage_before_an_older_new_warp():
@@ -642,14 +652,11 @@ def _swap_enqueue_order(coord):
         (_swap_enqueue_order, ["pending_reg index is not the enqueue_seq order of its warps"]),
         (
             lambda c: c._reg_q.update({6: 3}),
-            ["register buckets are not the waiters by the sets they hold"],
+            ["register queue does not record the sets its waiters hold"],
         ),
         (
             lambda c: setattr(c.warps[6], "reg_sets_needed", 0),
-            [
-                "warp 6 waits for 0 register sets with 0 grantable",
-                "register need bound 8 exceeds warp 6's delta 0",
-            ],
+            ["warp 6 waits for 0 register sets with 0 grantable"],
         ),
     ],
     ids=[
@@ -660,7 +667,7 @@ def _swap_enqueue_order(coord):
         "threshold",
         "budget",
         "order",
-        "buckets",
+        "held",
         "fixpoint",
     ],
 )

@@ -29,7 +29,7 @@ import re
 from dataclasses import replace
 
 import pytest
-from hypothesis import Phase, assume, given, settings
+from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
 from smvirt.coordinator import OversubscriptionConfig
@@ -611,12 +611,28 @@ def test_with_nothing_scarce_the_three_policies_run_one_schedule(
     max_inflight=st.sampled_from([2, 64]),
     o_thresh=st.sampled_from([None, 0.0, 0.05, 0.25]),
 )
+# register waiters holding different sets compete for one grant here, so
+# a register pass in any other order than most held sets first differs
+@example(
+    kernel=replace(
+        corpus_kernel("mixed_phase"),
+        resource_spec=replace(corpus_kernel("mixed_phase").resource_spec, num_blocks=8),
+    ),
+    trailing_barrier=False,
+    arch="fermi",
+    schedulers=2,
+    epoch_cycles=2048,
+    latency=400,
+    max_inflight=64,
+    o_thresh=None,
+)
 def test_zorua_admission_matches_a_retry_of_every_stage(
     kernel, trailing_barrier, arch, schedulers, epoch_cycles, latency, max_inflight, o_thresh
 ):
-    # the need bounds and the slot gate only pass over stages that cannot
-    # admit anyone, so they change nothing a retry of every stage would do;
-    # o_thresh None leaves the controller on, a number pins the thresholds
+    # the hooks' skipped retries and the slot gate only pass over stages
+    # that cannot admit anyone, so they change nothing a retry of every
+    # stage would do; o_thresh None leaves the controller on, a number
+    # pins the thresholds
     if trailing_barrier:
         kernel = _ending_in_barrier(kernel)
     hw = replace(
